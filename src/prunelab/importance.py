@@ -9,23 +9,36 @@ estimators turn a stream of per-example signals into one score per channel:
   taylorfo_abs      mean of |s[n,c]|
   taylorfo_sq       mean of s[n,c]^2
   molchanov_bn      mean of (gamma_c dgamma_c(n) + beta_c dbeta_c(n))^2
-  molchanov_group   mean of (sum_w w dw(n))^2 over channel c's weights
+  molchanov_group   mean of (sum_w w dw(n) + b_c db_c(n))^2 over channel c's
+                    weights and bias
 
-where s[n,c] sums x*dx over spatial positions per example first, and the
-molchanov gates read per-example parameter gradients.  Output gradients come
-from a GradientSource: the softmax cross-entropy loss, or label-free random
-rows drawn from a counter-based generator keyed by (seed, example index) so
-scores cannot depend on how examples are grouped into batches.  Either kind
-can be normalized to unit L2 norm per example row.
+where s[n,c] sums x*dx over spatial positions per example first.  Output
+gradients come from a GradientSource: the softmax cross-entropy loss, or
+label-free random rows drawn from a counter-based generator keyed by (seed,
+example index) so scores cannot depend on how examples are grouped into
+batches.  Either kind can be normalized to unit L2 norm per example row.
+
+The two molchanov gates are the same signal read at another tap point, so
+all five estimators share one batched pass.  Let g be the gradient with
+respect to a node's output taken before its channel mask m, and let the
+recorded output be y = m * (W x + b) at a conv/linear site and
+z = m * (gamma xhat + beta) at a batch norm.  The chain rule gives, per
+example and channel,
+
+  sum_w w dw(n) + b db(n)          = sum_p g[n,c,p] y[n,c,p]   (site)
+  gamma dgamma(n) + beta dbeta(n)  = sum_p g[n,c,p] z[n,c,p]   (batch norm)
+
+so molchanov_group is taylorfo_sq read at the site node, and molchanov_bn is
+taylorfo_sq read at the batch norm that gates the site (bn_node_for_site).
+molchanov_bn_score and molchanov_group_score keep the parameter-gradient
+form as reference oracles.
 
 estimate() runs the model in eval mode: batch statistics would couple
 examples within a batch and break partition invariance.  It backpropagates
 per-example rows (no 1/batch factor on the loss gradient) for the same
 reason; the documented softmax_cross_entropy 1/N convention lives in
-make_output_gradient, which is the batch-level view of the same source.  The
-molchanov estimators run forward/backward one example at a time, which is the
-per-example parameter-gradient attribution this package uses.  Accumulators
-are float64 regardless of model dtype.
+make_output_gradient, which is the batch-level view of the same source.
+Accumulators are float64 regardless of model dtype.
 """
 
 import csv
@@ -334,12 +347,25 @@ def _dataset_arrays(dataset):
     return images, labels
 
 
+def _tap_nodes(model, estimator):
+    """{site_id: node index} of the node whose output carries each site's
+    signal: the batch norm gating the site for molchanov_bn, else the site."""
+    if estimator == "molchanov_bn":
+        return {s.site_id: bn_node_for_site(model, s) for s in model.sites}
+    if estimator == "molchanov_group":
+        for s in model.sites:
+            if "weight" not in model.nodes[s.node_index].params:
+                raise InputError(f"site {s.site_id!r} node has no weights; molchanov_group needs them")
+    return {s.site_id: s.node_index for s in model.sites}
+
+
 def estimate(model, dataset, d, estimator, source, batch_size=32):
     """Score every prunable channel from the first d dataset examples.
 
-    Runs the model in eval mode, streams batches of batch_size (the
-    molchanov estimators always step one example at a time), and never reads
-    labels when the source is random.
+    Runs the model in eval mode, streams batches of batch_size for every
+    estimator, and never reads labels when the source is random.  The
+    molchanov estimators fold their tap-point signal exactly as taylorfo_sq
+    does; the table carries the molchanov name.
     """
     if estimator not in ESTIMATORS:
         raise InputError(f"estimator must be one of {ESTIMATORS}, got {estimator!r}")
@@ -358,55 +384,23 @@ def estimate(model, dataset, d, estimator, source, batch_size=32):
     if not model.sites:
         raise InputError("model declares no prunable sites")
 
-    if estimator in TAYLOR_ESTIMATORS:
-        sites = make_sites(model, (estimator,))
-        for start in range(0, d, batch_size):
-            stop = min(start + batch_size, d)
-            indices = np.arange(start, stop)
-            logits, record = model.forward(images[start:stop], "eval")
-            batch_labels = labels[start:stop] if source.kind == LOSS else None
-            rows = _per_example_rows(source, logits, batch_labels, indices)
-            model.zero_grads()
-            site_grads = model.backward(record, rows)
-            signals = {
-                s.site_id: channel_signal(record.site_x[s.site_id], site_grads[s.site_id]) for s in sites
-            }
-            accumulate(sites, signals, estimator)
-        return finalize(sites, estimator, source, d)
-
-    # molchanov estimators: one example at a time so parameter gradients are
-    # attributable per example, matching the scorer functions above
-    if estimator == "molchanov_bn":
-        gate_nodes = {s.site_id: model.nodes[bn_node_for_site(model, s)] for s in model.sites}
-    else:
-        gate_nodes = {s.site_id: model.nodes[s.node_index] for s in model.sites}
-        for s in model.sites:
-            if "weight" not in gate_nodes[s.site_id].params:
-                raise InputError(f"site {s.site_id!r} node has no weights; molchanov_group needs them")
-
-    acc = {s.site_id: np.zeros(s.channels, np.float64) for s in model.sites}
-    for n in range(d):
-        logits, record = model.forward(images[n : n + 1], "eval")
-        row_labels = labels[n : n + 1] if source.kind == LOSS else None
-        rows = _per_example_rows(source, logits, row_labels, np.array([n]))
+    taps = _tap_nodes(model, estimator)
+    fold = estimator if estimator in TAYLOR_ESTIMATORS else "taylorfo_sq"
+    sites = make_sites(model, (fold,))
+    # each record lives until the next forward replaces it: freeing it first
+    # hands its pages back to the OS and the next batch faults them in again
+    # (measured 10-15% slower); its node gradients are dropped at once so
+    # they do not add to that overlap
+    for start in range(0, d, batch_size):
+        stop = min(start + batch_size, d)
+        logits, record = model.forward(images[start:stop], "eval")
+        batch_labels = labels[start:stop] if source.kind == LOSS else None
+        rows = _per_example_rows(source, logits, batch_labels, np.arange(start, stop))
         model.zero_grads()
         model.backward(record, rows)
-        for s in model.sites:
-            node = gate_nodes[s.site_id]
-            if estimator == "molchanov_bn":
-                gate = node.params["gamma"].astype(np.float64) * node.grads["gamma"] + node.params[
-                    "beta"
-                ].astype(np.float64) * node.grads["beta"]
-            else:
-                weight = node.params["weight"].astype(np.float64)
-                gate = (weight * node.grads["weight"]).sum(axis=tuple(range(1, weight.ndim)))
-                if "bias" in node.params:
-                    gate = gate + node.params["bias"].astype(np.float64) * node.grads["bias"]
-            acc[s.site_id] += gate * gate
-    entries = []
-    for s in model.sites:
-        scores = acc[s.site_id] / d
-        if not np.isfinite(scores).all():
-            raise StateError(f"site {s.site_id}: non-finite scores")
-        entries.extend((s.site_id, s.node_index, c, float(scores[c])) for c in range(s.channels))
-    return ImportanceTable(entries, estimator, source.kind, source.normalize, d, source.seed)
+        signals = {site_id: channel_signal(record.values[i], record.grads[i]) for site_id, i in taps.items()}
+        record.grads = None
+        accumulate(sites, signals, fold)
+    table = finalize(sites, fold, source, d)
+    table.estimator = estimator
+    return table

@@ -342,6 +342,7 @@ class ForwardRecord:
         self.serial = serial
         self.values = []
         self.caches = []
+        self.grads = []
         self.site_x = {}
 
 
@@ -452,7 +453,9 @@ class Model:
         Accumulates parameter gradients on the nodes (caller zeroes between
         steps) and returns {site_id: dx} with dx shaped like the recorded
         pre-activation.  output_grad is any array of the logits shape; it is
-        not required to come from a loss.
+        not required to come from a loss.  The gradient with respect to every
+        node's output, taken before that node's mask, is kept on the record
+        as record.grads[i], beside record.values[i].
         """
         if record.serial != self._serial:
             raise StateError("record is stale: backward must follow the forward that produced it")
@@ -462,14 +465,10 @@ class Model:
             raise ShapeError(f"output_grad shape {output_grad.shape} != logits shape {logits.shape}")
         buffers = [None] * len(self.nodes)
         buffers[-1] = output_grad
-        site_nodes = {s.node_index: s.site_id for s in self.sites}
-        site_grads = {}
         for i in range(len(self.nodes) - 1, -1, -1):
             g = buffers[i]
             if g is None:
                 continue
-            if i in site_nodes:
-                site_grads[site_nodes[i]] = g
             m = self._mask_for(i, g)
             if m is not None:
                 g = g * m
@@ -478,9 +477,8 @@ class Model:
                 if r == INPUT:
                     continue
                 buffers[r] = gr if buffers[r] is None else buffers[r] + gr
-        for s in self.sites:
-            site_grads.setdefault(s.site_id, np.zeros_like(record.site_x[s.site_id]))
-        return site_grads
+        record.grads = [np.zeros_like(v) if g is None else g for g, v in zip(buffers, record.values)]
+        return {s.site_id: record.grads[s.node_index] for s in self.sites}
 
 
 def softmax(logits):

@@ -12,7 +12,8 @@ Pruning proceeds in three stages that are kept deliberately separate:
 2. ``apply_mask`` turns a plan into a runtime mask on the model: pruned
    channels are forced to zero in the forward pass and their parameters stop
    receiving gradient.  Shapes do not change, which makes masked models
-   convenient for quick accuracy measurements and finetuning.
+   convenient for quick accuracy measurements and finetuning.  Masks
+   compose: a channel already masked on the model stays pruned.
 3. ``compact`` rewrites the graph into a genuinely smaller model: pruned
    output channels are physically removed from the producing layer (weight
    rows, bias entries, batch-norm parameters and statistics) and the matching
@@ -199,18 +200,34 @@ def _check_mask(model, mask):
             raise InputError(f"site {site_id!r}: mask length {k.size} != {model_sites[site_id]} channels")
 
 
+def _site_keep(model, site, mask):
+    """The mask's keep vector for a site, intersected with the channels the
+    model already masks on the site node or its batch norm, so masks compose
+    instead of replacing."""
+    keep = mask.keep[site.site_id]
+    gates = [site.node_index] + [j for j in model.consumers(site.node_index) if model.nodes[j].kind == "batch_norm"]
+    for i in gates:
+        held = model.masks.get(i)
+        if held is not None:
+            keep = keep & (held != 0)
+            if not keep.any():
+                raise InputError(f"site {site.site_id!r} would keep no channels with the model's existing mask")
+    return keep
+
+
 def apply_mask(model, mask):
     """Return a copy of the model with pruned channels masked to zero.
 
     The mask is installed on the site node and on any batch-norm node that
     directly consumes it: zeroing only the producer would let the batch norm
     re-bias the channel away from zero, and the batch-norm parameters of a
-    pruned channel must stop receiving gradient too.
+    pruned channel must stop receiving gradient too.  Channels the model
+    already masks stay masked.
     """
     _check_mask(model, mask)
     out = model.clone()
     for site in out.sites:
-        keep = mask.keep[site.site_id].astype(out.dtype)
+        keep = _site_keep(model, site, mask).astype(out.dtype)
         out.masks[site.node_index] = keep
         for j in out.consumers(site.node_index):
             if out.nodes[j].kind == "batch_norm":
@@ -274,14 +291,17 @@ def compact(model, mask):
     flatten nodes need no surgery; a flatten remaps channels to its
     channel-major column blocks.  Reaching a residual addition or the network
     output with pruned channels is not supported and raises CapabilityError.
+    Channels the model already masks are removed as well; the compacted
+    model carries no masks.
     """
     _check_mask(model, mask)
     shapes = _output_shapes(model)
     out = model.clone()
     passthrough = ("relu", "avg_pool", "max_pool")
+    keeps = {site.site_id: _site_keep(model, site, mask) for site in model.sites}
 
     for site in model.sites:
-        keep = mask.keep[site.site_id]
+        keep = keeps[site.site_id]
         if keep.all():
             continue
         _shrink_output(out.nodes[site.node_index], site.node_index, keep)
@@ -310,7 +330,7 @@ def compact(model, mask):
                     raise CapabilityError(
                         f"node {j} ({node.name}): {node.kind} consumes pruned channels")
 
-    sites = [Site(s.site_id, s.node_index, int(mask.keep[s.site_id].sum())) for s in model.sites]
+    sites = [Site(s.site_id, s.node_index, int(keeps[s.site_id].sum())) for s in model.sites]
     return Model(out.nodes, model.input_shape, model.num_classes, sites,
                  dict(model.non_prunable), dtype=model.dtype)
 

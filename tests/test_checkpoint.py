@@ -1,11 +1,13 @@
 """Checkpoint format tests: bit-exact round trips and corruption handling."""
 
+import json
 import struct
 
 import numpy as np
 import pytest
 
 from prunelab import checkpoint
+from prunelab.cli import main
 from prunelab.errors import FormatError
 from prunelab.nn import build_reference_models
 
@@ -132,3 +134,167 @@ class TestFormatErrors:
         path.write_bytes(b"")
         with pytest.raises(FormatError, match="truncated"):
             checkpoint.load_model(path)
+
+
+def rewrite_header(path, mutate):
+    """Apply mutate to the decoded JSON header and write it back in place,
+    keeping the parameter blobs."""
+    raw = path.read_bytes()
+    (length,) = struct.unpack("<I", raw[8:12])
+    header = json.loads(raw[12 : 12 + length])
+    mutate(header)
+    new = json.dumps(header).encode("utf-8")
+    path.write_bytes(raw[:8] + struct.pack("<I", len(new)) + new + raw[12 + length :])
+
+
+def setter(*keys, value):
+    def mutate(header):
+        obj = header
+        for k in keys[:-1]:
+            obj = obj[k]
+        obj[keys[-1]] = value
+    return mutate
+
+
+def deleter(*keys):
+    def mutate(header):
+        obj = header
+        for k in keys[:-1]:
+            obj = obj[k]
+        del obj[keys[-1]]
+    return mutate
+
+
+# cnn_small: node 0 is conv1 (16 channels, no bias), 1 is bn1, 2 is relu1
+HEADER_MUTATIONS = {
+    "no_nodes": deleter("nodes"),
+    "no_sites": deleter("sites"),
+    "no_masks": deleter("masks"),
+    "no_input_shape": deleter("input_shape"),
+    "no_num_classes": deleter("num_classes"),
+    "no_non_prunable": deleter("non_prunable"),
+    "nodes_int": setter("nodes", value=3),
+    "sites_str": setter("sites", value="conv1"),
+    "masks_list": setter("masks", value=[]),
+    "input_shape_str": setter("input_shape", value="1,16,16"),
+    "input_shape_empty": setter("input_shape", value=[]),
+    "input_shape_zero": setter("input_shape", value=[1, 0, 16]),
+    "input_shape_float": setter("input_shape", value=[1, 16.5, 16]),
+    "num_classes_str": setter("num_classes", value="4"),
+    "num_classes_bool": setter("num_classes", value=True),
+    "num_classes_zero": setter("num_classes", value=0),
+    "non_prunable_list": setter("non_prunable", value=[13]),
+    "non_prunable_bad_key": setter("non_prunable", value={"fc": "classifier"}),
+    "non_prunable_out_of_range": setter("non_prunable", value={"99": "classifier"}),
+    "non_prunable_bad_reason": setter("non_prunable", value={"13": 5}),
+    "node_not_object": setter("nodes", 2, value="relu"),
+    "node_no_kind": deleter("nodes", 0, "kind"),
+    "node_no_name": deleter("nodes", 0, "name"),
+    "node_no_refs": deleter("nodes", 0, "refs"),
+    "node_no_hyper": deleter("nodes", 0, "hyper"),
+    "node_no_params": deleter("nodes", 0, "params"),
+    "node_kind_int": setter("nodes", 0, "kind", value=7),
+    "node_kind_unknown": setter("nodes", 2, "kind", value="softmax"),
+    "node_refs_str": setter("nodes", 1, "refs", value="0"),
+    "node_refs_float": setter("nodes", 1, "refs", value=[0.5]),
+    "node_refs_empty": setter("nodes", 2, "refs", value=[]),
+    "node_refs_two": setter("nodes", 2, "refs", value=[0, 1]),
+    "node_refs_forward": setter("nodes", 1, "refs", value=[5]),
+    "node_refs_below_input": setter("nodes", 1, "refs", value=[-2]),
+    "node_hyper_list": setter("nodes", 0, "hyper", value=[]),
+    "hyper_unknown": setter("nodes", 0, "hyper", "dilation", value=2),
+    "hyper_kernel_str": setter("nodes", 0, "hyper", "kernel", value="3"),
+    "hyper_kernel_zero": setter("nodes", 0, "hyper", "kernel", value=0),
+    "hyper_channels_negative": setter("nodes", 1, "hyper", "channels", value=-16),
+    "hyper_bias_int": setter("nodes", 0, "hyper", "bias", value=1),
+    "hyper_eps_str": setter("nodes", 1, "hyper", "eps", value="1e-5"),
+    "hyper_missing_kernel": deleter("nodes", 0, "hyper", "kernel"),
+    "hyper_on_relu": setter("nodes", 2, "hyper", "kernel", value=2),
+    "params_dict": setter("nodes", 0, "params", value={}),
+    "params_entry_str": setter("nodes", 0, "params", 0, value="weight"),
+    "params_entry_no_shape": deleter("nodes", 0, "params", 0, "shape"),
+    "params_shape_str": setter("nodes", 0, "params", 0, "shape", value="16,1,3,3"),
+    "params_shape_negative": setter("nodes", 0, "params", 0, "shape", value=[-16, 1, 3, 3]),
+    "params_missing": setter("nodes", 1, "params", value=[]),
+    "params_unknown": setter("nodes", 0, "params", 0, "name", value="kernel"),
+    "site_not_object": setter("sites", 0, value="conv1"),
+    "site_no_channels": deleter("sites", 0, "channels"),
+    "site_id_int": setter("sites", 0, "site_id", value=1),
+    "site_channels_str": setter("sites", 0, "channels", value="16"),
+    "site_duplicate_id": setter("sites", 1, "site_id", value="conv1"),
+    "mask_str": setter("masks", "0", value="1111"),
+    "mask_bad_value": setter("masks", "0", value=[1] * 15 + ["0"]),
+    "mask_bad_key": setter("masks", value={"conv1": [1] * 16}),
+    "mask_key_out_of_range": setter("masks", value={"99": [1] * 16}),
+    "mask_on_relu": setter("masks", value={"2": [1] * 16}),
+}
+
+
+class TestHeaderValidation:
+    @pytest.fixture
+    def saved(self, tmp_path):
+        model = build_reference_models(seed=7)["cnn_small"]
+        keep = np.ones(16, np.float32)
+        keep[3] = 0.0
+        model.masks[0] = keep
+        path = tmp_path / "m.npkt"
+        checkpoint.save_model(path, model)
+        return path
+
+    def test_unmutated_header_loads(self, saved):
+        rewrite_header(saved, lambda header: None)
+        assert checkpoint.load_model(saved).sites[0].channels == 16
+
+    @pytest.mark.parametrize("name", sorted(HEADER_MUTATIONS))
+    def test_malformed_header_is_format_error(self, saved, name):
+        rewrite_header(saved, HEADER_MUTATIONS[name])
+        with pytest.raises(FormatError):
+            checkpoint.load_model(saved)
+
+    @pytest.mark.parametrize("name", ["no_sites", "nodes_int", "hyper_missing_kernel", "node_refs_forward"])
+    def test_cli_exits_3_without_traceback(self, saved, name, capsys):
+        rewrite_header(saved, HEADER_MUTATIONS[name])
+        assert main(["eval", "--checkpoint", str(saved)]) == 3
+        err = capsys.readouterr().err
+        assert err.startswith("error: ")
+        assert "Traceback" not in err
+
+    def test_header_not_an_object(self, saved):
+        raw = saved.read_bytes()
+        (length,) = struct.unpack("<I", raw[8:12])
+        new = b"[1, 2]"
+        saved.write_bytes(raw[:8] + struct.pack("<I", len(new)) + new + raw[12 + length :])
+        with pytest.raises(FormatError, match="JSON object"):
+            checkpoint.load_model(saved)
+
+
+class TestLoadConsistency:
+    @pytest.fixture
+    def saved(self, tmp_path):
+        path = tmp_path / "m.npkt"
+        checkpoint.save_model(path, build_reference_models(seed=7)["cnn_small"])
+        return path
+
+    def test_site_channel_count_must_match_node(self, saved):
+        rewrite_header(saved, setter("sites", 0, "channels", value=99))
+        with pytest.raises(FormatError, match="99 channels"):
+            checkpoint.load_model(saved)
+
+    def test_site_node_index_in_range(self, saved):
+        rewrite_header(saved, setter("sites", 0, "node_index", value=99))
+        with pytest.raises(FormatError, match="node index 99"):
+            checkpoint.load_model(saved)
+
+    def test_site_on_channelless_node(self, saved):
+        rewrite_header(saved, setter("sites", 0, "node_index", value=2))
+        with pytest.raises(FormatError, match="channels"):
+            checkpoint.load_model(saved)
+
+    def test_mask_length_must_match_node(self, saved):
+        rewrite_header(saved, setter("masks", value={"0": [1, 0, 1]}))
+        with pytest.raises(FormatError, match="mask on node 0"):
+            checkpoint.load_model(saved)
+
+    def test_mask_of_right_length_loads(self, saved):
+        rewrite_header(saved, setter("masks", value={"1": [1] * 15 + [0]}))
+        assert checkpoint.load_model(saved).masks[1][15] == 0.0

@@ -8,10 +8,11 @@ import numpy as np
 import pytest
 
 from prunelab import data
-from prunelab.checkpoint import load_model
+from prunelab.checkpoint import load_model, save_model
 from prunelab.cli import main
 from prunelab.harness import SweepResult
 from prunelab.importance import ImportanceTable
+from prunelab.pruning import PruneMask, PrunePlan, apply_mask
 
 CONFIG_TEXT = """\
 # small enough to keep the suite fast
@@ -166,6 +167,26 @@ class TestPrune:
         code = run(workspace, "prune", "--checkpoint", "@/model.npkt",
                    "--table", str(table_path), "--out", str(tmp_path / "no.npkt"))
         assert code == 1
+
+    @pytest.mark.parametrize("count", [0, 6])
+    def test_masked_checkpoint_keeps_its_pruned_channels(self, workspace, table_path, tmp_path, count):
+        # mask each site's top-scored channel, which the plan itself never prunes
+        model = load_model(str(workspace / "model.npkt"))
+        scores = ImportanceTable.from_csv(str(table_path))
+        keep = PruneMask.all_keep(model).keep
+        for site in model.sites:
+            keep[site.site_id][np.argmax(scores.scores(site.site_id))] = False
+        masked = tmp_path / "masked.npkt"
+        save_model(masked, apply_mask(model, PruneMask(keep)))
+        plan, out = tmp_path / "plan.csv", tmp_path / "small.npkt"
+        assert run(workspace, "prune", "--checkpoint", str(masked), "--table", str(table_path),
+                   "--prune-count", str(count), "--plan", str(plan), "--out", str(out)) == 0
+        planned = PrunePlan.from_csv(str(plan)).mask().keep
+        small = load_model(str(out))
+        assert small.masks == {}
+        for site, kept in zip(model.sites, small.sites):
+            assert kept.channels == int((keep[site.site_id] & planned[site.site_id]).sum())
+        assert sum(s.channels for s in small.sites) == 72 - count - len(model.sites)
 
     def test_excessive_count_is_input_error(self, workspace, table_path, tmp_path, capsys):
         code = run(workspace, "prune", "--checkpoint", "@/model.npkt",

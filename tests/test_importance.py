@@ -498,3 +498,92 @@ class TestTableCsv:
     def test_non_finite_scores_rejected(self):
         with pytest.raises(StateError, match="finite"):
             imp.ImportanceTable([("s", 0, 0, float("nan"))], "taylorfo", "loss", False, 1, 0)
+
+
+def per_example_stream(model, images, labels, source, d, node, names):
+    """Parameter gradients of one node, one example per forward/backward."""
+    stream = []
+    for n in range(d):
+        logits, record = model.forward(images[n : n + 1], "eval")
+        row_labels = labels[n : n + 1] if source.kind == imp.LOSS else None
+        rows = imp._per_example_rows(source, logits, row_labels, np.array([n]))
+        model.zero_grads()
+        model.backward(record, rows)
+        stream.append({k: node.grads[k].copy() for k in names})
+    return stream
+
+
+class TestBatchedMolchanov:
+    """The batched tap-point path against the parameter-gradient oracles."""
+
+    @pytest.fixture(scope="class")
+    def masked_model(self, small_model):
+        from prunelab.pruning import PruneMask, apply_mask
+
+        keep = PruneMask.all_keep(small_model).keep
+        keep["conv1"][[2, 9]] = False
+        keep["conv2"][[0, 5, 6]] = False
+        return apply_mask(small_model, PruneMask(keep))
+
+    @pytest.mark.parametrize("batch_size", [1, 8])
+    @pytest.mark.parametrize("source", [loss_source(), random_source(normalize=True)], ids=["loss", "random"])
+    def test_masked_bn_matches_scorer(self, masked_model, small_data, batch_size, source):
+        images, labels = small_data
+        d = 11
+        table = imp.estimate(masked_model, small_data, d, "molchanov_bn", source, batch_size=batch_size)
+        for site in masked_model.sites:
+            bn = masked_model.nodes[imp.bn_node_for_site(masked_model, site)]
+            stream = per_example_stream(masked_model, images, labels, source, d, bn, ("gamma", "beta"))
+            oracle = imp.molchanov_bn_score(bn, [(g["gamma"], g["beta"]) for g in stream])
+            assert np.abs(table.scores(site.site_id) - oracle).max() <= 1e-15, site.site_id
+        assert not table.scores("conv2")[[0, 5, 6]].any()
+
+    @pytest.mark.parametrize("batch_size", [1, 8])
+    @pytest.mark.parametrize("source", [loss_source(), random_source(normalize=True)], ids=["loss", "random"])
+    def test_masked_group_matches_scorer(self, masked_model, small_data, batch_size, source):
+        images, labels = small_data
+        d = 11
+        table = imp.estimate(masked_model, small_data, d, "molchanov_group", source, batch_size=batch_size)
+        for site in masked_model.sites:
+            node = masked_model.nodes[site.node_index]
+            stream = per_example_stream(masked_model, images, labels, source, d, node, tuple(node.params))
+            oracle = imp.molchanov_group_score(node, stream)
+            assert np.abs(table.scores(site.site_id) - oracle).max() <= 1e-15, site.site_id
+        assert not table.scores("conv1")[[2, 9]].any()
+
+    @pytest.mark.parametrize("source", [loss_source(), random_source()], ids=["loss", "random"])
+    def test_group_with_biases_matches_scorer(self, small_data, source):
+        images, labels = small_data
+        model = build_mlp_small(image_size=8, seed=3).astype(np.float64)
+        rng = np.random.default_rng(8)
+        for i in (1, 3):
+            model.nodes[i].params["bias"] = rng.normal(size=model.nodes[i].channels, scale=0.5)
+        model.nodes[1].params["bias"][[4, 17]] = -100.0  # ReLU dead on every example
+        d = 16
+        table = imp.estimate(model, small_data, d, "molchanov_group", source, batch_size=5)
+        for site in model.sites:
+            node = model.nodes[site.node_index]
+            oracle = imp.molchanov_group_score(
+                node, per_example_stream(model, images, labels, source, d, node, ("weight", "bias"))
+            )
+            scores = table.scores(site.site_id)
+            assert np.array_equal(scores == 0, oracle == 0), site.site_id
+            live = oracle != 0
+            assert (np.abs(scores[live] - oracle[live]) / oracle[live]).max() < 1e-12, site.site_id
+        assert not table.scores("fc1")[[4, 17]].any()
+
+    @pytest.mark.parametrize("estimator", imp.ESTIMATORS)
+    @pytest.mark.parametrize("d, batch_size", [(11, 1), (11, 3), (16, 8), (5, 32)])
+    def test_one_forward_per_batch(self, small_model, small_data, estimator, d, batch_size):
+        model = small_model.clone()
+        calls = []
+        forward = model.forward
+
+        def counting_forward(*args, **kwargs):
+            calls.append(len(args[0]))
+            return forward(*args, **kwargs)
+
+        model.forward = counting_forward
+        imp.estimate(model, small_data, d, estimator, random_source(), batch_size=batch_size)
+        assert len(calls) == -(-d // batch_size)
+        assert sum(calls) == d

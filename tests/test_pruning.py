@@ -364,3 +364,79 @@ class TestCompact:
         a, _ = masked.forward(x, "eval")
         b, _ = small.forward(x, "eval")
         assert np.abs(a - b).max() > 1e-3
+
+
+def conv2_off(model, channels):
+    """A PruneMask that keeps everything except the given conv2 channels."""
+    keep = pruning.PruneMask.all_keep(model).keep
+    keep["conv2"][list(channels)] = False
+    return pruning.PruneMask(keep)
+
+
+class TestMaskComposition:
+    def test_two_masks_prune_the_union(self):
+        model = build_cnn_small(image_size=8, seed=3)
+        first = pruning.apply_mask(model, conv2_off(model, (1, 2, 3)))
+        both = pruning.apply_mask(first, conv2_off(model, (5,)))
+        for node in (4, 5):  # conv2 and the batch norm it feeds
+            assert np.flatnonzero(both.masks[node] == 0).tolist() == [1, 2, 3, 5]
+        _, record = both.forward(np.random.default_rng(4).standard_normal((2,) + model.input_shape), "eval")
+        assert not record.site_x["conv2"][:, [1, 2, 3, 5]].any()
+
+    def test_all_keep_leaves_existing_mask(self):
+        model = build_cnn_small(image_size=8, seed=3)
+        masked = pruning.apply_mask(model, conv2_off(model, (1, 2)))
+        again = pruning.apply_mask(masked, pruning.PruneMask.all_keep(model))
+        assert set(again.masks) == set(masked.masks)
+        for node, keep in masked.masks.items():
+            assert np.array_equal(again.masks[node], keep)
+
+    def test_batch_norm_mask_is_kept(self):
+        # a checkpoint may carry a mask on the batch norm alone
+        model = build_cnn_small(image_size=8, seed=3)
+        keep = np.ones(24)
+        keep[[4, 9]] = 0.0
+        model.masks[5] = keep
+        again = pruning.apply_mask(model, conv2_off(model, (1,)))
+        for node in (4, 5):
+            assert np.flatnonzero(again.masks[node] == 0).tolist() == [1, 4, 9]
+        small = pruning.compact(model, pruning.PruneMask.all_keep(model))
+        assert small.sites[1].channels == 22
+        x = np.random.default_rng(7).standard_normal((3,) + model.input_shape)
+        a, _ = model.forward(x, "eval")
+        b, _ = small.forward(x, "eval")
+        assert np.abs(a - b).max() < 1e-4
+
+    def test_union_emptying_a_site_rejected(self):
+        model = build_cnn_small(image_size=8, seed=3)
+        masked = pruning.apply_mask(model, conv2_off(model, range(1, 24)))
+        with pytest.raises(InputError, match="no channels"):
+            pruning.apply_mask(masked, conv2_off(model, (0,)))
+        with pytest.raises(InputError, match="no channels"):
+            pruning.compact(masked, conv2_off(model, (0,)))
+
+    def test_compact_drops_already_masked_channels(self):
+        model = dirty_stats(build_cnn_small(image_size=8, seed=5)).astype(np.float64)
+        masked = pruning.apply_mask(model, conv2_off(model, (1, 2, 3)))
+        small = pruning.compact(masked, conv2_off(model, (5,)))
+        assert small.masks == {}
+        assert [s.channels for s in small.sites] == [16, 20, 32]
+        assert small.nodes[4].params["weight"].shape == (20, 16, 3, 3)
+        assert small.nodes[8].params["weight"].shape == (32, 20, 3, 3)
+        x = np.random.default_rng(6).standard_normal((10,) + model.input_shape)
+        a, _ = pruning.apply_mask(masked, conv2_off(model, (5,))).forward(x, "eval")
+        b, _ = small.forward(x, "eval")
+        assert np.abs(a - b).max() < 1e-10
+
+    def test_compact_all_keep_of_masked_model_shrinks(self):
+        model = build_cnn_small(image_size=8, seed=5)
+        masked = pruning.apply_mask(model, conv2_off(model, (7,)))
+        small = pruning.compact(masked, pruning.PruneMask.all_keep(model))
+        assert small.sites[1].channels == 23
+        assert small.param_count() < model.param_count()
+
+    def test_equivalence_on_masked_model(self):
+        model = dirty_stats(build_cnn_small(image_size=8, seed=6))
+        masked = pruning.apply_mask(model, random_mask(model, np.random.default_rng(20)))
+        mask = random_mask(model, np.random.default_rng(21))
+        assert pruning.validate_equivalence(masked, mask, trials=20, seed=3) < 1e-4
