@@ -36,9 +36,9 @@ form as reference oracles.
 estimate() runs the model in eval mode: batch statistics would couple
 examples within a batch and break partition invariance.  It backpropagates
 per-example rows (no 1/batch factor on the loss gradient) for the same
-reason; the documented softmax_cross_entropy 1/N convention lives in
-make_output_gradient, which is the batch-level view of the same source.
-Accumulators are float64 regardless of model dtype.
+reason; the 1/N mean-loss convention of training lives in
+nn.softmax_cross_entropy.  Accumulators are float64 regardless of model
+dtype.
 """
 
 import csv
@@ -46,7 +46,7 @@ import csv
 import numpy as np
 
 from .errors import FormatError, InputError, ShapeError, StateError
-from .nn import softmax, softmax_cross_entropy
+from .nn import softmax
 
 LOSS = "loss"
 RANDOM = "random"
@@ -93,38 +93,16 @@ def _normalize_rows(rows):
     return rows
 
 
-def make_output_gradient(source, logits, labels=None, example_indices=None):
-    """Build the output-gradient rows for one batch of logits.
-
-    LossGradient rows come from softmax_cross_entropy (mean-loss convention,
-    so rows carry a 1/N factor); RandomGradient rows are i.i.d. standard
-    normal per (seed, example index) and never read labels.  example_indices
-    are the global dataset positions of the batch rows, defaulting to
-    0..N-1.  With normalize, every nonzero row is rescaled to unit L2 norm.
-    """
-    logits = np.asarray(logits)
-    n, k = logits.shape
-    if source.kind == LOSS:
-        if labels is None:
-            raise InputError("loss gradients need labels")
-        _, grad = softmax_cross_entropy(logits.astype(np.float64), labels)
-    else:
-        if labels is not None:
-            raise InputError("random gradients must not be given labels")
-        if example_indices is None:
-            example_indices = np.arange(n)
-        if len(example_indices) != n:
-            raise InputError(f"{len(example_indices)} example indices for {n} rows")
-        grad = _random_rows(source.seed, example_indices, k)
-    if source.normalize:
-        grad = _normalize_rows(grad)
-    return grad
-
-
 def _per_example_rows(source, logits, labels, example_indices):
-    """Per-example output-gradient rows: like make_output_gradient but the
-    loss rows are softmax - onehot with no 1/batch factor, so each row is a
-    property of its example alone and batching cannot change the scores."""
+    """Output-gradient rows for one batch of logits, one row per example.
+
+    Loss rows are softmax - onehot with no 1/batch factor, so each row is a
+    property of its example alone and batching cannot change the scores.
+    Random rows are i.i.d. standard normal per (seed, example index) and
+    never read labels; example_indices are the global dataset positions of
+    the batch rows.  With normalize, every nonzero row is rescaled to unit
+    L2 norm.
+    """
     logits = np.asarray(logits, np.float64)
     n, k = logits.shape
     if source.kind == LOSS:
@@ -271,11 +249,20 @@ class ImportanceTable:
             elif row_meta != meta:
                 raise FormatError(f"{path} row {i + 2}: metadata differs from the first row")
             try:
-                entries.append((site_id, int(node_index), int(channel), float(score)))
+                entry = (site_id, int(node_index), int(channel), float(score))
             except ValueError as e:
                 raise FormatError(f"{path} row {i + 2}: {e}") from None
+            if not np.isfinite(entry[3]):
+                raise FormatError(f"{path} row {i + 2}: score {score!r} is not finite")
+            entries.append(entry)
         estimator, source, norm, data_size, seed = meta
-        return cls(entries, estimator, source, norm == "true", int(data_size), int(seed))
+        try:
+            data_size, seed = int(data_size), int(seed)
+        except ValueError:
+            # every row repeats the first row's metadata
+            raise FormatError(
+                f"{path} row 2: data_size and seed must be integers, got {data_size!r}, {seed!r}") from None
+        return cls(entries, estimator, source, norm == "true", data_size, seed)
 
 
 def molchanov_bn_score(bn_node, per_example_grads):
@@ -370,10 +357,10 @@ def estimate(model, dataset, d, estimator, source, batch_size=32):
     if estimator not in ESTIMATORS:
         raise InputError(f"estimator must be one of {ESTIMATORS}, got {estimator!r}")
     images, labels = _dataset_arrays(dataset)
-    if not 0 < d <= len(images):
-        raise InputError(f"d must be in [1, {len(images)}], got {d}")
-    if batch_size < 1:
-        raise InputError(f"batch_size must be positive, got {batch_size}")
+    if not isinstance(d, (int, np.integer)) or not 0 < d <= len(images):
+        raise InputError(f"d must be an integer in [1, {len(images)}], got {d!r}")
+    if not isinstance(batch_size, (int, np.integer)) or batch_size < 1:
+        raise InputError(f"batch_size must be a positive integer, got {batch_size!r}")
     if source.kind == LOSS:
         if labels is None:
             raise InputError("loss gradients need a labeled dataset")

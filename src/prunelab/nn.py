@@ -4,10 +4,11 @@ A :class:`Model` is a topologically ordered list of nodes (conv, linear,
 batch norm, relu, pooling, residual add, flatten).  Node ``refs`` name the
 producer node indices; the constant :data:`INPUT` (-1) refers to the model
 input.  Forward execution returns the logits plus a :class:`ForwardRecord`
-holding everything backward needs, including the pre-activation tensor at
-every prunable site.  Backward accepts an arbitrary output gradient (it does
-not have to come from a loss) and returns the per-site pre-activation
-gradients while accumulating parameter gradients on the nodes.
+holding each node's output values[i] and layer cache caches[i]; a prunable
+site's pre-activation is values[site.node_index].  Backward accepts an
+arbitrary output gradient (it does not have to come from a loss),
+accumulates parameter gradients on the nodes and stores each node's output
+gradient as grads[i] on the record; it returns nothing.
 
 A prunable site is the output of a conv/linear node, taken before batch norm
 and before the nonlinearity.  Channel masks attached to the model (see
@@ -337,13 +338,11 @@ class Site:
 
 
 class ForwardRecord:
-    def __init__(self, mode, serial):
-        self.mode = mode
+    def __init__(self, serial):
         self.serial = serial
         self.values = []
         self.caches = []
         self.grads = []
-        self.site_x = {}
 
 
 class Model:
@@ -418,8 +417,8 @@ class Model:
 
         In train mode batch norm uses batch statistics and updates its running
         estimates; eval mode uses the running estimates.  The record captures
-        the (post-mask) output of every node and the pre-activation at every
-        prunable site.
+        the (post-mask) output of every node as record.values[i]; a prunable
+        site's pre-activation is record.values[site.node_index].
         """
         if mode not in ("train", "eval"):
             raise InputError(f"mode must be 'train' or 'eval', got {mode!r}")
@@ -427,7 +426,7 @@ class Model:
         if x.shape[1:] != self.input_shape:
             raise ShapeError(f"input shape {x.shape[1:]} != model input {self.input_shape}")
         self._serial += 1
-        record = ForwardRecord(mode, self._serial)
+        record = ForwardRecord(self._serial)
         for i, node in enumerate(self.nodes):
             xs = [x if r == INPUT else record.values[r] for r in node.refs]
             cache = {}
@@ -443,19 +442,16 @@ class Model:
         logits = record.values[-1]
         if logits.ndim != 2 or logits.shape[1] != self.num_classes:
             raise ShapeError(f"final node produced {logits.shape}, expected [N, {self.num_classes}]")
-        for s in self.sites:
-            record.site_x[s.site_id] = record.values[s.node_index]
         return logits, record
 
     def backward(self, record, output_grad):
         """Back-propagate an arbitrary output gradient through the record.
 
         Accumulates parameter gradients on the nodes (caller zeroes between
-        steps) and returns {site_id: dx} with dx shaped like the recorded
-        pre-activation.  output_grad is any array of the logits shape; it is
-        not required to come from a loss.  The gradient with respect to every
-        node's output, taken before that node's mask, is kept on the record
-        as record.grads[i], beside record.values[i].
+        steps) and returns nothing.  output_grad is any array of the logits
+        shape; it is not required to come from a loss.  The gradient with
+        respect to every node's output, taken before that node's mask, is
+        kept on the record as record.grads[i], beside record.values[i].
         """
         if record.serial != self._serial:
             raise StateError("record is stale: backward must follow the forward that produced it")
@@ -478,7 +474,6 @@ class Model:
                     continue
                 buffers[r] = gr if buffers[r] is None else buffers[r] + gr
         record.grads = [np.zeros_like(v) if g is None else g for g, v in zip(buffers, record.values)]
-        return {s.site_id: record.grads[s.node_index] for s in self.sites}
 
 
 def softmax(logits):

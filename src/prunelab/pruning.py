@@ -244,25 +244,18 @@ def _output_shapes(model):
 
 
 def _shrink_output(node, index, keep):
-    count = int(keep.sum())
-    if node.kind == "conv2d":
+    if node.kind in ("conv2d", "linear"):
         node.params["weight"] = node.params["weight"][keep]
         if node.has_bias:
             node.params["bias"] = node.params["bias"][keep]
-        node.channels = count
-    elif node.kind == "linear":
-        node.params["weight"] = node.params["weight"][keep]
-        if node.has_bias:
-            node.params["bias"] = node.params["bias"][keep]
-        node.channels = count
     elif node.kind == "batch_norm":
         node.params["gamma"] = node.params["gamma"][keep]
         node.params["beta"] = node.params["beta"][keep]
         node.state["running_mean"] = node.state["running_mean"][keep]
         node.state["running_var"] = node.state["running_var"][keep]
-        node.channels = count
     else:
         raise CapabilityError(f"node {index} ({node.name}): cannot shrink output of {node.kind} node")
+    node.channels = int(keep.sum())
     node.zero_grads()
 
 

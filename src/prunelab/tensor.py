@@ -1,18 +1,16 @@
-"""Dense array kernels: matmul, 2d convolution with exact adjoints, reductions,
-and shape-checked elementwise maps.
+"""Dense array kernels: 2d convolution with exact adjoints.
 
 All kernels operate on row-major numpy arrays of dtype float32 or float64 and
-validate operand shapes before touching data.  Binary elementwise ops do not
-broadcast (scalars excepted); shape bugs should surface at the call site.
+validate operand shapes and dtypes before touching data, so shape bugs
+surface at the call site.
 
 Convolution comes in two routes that must agree:
 
 - ``conv2d_direct``: naive ascending-index loops, the correctness oracle.
 - ``conv2d``: im2col + one big matmul, the fast path used by the layers.
 
-Reductions delegate to numpy, whose pairwise summation is a fixed
-deterministic reduction order: repeated calls on identical buffers are
-bitwise equal.
+``conv2d_backward`` returns both adjoints; ``col2im`` is the adjoint of
+``im2col``.
 """
 
 import numpy as np
@@ -30,17 +28,6 @@ def _check_float(t, name="operand"):
 def _check_same_dtype(a, b):
     if a.dtype != b.dtype:
         raise ShapeError(f"dtype mismatch: {a.dtype} vs {b.dtype}")
-
-
-def matmul(a, b):
-    """Matrix product of a [m x k] and b [k x n]."""
-    _check_float(a, "a")
-    _check_same_dtype(a, b)
-    if a.ndim != 2 or b.ndim != 2:
-        raise ShapeError(f"matmul expects 2-d operands, got {a.shape} and {b.shape}")
-    if a.shape[1] != b.shape[0]:
-        raise ShapeError(f"matmul inner extents differ: {a.shape} x {b.shape}")
-    return a @ b
 
 
 def conv_output_size(extent, kernel, stride, padding):
@@ -167,68 +154,3 @@ def conv2d_backward(x, w, grad_output, stride=1, padding=0):
     grad_cols = np.einsum("fc,nfp->ncp", w.reshape(f, -1), go, optimize=True)
     grad_input = col2im(grad_cols, x.shape, kh, kw, stride, padding)
     return grad_input, grad_weight
-
-
-_REDUCE_KINDS = ("sum", "mean", "max")
-
-
-def reduce(t, axes=None, kind="sum"):
-    """Reduce over the given axes (all axes when None) with a fixed order."""
-    _check_float(t, "operand")
-    if kind not in _REDUCE_KINDS:
-        raise InputError(f"unknown reduction kind {kind!r}, expected one of {_REDUCE_KINDS}")
-    if axes is None:
-        axis = None
-    else:
-        axes = (axes,) if np.isscalar(axes) else tuple(axes)
-        for a in axes:
-            if not -t.ndim <= a < t.ndim:
-                raise ShapeError(f"axis {a} out of range for shape {t.shape}")
-        axis = axes
-    if kind == "sum":
-        return np.sum(t, axis=axis)
-    if kind == "mean":
-        return np.mean(t, axis=axis)
-    return np.max(t, axis=axis)
-
-
-def _check_binary(a, b, op):
-    _check_float(a, "a")
-    if np.isscalar(b):
-        return
-    _check_same_dtype(a, b)
-    if a.shape != b.shape:
-        raise ShapeError(f"{op}: shape mismatch {a.shape} vs {b.shape}")
-
-
-def add(a, b):
-    """Elementwise a + b; b may be a scalar, otherwise shapes must match."""
-    _check_binary(a, b, "add")
-    return a + b
-
-
-def mul(a, b):
-    """Elementwise a * b; b may be a scalar, otherwise shapes must match."""
-    _check_binary(a, b, "mul")
-    return a * b
-
-
-def absolute(t):
-    _check_float(t)
-    return np.abs(t)
-
-
-def square(t):
-    _check_float(t)
-    return t * t
-
-
-def scale(t, s):
-    _check_float(t)
-    return t * t.dtype.type(s)
-
-
-def relu_mask(t):
-    """1 where t > 0, else 0, in t's dtype (the ReLU derivative)."""
-    _check_float(t)
-    return (t > 0).astype(t.dtype)

@@ -195,6 +195,25 @@ class TestPrune:
         assert code == 3
         assert "error:" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("column,value", [("data_size", "4.5"), ("seed", "x"),
+                                              ("score", "nan"), ("score", "inf")])
+    def test_malformed_table_is_format_error(self, workspace, table_path, tmp_path, capsys,
+                                             column, value):
+        header, *rows = table_path.read_text().splitlines()
+        at = header.split(",").index(column)
+        bad_rows = []
+        for row in rows:
+            fields = row.split(",")
+            fields[at] = value
+            bad_rows.append(",".join(fields))
+        bad = tmp_path / "bad.csv"
+        bad.write_text("\n".join([header] + bad_rows) + "\n")
+        code = run(workspace, "prune", "--checkpoint", "@/model.npkt", "--table", str(bad),
+                   "--prune-count", "5", "--out", str(tmp_path / "no.npkt"))
+        err = capsys.readouterr().err
+        assert code == 3
+        assert "row 2" in err and "Traceback" not in err
+
 
 class TestEval:
     def test_prints_accuracy(self, workspace, capsys):

@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 from prunelab import importance as imp
-from prunelab.errors import InputError, ShapeError, StateError
+from prunelab.errors import FormatError, InputError, ShapeError, StateError
 from prunelab.nn import (
     INPUT,
     BatchNorm,
@@ -54,58 +54,44 @@ class TestGradientSource:
             imp.GradientSource(imp.RANDOM, seed=2**64)
 
 
-class TestMakeOutputGradient:
-    def test_loss_matches_cross_entropy(self):
-        from prunelab.nn import softmax_cross_entropy
+def output_rows(source, n, k, example_indices=None):
+    """Label-free _per_example_rows for n zero logits, indices 0..n-1 by default."""
+    indices = np.arange(n) if example_indices is None else example_indices
+    return imp._per_example_rows(source, np.zeros((n, k)), None, indices)
 
-        logits = np.array([[0.3, -1.0, 2.0], [0.0, 0.0, 0.0]])
-        labels = np.array([2, 0])
-        grad = imp.make_output_gradient(loss_source(), logits, labels)
-        assert np.array_equal(grad, softmax_cross_entropy(logits, labels)[1])
 
-    def test_loss_without_labels(self):
-        with pytest.raises(InputError, match="labels"):
-            imp.make_output_gradient(loss_source(), np.zeros((1, 2)))
-
-    def test_random_with_labels_rejected(self):
-        with pytest.raises(InputError, match="labels"):
-            imp.make_output_gradient(random_source(), np.zeros((1, 2)), labels=np.array([0]))
-
+class TestPerExampleRows:
     def test_saturated_prediction_gives_zero_row(self):
         # softmax of [1000, 0, 0] is exactly onehot in float64
         logits = np.array([[1000.0, 0.0, 0.0]])
-        grad = imp.make_output_gradient(loss_source(), logits, np.array([0]))
+        grad = imp._per_example_rows(loss_source(), logits, np.array([0]), np.arange(1))
         assert np.array_equal(grad, np.zeros((1, 3)))
 
     def test_saturated_row_stays_zero_under_normalize(self):
         logits = np.array([[1000.0, 0.0, 0.0], [0.0, 0.0, 0.0]])
-        grad = imp.make_output_gradient(loss_source(normalize=True), logits, np.array([0, 1]))
+        grad = imp._per_example_rows(loss_source(normalize=True), logits, np.array([0, 1]), np.arange(2))
         assert np.array_equal(grad[0], np.zeros(3))
         assert abs(np.linalg.norm(grad[1]) - 1.0) < 1e-6
 
     def test_normalized_random_rows_are_unit(self):
-        grad = imp.make_output_gradient(random_source(normalize=True), np.zeros((5, 4)))
+        grad = output_rows(random_source(normalize=True), 5, 4)
         assert np.abs(np.sqrt((grad * grad).sum(axis=1)) - 1.0).max() < 1e-6
 
     def test_random_row_depends_only_on_seed_and_index(self):
-        batched = imp.make_output_gradient(random_source(), np.zeros((4, 3)))
-        single = imp.make_output_gradient(random_source(), np.zeros((1, 3)), example_indices=[2])
+        batched = output_rows(random_source(), 4, 3)
+        single = output_rows(random_source(), 1, 3, example_indices=[2])
         assert np.array_equal(batched[2], single[0])
 
     def test_random_rows_differ_across_indices_and_seeds(self):
-        grad = imp.make_output_gradient(random_source(seed=1), np.zeros((3, 4)))
+        grad = output_rows(random_source(seed=1), 3, 4)
         assert not np.array_equal(grad[0], grad[1])
-        other = imp.make_output_gradient(random_source(seed=2), np.zeros((3, 4)))
+        other = output_rows(random_source(seed=2), 3, 4)
         assert not np.array_equal(grad, other)
 
     def test_random_rows_look_standard_normal(self):
-        rows = imp.make_output_gradient(random_source(seed=3), np.zeros((2000, 4)))
+        rows = output_rows(random_source(seed=3), 2000, 4)
         assert abs(rows.mean()) < 0.05
         assert abs(rows.std() - 1.0) < 0.05
-
-    def test_index_count_mismatch(self):
-        with pytest.raises(InputError, match="indices"):
-            imp.make_output_gradient(random_source(), np.zeros((2, 3)), example_indices=[0])
 
 
 class TestChannelSignal:
@@ -270,9 +256,9 @@ class TestMolchanovScores:
         logits, record = model.forward(v, "eval")
         g = rng.normal(size=(1, 4))
         model.zero_grads()
-        site_grads = model.backward(record, g)
+        model.backward(record, g)
         group = imp.molchanov_group_score(node, [{"weight": node.grads["weight"]}])
-        taylor_sq = imp.channel_signal(record.site_x["fc"], site_grads["fc"])[0] ** 2
+        taylor_sq = imp.channel_signal(record.values[0], record.grads[0])[0] ** 2
         assert np.abs(group - taylor_sq).max() < 1e-12
 
 
@@ -320,6 +306,11 @@ class TestEstimate:
             imp.estimate(small_model, small_data, 0, "taylorfo", loss_source())
         with pytest.raises(InputError, match="d must"):
             imp.estimate(small_model, small_data, 17, "taylorfo", loss_source())
+
+    @pytest.mark.parametrize("d,batch_size", [(4.0, 2), (np.float64(4), 2), (4, 2.0), (4, "2")])
+    def test_non_integer_d_or_batch_size(self, small_model, small_data, d, batch_size):
+        with pytest.raises(InputError, match="must be .*integer"):
+            imp.estimate(small_model, small_data, d, "taylorfo", loss_source(), batch_size=batch_size)
 
     def test_unknown_estimator(self, small_model, small_data):
         with pytest.raises(InputError, match="estimator"):
@@ -498,6 +489,18 @@ class TestTableCsv:
     def test_non_finite_scores_rejected(self):
         with pytest.raises(StateError, match="finite"):
             imp.ImportanceTable([("s", 0, 0, float("nan"))], "taylorfo", "loss", False, 1, 0)
+
+    @pytest.mark.parametrize("row,match", [
+        ("a,0,0,1.0,taylorfo,loss,false,4.5,0", "data_size and seed must be integers"),
+        ("a,0,0,1.0,taylorfo,loss,false,4,seed", "data_size and seed must be integers"),
+        ("a,0,0,nan,taylorfo,loss,false,4,0", "not finite"),
+        ("a,0,0,-inf,taylorfo,loss,false,4,0", "not finite"),
+    ])
+    def test_malformed_row_is_format_error(self, tmp_path, row, match):
+        path = tmp_path / "bad.csv"
+        path.write_text(",".join(imp.ImportanceTable.COLUMNS) + "\n" + row + "\n")
+        with pytest.raises(FormatError, match=f"row 2: .*{match}"):
+            imp.ImportanceTable.from_csv(path)
 
 
 def per_example_stream(model, images, labels, source, d, node, names):

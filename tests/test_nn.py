@@ -139,11 +139,11 @@ class TestBackward:
         x = np.random.default_rng(5).normal(size=(2, 1, 8, 8))
         logits, record = model.forward(x, "train")
         model.zero_grads()
-        site_grads = model.backward(record, np.zeros_like(logits))
+        model.backward(record, np.zeros_like(logits))
         for _, node, name, _ in model.parameters():
             assert not node.grads[name].any(), f"{node.name}.{name} nonzero"
-        for g in site_grads.values():
-            assert not g.any()
+        for s in model.sites:
+            assert not record.grads[s.node_index].any()
 
     def test_linear_input_grad_is_g_times_w(self):
         w = np.random.default_rng(7).normal(size=(3, 4))
@@ -172,17 +172,17 @@ class TestBackward:
         logits, record = model.forward(x, "eval")
         assert np.array_equal(logits, [[2.0, 4.0]])
         g = np.array([[1.0, 1.0]])
-        site_grads = model.backward(record, g)
-        assert np.array_equal(site_grads["fc"], [[2.0, 2.0]])
+        model.backward(record, g)
+        assert np.array_equal(record.grads[0], [[2.0, 2.0]])
 
     def test_site_grads_cover_all_sites(self):
         model = build_cnn_residual(image_size=8, seed=0).astype(np.float64)
         x = np.random.default_rng(0).normal(size=(2, 1, 8, 8))
         logits, record = model.forward(x, "eval")
-        site_grads = model.backward(record, np.ones_like(logits))
-        assert set(site_grads) == {s.site_id for s in model.sites}
+        model.backward(record, np.ones_like(logits))
+        assert len(record.grads) == len(model.nodes)
         for s in model.sites:
-            assert site_grads[s.site_id].shape == record.site_x[s.site_id].shape
+            assert record.grads[s.node_index].shape == record.values[s.node_index].shape
 
 
 def micro_cnn(seed=0):
@@ -332,8 +332,9 @@ class TestFiniteDifference:
         x = rng.normal(size=(4, 1, 8, 8))
         g = rng.normal(size=(4, 4))
         _, record = model.forward(x, "eval")
-        site_grads = model.backward(record, g)
-        node = model.nodes[model.site_by_id("fc2").node_index]
+        model.backward(record, g)
+        node_index = model.site_by_id("fc2").node_index
+        node = model.nodes[node_index]
 
         def objective(b):
             old = node.params["bias"]
@@ -343,7 +344,7 @@ class TestFiniteDifference:
             return np.sum(out * g)
 
         numeric = central_diff(objective, node.params["bias"])
-        analytic = site_grads["fc2"].sum(axis=0)
+        analytic = record.grads[node_index].sum(axis=0)
         assert rel_err(analytic, numeric).max() < 1e-6
 
 
@@ -515,8 +516,8 @@ class TestMasks:
         model.masks[site.node_index] = keep
         x = np.random.default_rng(10).normal(size=(2, 1, 16, 16))
         _, record = model.forward(x, "eval")
-        assert not record.site_x["conv2"][:, [1, 5]].any()
-        assert record.site_x["conv2"][:, 0].any()
+        assert not record.values[site.node_index][:, [1, 5]].any()
+        assert record.values[site.node_index][:, 0].any()
 
     def test_masked_channel_params_get_zero_grads(self):
         model = build_cnn_small(seed=9).astype(np.float64)

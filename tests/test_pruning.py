@@ -244,7 +244,7 @@ class TestApplyMask:
         rng = np.random.default_rng(4)
         x = rng.standard_normal((2,) + model.input_shape)
         logits, record = masked.forward(x, "eval")
-        assert not record.site_x["conv2"][:, 5].any()
+        assert not record.values[4][:, 5].any()
         masked.zero_grads()
         masked.backward(record, rng.standard_normal(logits.shape))
         conv2, bn2, conv3 = masked.nodes[4], masked.nodes[5], masked.nodes[8]
@@ -381,7 +381,7 @@ class TestMaskComposition:
         for node in (4, 5):  # conv2 and the batch norm it feeds
             assert np.flatnonzero(both.masks[node] == 0).tolist() == [1, 2, 3, 5]
         _, record = both.forward(np.random.default_rng(4).standard_normal((2,) + model.input_shape), "eval")
-        assert not record.site_x["conv2"][:, [1, 2, 3, 5]].any()
+        assert not record.values[4][:, [1, 2, 3, 5]].any()
 
     def test_all_keep_leaves_existing_mask(self):
         model = build_cnn_small(image_size=8, seed=3)

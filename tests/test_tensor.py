@@ -3,30 +3,7 @@ import pytest
 from helpers import central_diff, rel_err
 
 from prunelab import tensor
-from prunelab.errors import InputError, ShapeError
-
-
-class TestMatmul:
-    def test_identity(self):
-        a = np.array([[1.0, 2.0], [3.0, 4.0]])
-        np.testing.assert_array_equal(tensor.matmul(a, np.eye(2)), a)
-
-    def test_annihilator(self):
-        a = np.array([[1.0, 2.0], [3.0, 4.0]])
-        np.testing.assert_array_equal(tensor.matmul(a, np.zeros((2, 2))), np.zeros((2, 2)))
-
-    def test_small_product(self):
-        a = np.array([[1.0, 2.0], [3.0, 4.0]])
-        b = np.array([[5.0, 6.0], [7.0, 8.0]])
-        np.testing.assert_array_equal(tensor.matmul(a, b), [[19.0, 22.0], [43.0, 50.0]])
-
-    def test_inner_extent_mismatch_names_both_shapes(self):
-        with pytest.raises(ShapeError, match=r"\(2, 3\).*\(2, 2\)"):
-            tensor.matmul(np.ones((2, 3)), np.ones((2, 2)))
-
-    def test_dtype_mismatch(self):
-        with pytest.raises(ShapeError, match="dtype"):
-            tensor.matmul(np.ones((2, 2), np.float32), np.ones((2, 2), np.float64))
+from prunelab.errors import ShapeError
 
 
 class TestConv2d:
@@ -115,58 +92,3 @@ class TestConv2dBackward:
         num_gw = central_diff(lambda wv: float(np.sum(tensor.conv2d(x, wv, stride, padding) * g)), w)
         assert rel_err(gx, num_gx).max() < 1e-6
         assert rel_err(gw, num_gw).max() < 1e-6
-
-
-class TestReduce:
-    def test_sum(self):
-        assert tensor.reduce(np.array([1.0, 2.0, 3.0])) == 6.0
-
-    def test_mean_singleton(self):
-        assert tensor.reduce(np.array([2.5]), kind="mean") == 2.5
-
-    def test_max(self):
-        assert tensor.reduce(np.array([-1.0, -5.0]), kind="max") == -1.0
-
-    def test_axis_reduction(self):
-        t = np.arange(6, dtype=np.float64).reshape(2, 3)
-        np.testing.assert_array_equal(tensor.reduce(t, axes=0), [3.0, 5.0, 7.0])
-
-    def test_invalid_axis(self):
-        with pytest.raises(ShapeError, match="axis"):
-            tensor.reduce(np.ones(3), axes=2)
-
-    def test_unknown_kind(self):
-        with pytest.raises(InputError, match="kind"):
-            tensor.reduce(np.ones(3), kind="prod")
-
-    def test_repeat_calls_bitwise_equal(self):
-        rng = np.random.default_rng(7)
-        t = rng.normal(size=(64, 64))
-        a = tensor.reduce(t, axes=1)
-        b = tensor.reduce(t, axes=1)
-        assert np.array_equal(a, b) and a.tobytes() == b.tobytes()
-
-
-class TestElementwise:
-    def test_abs(self):
-        np.testing.assert_array_equal(tensor.absolute(np.array([-2.0, 3.0])), [2.0, 3.0])
-
-    def test_square(self):
-        np.testing.assert_array_equal(tensor.square(np.array([1.0, -2.0])), [1.0, 4.0])
-
-    def test_zip_mul(self):
-        np.testing.assert_array_equal(tensor.mul(np.array([1.0, 2.0]), np.array([3.0, 4.0])), [3.0, 8.0])
-
-    def test_scalar_mul_allowed(self):
-        np.testing.assert_array_equal(tensor.mul(np.array([1.0, 2.0]), 2.0), [2.0, 4.0])
-
-    def test_binary_shape_mismatch(self):
-        with pytest.raises(ShapeError, match="shape mismatch"):
-            tensor.add(np.ones(3), np.ones(4))
-
-    def test_no_implicit_broadcast(self):
-        with pytest.raises(ShapeError):
-            tensor.mul(np.ones((2, 3)), np.ones(3))
-
-    def test_relu_mask(self):
-        np.testing.assert_array_equal(tensor.relu_mask(np.array([-1.0, 0.0, 2.0])), [0.0, 0.0, 1.0])
