@@ -17,8 +17,16 @@ Two ordering guarantees matter downstream:
   seed, split).
 
 Datasets are immutable: the arrays are frozen after construction.
+
+The importance, plan and sweep tables share one CSV codec: UTF-8, "\n" line
+ends, a fixed header, true/false booleans and repr(float(v)) floats, so a
+table read back and written again is byte-identical.  read_csv fails closed:
+undecodable or unparsable text, a wrong header, no rows, a wrong field count,
+or a field its column's parser rejects raises FormatError naming the path,
+and the row (the header is row 1) and column where there is one.
 """
 
+import csv
 import struct
 
 import numpy as np
@@ -271,6 +279,64 @@ def load_idx(images_path, labels_path, split="train", seed=0):
     if labels.shape[0] != images.shape[0]:
         raise FormatError(f"label count {labels.shape[0]} does not match image count {images.shape[0]}")
     return Dataset(images, labels, split, seed)
+
+
+# -- CSV tables ---------------------------------------------------------------
+
+def parse_bool(text):
+    """The table and config spelling of a boolean: exactly true or false."""
+    if text == "true":
+        return True
+    if text == "false":
+        return False
+    raise ValueError(f"expected true or false, got {text!r}")
+
+
+def finite_float(text):
+    """float(text), rejecting nan and the infinities."""
+    value = float(text)
+    if not np.isfinite(value):
+        raise ValueError(f"{text!r} is not finite")
+    return value
+
+
+def _csv_field(value):
+    if isinstance(value, (bool, np.bool_)):
+        return "true" if value else "false"
+    return repr(float(value)) if isinstance(value, (float, np.floating)) else value
+
+
+def write_csv(path, columns, rows):
+    """Write the header and one line per row of values."""
+    with open(path, "w", newline="", encoding="utf-8") as fh:
+        writer = csv.writer(fh, lineterminator="\n")
+        writer.writerow(columns)
+        writer.writerows([_csv_field(v) for v in row] for row in rows)
+
+
+def read_csv(path, columns, parsers):
+    """Read a write_csv table: one tuple per row, each field parsed by its column's parser."""
+    try:
+        with open(path, newline="", encoding="utf-8") as fh:
+            lines = list(csv.reader(fh))
+    except (UnicodeDecodeError, csv.Error) as e:
+        raise FormatError(f"{path}: not a readable CSV table: {e}") from None
+    if not lines or tuple(lines[0]) != tuple(columns):
+        raise FormatError(f"{path}: expected header {','.join(columns)}")
+    if len(lines) == 1:
+        raise FormatError(f"{path}: no entries")
+    rows = []
+    for lineno, fields in enumerate(lines[1:], start=2):
+        if len(fields) != len(columns):
+            raise FormatError(f"{path} row {lineno}: {len(fields)} fields, expected {len(columns)}")
+        row = []
+        for column, parse, text in zip(columns, parsers, fields):
+            try:
+                row.append(parse(text))
+            except ValueError as e:
+                raise FormatError(f"{path} row {lineno}: {column}: {e}") from None
+        rows.append(tuple(row))
+    return rows
 
 
 # -- batching -----------------------------------------------------------------

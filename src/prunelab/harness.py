@@ -16,14 +16,13 @@ parameters are exempt.  The recipe is a local choice: results are only ever
 compared across estimators on the same trained model.
 """
 
-import csv
 from collections import namedtuple
 
 import numpy as np
 
 from . import data
-from .errors import ConfigError, FormatError, InputError, TrainingError
-from .importance import ESTIMATORS, LOSS, RANDOM, GradientSource, ImportanceTable, estimate
+from .errors import ConfigError, InputError, TrainingError
+from .importance import ESTIMATORS, LOSS, NO_SOURCE, RANDOM, RANDOM_RANK, GradientSource, ImportanceTable, estimate
 from .nn import MODEL_BUILDERS, softmax_cross_entropy
 from .pruning import apply_mask, rank_global
 
@@ -33,14 +32,6 @@ SweepRow = namedtuple("SweepRow", (
     "estimator", "source", "normalized", "data_size",
     "pruned_count", "pruned_fraction", "test_accuracy", "seed",
 ))
-
-
-def _parse_bool(text):
-    if text == "true":
-        return True
-    if text == "false":
-        return False
-    raise ValueError(f"expected true or false, got {text!r}")
 
 
 def _list_of(item):
@@ -67,7 +58,7 @@ _FIELDS = {
     "finetune_epochs": (int, 0),
     "estimators": (_list_of(str), ("taylorfo_sq",)),
     "sources": (_list_of(str), ("loss",)),
-    "normalize": (_list_of(_parse_bool), (False,)),
+    "normalize": (_list_of(data.parse_bool), (False,)),
     "data_sizes": (_list_of(int), (10,)),
     "prune_counts": (_list_of(int), None),
     "prune_fractions": (_list_of(float), None),
@@ -141,8 +132,11 @@ class ExperimentConfig:
     @classmethod
     def from_file(cls, path):
         values = {}
-        with open(path) as fh:
-            text = fh.read()
+        try:
+            with open(path, encoding="utf-8") as fh:
+                text = fh.read()
+        except UnicodeDecodeError as e:
+            raise ConfigError(f"{path}: not UTF-8 text: {e}") from None
         for lineno, raw in enumerate(text.splitlines(), start=1):
             line = raw.split("#", 1)[0].strip()
             if not line:
@@ -230,7 +224,7 @@ def random_importance_table(model, seed=0):
     for site in model.sites:
         scores = rng.random(site.channels)
         entries.extend((site.site_id, site.node_index, c, float(s)) for c, s in enumerate(scores))
-    return ImportanceTable(entries, "random_rank", "none", False, 0, seed)
+    return ImportanceTable(entries, RANDOM_RANK, NO_SOURCE, False, 0, seed)
 
 
 class SweepResult:
@@ -260,34 +254,19 @@ class SweepResult:
                 if all(getattr(row, k) == v for k, v in criteria.items())]
 
     def to_csv(self, path):
-        with open(path, "w", newline="") as fh:
-            writer = csv.writer(fh, lineterminator="\n")
-            writer.writerow(self.COLUMNS)
-            for row in self.rows:
-                writer.writerow([
-                    row.estimator, row.source, "true" if row.normalized else "false",
-                    row.data_size, row.pruned_count, repr(row.pruned_fraction),
-                    repr(row.test_accuracy), row.seed,
-                ])
+        data.write_csv(path, self.COLUMNS, self.rows)
 
     @classmethod
     def from_csv(cls, path):
-        with open(path, newline="") as fh:
-            lines = list(csv.reader(fh))
-        if not lines or tuple(lines[0]) != cls.COLUMNS:
-            raise FormatError(f"expected header {','.join(cls.COLUMNS)}")
-        rows = []
-        for lineno, parts in enumerate(lines[1:], start=2):
-            if len(parts) != len(cls.COLUMNS):
-                raise FormatError(f"line {lineno}: expected {len(cls.COLUMNS)} fields, got {len(parts)}")
-            if parts[2] not in ("true", "false"):
-                raise FormatError(f"line {lineno}: normalized must be true or false")
-            try:
-                rows.append((parts[0], parts[1], parts[2] == "true", int(parts[3]),
-                             int(parts[4]), float(parts[5]), float(parts[6]), int(parts[7])))
-            except ValueError as e:
-                raise FormatError(f"line {lineno}: {e}") from e
-        return cls(rows)
+        parsers = (str, str, data.parse_bool, int, int, _unit_float, _unit_float, int)
+        return cls(data.read_csv(path, cls.COLUMNS, parsers))
+
+
+def _unit_float(text):
+    value = data.finite_float(text)
+    if not 0 <= value <= 1:
+        raise ValueError(f"{value!r} outside [0, 1]")
+    return value
 
 
 def _resolve_prune_counts(config, total):

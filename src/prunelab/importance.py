@@ -41,10 +41,9 @@ nn.softmax_cross_entropy.  Accumulators are float64 regardless of model
 dtype.
 """
 
-import csv
-
 import numpy as np
 
+from . import data
 from .errors import FormatError, InputError, ShapeError, StateError
 from .nn import softmax
 
@@ -54,6 +53,7 @@ SOURCE_KINDS = (LOSS, RANDOM)
 
 TAYLOR_ESTIMATORS = ("taylorfo", "taylorfo_abs", "taylorfo_sq")
 ESTIMATORS = TAYLOR_ESTIMATORS + ("molchanov_bn", "molchanov_group")
+RANDOM_RANK, NO_SOURCE = "random_rank", "none"  # metadata of harness.random_importance_table
 
 
 class GradientSource:
@@ -213,56 +213,29 @@ class ImportanceTable:
         return np.array(picked)
 
     def to_csv(self, path):
-        with open(path, "w", newline="") as fh:
-            writer = csv.writer(fh, lineterminator="\n")
-            writer.writerow(self.COLUMNS)
-            norm = "true" if self.normalized else "false"
-            for site_id, node_index, channel, score in self.entries:
-                writer.writerow(
-                    [site_id, node_index, channel, repr(score), self.estimator, self.source, norm, self.data_size, self.seed]
-                )
+        meta = (self.estimator, self.source, self.normalized, self.data_size, self.seed)
+        data.write_csv(path, self.COLUMNS, (entry + meta for entry in self.entries))
 
     @classmethod
     def from_csv(cls, path):
-        with open(path, "r", newline="") as fh:
-            reader = csv.reader(fh)
-            try:
-                header = next(reader)
-            except StopIteration:
-                raise FormatError(f"{path}: empty importance table") from None
-            if tuple(header) != cls.COLUMNS:
-                raise FormatError(f"{path}: header {header} != {list(cls.COLUMNS)}")
-            rows = list(reader)
-        if not rows:
-            raise FormatError(f"{path}: no entries")
-        entries = []
-        meta = None
-        for i, row in enumerate(rows):
-            if len(row) != len(cls.COLUMNS):
-                raise FormatError(f"{path} row {i + 2}: {len(row)} fields, expected {len(cls.COLUMNS)}")
-            site_id, node_index, channel, score, estimator, source, norm, data_size, seed = row
-            if norm not in ("true", "false"):
-                raise FormatError(f"{path} row {i + 2}: normalized must be true/false, got {norm!r}")
-            row_meta = (estimator, source, norm, data_size, seed)
-            if meta is None:
-                meta = row_meta
-            elif row_meta != meta:
-                raise FormatError(f"{path} row {i + 2}: metadata differs from the first row")
-            try:
-                entry = (site_id, int(node_index), int(channel), float(score))
-            except ValueError as e:
-                raise FormatError(f"{path} row {i + 2}: {e}") from None
-            if not np.isfinite(entry[3]):
-                raise FormatError(f"{path} row {i + 2}: score {score!r} is not finite")
-            entries.append(entry)
-        estimator, source, norm, data_size, seed = meta
+        parsers = (str, int, int, data.finite_float, str, str, data.parse_bool, str, str)
+        rows = data.read_csv(path, cls.COLUMNS, parsers)
+        for lineno, row in enumerate(rows, start=2):
+            if row[4:] != rows[0][4:]:
+                raise FormatError(f"{path} row {lineno}: metadata differs from the first row")
+        # every row repeats the first row's metadata, so row 2 names it
+        estimator, source, normalized, data_size, seed = rows[0][4:]
         try:
             data_size, seed = int(data_size), int(seed)
         except ValueError:
-            # every row repeats the first row's metadata
             raise FormatError(
                 f"{path} row 2: data_size and seed must be integers, got {data_size!r}, {seed!r}") from None
-        return cls(entries, estimator, source, norm == "true", data_size, seed)
+        control = estimator == RANDOM_RANK
+        if not ((estimator in ESTIMATORS or control) and (source in SOURCE_KINDS or source == NO_SOURCE)
+                and data_size >= (0 if control else 1) and 0 <= seed < 2**64):
+            raise FormatError(f"{path} row 2: metadata {estimator!r}, {source!r}, data_size {data_size}, "
+                              f"seed {seed} is not one estimate or random_importance_table writes")
+        return cls([row[:4] for row in rows], estimator, source, normalized, data_size, seed)
 
 
 def molchanov_bn_score(bn_node, per_example_grads):

@@ -29,10 +29,9 @@ surviving channels are carried over unchanged, matching the
 evaluate-right-after-pruning protocol; nothing is recomputed.
 """
 
-import csv
-
 import numpy as np
 
+from . import data
 from .errors import CapabilityError, FormatError, InputError
 from .nn import Model, Site
 
@@ -102,36 +101,16 @@ class PrunePlan:
         return PruneMask(keep)
 
     def to_csv(self, path):
-        with open(path, "w", newline="") as fh:
-            writer = csv.writer(fh, lineterminator="\n")
-            writer.writerow(self.COLUMNS)
-            for rank, site_id, node_index, channel, score, pruned in self.entries:
-                writer.writerow([rank, site_id, node_index, channel, repr(float(score)),
-                                 "true" if pruned else "false"])
+        data.write_csv(path, self.COLUMNS, self.entries)
 
     @classmethod
     def from_csv(cls, path):
-        with open(path, newline="") as fh:
-            rows = list(csv.reader(fh))
-        if not rows or tuple(rows[0]) != cls.COLUMNS:
-            raise FormatError(f"expected header {','.join(cls.COLUMNS)}")
-        if len(rows) == 1:
-            raise FormatError("plan has no entries")
-        entries = []
-        for lineno, row in enumerate(rows[1:], start=2):
-            if len(row) != len(cls.COLUMNS):
-                raise FormatError(f"line {lineno}: expected {len(cls.COLUMNS)} fields, got {len(row)}")
-            if row[5] not in ("true", "false"):
-                raise FormatError(f"line {lineno}: pruned must be true or false, got {row[5]!r}")
-            try:
-                entries.append((int(row[0]), row[1], int(row[2]), int(row[3]),
-                                float(row[4]), row[5] == "true"))
-            except ValueError as e:
-                raise FormatError(f"line {lineno}: {e}") from e
-        if [e[0] for e in entries] != list(range(len(entries))):
-            raise FormatError("ranks must run 0..N-1 in order")
-        p = sum(1 for e in entries if e[5])
-        return cls(entries, p)
+        parsers = (int, str, int, int, data.finite_float, data.parse_bool)
+        entries = data.read_csv(path, cls.COLUMNS, parsers)
+        for lineno, entry in enumerate(entries, start=2):
+            if entry[0] != lineno - 2:
+                raise FormatError(f"{path} row {lineno}: ranks must run 0..N-1 in order, got {entry[0]}")
+        return cls(entries, sum(1 for e in entries if e[5]))
 
 
 def rank_global(table, p, per_layer_normalize=False):

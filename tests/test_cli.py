@@ -214,6 +214,22 @@ class TestPrune:
         assert code == 3
         assert "row 2" in err and "Traceback" not in err
 
+    @pytest.mark.parametrize("damage", ["non_utf8", "oversized_field", "bogus_metadata"])
+    def test_unloadable_table_exits_3(self, workspace, table_path, tmp_path, capsys, damage):
+        header, *rows = table_path.read_bytes().splitlines()
+        if damage == "bogus_metadata":
+            rows = [b",".join(row.split(b",")[:4]) + b",bogus,nowhere,false,-5,-3" for row in rows]
+        else:
+            site_id = b"x" * 131073 if damage == "oversized_field" else b"conv1\xff"
+            rows[0] = site_id + rows[0][rows[0].index(b","):]
+        bad = tmp_path / "bad.csv"
+        bad.write_bytes(b"\n".join([header] + rows) + b"\n")
+        code = run(workspace, "prune", "--checkpoint", "@/model.npkt", "--table", str(bad),
+                   "--prune-count", "5", "--out", str(tmp_path / "no.npkt"))
+        err = capsys.readouterr().err
+        assert code == 3
+        assert "error:" in err and "Traceback" not in err
+
 
 class TestEval:
     def test_prints_accuracy(self, workspace, capsys):
@@ -244,6 +260,14 @@ class TestConfigHandling:
         code = run(workspace, "eval", "--config", str(bad), "--checkpoint", "@/model.npkt")
         assert code == 2
         assert "config error" in capsys.readouterr().err
+
+    def test_non_utf8_config_is_config_error(self, workspace, tmp_path, capsys):
+        bad = tmp_path / "bin.cfg"
+        bad.write_bytes(b"epochs = 2\n\x80\x81 = 1\n")
+        code = run(workspace, "eval", "--config", str(bad), "--checkpoint", "@/model.npkt")
+        err = capsys.readouterr().err
+        assert code == 2
+        assert "config error" in err and "Traceback" not in err
 
     def test_missing_config_file_is_runtime_error(self, workspace):
         code = run(workspace, "eval", "--config", "@/nope.cfg", "--checkpoint", "@/model.npkt")

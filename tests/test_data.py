@@ -229,3 +229,41 @@ class TestBatches:
     def test_bad_batch_size(self):
         with pytest.raises(InputError, match="batch_size"):
             list(data.batches(self.dataset(), 0))
+
+
+class TestCsvCodec:
+    COLUMNS = ("name", "flag", "value", "count")
+    PARSERS = (str, data.parse_bool, data.finite_float, int)
+
+    def test_writes_the_table_spelling(self, tmp_path):
+        path = tmp_path / "t.csv"
+        data.write_csv(path, self.COLUMNS, [("a,b", True, 0.1, 3), ("c", np.bool_(False), np.float32(0.5), 4)])
+        assert path.read_bytes() == b'name,flag,value,count\n"a,b",true,0.1,3\nc,false,0.5,4\n'
+
+    def test_round_trip(self, tmp_path):
+        rows = [("a,b", True, 0.1, 3), ("é", False, -2.5e-300, -1)]
+        path = tmp_path / "t.csv"
+        data.write_csv(path, self.COLUMNS, rows)
+        assert data.read_csv(path, self.COLUMNS, self.PARSERS) == rows
+
+    @pytest.mark.parametrize("text,match", [
+        ("", "header"),
+        ("name,flag,value\n", "header"),
+        ("name,flag,value,count\n", "no entries"),
+        ("name,flag,value,count\na,true,1.0,1\nb,true,1.0\n", "row 3: 3 fields, expected 4"),
+        ("name,flag,value,count\na,True,1.0,1\n", "row 2: flag: expected true or false"),
+        ("name,flag,value,count\na,true,nan,1\n", "row 2: value: 'nan' is not finite"),
+        ("name,flag,value,count\na,true,1.0,1.5\n", "row 2: count:"),
+    ])
+    def test_malformed_table_is_format_error(self, tmp_path, text, match):
+        path = tmp_path / "bad.csv"
+        path.write_text(text, encoding="utf-8")
+        with pytest.raises(FormatError, match=match):
+            data.read_csv(path, self.COLUMNS, self.PARSERS)
+
+    def test_parsers(self):
+        assert data.parse_bool("true") is True and data.parse_bool("false") is False
+        assert data.finite_float("1e-3") == 1e-3
+        for text in ("inf", "-inf", "nan", "1e999"):
+            with pytest.raises(ValueError, match="not finite"):
+                data.finite_float(text)

@@ -84,6 +84,12 @@ class TestConfig:
         with pytest.raises(ConfigError, match="true or false"):
             harness.ExperimentConfig.from_file(path)
 
+    def test_non_utf8_file(self, tmp_path):
+        path = tmp_path / "bin.cfg"
+        path.write_bytes(b"epochs = 2\n\xff\xfe\n")
+        with pytest.raises(ConfigError, match="UTF-8"):
+            harness.ExperimentConfig.from_file(path)
+
     def test_validation_errors(self):
         cases = [
             dict(model="resnet50"),
@@ -326,6 +332,18 @@ class TestSweepCsv:
         path = tmp_path / "bad.csv"
         path.write_text("estimator,accuracy\n")
         with pytest.raises(FormatError, match="header"):
+            harness.SweepResult.from_csv(path)
+
+    @pytest.mark.parametrize("column,value", [("test_accuracy", "1.5"), ("test_accuracy", "nan"),
+                                              ("pruned_fraction", "-0.25"), ("pruned_fraction", "inf")])
+    def test_out_of_range_value_is_format_error(self, sweep_setup, tmp_path, column, value):
+        path = tmp_path / "r.csv"
+        self.result(sweep_setup).to_csv(path)
+        header, first, *rest = path.read_text().splitlines()
+        fields = first.split(",")
+        fields[header.split(",").index(column)] = value
+        path.write_text("\n".join([header, ",".join(fields)] + rest) + "\n")
+        with pytest.raises(FormatError, match=f"row 2: {column}: "):
             harness.SweepResult.from_csv(path)
 
     def test_accuracy_range_validated(self):

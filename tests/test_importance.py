@@ -4,6 +4,7 @@ gradient-source contracts, and the batching/labeling invariances."""
 import numpy as np
 import pytest
 
+from prunelab import harness
 from prunelab import importance as imp
 from prunelab.errors import FormatError, InputError, ShapeError, StateError
 from prunelab.nn import (
@@ -495,12 +496,42 @@ class TestTableCsv:
         ("a,0,0,1.0,taylorfo,loss,false,4,seed", "data_size and seed must be integers"),
         ("a,0,0,nan,taylorfo,loss,false,4,0", "not finite"),
         ("a,0,0,-inf,taylorfo,loss,false,4,0", "not finite"),
+        ("a,0,0,1.0,bogus,nowhere,false,-5,-3", "metadata"),
+        ("a,0,0,1.0,bogus,loss,false,4,0", "metadata"),
+        ("a,0,0,1.0,taylorfo,nowhere,false,4,0", "metadata"),
+        ("a,0,0,1.0,random_rank,loss,false,-1,0", "metadata"),
+        ("a,0,0,1.0,taylorfo,loss,false,0,0", "metadata"),
+        ("a,0,0,1.0,molchanov_bn,none,false,-5,0", "metadata"),
+        ("a,0,0,1.0,taylorfo,random,true,4,-3", "metadata"),
+        ("a,0,0,1.0,taylorfo,random,true,4,18446744073709551616", "metadata"),
     ])
     def test_malformed_row_is_format_error(self, tmp_path, row, match):
         path = tmp_path / "bad.csv"
         path.write_text(",".join(imp.ImportanceTable.COLUMNS) + "\n" + row + "\n")
         with pytest.raises(FormatError, match=f"row 2: .*{match}"):
             imp.ImportanceTable.from_csv(path)
+
+    def test_random_rank_table_round_trips(self, small_model, tmp_path):
+        table = harness.random_importance_table(small_model, seed=9)
+        p1, p2 = tmp_path / "a.csv", tmp_path / "b.csv"
+        table.to_csv(p1)
+        loaded = imp.ImportanceTable.from_csv(p1)
+        assert loaded.entries == table.entries
+        assert (loaded.estimator, loaded.source, loaded.normalized, loaded.data_size, loaded.seed) == (
+            "random_rank", "none", False, 0, 9)
+        loaded.to_csv(p2)
+        assert p1.read_bytes() == p2.read_bytes()
+
+    @pytest.mark.parametrize("meta", [
+        "random_rank,none,false,0,0",
+        "molchanov_group,random,true,1,18446744073709551615",
+        "taylorfo_abs,loss,false,600,0",
+    ])
+    def test_writable_metadata_loads(self, tmp_path, meta):
+        path = tmp_path / "ok.csv"
+        path.write_text(",".join(imp.ImportanceTable.COLUMNS) + f"\na,0,0,1.0,{meta}\n")
+        table = imp.ImportanceTable.from_csv(path)
+        assert (table.estimator, table.source) == tuple(meta.split(",")[:2])
 
 
 def per_example_stream(model, images, labels, source, d, node, names):

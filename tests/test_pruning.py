@@ -181,6 +181,13 @@ class TestPlanCsv:
         with pytest.raises(FormatError, match="pruned"):
             pruning.PrunePlan.from_csv(path)
 
+    @pytest.mark.parametrize("score", ["nan", "inf", "-inf"])
+    def test_non_finite_score(self, tmp_path, score):
+        path = tmp_path / "nan.csv"
+        path.write_text(",".join(pruning.PrunePlan.COLUMNS) + f"\n0,a,0,0,{score},true\n1,a,0,1,2.0,false\n")
+        with pytest.raises(FormatError, match="row 2: score: .*not finite"):
+            pruning.PrunePlan.from_csv(path)
+
     def test_rank_gap(self, tmp_path):
         path = tmp_path / "gap.csv"
         path.write_text(
