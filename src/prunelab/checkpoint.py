@@ -12,8 +12,9 @@ trips are bit-exact: save(load(p)) writes the identical byte sequence.
 
 Loading fails closed: a header with a missing key, a value of the wrong
 type, an unknown node kind or hyperparameter, a site whose channel count
-differs from its node's, or a mask that does not fit its node raises
-FormatError before any model is returned.
+differs from its node's, or a mask that holds a value other than 0 and 1,
+does not fit its node or sits on a node that gates no site (see
+nn.Model.gates) raises FormatError before any model is returned.
 """
 
 import json
@@ -53,6 +54,8 @@ HYPER_TYPES = {
     "eps": (float, None),
     "momentum": (float, None),
 }
+# hyperparameters whose product is the size of a node's weight or gamma
+SIZE_HYPERS = ("in_channels", "out_channels", "kernel", "kernel", "in_features", "out_features", "channels")
 
 
 def _header_dict(model):
@@ -142,8 +145,8 @@ def _index_key(key, count, what):
     return index
 
 
-def _check_header(header):
-    """Keys and value types of the whole header, before anything is built."""
+def _check_header(header, blob_floats):
+    """Keys, value types and node sizes of the whole header, before anything is built."""
     _check_fields(header, HEADER_TYPES, "checkpoint header")
     if not header["input_shape"]:
         raise FormatError("checkpoint header 'input_shape' is empty")
@@ -162,6 +165,8 @@ def _check_header(header):
             kind, low = HYPER_TYPES[name]
             if not _typed(value, kind) or (low is not None and value < low):
                 raise FormatError(f"{what}: hyperparameter {name!r} = {value!r} is not a valid {kind.__name__}")
+        if math.prod(entry["hyper"].get(name, 1) for name in SIZE_HYPERS) > blob_floats:
+            raise FormatError(f"{what}: hyperparameters describe a node larger than the {blob_floats} floats the file holds")
         for spec in entry["params"]:
             _check_fields(spec, PARAM_TYPES, f"{what} parameter")
             _check_ints(spec["shape"], 0, f"{what} parameter {spec['name']!r} shape")
@@ -169,26 +174,29 @@ def _check_header(header):
         _check_fields(site, SITE_TYPES, "checkpoint site")
     for key, mask in header["masks"].items():
         _index_key(key, len(header["nodes"]), "checkpoint mask")
-        if not isinstance(mask, list) or not all(_typed(v, float) for v in mask):
-            raise FormatError(f"checkpoint mask {key!r} must be a list of numbers")
+        if not isinstance(mask, list) or not all(_typed(v, int) and v in (0, 1) for v in mask):
+            raise FormatError(f"checkpoint mask {key!r} must be a list of 0s and 1s")
     for key, reason in header["non_prunable"].items():
         _index_key(key, len(header["nodes"]), "checkpoint non_prunable")
         if not isinstance(reason, str):
             raise FormatError(f"checkpoint non_prunable {key!r} must be a string, got {reason!r}")
 
 
-def _check_consistent(nodes, sites, masks):
-    """Sites and masks must fit the nodes they name."""
-    for s in sites:
+def _check_consistent(model):
+    """Sites must fit the nodes they name, and masks must sit on a site's
+    gate nodes and fit them."""
+    nodes = model.nodes
+    for s in model.sites:
         if not 0 <= s.node_index < len(nodes):
             raise FormatError(f"site {s.site_id!r}: node index {s.node_index} not in [0, {len(nodes)})")
         width = nodes[s.node_index].out_channels()
         if s.channels != width:
             raise FormatError(f"site {s.site_id!r}: {s.channels} channels, node {s.node_index} has {width}")
-    for i, mask in masks.items():
+    gated = {i for s in model.sites for i in model.gates(s)}
+    for i, mask in model.masks.items():
+        if i not in gated:
+            raise FormatError(f"mask on node {i}: a {nodes[i].kind} node that gates no site")
         width = nodes[i].out_channels()
-        if width is None:
-            raise FormatError(f"mask on node {i}: a {nodes[i].kind} node has no channel count to mask")
         if mask.size != width:
             raise FormatError(f"mask on node {i}: length {mask.size}, node has {width} channels")
 
@@ -212,7 +220,7 @@ def load_model(path):
     except (UnicodeDecodeError, json.JSONDecodeError) as e:
         raise FormatError(f"unreadable checkpoint header: {e}") from e
 
-    _check_header(header)
+    _check_header(header, (len(buf) - offset) // 4)
 
     nodes = []
     for i, entry in enumerate(header["nodes"]):
@@ -241,8 +249,6 @@ def load_model(path):
         raise FormatError(f"trailing bytes: file has {len(buf)}, checkpoint ends at {offset}")
 
     sites = [Site(s["site_id"], s["node_index"], s["channels"]) for s in header["sites"]]
-    masks = {int(k): np.asarray(m, dtype=np.float32) for k, m in header["masks"].items()}
-    _check_consistent(nodes, sites, masks)
     try:
         model = Model(
             nodes,
@@ -254,5 +260,6 @@ def load_model(path):
         )
     except InputError as e:
         raise FormatError(f"inconsistent checkpoint: {e}") from None
-    model.masks = masks
+    model.masks = {int(k): np.asarray(m, dtype=np.float32) for k, m in header["masks"].items()}
+    _check_consistent(model)
     return model

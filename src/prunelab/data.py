@@ -278,7 +278,10 @@ def load_idx(images_path, labels_path, split="train", seed=0):
     labels = load_idx_labels(labels_path)
     if labels.shape[0] != images.shape[0]:
         raise FormatError(f"label count {labels.shape[0]} does not match image count {images.shape[0]}")
-    return Dataset(images, labels, split, seed)
+    try:
+        return Dataset(images, labels, split, seed)
+    except InputError as e:  # e.g. a label byte that leaves a class without examples
+        raise FormatError(f"{labels_path}: not a dataset: {e}") from None
 
 
 # -- CSV tables ---------------------------------------------------------------

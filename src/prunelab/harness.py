@@ -21,8 +21,9 @@ from collections import namedtuple
 import numpy as np
 
 from . import data
-from .errors import ConfigError, InputError, TrainingError
-from .importance import ESTIMATORS, LOSS, NO_SOURCE, RANDOM, RANDOM_RANK, GradientSource, ImportanceTable, estimate
+from .errors import ConfigError, FormatError, InputError, TrainingError
+from .importance import (ESTIMATORS, LOSS, NO_SOURCE, RANDOM, RANDOM_RANK, SOURCE_KINDS, GradientSource,
+                         ImportanceTable, estimate)
 from .nn import MODEL_BUILDERS, softmax_cross_entropy
 from .pruning import apply_mask, rank_global
 
@@ -233,15 +234,7 @@ class SweepResult:
     COLUMNS = SweepRow._fields
 
     def __init__(self, rows):
-        self.rows = []
-        for row in rows:
-            row = SweepRow(str(row[0]), str(row[1]), bool(row[2]), int(row[3]),
-                           int(row[4]), float(row[5]), float(row[6]), int(row[7]))
-            if not 0 <= row.test_accuracy <= 1:
-                raise InputError(f"accuracy {row.test_accuracy} outside [0, 1]")
-            if not 0 <= row.pruned_fraction <= 1:
-                raise InputError(f"pruned fraction {row.pruned_fraction} outside [0, 1]")
-            self.rows.append(row)
+        self.rows = [_sweep_row(row) for row in rows]
 
     def __len__(self):
         return len(self.rows)
@@ -258,15 +251,28 @@ class SweepResult:
 
     @classmethod
     def from_csv(cls, path):
-        parsers = (str, str, data.parse_bool, int, int, _unit_float, _unit_float, int)
-        return cls(data.read_csv(path, cls.COLUMNS, parsers))
+        parsers = (str, str, data.parse_bool, int, int, float, float, int)
+        rows = data.read_csv(path, cls.COLUMNS, parsers)
+        for lineno, row in enumerate(rows, start=2):
+            try:
+                _sweep_row(row)
+            except InputError as e:
+                raise FormatError(f"{path} row {lineno}: {e}") from None
+        return cls(rows)
 
 
-def _unit_float(text):
-    value = data.finite_float(text)
-    if not 0 <= value <= 1:
-        raise ValueError(f"{value!r} outside [0, 1]")
-    return value
+def _sweep_row(values):
+    """A SweepRow of the values, which must be ones prune_sweep writes."""
+    row = SweepRow(str(values[0]), str(values[1]), bool(values[2]), int(values[3]),
+                   int(values[4]), float(values[5]), float(values[6]), int(values[7]))
+    valid = {"estimator": row.estimator in ESTIMATORS, "source": row.source in SOURCE_KINDS,
+             "data_size": row.data_size >= 1, "pruned_count": row.pruned_count >= 0,
+             "pruned_fraction": 0 <= row.pruned_fraction <= 1, "test_accuracy": 0 <= row.test_accuracy <= 1,
+             "seed": 0 <= row.seed < 2**64}
+    for column, ok in valid.items():
+        if not ok:
+            raise InputError(f"{column}: {getattr(row, column)!r} is not a value prune_sweep writes")
+    return row
 
 
 def _resolve_prune_counts(config, total):

@@ -285,20 +285,22 @@ def molchanov_group_score(node, per_example_grads):
 
 def bn_node_for_site(model, site):
     """The batch-norm node whose gamma/beta gate the site's channels: the
-    site node itself if it is one, else its single direct batch-norm consumer."""
+    site node itself if it is one, else its single batch-norm gate."""
     if model.nodes[site.node_index].kind == "batch_norm":
         return site.node_index
-    followers = [i for i in model.consumers(site.node_index) if model.nodes[i].kind == "batch_norm"]
-    if len(followers) == 1:
-        return followers[0]
+    bns = model.gates(site)[1:]
+    if len(bns) == 1:
+        return bns[0]
     raise InputError(f"site {site.site_id!r} has no adjacent batch norm; molchanov_bn needs one")
 
 
 def _dataset_arrays(dataset):
-    if isinstance(dataset, tuple):
+    if isinstance(dataset, data.Dataset):
+        images, labels = dataset.images, dataset.labels
+    elif isinstance(dataset, tuple) and len(dataset) == 2:
         images, labels = dataset
     else:
-        images, labels = dataset.images, dataset.labels
+        raise InputError(f"dataset must be a Dataset or an (images, labels) pair, got {type(dataset).__name__}")
     images = np.asarray(images)
     if labels is not None:
         labels = np.asarray(labels)

@@ -14,7 +14,8 @@ A prunable site is the output of a conv/linear node, taken before batch norm
 and before the nonlinearity.  Channel masks attached to the model (see
 ``prunelab.pruning``) are applied as an elementwise multiply right after the
 node computes, so masked channels contribute exactly zero downstream and, by
-the chain rule, their parameters receive zero gradient.
+the chain rule, their parameters receive zero gradient.  Masks live only on
+a site's gate nodes, :meth:`Model.gates`.
 """
 
 import copy
@@ -346,6 +347,9 @@ class ForwardRecord:
 
 
 class Model:
+    """A node graph, its prunable sites, and channel masks {node index: keep
+    vector} that sit on the sites' gate nodes (see gates)."""
+
     def __init__(self, nodes, input_shape, num_classes, sites=None, non_prunable=None, dtype=np.float32):
         self.nodes = list(nodes)
         self.input_shape = tuple(input_shape)
@@ -400,9 +404,12 @@ class Model:
                 return s
         raise InputError(f"unknown site {site_id!r}")
 
-    def consumers(self, node_index):
-        """Indices of nodes that read the given node's output."""
-        return [i for i, n in enumerate(self.nodes) if node_index in n.refs]
+    def gates(self, site):
+        """Indices of the nodes whose masks gate a site's channels: the site
+        node, then every batch norm that reads it (the batch-norm gate of
+        Molchanov et al., CVPR 2019)."""
+        return [site.node_index] + [i for i, n in enumerate(self.nodes)
+                                    if n.kind == "batch_norm" and site.node_index in n.refs]
 
     # -- execution ------------------------------------------------------------
 

@@ -14,10 +14,10 @@ Pruning proceeds in three stages that are kept deliberately separate:
    receiving gradient.  Shapes do not change, which makes masked models
    convenient for quick accuracy measurements and finetuning.  Masks
    compose: a channel already masked on the model stays pruned.
-3. ``compact`` rewrites the graph into a genuinely smaller model: pruned
-   output channels are physically removed from the producing layer (weight
-   rows, bias entries, batch-norm parameters and statistics) and the matching
-   input channels are removed from every consumer.
+3. ``compact`` rewrites the graph into a genuinely smaller model in one pass
+   in graph order: pruned output channels are physically removed from the
+   producing layer (weight rows, bias entries, batch-norm parameters and
+   statistics) and the matching input channels from every consumer.
 
 The contract tying 2 and 3 together is checked by ``validate_equivalence``:
 masked and compacted models must produce the same logits on random inputs to
@@ -33,7 +33,7 @@ import numpy as np
 
 from . import data
 from .errors import CapabilityError, FormatError, InputError
-from .nn import Model, Site
+from .nn import INPUT, Model, Site
 
 
 class PruneMask:
@@ -181,11 +181,10 @@ def _check_mask(model, mask):
 
 def _site_keep(model, site, mask):
     """The mask's keep vector for a site, intersected with the channels the
-    model already masks on the site node or its batch norm, so masks compose
-    instead of replacing."""
+    model already masks on the site's gate nodes, so masks compose instead of
+    replacing."""
     keep = mask.keep[site.site_id]
-    gates = [site.node_index] + [j for j in model.consumers(site.node_index) if model.nodes[j].kind == "batch_norm"]
-    for i in gates:
+    for i in model.gates(site):
         held = model.masks.get(i)
         if held is not None:
             keep = keep & (held != 0)
@@ -197,112 +196,85 @@ def _site_keep(model, site, mask):
 def apply_mask(model, mask):
     """Return a copy of the model with pruned channels masked to zero.
 
-    The mask is installed on the site node and on any batch-norm node that
-    directly consumes it: zeroing only the producer would let the batch norm
-    re-bias the channel away from zero, and the batch-norm parameters of a
-    pruned channel must stop receiving gradient too.  Channels the model
-    already masks stay masked.
+    The mask is installed on the site's gate nodes (``Model.gates``): the site
+    node and any batch norm that reads it.  Zeroing only the producer would
+    let the batch norm re-bias the channel away from zero, and the batch-norm
+    parameters of a pruned channel must stop receiving gradient too.
+    Channels the model already masks stay masked.
     """
     _check_mask(model, mask)
     out = model.clone()
     for site in out.sites:
         keep = _site_keep(model, site, mask).astype(out.dtype)
-        out.masks[site.node_index] = keep
-        for j in out.consumers(site.node_index):
-            if out.nodes[j].kind == "batch_norm":
-                out.masks[j] = keep
+        for i in out.gates(site):
+            out.masks[i] = keep
     return out
 
 
-def _output_shapes(model):
-    # one throwaway eval forward on a clone gives every node's output shape
-    probe = model.clone()
-    x = np.zeros((1,) + probe.input_shape, dtype=probe.dtype)
-    _, record = probe.forward(x, "eval")
-    return [v.shape for v in record.values]
-
-
-def _shrink_output(node, index, keep):
-    if node.kind in ("conv2d", "linear"):
-        node.params["weight"] = node.params["weight"][keep]
-        if node.has_bias:
-            node.params["bias"] = node.params["bias"][keep]
-    elif node.kind == "batch_norm":
+def _shrink_output(node, keep):
+    if node.kind == "batch_norm":
         node.params["gamma"] = node.params["gamma"][keep]
         node.params["beta"] = node.params["beta"][keep]
         node.state["running_mean"] = node.state["running_mean"][keep]
         node.state["running_var"] = node.state["running_var"][keep]
     else:
-        raise CapabilityError(f"node {index} ({node.name}): cannot shrink output of {node.kind} node")
+        node.params["weight"] = node.params["weight"][keep]
+        if node.has_bias:
+            node.params["bias"] = node.params["bias"][keep]
     node.channels = int(keep.sum())
     node.zero_grads()
 
 
-def _shrink_input(node, index, keep, spatial):
+def _shrink_input(node, keep):
     if node.kind == "conv2d":
         node.params["weight"] = node.params["weight"][:, keep]
         node.in_channels = int(keep.sum())
-    elif node.kind == "linear":
-        cols = keep if spatial is None else np.repeat(keep, spatial)
-        if cols.size != node.in_features:
-            raise CapabilityError(
-                f"node {index} ({node.name}): cannot map {keep.size} pruned channels onto {node.in_features} inputs")
+    else:
+        # a flatten lays each channel out as one block of in_features // C columns
+        cols = np.repeat(keep, node.in_features // keep.size)
         node.params["weight"] = node.params["weight"][:, cols]
         node.in_features = int(cols.sum())
-    else:
-        raise CapabilityError(f"node {index} ({node.name}): cannot shrink input of {node.kind} node")
     node.zero_grads()
 
 
 def compact(model, mask):
     """Rewrite the model with pruned channels physically removed.
 
-    Pruned output channels disappear from the producing node (and any
-    batch norm downstream of it), and the matching input slices disappear
-    from every conv or linear consumer.  Intervening ReLU, pooling, and
-    flatten nodes need no surgery; a flatten remaps channels to its
-    channel-major column blocks.  Reaching a residual addition or the network
-    output with pruned channels is not supported and raises CapabilityError.
-    Channels the model already masks are removed as well; the compacted
-    model carries no masks.
+    One pass over the nodes in graph order carries each node's kept output
+    channels forward.  A site node keeps what its mask and the masks already
+    on its gate nodes keep; batch norm, ReLU, pooling and flatten pass their
+    input's channels on, and batch norm drops the pruned entries of its
+    parameters and statistics; a conv or linear node drops the matching
+    input slices (after a flatten, each channel's block of columns).
+    Reaching a residual addition or the network output with pruned channels
+    is not supported and raises CapabilityError, and so does a model mask
+    outside every site's gate nodes.  The compacted model carries no masks.
     """
     _check_mask(model, mask)
-    shapes = _output_shapes(model)
+    gated = {i for site in model.sites for i in model.gates(site)}
+    for i in sorted(set(model.masks) - gated):
+        raise CapabilityError(f"node {i} ({model.nodes[i].name}): its mask gates no site, so it cannot be compacted")
+    site_keeps = {s.node_index: _site_keep(model, s, mask) for s in model.sites}
+    pruned = {i: keep for i, keep in site_keeps.items() if not keep.all()}
     out = model.clone()
-    passthrough = ("relu", "avg_pool", "max_pool")
-    keeps = {site.site_id: _site_keep(model, site, mask) for site in model.sites}
-
-    for site in model.sites:
-        keep = keeps[site.site_id]
-        if keep.all():
-            continue
-        _shrink_output(out.nodes[site.node_index], site.node_index, keep)
-        # walk forward until every branch ends in a consumer that absorbs
-        # the shrunk channel axis
-        frontier = [(site.node_index, None)]
-        while frontier:
-            i, spatial = frontier.pop()
-            followers = out.consumers(i)
-            if not followers:
-                raise CapabilityError(
-                    f"node {i} ({out.nodes[i].name}): pruning would shrink the network output")
-            for j in followers:
-                node = out.nodes[j]
-                if node.kind in ("conv2d", "linear"):
-                    _shrink_input(node, j, keep, spatial)
-                elif node.kind == "batch_norm":
-                    _shrink_output(node, j, keep)
-                    frontier.append((j, spatial))
-                elif node.kind in passthrough:
-                    frontier.append((j, spatial))
-                elif node.kind == "flatten":
-                    shape = shapes[i]
-                    frontier.append((j, int(np.prod(shape[2:], dtype=int))))
-                else:
-                    raise CapabilityError(
-                        f"node {j} ({node.name}): {node.kind} consumes pruned channels")
-
-    sites = [Site(s.site_id, s.node_index, int(keeps[s.site_id].sum())) for s in model.sites]
+    keeps = []  # kept output channels per node; None keeps them all
+    for i, node in enumerate(out.nodes):
+        ins = [keeps[r] for r in node.refs if r != INPUT]
+        keep = ins[0] if ins else None
+        if node.kind == "residual_add" and any(k is not None for k in ins):
+            raise CapabilityError(f"node {i} ({node.name}): residual_add consumes pruned channels")
+        if node.kind in ("conv2d", "linear"):
+            if keep is not None:
+                _shrink_input(node, keep)
+            keep = pruned.get(i)
+        elif i in pruned:
+            raise CapabilityError(f"node {i} ({node.name}): cannot shrink output of {node.kind} node")
+        if keep is not None and node.kind in ("conv2d", "linear", "batch_norm"):
+            _shrink_output(node, keep)
+        keeps.append(keep)
+    if keeps[-1] is not None:
+        raise CapabilityError(f"node {len(keeps) - 1} ({out.nodes[-1].name}): pruning would shrink the network output")
+    sites = [Site(s.site_id, s.node_index, int(site_keeps[s.node_index].sum())) for s in model.sites]
     return Model(out.nodes, model.input_shape, model.num_classes, sites,
                  dict(model.non_prunable), dtype=model.dtype)
 

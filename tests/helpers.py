@@ -1,4 +1,4 @@
-"""Shared test utilities: finite differences and relative error."""
+"""Shared test utilities: finite differences, relative error and file mutation."""
 
 import numpy as np
 
@@ -31,3 +31,31 @@ def central_diff(f, x, eps=1e-5):
         flat[i] = orig
         gflat[i] = (fp - fm) / (2 * eps)
     return grad
+
+
+def mutate(raw, edit_list):
+    """Apply (edit, position, byte) edits; positions wrap around the file."""
+    for edit, at, byte in edit_list:
+        if edit == "flip":
+            if raw:
+                i = at % len(raw)
+                raw = raw[:i] + bytes([raw[i] ^ byte]) + raw[i + 1:]
+        elif edit == "truncate":
+            raw = raw[: at % (len(raw) + 1)]
+        else:
+            lines = raw.split(b"\n")
+            i = at % len(lines)
+            if edit == "dup_line":
+                lines.insert(i, lines[i])
+            elif edit == "drop_line":
+                del lines[i]
+            else:
+                fields = lines[i].split(b",")
+                j = byte % len(fields)
+                if edit == "dup_field":
+                    fields.insert(j, fields[j])
+                else:
+                    del fields[j]
+                lines[i] = b",".join(fields)
+            raw = b"\n".join(lines)
+    return raw

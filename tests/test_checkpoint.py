@@ -227,6 +227,8 @@ HEADER_MUTATIONS = {
     "mask_bad_key": setter("masks", value={"conv1": [1] * 16}),
     "mask_key_out_of_range": setter("masks", value={"99": [1] * 16}),
     "mask_on_relu": setter("masks", value={"2": [1] * 16}),
+    "mask_value_two": setter("masks", "0", value=[1] * 15 + [2]),
+    "mask_value_half": setter("masks", "0", value=[1] * 15 + [0.5]),
 }
 
 
@@ -298,3 +300,25 @@ class TestLoadConsistency:
     def test_mask_of_right_length_loads(self, saved):
         rewrite_header(saved, setter("masks", value={"1": [1] * 15 + [0]}))
         assert checkpoint.load_model(saved).masks[1][15] == 0.0
+
+    @pytest.mark.parametrize("name,index", [("cnn_residual", 0), ("cnn_small", 13)])
+    def test_mask_outside_gate_nodes(self, tmp_path, capsys, name, index):
+        # cnn_residual's stem conv and cnn_small's classifier gate no site
+        model = build_reference_models(seed=7)[name]
+        keep = np.ones(model.nodes[index].out_channels(), np.float32)
+        keep[1] = 0.0
+        model.masks[index] = keep
+        path = tmp_path / "m.npkt"
+        checkpoint.save_model(path, model)
+        with pytest.raises(FormatError, match=f"mask on node {index}: .* gates no site"):
+            checkpoint.load_model(path)
+        assert main(["eval", "--checkpoint", str(path)]) == 3
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and "Traceback" not in err
+
+    @pytest.mark.parametrize("node,name,value", [(0, "kernel", 700), (0, "kernel", 2**40),
+                                                 (4, "in_channels", 1000), (13, "in_features", 10**4)])
+    def test_oversized_node_is_rejected_before_it_is_built(self, saved, node, name, value):
+        rewrite_header(saved, setter("nodes", node, "hyper", name, value=value))
+        with pytest.raises(FormatError, match="larger than the .* floats the file holds"):
+            checkpoint.load_model(saved)

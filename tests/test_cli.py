@@ -7,11 +7,12 @@ user sees: exit codes, files on disk, and text on stdout/stderr.
 import numpy as np
 import pytest
 
-from prunelab import data
+from prunelab import data, harness
 from prunelab.checkpoint import load_model, save_model
 from prunelab.cli import main
 from prunelab.harness import SweepResult
 from prunelab.importance import ImportanceTable
+from prunelab.nn import build_reference_models
 from prunelab.pruning import PruneMask, PrunePlan, apply_mask
 
 CONFIG_TEXT = """\
@@ -229,6 +230,23 @@ class TestPrune:
         err = capsys.readouterr().err
         assert code == 3
         assert "error:" in err and "Traceback" not in err
+
+    @pytest.mark.parametrize("name,index", [("cnn_residual", 0), ("cnn_small", 13)])
+    def test_mask_outside_gate_nodes_exits_3(self, workspace, tmp_path, capsys, name, index):
+        # a mask on the residual stem conv or on the classifier gates no site
+        model = build_reference_models()[name]
+        keep = np.ones(model.nodes[index].out_channels(), np.float32)
+        keep[1] = 0.0
+        model.masks[index] = keep
+        save_model(tmp_path / "stray.npkt", model)
+        harness.random_importance_table(model).to_csv(tmp_path / "scores.csv")
+        code = run(workspace, "prune", "--checkpoint", str(tmp_path / "stray.npkt"),
+                   "--table", str(tmp_path / "scores.csv"), "--prune-count", "3",
+                   "--out", str(tmp_path / "small.npkt"))
+        err = capsys.readouterr().err
+        assert code == 3
+        assert f"mask on node {index}" in err and "Traceback" not in err
+        assert not (tmp_path / "small.npkt").exists()
 
 
 class TestEval:

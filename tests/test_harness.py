@@ -350,6 +350,34 @@ class TestSweepCsv:
         with pytest.raises(InputError, match="accuracy"):
             harness.SweepResult([("taylorfo", "loss", False, 2, 1, 0.1, 1.5, 0)])
 
+    @pytest.mark.parametrize("column,value", [("estimator", "bogus"), ("source", "nowhere"),
+                                              ("data_size", "0"), ("pruned_count", "-7"),
+                                              ("seed", "-3"), ("seed", str(2**64))])
+    def test_unwritable_value_is_format_error(self, sweep_setup, tmp_path, column, value):
+        path = tmp_path / "r.csv"
+        self.result(sweep_setup).to_csv(path)
+        header, first, *rest = path.read_text().splitlines()
+        fields = first.split(",")
+        fields[header.split(",").index(column)] = value
+        path.write_text("\n".join([header, ",".join(fields)] + rest) + "\n")
+        with pytest.raises(FormatError, match=f"row 2: {column}: "):
+            harness.SweepResult.from_csv(path)
+
+    def test_row_no_sweep_writes_is_rejected(self, tmp_path):
+        path = tmp_path / "r.csv"
+        path.write_text(",".join(harness.SweepResult.COLUMNS) + "\nbogus,nowhere,false,-5,-7,0.5,0.5,-3\n")
+        with pytest.raises(FormatError, match="row 2: estimator: 'bogus'"):
+            harness.SweepResult.from_csv(path)
+        with pytest.raises(InputError, match="estimator: 'bogus'"):
+            harness.SweepResult([("bogus", "nowhere", False, -5, -7, 0.5, 0.5, -3)])
+
+    @pytest.mark.parametrize("index,value", [(1, "none"), (3, 0), (4, -1), (7, -1), (7, 2**64)])
+    def test_constructor_rejects_unwritable_value(self, index, value):
+        row = ["taylorfo", "loss", False, 2, 1, 0.1, 0.5, 0]
+        row[index] = value
+        with pytest.raises(InputError, match=f"{harness.SweepResult.COLUMNS[index]}: "):
+            harness.SweepResult([tuple(row)])
+
     def test_select_unknown_column(self, sweep_setup):
         result = self.result(sweep_setup)
         with pytest.raises(InputError, match="column"):

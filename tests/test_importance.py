@@ -313,6 +313,14 @@ class TestEstimate:
         with pytest.raises(InputError, match="must be .*integer"):
             imp.estimate(small_model, small_data, d, "taylorfo", loss_source(), batch_size=batch_size)
 
+    @pytest.mark.parametrize("shape", ["images only", "triple", "list", "object"])
+    def test_not_a_dataset_is_input_error(self, small_model, small_data, shape):
+        images, labels = small_data
+        dataset = {"images only": (images,), "triple": (images, labels, None),
+                   "list": [images, labels], "object": object()}[shape]
+        with pytest.raises(InputError, match="Dataset or an \\(images, labels\\) pair"):
+            imp.estimate(small_model, dataset, 4, "taylorfo", loss_source())
+
     def test_unknown_estimator(self, small_model, small_data):
         with pytest.raises(InputError, match="estimator"):
             imp.estimate(small_model, small_data, 4, "magnitude", loss_source())

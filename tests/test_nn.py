@@ -507,6 +507,28 @@ class TestReferenceModels:
         assert model.nodes[1].params["weight"].any()
 
 
+class TestGates:
+    def test_reference_gates(self):
+        models = build_reference_models()
+        gates = {name: [m.gates(s) for s in m.sites] for name, m in models.items()}
+        assert gates == {
+            "mlp_small": [[1], [3]],
+            "cnn_small": [[0, 1], [4, 5], [8, 9]],
+            "cnn_residual": [[4, 5], [11, 12]],
+        }
+
+    def test_every_batch_norm_reading_the_site(self):
+        nodes = [
+            nn.Linear("fc", [INPUT], 2, 2),
+            nn.BatchNorm("bn_a", [0], 2),
+            nn.ReLU("relu", [0]),
+            nn.BatchNorm("bn_b", [0], 2),
+            nn.BatchNorm("bn_c", [1], 2),
+        ]
+        model = Model(nodes, (2,), 2, [Site("fc", 0, 2)])
+        assert model.gates(model.sites[0]) == [0, 1, 3]
+
+
 class TestMasks:
     def test_masked_channels_are_zero_in_record(self):
         model = build_cnn_small(seed=9).astype(np.float64)

@@ -20,6 +20,7 @@ from prunelab.nn import (
     build_cnn_residual,
     build_cnn_small,
     build_mlp_small,
+    build_reference_models,
 )
 
 
@@ -447,3 +448,32 @@ class TestMaskComposition:
         masked = pruning.apply_mask(model, random_mask(model, np.random.default_rng(20)))
         mask = random_mask(model, np.random.default_rng(21))
         assert pruning.validate_equivalence(masked, mask, trials=20, seed=3) < 1e-4
+
+
+# masks outside every site's gate nodes: the residual stem conv and the
+# small CNN's classifier, (model, node index, node name)
+STRAY_MASKS = [("cnn_residual", 0, "conv1"), ("cnn_small", 13, "fc_out")]
+
+
+def with_stray_mask(name, index):
+    model = build_reference_models(image_size=8, seed=3)[name]
+    keep = np.ones(model.nodes[index].out_channels(), np.float32)
+    keep[1] = 0.0
+    model.masks[index] = keep
+    return model
+
+
+class TestStrayMasks:
+    @pytest.mark.parametrize("name,index,node", STRAY_MASKS)
+    def test_compact_names_the_node(self, name, index, node):
+        model = with_stray_mask(name, index)
+        with pytest.raises(CapabilityError, match=rf"node {index} \({node}\).*gates no site"):
+            pruning.compact(model, pruning.PruneMask.all_keep(model))
+        with pytest.raises(CapabilityError, match=rf"node {index} \({node}\)"):
+            pruning.validate_equivalence(model, random_mask(model, np.random.default_rng(1)))
+
+    @pytest.mark.parametrize("name,index,node", STRAY_MASKS)
+    def test_apply_mask_keeps_it(self, name, index, node):
+        model = with_stray_mask(name, index)
+        masked = pruning.apply_mask(model, pruning.PruneMask.all_keep(model))
+        assert np.array_equal(masked.masks[index], model.masks[index])

@@ -22,6 +22,8 @@ from prunelab.importance import ImportanceTable
 from prunelab.nn import INPUT, Flatten, Linear, Model, ReLU, Site
 from prunelab.pruning import PrunePlan, rank_global
 
+from helpers import mutate
+
 FORMATS = ("importance", "plan", "sweep")
 CLASSES = {"importance": ImportanceTable, "plan": PrunePlan, "sweep": SweepResult}
 
@@ -64,34 +66,6 @@ def workdir(tmp_path_factory):
 EDITS = ("flip", "truncate", "dup_field", "drop_field", "dup_line", "drop_line")
 edits = st.lists(st.tuples(st.sampled_from(EDITS), st.integers(0, 10**6), st.integers(1, 255)),
                  min_size=1, max_size=4)
-
-
-def mutate(raw, edit_list):
-    """Apply (edit, position, byte) edits; positions wrap around the file."""
-    for edit, at, byte in edit_list:
-        if edit == "flip":
-            if raw:
-                i = at % len(raw)
-                raw = raw[:i] + bytes([raw[i] ^ byte]) + raw[i + 1:]
-        elif edit == "truncate":
-            raw = raw[: at % (len(raw) + 1)]
-        else:
-            lines = raw.split(b"\n")
-            i = at % len(lines)
-            if edit == "dup_line":
-                lines.insert(i, lines[i])
-            elif edit == "drop_line":
-                del lines[i]
-            else:
-                fields = lines[i].split(b",")
-                j = byte % len(fields)
-                if edit == "dup_field":
-                    fields.insert(j, fields[j])
-                else:
-                    del fields[j]
-                lines[i] = b",".join(fields)
-            raw = b"\n".join(lines)
-    return raw
 
 
 def damaged(raw, damage):
