@@ -89,6 +89,7 @@ def _blob(node, name):
 
 def save_model(path, model):
     """Write the model to path as float32, returning the byte count."""
+    model.check_masks()
     header = json.dumps(_header_dict(model), sort_keys=True).encode("utf-8")
     with open(path, "wb") as fh:
         fh.write(MAGIC)

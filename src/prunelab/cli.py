@@ -1,9 +1,11 @@
 """Command-line front end: train, importance, prune, sweep, eval.
 
 Every subcommand reads an optional `--config` file (flat `key = value` text),
-with command-line flags taking precedence over config values.  Datasets come
-either from IDX files (`--images`/`--labels`) or, when those are absent, from
-the synthetic glyph generator configured by the dataset fields of the config.
+with command-line flags taking precedence over config values: a flag must pass
+the rule of the config key it overrides, and a bad flag value is a usage error
+where a bad config-file value is a config error.  Datasets come either from
+IDX files (`--images`/`--labels`) or, without them, from the synthetic glyph
+generator configured by the dataset fields of the config.
 
 The `importance` subcommand with `--source random` needs no labels at all:
 an images-only IDX file is enough, and any labels that do exist are ignored.
@@ -31,20 +33,24 @@ from .pruning import compact, rank_global
 
 
 class UsageError(Exception):
-    """Flag combinations argparse alone cannot catch."""
+    """Flag values and combinations argparse alone cannot catch."""
+
+
+# flag -> the config key it overrides; a list key gets the one-item list
+_FLAG_KEYS = {"seed": "seed", "estimator": "estimators", "source": "sources", "normalize": "normalize",
+              "data_size": "data_sizes", "prune_count": "prune_counts", "prune_fraction": "prune_fractions"}
 
 
 def _load_config(args):
     config = harness.ExperimentConfig.from_file(args.config) if args.config else harness.ExperimentConfig()
-    if getattr(args, "seed", None) is not None:
-        config = config.replace(seed=args.seed)
-    return config
-
-
-def _model_from(args, config):
-    if getattr(args, "checkpoint", None):
-        return load_model(args.checkpoint)
-    return harness.build_model(config)
+    overrides = {key: value if key == "seed" else (value,) for flag, key in _FLAG_KEYS.items()
+                 if (value := getattr(args, flag, None)) is not None}
+    if "prune_counts" in overrides or "prune_fractions" in overrides:  # a prune flag replaces both keys
+        overrides = {"prune_counts": None, "prune_fractions": None, **overrides}
+    try:
+        return config.replace(**overrides)
+    except ConfigError as e:
+        raise UsageError(f"bad flag value: {e}") from None
 
 
 def _labeled_dataset(args, config, split):
@@ -70,12 +76,9 @@ def _cmd_train(args):
 
 def _cmd_importance(args):
     config = _load_config(args)
-    estimator = args.estimator or config.estimators[0]
-    source_kind = args.source or config.sources[0]
-    normalize = True if args.normalize else config.normalize[0]
-    d = args.data_size or config.data_sizes[0]
-    model = _model_from(args, config)
-    source = GradientSource(source_kind, normalize=normalize, seed=config.seed)
+    source_kind = config.sources[0]
+    model = load_model(args.checkpoint) if args.checkpoint else harness.build_model(config)
+    source = GradientSource(source_kind, normalize=config.normalize[0], seed=config.seed)
     if args.images:
         if args.labels:
             dataset = data.load_idx(args.images, args.labels, split="train")
@@ -85,7 +88,7 @@ def _cmd_importance(args):
             dataset = (data.load_idx_images(args.images), None)
     else:
         dataset, _ = harness.build_datasets(config)
-    table = estimate(model, dataset, d, estimator, source)
+    table = estimate(model, dataset, config.data_sizes[0], config.estimators[0], source)
     table.to_csv(args.out)
     print(f"wrote {len(table)} scores to {args.out}")
     return 0
@@ -96,7 +99,7 @@ def _cmd_prune(args):
     model = load_model(args.checkpoint)
     table = ImportanceTable.from_csv(args.table)
     total = len(table)
-    p = args.prune_count if args.prune_count is not None else round(args.prune_fraction * total)
+    p = config.prune_counts[0] if config.prune_counts is not None else round(config.prune_fractions[0] * total)
     plan = rank_global(table, p, per_layer_normalize=args.per_layer_normalize)
     if args.plan:
         plan.to_csv(args.plan)
@@ -152,7 +155,7 @@ def build_parser():
     sp.add_argument("--labels", help="IDX labels; optional for --source random")
     sp.add_argument("--estimator", choices=list(ESTIMATORS))
     sp.add_argument("--source", choices=[LOSS, RANDOM])
-    sp.add_argument("--normalize", action="store_true", help="unit-normalize output gradients")
+    sp.add_argument("--normalize", action="store_true", default=None, help="unit-normalize output gradients")
     sp.add_argument("--data-size", type=int, help="number of examples D")
     sp.add_argument("--out", required=True, help="importance table CSV path")
     sp.set_defaults(func=_cmd_importance)

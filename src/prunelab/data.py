@@ -177,8 +177,8 @@ def generate_shapes(num_classes, per_class, image_size=16, noise=0.1, seed=0, sp
         raise InputError(f"per_class must be >= 1, got {per_class}")
     if image_size < 12:
         raise InputError(f"image_size must be >= 12, got {image_size}")
-    if noise < 0:
-        raise InputError(f"noise must be >= 0, got {noise}")
+    if not 0 <= noise < np.inf:
+        raise InputError(f"noise must be finite and >= 0, got {noise}")
     if split not in SPLITS:
         raise InputError(f"split must be one of {SPLITS}, got {split!r}")
     rng = np.random.default_rng([seed, SPLITS.index(split)])

@@ -16,14 +16,14 @@ parameters are exempt.  The recipe is a local choice: results are only ever
 compared across estimators on the same trained model.
 """
 
+import numbers
 from collections import namedtuple
 
 import numpy as np
 
 from . import data
 from .errors import ConfigError, FormatError, InputError, TrainingError
-from .importance import (ESTIMATORS, LOSS, NO_SOURCE, RANDOM, RANDOM_RANK, SOURCE_KINDS, GradientSource,
-                         ImportanceTable, estimate)
+from .importance import ESTIMATORS, NO_SOURCE, RANDOM_RANK, SOURCE_KINDS, GradientSource, ImportanceTable, estimate
 from .nn import MODEL_BUILDERS, softmax_cross_entropy
 from .pruning import apply_mask, rank_global
 
@@ -41,30 +41,53 @@ def _list_of(item):
     return parse
 
 
-# key -> (parser for config-file text, default value)
+def _number(kind, test, words):
+    """Rule: a number of the kind (Integral or Real) that passes test; never a bool, nan, or beyond float range."""
+    return (lambda v: isinstance(v, kind) and not isinstance(v, bool)
+            and abs(v) <= float(np.finfo(float).max) and test(v)), words
+
+
+def _integer(low, high=np.inf):
+    return _number(numbers.Integral, lambda v: low <= v <= high,
+                   f"an integer >= {low}" if high == np.inf else f"an integer in [{low}, {high}]")
+
+
+def _one_of(names):
+    return (lambda v: isinstance(v, str) and v in names), f"one of {', '.join(names)}"
+
+
+def _list(item, unset_ok=False):
+    return (lambda v: (unset_ok and v is None) or isinstance(v, tuple) and (unset_ok or v) and all(map(item[0], v))), \
+        f"{'unset or a list' if unset_ok else 'a non-empty list'}, each item {item[1]}"
+
+
+_SEED = _integer(0, 2**64 - 1)  # the range GradientSource accepts
+_FRACTION = _number(numbers.Real, lambda v: 0 <= v < 1, "a number in [0, 1)")
+
+# key -> (parser for config-file text, default value, (test, words) rule every value must pass)
 _FIELDS = {
-    "model": (str, "cnn_small"),
-    "num_classes": (int, 4),
-    "image_size": (int, 16),
-    "per_class_train": (int, 150),
-    "per_class_test": (int, 50),
-    "noise": (float, 0.15),
-    "data_seed": (int, 0),
-    "epochs": (int, 15),
-    "batch_size": (int, 32),
-    "learning_rate": (float, 0.1),
-    "momentum": (float, 0.9),
-    "weight_decay": (float, 5e-4),
-    "seed": (int, 0),
-    "finetune_epochs": (int, 0),
-    "estimators": (_list_of(str), ("taylorfo_sq",)),
-    "sources": (_list_of(str), ("loss",)),
-    "normalize": (_list_of(data.parse_bool), (False,)),
-    "data_sizes": (_list_of(int), (10,)),
-    "prune_counts": (_list_of(int), None),
-    "prune_fractions": (_list_of(float), None),
-    "eval_batch_size": (int, 256),
-    "sweep_seeds": (_list_of(int), (0,)),
+    "model": (str, "cnn_small", _one_of(tuple(MODEL_BUILDERS))),
+    "num_classes": (int, 4, _integer(2, len(data.GLYPHS))),
+    "image_size": (int, 16, _integer(12)),
+    "per_class_train": (int, 150, _integer(1)),
+    "per_class_test": (int, 50, _integer(1)),
+    "noise": (float, 0.15, _number(numbers.Real, lambda v: v >= 0, "a finite number >= 0")),
+    "data_seed": (int, 0, _SEED),
+    "epochs": (int, 15, _integer(0)),
+    "batch_size": (int, 32, _integer(1)),
+    "learning_rate": (float, 0.1, _number(numbers.Real, lambda v: v > 0, "a finite number > 0")),
+    "momentum": (float, 0.9, _FRACTION),
+    "weight_decay": (float, 5e-4, _number(numbers.Real, lambda v: v >= 0, "a finite number >= 0")),
+    "seed": (int, 0, _SEED),
+    "finetune_epochs": (int, 0, _integer(0)),
+    "estimators": (_list_of(str), ("taylorfo_sq",), _list(_one_of(ESTIMATORS))),
+    "sources": (_list_of(str), ("loss",), _list(_one_of(SOURCE_KINDS))),
+    "normalize": (_list_of(data.parse_bool), (False,), _list(((lambda v: isinstance(v, bool)), "true or false"))),
+    "data_sizes": (_list_of(int), (10,), _list(_integer(1))),
+    "prune_counts": (_list_of(int), None, _list(_integer(0), unset_ok=True)),
+    "prune_fractions": (_list_of(float), None, _list(_FRACTION, unset_ok=True)),
+    "eval_batch_size": (int, 256, _integer(1)),
+    "sweep_seeds": (_list_of(int), (0,), _list(_SEED)),
 }
 
 
@@ -74,61 +97,25 @@ class ExperimentConfig:
     The file format is flat `key = value` text; `#` starts a comment, blank
     lines are skipped, and every key must be one of the known fields exactly
     once.  List-valued fields take comma-separated items.  Unknown keys are
-    errors rather than silently ignored.
+    errors rather than silently ignored.  Every value must pass its field's
+    rule in _FIELDS, and prune_counts and prune_fractions exclude each other.
     """
 
     def __init__(self, **kwargs):
-        for key, (_, default) in _FIELDS.items():
-            setattr(self, key, default)
-        for key, value in kwargs.items():
-            if key not in _FIELDS:
-                raise ConfigError(f"unknown config key {key!r}")
-            if isinstance(value, list):
-                value = tuple(value)
+        for key in sorted(set(kwargs) - set(_FIELDS)):
+            raise ConfigError(f"unknown config key {key!r}")
+        for key, (_, default, (test, words)) in _FIELDS.items():
+            value = kwargs.get(key, default)
+            value = tuple(value) if isinstance(value, list) else value
+            if not test(value):
+                raise ConfigError(f"{key} must be {words}, got {value!r}")
             setattr(self, key, value)
-        self._validate()
-
-    def _validate(self):
-        if self.model not in MODEL_BUILDERS:
-            raise ConfigError(f"model must be one of {sorted(MODEL_BUILDERS)}, got {self.model!r}")
-        for key in ("epochs", "finetune_epochs"):
-            if getattr(self, key) < 0:
-                raise ConfigError(f"{key} must be >= 0")
-        for key in ("batch_size", "eval_batch_size", "per_class_train", "per_class_test"):
-            if getattr(self, key) < 1:
-                raise ConfigError(f"{key} must be >= 1")
-        if self.learning_rate <= 0:
-            raise ConfigError("learning_rate must be > 0")
-        if not 0 <= self.momentum < 1:
-            raise ConfigError(f"momentum must be in [0, 1), got {self.momentum}")
-        if self.weight_decay < 0 or self.noise < 0:
-            raise ConfigError("weight_decay and noise must be >= 0")
-        if not self.estimators:
-            raise ConfigError("estimators must not be empty")
-        for name in self.estimators:
-            if name not in ESTIMATORS:
-                raise ConfigError(f"unknown estimator {name!r}, expected one of {list(ESTIMATORS)}")
-        if not self.sources:
-            raise ConfigError("sources must not be empty")
-        for kind in self.sources:
-            if kind not in (LOSS, RANDOM):
-                raise ConfigError(f"unknown source {kind!r}, expected {LOSS} or {RANDOM}")
-        if not self.normalize or not all(isinstance(v, bool) for v in self.normalize):
-            raise ConfigError("normalize must be a non-empty list of true/false")
-        if not self.data_sizes or any(d < 1 for d in self.data_sizes):
-            raise ConfigError("data_sizes must be >= 1")
-        if self.prune_counts is not None and any(p < 0 for p in self.prune_counts):
-            raise ConfigError("prune_counts must be >= 0")
-        if self.prune_fractions is not None and any(not 0 <= f < 1 for f in self.prune_fractions):
-            raise ConfigError("prune_fractions must lie in [0, 1)")
-        if not self.sweep_seeds:
-            raise ConfigError("sweep_seeds must not be empty")
+        if self.prune_counts is not None and self.prune_fractions is not None:
+            raise ConfigError("prune_counts and prune_fractions are alternatives: set at most one of them")
 
     def replace(self, **kwargs):
         """A copy with the given fields changed."""
-        merged = {key: getattr(self, key) for key in _FIELDS}
-        merged.update(kwargs)
-        return ExperimentConfig(**merged)
+        return ExperimentConfig(**{**vars(self), **kwargs})
 
     @classmethod
     def from_file(cls, path):
@@ -276,13 +263,9 @@ def _sweep_row(values):
 
 
 def _resolve_prune_counts(config, total):
-    if config.prune_counts is not None:
-        listed = list(config.prune_counts)
-    elif config.prune_fractions is not None:
-        listed = [round(f * total) for f in config.prune_fractions]
-    else:
-        # even 10-point grid from nothing pruned to 70% pruned
-        listed = [round(f * total) for f in np.linspace(0.0, 0.7, 10)]
+    # without either key, an even 10-point grid from nothing pruned to 70% pruned
+    fractions = np.linspace(0.0, 0.7, 10) if config.prune_fractions is None else config.prune_fractions
+    listed = [round(f * total) for f in fractions] if config.prune_counts is None else config.prune_counts
     counts = [0]
     for p in listed:
         if p != 0 and p not in counts:

@@ -194,11 +194,20 @@ class ImportanceTable:
         if not all(np.isfinite(e[3]) for e in self.entries):
             bad = next(e for e in self.entries if not np.isfinite(e[3]))
             raise StateError(f"non-finite score at site {bad[0]} channel {bad[2]}")
+        try:
+            data_size, seed = int(data_size), int(seed)
+        except (TypeError, ValueError):
+            raise InputError(f"data_size and seed must be integers, got {data_size!r}, {seed!r}") from None
+        control = estimator == RANDOM_RANK
+        if not ((estimator in ESTIMATORS or control) and (source in SOURCE_KINDS or source == NO_SOURCE)
+                and data_size >= (0 if control else 1) and 0 <= seed < 2**64):
+            raise InputError(f"metadata {estimator!r}, {source!r}, data_size {data_size}, seed {seed} "
+                             "is not one estimate or random_importance_table writes")
         self.estimator = estimator
         self.source = source
         self.normalized = bool(normalized)
-        self.data_size = int(data_size)
-        self.seed = int(seed)
+        self.data_size = data_size
+        self.seed = seed
 
     def __len__(self):
         return len(self.entries)
@@ -223,19 +232,10 @@ class ImportanceTable:
         for lineno, row in enumerate(rows, start=2):
             if row[4:] != rows[0][4:]:
                 raise FormatError(f"{path} row {lineno}: metadata differs from the first row")
-        # every row repeats the first row's metadata, so row 2 names it
-        estimator, source, normalized, data_size, seed = rows[0][4:]
-        try:
-            data_size, seed = int(data_size), int(seed)
-        except ValueError:
-            raise FormatError(
-                f"{path} row 2: data_size and seed must be integers, got {data_size!r}, {seed!r}") from None
-        control = estimator == RANDOM_RANK
-        if not ((estimator in ESTIMATORS or control) and (source in SOURCE_KINDS or source == NO_SOURCE)
-                and data_size >= (0 if control else 1) and 0 <= seed < 2**64):
-            raise FormatError(f"{path} row 2: metadata {estimator!r}, {source!r}, data_size {data_size}, "
-                              f"seed {seed} is not one estimate or random_importance_table writes")
-        return cls([row[:4] for row in rows], estimator, source, normalized, data_size, seed)
+        try:  # every row repeats the first row's metadata, so row 2 names it
+            return cls([row[:4] for row in rows], *rows[0][4:])
+        except InputError as e:
+            raise FormatError(f"{path} row 2: {e}") from None
 
 
 def molchanov_bn_score(bn_node, per_example_grads):

@@ -404,6 +404,12 @@ class Model:
                 return s
         raise InputError(f"unknown site {site_id!r}")
 
+    def check_masks(self):
+        """Raise InputError unless every mask holds only 0s and 1s, the values a checkpoint stores."""
+        for i, m in self.masks.items():
+            if not np.all((m == 0) | (m == 1)):
+                raise InputError(f"mask on node {i} holds values other than 0 and 1")
+
     def gates(self, site):
         """Indices of the nodes whose masks gate a site's channels: the site
         node, then every batch norm that reads it (the batch-norm gate of

@@ -171,6 +171,7 @@ def rank_global(table, p, per_layer_normalize=False):
 
 
 def _check_mask(model, mask):
+    model.check_masks()
     model_sites = {s.site_id: s.channels for s in model.sites}
     if set(mask.keep) != set(model_sites):
         raise InputError(f"mask sites {sorted(mask.keep)} != model sites {sorted(model_sites)}")

@@ -8,7 +8,7 @@ import pytest
 
 from prunelab import checkpoint
 from prunelab.cli import main
-from prunelab.errors import FormatError
+from prunelab.errors import FormatError, InputError
 from prunelab.nn import build_reference_models
 
 
@@ -315,6 +315,17 @@ class TestLoadConsistency:
         assert main(["eval", "--checkpoint", str(path)]) == 3
         err = capsys.readouterr().err
         assert err.startswith("error: ") and "Traceback" not in err
+
+    @pytest.mark.parametrize("value", [0.5, 2.0])
+    def test_mask_outside_0_and_1_is_not_saved(self, tmp_path, value):
+        # int(0.5) would store 0: the reloaded model would prune a channel the saved one kept
+        model = build_reference_models(seed=7)["cnn_small"]
+        model.masks[4] = np.ones(model.nodes[4].out_channels(), np.float32)
+        model.masks[4][3] = value
+        path = tmp_path / "m.npkt"
+        with pytest.raises(InputError, match="mask on node 4 holds values other than 0 and 1"):
+            checkpoint.save_model(path, model)
+        assert not path.exists()
 
     @pytest.mark.parametrize("node,name,value", [(0, "kernel", 700), (0, "kernel", 2**40),
                                                  (4, "in_channels", 1000), (13, "in_features", 10**4)])

@@ -4,8 +4,13 @@ Everything goes through cli.main(argv) so the tests see exactly what a shell
 user sees: exit codes, files on disk, and text on stdout/stderr.
 """
 
+import contextlib
+import io
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from prunelab import data, harness
 from prunelab.checkpoint import load_model, save_model
@@ -290,6 +295,89 @@ class TestConfigHandling:
     def test_missing_config_file_is_runtime_error(self, workspace):
         code = run(workspace, "eval", "--config", "@/nope.cfg", "--checkpoint", "@/model.npkt")
         assert code == 3
+
+
+class TestConfigRules:
+    """Config-file values exit 2 and flag values exit 1, before any work starts."""
+
+    @pytest.mark.parametrize("line", ["seed = -1", "data_seed = -1", "sweep_seeds = -1", "noise = nan",
+                                      "noise = inf", "num_classes = 11", "image_size = 8",
+                                      "prune_counts = 4\nprune_fractions = 0.5"])
+    @pytest.mark.parametrize("command", ["train", "sweep"])
+    def test_bad_file_value_exits_2(self, tmp_path, capsys, line, command):
+        bad = tmp_path / "bad.cfg"
+        bad.write_text(line + "\n")
+        assert main([command, "--config", str(bad), "--out", str(tmp_path / "never")]) == 2
+        captured = capsys.readouterr()
+        assert "config error" in captured.err and "Traceback" not in captured.err
+        assert captured.out == "" and not (tmp_path / "never").exists()
+
+    @pytest.mark.parametrize("argv", [
+        ["train", "--config", "@/tiny.cfg", "--seed=-1"],
+        ["train", "--config", "@/tiny.cfg", f"--seed={2**64}"],
+        ["importance", "--config", "@/tiny.cfg", "--checkpoint", "@/model.npkt", "--seed=-1"],
+        ["importance", "--config", "@/tiny.cfg", "--checkpoint", "@/model.npkt", "--data-size=0"],
+        ["importance", "--config", "@/tiny.cfg", "--checkpoint", "@/model.npkt", "--data-size=-3"],
+        ["eval", "--config", "@/tiny.cfg", "--checkpoint", "@/model.npkt", "--seed=-1"],
+    ])
+    def test_bad_flag_value_exits_1(self, workspace, tmp_path, capsys, argv):
+        assert run(workspace, *argv, "--out", str(tmp_path / "never")) == 1
+        err = capsys.readouterr().err
+        assert "usage error: bad flag value" in err and "Traceback" not in err
+        assert not (tmp_path / "never").exists()
+
+    @pytest.mark.parametrize("fraction", ["nan", "inf", "-inf", "-0.1", "1.0", "2"])
+    def test_bad_prune_fraction_exits_1(self, workspace, table_path, tmp_path, capsys, fraction):
+        code = run(workspace, "prune", "--checkpoint", "@/model.npkt", "--table", str(table_path),
+                   f"--prune-fraction={fraction}", "--out", str(tmp_path / "never.npkt"))
+        err = capsys.readouterr().err
+        assert code == 1
+        assert "prune_fractions must be" in err and "Traceback" not in err
+
+    def test_prune_flag_replaces_the_config_level(self, workspace, table_path, tmp_path):
+        # tiny.cfg sets prune_counts; a --prune-fraction flag replaces it instead of conflicting
+        by_count, by_frac = tmp_path / "count.npkt", tmp_path / "frac.npkt"
+        base = ["prune", "--config", "@/tiny.cfg", "--checkpoint", "@/model.npkt", "--table", str(table_path)]
+        assert run(workspace, *base, "--prune-count", "18", "--out", str(by_count)) == 0
+        assert run(workspace, *base, "--prune-fraction", "0.25", "--out", str(by_frac)) == 0
+        assert by_count.read_bytes() == by_frac.read_bytes()
+
+
+# adversarial flag values: negative, zero and >= 2**64 integers, non-finite and
+# out-of-range fractions, unknown names
+INTS = st.one_of(st.integers(max_value=0), st.integers(min_value=2**64, max_value=2**70)).map(str)
+FRACTIONS = st.one_of(st.sampled_from(["nan", "inf", "-inf", "-0.0", "1"]),
+                      st.floats(max_value=-1e-9, allow_nan=False).map(repr),
+                      st.floats(min_value=1.0, exclude_min=True, allow_nan=False).map(repr))
+NAMES = st.one_of(st.sampled_from(["taylorfo_sq", "random", "loss"]), st.text("abcxyz_", min_size=1, max_size=6))
+
+
+def _flags(**options):
+    """Argument lists with each flag either absent or given one adversarial value."""
+    return st.tuples(*(st.one_of(st.just(None), values.map(lambda v, f=flag: f"{f}={v}"))
+                       for flag, values in options.items())).map(lambda chosen: [f for f in chosen if f])
+
+
+COMMANDS = st.one_of(
+    _flags(**{"--seed": INTS}).map(lambda f: ["train", "--config", "@/tiny.cfg", *f]),
+    _flags(**{"--seed": INTS, "--data-size": INTS, "--estimator": NAMES, "--source": NAMES}).map(
+        lambda f: ["importance", "--config", "@/tiny.cfg", "--checkpoint", "@/model.npkt", *f]),
+    st.one_of(INTS.map(lambda v: [f"--prune-count={v}"]), FRACTIONS.map(lambda v: [f"--prune-fraction={v}"])).map(
+        lambda f: ["prune", "--checkpoint", "@/model.npkt", "--table", "@/rank.csv", *f]),
+    _flags(**{"--seed": INTS}).map(lambda f: ["eval", "--config", "@/tiny.cfg", "--checkpoint", "@/model.npkt", *f]),
+)
+
+
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(argv=COMMANDS)
+def test_adversarial_flags_exit_cleanly(workspace, table_path, argv):
+    if argv[0] != "eval":
+        argv = argv + ["--out", "@/property.out"]
+    err = io.StringIO()
+    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
+        code = run(workspace, *argv)
+    assert code in (0, 1, 2, 3)
+    assert "Traceback" not in err.getvalue()
 
 
 class TestSweep:

@@ -69,6 +69,9 @@ class TestGenerate:
             data.generate_shapes(2, 0, image_size=12)
         with pytest.raises(InputError, match="noise"):
             data.generate_shapes(2, 3, image_size=12, noise=-0.1)
+        for noise in (float("nan"), float("inf")):
+            with pytest.raises(InputError, match="noise must be finite"):
+                data.generate_shapes(2, 3, image_size=12, noise=noise)
         with pytest.raises(InputError, match="split"):
             data.generate_shapes(2, 3, image_size=12, split="val")
 

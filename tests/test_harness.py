@@ -108,6 +108,51 @@ class TestConfig:
             with pytest.raises(ConfigError):
                 harness.ExperimentConfig(**kwargs)
 
+    @pytest.mark.parametrize("key,value", [
+        ("seed", -1), ("data_seed", -1), ("seed", 2**64), ("sweep_seeds", (-1,)), ("sweep_seeds", (2**64,)),
+        ("num_classes", 11), ("num_classes", 1), ("image_size", 8),
+        ("noise", float("nan")), ("noise", float("inf")), ("learning_rate", float("inf")),
+        ("learning_rate", float("nan")), ("learning_rate", 10**400), ("weight_decay", float("nan")), ("weight_decay", float("inf")),
+        ("epochs", "3"), ("epochs", 2.5), ("epochs", True), ("batch_size", None), ("momentum", "0.5"),
+        ("data_sizes", 5), ("data_sizes", (2.5,)), ("normalize", True), ("normalize", (1,)),
+        ("estimators", "taylorfo_sq"), ("prune_counts", 3), ("prune_counts", (True,)),
+        ("prune_fractions", (float("nan"),)),
+    ])
+    def test_every_field_has_a_rule(self, key, value):
+        with pytest.raises(ConfigError, match=rf"^{key} must be .*, got "):
+            harness.ExperimentConfig(**{key: value})
+        with pytest.raises(ConfigError, match=rf"^{key} must be "):
+            harness.ExperimentConfig().replace(**{key: value})
+
+    @pytest.mark.parametrize("line", ["seed = -1", "data_seed = -1", "sweep_seeds = 0,-1", "noise = nan",
+                                      "noise = inf", "num_classes = 11", "image_size = 8"])
+    def test_file_values_follow_the_rules(self, tmp_path, line):
+        path = tmp_path / "bad.cfg"
+        path.write_text(line + "\n")
+        with pytest.raises(ConfigError, match=rf"^{line.split()[0]} must be "):
+            harness.ExperimentConfig.from_file(path)
+
+    def test_prune_counts_and_fractions_exclude_each_other(self, tmp_path):
+        with pytest.raises(ConfigError, match="prune_counts and prune_fractions"):
+            harness.ExperimentConfig(prune_counts=(4,), prune_fractions=(0.5,))
+        path = tmp_path / "both.cfg"
+        path.write_text("prune_counts = 4\nprune_fractions = 0.5\n")
+        with pytest.raises(ConfigError, match="prune_counts and prune_fractions"):
+            harness.ExperimentConfig.from_file(path)
+        config = harness.ExperimentConfig(prune_counts=(4,)).replace(prune_counts=None, prune_fractions=(0.5,))
+        assert config.prune_fractions == (0.5,)
+
+    def test_valid_values_are_kept_as_given(self):
+        config = harness.ExperimentConfig(epochs=np.int64(3), learning_rate=1, data_sizes=[2, 4],
+                                          prune_counts=(), seed=2**64 - 1, num_classes=10, image_size=12)
+        assert (config.epochs, config.learning_rate, config.data_sizes) == (3, 1, (2, 4))
+        assert (config.prune_counts, config.seed) == ((), 2**64 - 1)
+
+    def test_table_gives_each_field_a_rule_its_default_passes(self):
+        for key, (parse, default, (test, words)) in harness._FIELDS.items():
+            assert callable(parse) and isinstance(words, str)
+            assert test(default), key
+
 
 class TestTrain:
     def test_zero_epochs_leaves_parameters(self):

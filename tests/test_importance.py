@@ -519,6 +519,15 @@ class TestTableCsv:
         with pytest.raises(FormatError, match=f"row 2: .*{match}"):
             imp.ImportanceTable.from_csv(path)
 
+    def test_constructor_rejects_metadata_from_csv_rejects(self, tmp_path):
+        with pytest.raises(InputError, match="metadata 'bogus', 'nowhere', data_size -5, seed -3"):
+            imp.ImportanceTable([("a", 0, 0, 1.0)], "bogus", "nowhere", False, -5, -3)
+        with pytest.raises(InputError, match="data_size and seed must be integers"):
+            imp.ImportanceTable([("a", 0, 0, 1.0)], "taylorfo", "loss", False, "4.5", 0)
+        table = imp.ImportanceTable([("a", 0, 0, 1.0)], "random_rank", "none", False, 0, 2**64 - 1)
+        table.to_csv(tmp_path / "control.csv")
+        assert imp.ImportanceTable.from_csv(tmp_path / "control.csv").seed == 2**64 - 1
+
     def test_random_rank_table_round_trips(self, small_model, tmp_path):
         table = harness.random_importance_table(small_model, seed=9)
         p1, p2 = tmp_path / "a.csv", tmp_path / "b.csv"

@@ -477,3 +477,18 @@ class TestStrayMasks:
         model = with_stray_mask(name, index)
         masked = pruning.apply_mask(model, pruning.PruneMask.all_keep(model))
         assert np.array_equal(masked.masks[index], model.masks[index])
+
+
+class TestMaskValues:
+    """A model mask holds only 0s and 1s, the values a checkpoint can store."""
+
+    @pytest.mark.parametrize("value", [2.0, 0.5, -1.0, np.nan])
+    def test_apply_mask_and_compact_reject_other_values(self, value):
+        model = build_cnn_small(seed=0)
+        model.masks[4] = np.ones(model.nodes[4].out_channels(), np.float32)
+        model.masks[4][3] = value
+        mask = pruning.PruneMask.all_keep(model)
+        with pytest.raises(InputError, match="mask on node 4 holds values other than 0 and 1"):
+            pruning.apply_mask(model, mask)
+        with pytest.raises(InputError, match="mask on node 4 holds values other than 0 and 1"):
+            pruning.compact(model, mask)

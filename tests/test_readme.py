@@ -1,5 +1,6 @@
 """Every fenced python block of README.md runs, so the documented library
-example cannot go stale."""
+example cannot go stale, and the config-key table lists exactly the
+ExperimentConfig fields with their defaults."""
 
 import contextlib
 import io
@@ -7,6 +8,8 @@ import pathlib
 import re
 
 import pytest
+
+from prunelab import harness
 
 README = pathlib.Path(__file__).resolve().parents[1] / "README.md"
 BLOCKS = re.findall(r"^```python\n(.*?)^```", README.read_text(encoding="utf-8"), re.M | re.S)
@@ -20,3 +23,18 @@ def test_readme_has_a_python_block():
 def test_python_block_runs(block):
     with contextlib.redirect_stdout(io.StringIO()):
         exec(compile(block, str(README), "exec"), {})
+
+
+
+def config_table():
+    """{key: default text} from the README's config-key table."""
+    table = README.read_text(encoding="utf-8").split("### Config keys", 1)[1].split("\n\n")[1]
+    return {row.split(" | ")[0].strip("| `"): row.split(" | ")[1] for row in table.splitlines()[2:]}
+
+
+def test_config_table_lists_every_field_with_its_default():
+    table = config_table()
+    assert list(table) == list(harness._FIELDS)
+    for key, (parse, default, _) in harness._FIELDS.items():
+        shown = table[key]
+        assert (None if shown == "unset" else parse(shown.strip("`"))) == default, key
