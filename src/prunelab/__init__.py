@@ -8,4 +8,4 @@ experiment harness that sweeps pruning fractions against test accuracy.
 
 __version__ = "0.1.0"
 
-from . import checkpoint, cli, data, errors, harness, importance, nn, pruning, tensor  # noqa: F401
+from . import checkpoint, data, errors, harness, importance, nn, pruning, tensor  # noqa: F401

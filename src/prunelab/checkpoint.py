@@ -10,52 +10,50 @@ parameters first, then state such as batch-norm running statistics.
 Checkpoints always hold float32; loading returns a float32 model.  Round
 trips are bit-exact: save(load(p)) writes the identical byte sequence.
 
-Loading fails closed: a header with a missing key, a value of the wrong
-type, an unknown node kind or hyperparameter, a site whose channel count
-differs from its node's, or a mask that holds a value other than 0 and 1,
-does not fit its node or sits on a node that gates no site (see
-nn.Model.gates) raises FormatError before any model is returned.
+Loading fails closed: a header with a missing key, a value that fails its
+key's rule (the *_RULES tables, written in the data module's rule
+vocabulary), an unknown node kind or hyperparameter, a site whose channel
+count differs from its node's, or a mask that does not fit its node or sits
+on a node that gates no site (see nn.Model.gates) raises FormatError before
+any model is returned.
 """
 
 import json
 import math
+import numbers
 import struct
 
 import numpy as np
 
+from . import data
 from .errors import FormatError, InputError
 from .nn import Model, Site, make_node
 
 MAGIC = b"NPKT"
 VERSION = 1
 
-HEADER_TYPES = {
-    "nodes": list,
-    "sites": list,
-    "masks": dict,
-    "input_shape": list,
-    "num_classes": int,
-    "non_prunable": dict,
+_LIST = data.instance(list, "a JSON list")
+_OBJECT = data.instance(dict, "a JSON object")
+# key -> rule, for the header and the node, parameter and site objects in it
+HEADER_RULES = {
+    "nodes": _LIST,
+    "sites": _LIST,
+    "masks": _OBJECT,
+    "input_shape": data.list_of(data.SIZE),
+    "num_classes": data.SIZE,
+    "non_prunable": _OBJECT,
 }
-NODE_TYPES = {"kind": str, "name": str, "refs": list, "hyper": dict, "params": list}
-PARAM_TYPES = {"name": str, "shape": list}
-SITE_TYPES = {"site_id": str, "node_index": int, "channels": int}
-# hyperparameter name -> (type, smallest allowed value)
-HYPER_TYPES = {
-    "in_channels": (int, 1),
-    "out_channels": (int, 1),
-    "kernel": (int, 1),
-    "stride": (int, 1),
-    "padding": (int, 0),
-    "in_features": (int, 1),
-    "out_features": (int, 1),
-    "channels": (int, 1),
-    "bias": (bool, None),
-    "eps": (float, None),
-    "momentum": (float, None),
-}
+NODE_RULES = {"kind": data.TEXT, "name": data.TEXT, "refs": data.list_of(data.integer(-1)),
+              "hyper": _OBJECT, "params": _LIST}
+PARAM_RULES = {"name": data.TEXT, "shape": data.list_of(data.COUNT)}
+SITE_RULES = {"site_id": data.TEXT, "node_index": data.COUNT, "channels": data.SIZE}
 # hyperparameters whose product is the size of a node's weight or gamma
 SIZE_HYPERS = ("in_channels", "out_channels", "kernel", "kernel", "in_features", "out_features", "channels")
+_F32 = np.finfo(np.float32)  # a batch norm adds eps to float32 variances: it must stay positive and finite there
+_EPS = data.number(numbers.Real, lambda v: float(_F32.smallest_subnormal) <= v <= float(_F32.max), "a float32 > 0")
+HYPER_RULES = {**dict.fromkeys(SIZE_HYPERS + ("stride",), data.SIZE), "padding": data.COUNT,
+               "bias": data.FLAG, "eps": _EPS, "momentum": data.FRACTION}
+MASK_RULE = data.list_of(data.integer(0, 1))
 
 
 def _header_dict(model):
@@ -111,76 +109,40 @@ def _take(buf, offset, count, what):
     return buf[offset : offset + count], offset + count
 
 
-def _typed(value, kind):
-    """isinstance that keeps JSON booleans apart from numbers and lets an
-    integer stand for a float."""
-    if kind is bool or isinstance(value, bool):
-        return kind is bool and isinstance(value, bool)
-    if kind is float:
-        return isinstance(value, int) or (isinstance(value, float) and math.isfinite(value))
-    return isinstance(value, kind)
-
-
-def _check_fields(obj, types, what):
-    if not isinstance(obj, dict):
-        raise FormatError(f"{what} must be a JSON object, got {type(obj).__name__}")
-    for key, kind in types.items():
+def _check_fields(obj, rules, what):
+    """Every key of the rules is in the JSON object and its value passes the key's rule."""
+    data.check(obj, _OBJECT, what, FormatError)
+    for key, rule in rules.items():
         if key not in obj:
             raise FormatError(f"{what} lacks {key!r}")
-        if not _typed(obj[key], kind):
-            raise FormatError(f"{what} {key!r} must be {kind.__name__}, got {obj[key]!r}")
-
-
-def _check_ints(values, low, what):
-    if not all(_typed(v, int) and v >= low for v in values):
-        raise FormatError(f"{what} must hold integers >= {low}, got {values!r}")
-
-
-def _index_key(key, count, what):
-    try:
-        index = int(key)
-    except ValueError:
-        raise FormatError(f"{what} key {key!r} is not a node index") from None
-    if not 0 <= index < count:
-        raise FormatError(f"{what} key {key!r} is not a node index in [0, {count})")
-    return index
+        data.check(obj[key], rule, f"{what} {key!r}", FormatError)
 
 
 def _check_header(header, blob_floats):
     """Keys, value types and node sizes of the whole header, before anything is built."""
-    _check_fields(header, HEADER_TYPES, "checkpoint header")
-    if not header["input_shape"]:
-        raise FormatError("checkpoint header 'input_shape' is empty")
-    _check_ints(header["input_shape"], 1, "checkpoint header 'input_shape'")
-    _check_ints([header["num_classes"]], 1, "checkpoint header 'num_classes'")
+    _check_fields(header, HEADER_RULES, "checkpoint header")
     for i, entry in enumerate(header["nodes"]):
         what = f"checkpoint node {i}"
-        _check_fields(entry, NODE_TYPES, what)
+        _check_fields(entry, NODE_RULES, what)
         arity = 2 if entry["kind"] == "residual_add" else 1
         if len(entry["refs"]) != arity:
             raise FormatError(f"{what}: {entry['kind']!r} takes {arity} refs, got {entry['refs']!r}")
-        _check_ints(entry["refs"], -1, f"{what} refs")
         for name, value in entry["hyper"].items():
-            if name not in HYPER_TYPES:
-                raise FormatError(f"{what}: unknown hyperparameter {name!r}")
-            kind, low = HYPER_TYPES[name]
-            if not _typed(value, kind) or (low is not None and value < low):
-                raise FormatError(f"{what}: hyperparameter {name!r} = {value!r} is not a valid {kind.__name__}")
+            data.check(name, data.one_of(tuple(HYPER_RULES)), f"{what} hyperparameter name", FormatError)
+            data.check(value, HYPER_RULES[name], f"{what} hyperparameter {name!r}", FormatError)
         if math.prod(entry["hyper"].get(name, 1) for name in SIZE_HYPERS) > blob_floats:
             raise FormatError(f"{what}: hyperparameters describe a node larger than the {blob_floats} floats the file holds")
         for spec in entry["params"]:
-            _check_fields(spec, PARAM_TYPES, f"{what} parameter")
-            _check_ints(spec["shape"], 0, f"{what} parameter {spec['name']!r} shape")
+            _check_fields(spec, PARAM_RULES, f"{what} parameter")
     for site in header["sites"]:
-        _check_fields(site, SITE_TYPES, "checkpoint site")
+        _check_fields(site, SITE_RULES, "checkpoint site")
+    node_key = data.one_of(tuple(map(str, range(len(header["nodes"])))))  # the keys _header_dict writes
     for key, mask in header["masks"].items():
-        _index_key(key, len(header["nodes"]), "checkpoint mask")
-        if not isinstance(mask, list) or not all(_typed(v, int) and v in (0, 1) for v in mask):
-            raise FormatError(f"checkpoint mask {key!r} must be a list of 0s and 1s")
+        data.check(key, node_key, "checkpoint mask key", FormatError)
+        data.check(mask, MASK_RULE, f"checkpoint mask {key!r}", FormatError)
     for key, reason in header["non_prunable"].items():
-        _index_key(key, len(header["nodes"]), "checkpoint non_prunable")
-        if not isinstance(reason, str):
-            raise FormatError(f"checkpoint non_prunable {key!r} must be a string, got {reason!r}")
+        data.check(key, node_key, "checkpoint non_prunable key", FormatError)
+        data.check(reason, data.TEXT, f"checkpoint non_prunable {key!r}", FormatError)
 
 
 def _check_consistent(model):
@@ -237,7 +199,7 @@ def load_model(path):
             expected = _blob(node, name).shape
             if shape != expected:
                 raise FormatError(f"node {i}: parameter {name!r} shape {shape} != expected {expected}")
-            count = int(np.prod(shape, dtype=np.int64)) if shape else 1
+            count = int(np.prod(shape, dtype=np.int64))
             raw, offset = _take(buf, offset, 4 * count, f"node {i} parameter {name!r}")
             arr = np.frombuffer(raw, dtype="<f4").reshape(shape).copy()
             if name in node.params:

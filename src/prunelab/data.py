@@ -18,15 +18,23 @@ Two ordering guarantees matter downstream:
 
 Datasets are immutable: the arrays are frozen after construction.
 
+Every value the package reads (config fields, table columns, record
+arguments, checkpoint headers) must pass a rule of the vocabulary below, a
+(test, words) pair, before it is converted or stored; check() raises
+"<field> must be <words>, got <value>".  A rule rejects what int(), float()
+or bool() would truncate, coerce or overflow on.
+
 The importance, plan and sweep tables share one CSV codec: UTF-8, "\n" line
 ends, a fixed header, true/false booleans and repr(float(v)) floats, so a
 table read back and written again is byte-identical.  read_csv fails closed:
 undecodable or unparsable text, a wrong header, no rows, a wrong field count,
-or a field its column's parser rejects raises FormatError naming the path,
-and the row (the header is row 1) and column where there is one.
+or a field that its column's parser or rule rejects raises FormatError naming
+the path, and the row (the header is row 1) and column where there is one.
 """
 
 import csv
+import numbers
+import reprlib
 import struct
 
 import numpy as np
@@ -43,8 +51,7 @@ class Dataset:
     """Images [M, C, H, W] in [0, 1] with integer labels in [0, K)."""
 
     def __init__(self, images, labels, split, seed, num_classes=None):
-        if split not in SPLITS:
-            raise InputError(f"split must be one of {SPLITS}, got {split!r}")
+        check(split, one_of(SPLITS), "split")
         images = np.array(images)
         labels = np.array(labels)
         if images.ndim != 4:
@@ -171,16 +178,12 @@ def generate_shapes(num_classes, per_class, image_size=16, noise=0.1, seed=0, sp
     given sigma is added per pixel and the result clipped back to [0, 1].
     The train and test splits of the same seed use disjoint random streams.
     """
-    if not 2 <= num_classes <= len(GLYPHS):
-        raise InputError(f"num_classes must be in [2, {len(GLYPHS)}], got {num_classes}")
-    if per_class < 1:
-        raise InputError(f"per_class must be >= 1, got {per_class}")
-    if image_size < 12:
-        raise InputError(f"image_size must be >= 12, got {image_size}")
-    if not 0 <= noise < np.inf:
-        raise InputError(f"noise must be finite and >= 0, got {noise}")
-    if split not in SPLITS:
-        raise InputError(f"split must be one of {SPLITS}, got {split!r}")
+    check(num_classes, NUM_CLASSES, "num_classes")
+    check(per_class, SIZE, "per_class")
+    check(image_size, IMAGE_SIZE, "image_size")
+    check(noise, NOISE, "noise")
+    check(seed, SEED, "seed")
+    check(split, one_of(SPLITS), "split")
     rng = np.random.default_rng([seed, SPLITS.index(split)])
     m = num_classes * per_class
     images = np.zeros((m, 1, image_size, image_size), dtype=np.float32)
@@ -284,6 +287,67 @@ def load_idx(images_path, labels_path, split="train", seed=0):
         raise FormatError(f"{labels_path}: not a dataset: {e}") from None
 
 
+# -- value rules --------------------------------------------------------------
+
+_FLOAT_MAX = float(np.finfo(float).max)
+
+
+def number(kind, test, words):
+    """Rule: a number of the kind (Integral or Real) that passes test; never a bool, nan, or beyond float range."""
+    exact = (int,) if kind is numbers.Integral else (int, float)  # no ABC check; numpy scalars range-check as float
+    return (lambda v: (-_FLOAT_MAX <= v <= _FLOAT_MAX if type(v) in exact else
+                       isinstance(v, kind) and not isinstance(v, bool) and -_FLOAT_MAX <= float(v) <= _FLOAT_MAX)
+            and test(v)), words
+
+
+def integer(low, high=np.inf):
+    return number(numbers.Integral, lambda v: low <= v <= high,
+                  f"an integer >= {low}" if high == np.inf else f"an integer in [{low}, {high}]")
+
+
+def one_of(names):
+    return (lambda v: isinstance(v, str) and v in names), f"one of {', '.join(names)}"
+
+
+def instance(cls, words):
+    return (lambda v: isinstance(v, cls)), words
+
+
+def list_of(item, unset_ok=False):
+    return (lambda v: (unset_ok and v is None) or isinstance(v, (list, tuple)) and (unset_ok or v)
+            and all(map(item[0], v))), f"{'unset or a list' if unset_ok else 'a non-empty list'}, each item {item[1]}"
+
+
+TEXT = instance(str, "a string")
+FLAG = instance(bool, "true or false")
+COUNT = integer(0)
+SIZE = integer(1)  # a batch size, example count or dimension
+SEED = integer(0, 2**64 - 1)  # the key range of the random-gradient generator
+FRACTION = number(numbers.Real, lambda v: 0 <= v <= 1, "a number in [0, 1]")
+FINITE = number(numbers.Real, lambda v: True, "a finite number")
+# the glyph generator's ranges
+NUM_CLASSES = integer(2, len(GLYPHS))
+IMAGE_SIZE = integer(12)
+NOISE = number(numbers.Real, lambda v: v >= 0, "a finite number >= 0")
+
+
+def check(value, rule, field, error=InputError):
+    """The value, if it passes the rule; else error "<field> must be <words>, got <value>"."""
+    if not rule[0](value):
+        raise error(f"{field} must be {rule[1]}, got {reprlib.repr(value)}")
+    return value
+
+
+def check_row(row, columns, where="", error=InputError):
+    """The row as a tuple, each value checked by its column's rule in a {column: (parser, rule)} table."""
+    if len(row) != len(columns):
+        raise error(f"{where}{len(row)} fields, expected {len(columns)}")
+    for value, (column, (_, rule)) in zip(row, columns.items()):
+        if not rule[0](value):  # the field's name is built only for the error
+            check(value, rule, where + column, error)
+    return tuple(row)
+
+
 # -- CSV tables ---------------------------------------------------------------
 
 def parse_bool(text):
@@ -317,8 +381,16 @@ def write_csv(path, columns, rows):
         writer.writerows([_csv_field(v) for v in row] for row in rows)
 
 
-def read_csv(path, columns, parsers):
-    """Read a write_csv table: one tuple per row, each field parsed by its column's parser."""
+def _parse(parse, text):
+    try:
+        return parse(text)
+    except ValueError:
+        return text  # text its column's parser rejects fails the column's rule too
+
+
+def read_csv(path, columns):
+    """Read a write_csv table: one tuple per row, each field parsed and
+    checked by its column's entry in a {column: (parser, rule)} table."""
     try:
         with open(path, newline="", encoding="utf-8") as fh:
             lines = list(csv.reader(fh))
@@ -330,15 +402,9 @@ def read_csv(path, columns, parsers):
         raise FormatError(f"{path}: no entries")
     rows = []
     for lineno, fields in enumerate(lines[1:], start=2):
-        if len(fields) != len(columns):
-            raise FormatError(f"{path} row {lineno}: {len(fields)} fields, expected {len(columns)}")
-        row = []
-        for column, parse, text in zip(columns, parsers, fields):
-            try:
-                row.append(parse(text))
-            except ValueError as e:
-                raise FormatError(f"{path} row {lineno}: {column}: {e}") from None
-        rows.append(tuple(row))
+        if len(fields) == len(columns):
+            fields = [_parse(parse, text) for (parse, _), text in zip(columns.values(), fields)]
+        rows.append(check_row(fields, columns, f"{path} row {lineno}: ", FormatError))
     return rows
 
 
@@ -350,8 +416,8 @@ def batches(dataset, batch_size, shuffle_seed=None):
     Without a shuffle seed the dataset order is used as is; with one, a seeded
     permutation is drawn once per call, so equal seeds give equal sequences.
     """
-    if batch_size < 1:
-        raise InputError(f"batch_size must be >= 1, got {batch_size}")
+    check(dataset, instance(Dataset, "a Dataset"), "dataset")
+    check(batch_size, SIZE, "batch_size")
     m = len(dataset)
     order = np.arange(m)
     if shuffle_seed is not None:

@@ -22,73 +22,54 @@ from collections import namedtuple
 import numpy as np
 
 from . import data
-from .errors import ConfigError, FormatError, InputError, TrainingError
-from .importance import ESTIMATORS, NO_SOURCE, RANDOM_RANK, SOURCE_KINDS, GradientSource, ImportanceTable, estimate
+from .errors import ConfigError, InputError, TrainingError
+from .importance import ESTIMATOR, NO_SOURCE, RANDOM_RANK, SOURCE, GradientSource, ImportanceTable, estimate
 from .nn import MODEL_BUILDERS, softmax_cross_entropy
 from .pruning import apply_mask, rank_global
 
 EpochStats = namedtuple("EpochStats", ("epoch", "loss", "accuracy"))
 
-SweepRow = namedtuple("SweepRow", (
-    "estimator", "source", "normalized", "data_size",
-    "pruned_count", "pruned_fraction", "test_accuracy", "seed",
-))
 
-
-def _list_of(item):
+def _comma_list(item):
     def parse(text):
         return tuple(item(part.strip()) for part in text.split(","))
     return parse
 
 
-def _number(kind, test, words):
-    """Rule: a number of the kind (Integral or Real) that passes test; never a bool, nan, or beyond float range."""
-    return (lambda v: isinstance(v, kind) and not isinstance(v, bool)
-            and abs(v) <= float(np.finfo(float).max) and test(v)), words
-
-
-def _integer(low, high=np.inf):
-    return _number(numbers.Integral, lambda v: low <= v <= high,
-                   f"an integer >= {low}" if high == np.inf else f"an integer in [{low}, {high}]")
-
-
-def _one_of(names):
-    return (lambda v: isinstance(v, str) and v in names), f"one of {', '.join(names)}"
-
-
-def _list(item, unset_ok=False):
-    return (lambda v: (unset_ok and v is None) or isinstance(v, tuple) and (unset_ok or v) and all(map(item[0], v))), \
-        f"{'unset or a list' if unset_ok else 'a non-empty list'}, each item {item[1]}"
-
-
-_SEED = _integer(0, 2**64 - 1)  # the range GradientSource accepts
-_FRACTION = _number(numbers.Real, lambda v: 0 <= v < 1, "a number in [0, 1)")
+_PROPER_FRACTION = data.number(numbers.Real, lambda v: 0 <= v < 1, "a number in [0, 1)")
 
 # key -> (parser for config-file text, default value, (test, words) rule every value must pass)
 _FIELDS = {
-    "model": (str, "cnn_small", _one_of(tuple(MODEL_BUILDERS))),
-    "num_classes": (int, 4, _integer(2, len(data.GLYPHS))),
-    "image_size": (int, 16, _integer(12)),
-    "per_class_train": (int, 150, _integer(1)),
-    "per_class_test": (int, 50, _integer(1)),
-    "noise": (float, 0.15, _number(numbers.Real, lambda v: v >= 0, "a finite number >= 0")),
-    "data_seed": (int, 0, _SEED),
-    "epochs": (int, 15, _integer(0)),
-    "batch_size": (int, 32, _integer(1)),
-    "learning_rate": (float, 0.1, _number(numbers.Real, lambda v: v > 0, "a finite number > 0")),
-    "momentum": (float, 0.9, _FRACTION),
-    "weight_decay": (float, 5e-4, _number(numbers.Real, lambda v: v >= 0, "a finite number >= 0")),
-    "seed": (int, 0, _SEED),
-    "finetune_epochs": (int, 0, _integer(0)),
-    "estimators": (_list_of(str), ("taylorfo_sq",), _list(_one_of(ESTIMATORS))),
-    "sources": (_list_of(str), ("loss",), _list(_one_of(SOURCE_KINDS))),
-    "normalize": (_list_of(data.parse_bool), (False,), _list(((lambda v: isinstance(v, bool)), "true or false"))),
-    "data_sizes": (_list_of(int), (10,), _list(_integer(1))),
-    "prune_counts": (_list_of(int), None, _list(_integer(0), unset_ok=True)),
-    "prune_fractions": (_list_of(float), None, _list(_FRACTION, unset_ok=True)),
-    "eval_batch_size": (int, 256, _integer(1)),
-    "sweep_seeds": (_list_of(int), (0,), _list(_SEED)),
+    "model": (str, "cnn_small", data.one_of(tuple(MODEL_BUILDERS))),
+    "num_classes": (int, 4, data.NUM_CLASSES),
+    "image_size": (int, 16, data.IMAGE_SIZE),
+    "per_class_train": (int, 150, data.SIZE),
+    "per_class_test": (int, 50, data.SIZE),
+    "noise": (float, 0.15, data.NOISE),
+    "data_seed": (int, 0, data.SEED),
+    "epochs": (int, 15, data.COUNT),
+    "batch_size": (int, 32, data.SIZE),
+    "learning_rate": (float, 0.1, data.number(numbers.Real, lambda v: v > 0, "a finite number > 0")),
+    "momentum": (float, 0.9, _PROPER_FRACTION),
+    "weight_decay": (float, 5e-4, data.number(numbers.Real, lambda v: v >= 0, "a finite number >= 0")),
+    "seed": (int, 0, data.SEED),
+    "finetune_epochs": (int, 0, data.COUNT),
+    "estimators": (_comma_list(str), ("taylorfo_sq",), data.list_of(ESTIMATOR)),
+    "sources": (_comma_list(str), ("loss",), data.list_of(SOURCE)),
+    "normalize": (_comma_list(data.parse_bool), (False,), data.list_of(data.FLAG)),
+    "data_sizes": (_comma_list(int), (10,), data.list_of(data.SIZE)),
+    "prune_counts": (_comma_list(int), None, data.list_of(data.COUNT, unset_ok=True)),
+    "prune_fractions": (_comma_list(float), None, data.list_of(_PROPER_FRACTION, unset_ok=True)),
+    "eval_batch_size": (int, 256, data.SIZE),
+    "sweep_seeds": (_comma_list(int), (0,), data.list_of(data.SEED)),
 }
+
+# column -> (parser for table text, rule every value must pass)
+_SWEEP_COLUMNS = {"estimator": (str, ESTIMATOR), "source": (str, SOURCE), "normalized": (data.parse_bool, data.FLAG),
+                  "data_size": (int, data.SIZE), "pruned_count": (int, data.COUNT),
+                  "pruned_fraction": (float, data.FRACTION), "test_accuracy": (float, data.FRACTION),
+                  "seed": (int, data.SEED)}
+SweepRow = namedtuple("SweepRow", tuple(_SWEEP_COLUMNS))
 
 
 class ExperimentConfig:
@@ -104,12 +85,9 @@ class ExperimentConfig:
     def __init__(self, **kwargs):
         for key in sorted(set(kwargs) - set(_FIELDS)):
             raise ConfigError(f"unknown config key {key!r}")
-        for key, (_, default, (test, words)) in _FIELDS.items():
+        for key, (_, default, rule) in _FIELDS.items():
             value = kwargs.get(key, default)
-            value = tuple(value) if isinstance(value, list) else value
-            if not test(value):
-                raise ConfigError(f"{key} must be {words}, got {value!r}")
-            setattr(self, key, value)
+            setattr(self, key, data.check(tuple(value) if isinstance(value, list) else value, rule, key, ConfigError))
         if self.prune_counts is not None and self.prune_fractions is not None:
             raise ConfigError("prune_counts and prune_fractions are alternatives: set at most one of them")
 
@@ -207,7 +185,7 @@ def random_importance_table(model, seed=0):
     Pruning by this table removes channels blind to any signal, which is the
     baseline every real estimator has to beat.
     """
-    rng = np.random.default_rng([seed, 1])
+    rng = np.random.default_rng([data.check(seed, data.SEED, "seed"), 1])
     entries = []
     for site in model.sites:
         scores = rng.random(site.channels)
@@ -221,15 +199,18 @@ class SweepResult:
     COLUMNS = SweepRow._fields
 
     def __init__(self, rows):
-        self.rows = [_sweep_row(row) for row in rows]
+        self.rows = []
+        for row in rows:
+            estimator, source, normalized, d, p, fraction, accuracy, seed = data.check_row(row, _SWEEP_COLUMNS)
+            self.rows.append(SweepRow(estimator, source, normalized, int(d), int(p), float(fraction),
+                                      float(accuracy), int(seed)))
 
     def __len__(self):
         return len(self.rows)
 
     def select(self, **criteria):
         for key in criteria:
-            if key not in SweepRow._fields:
-                raise InputError(f"unknown column {key!r}")
+            data.check(key, data.one_of(self.COLUMNS), "column")
         return [row for row in self.rows
                 if all(getattr(row, k) == v for k, v in criteria.items())]
 
@@ -238,28 +219,7 @@ class SweepResult:
 
     @classmethod
     def from_csv(cls, path):
-        parsers = (str, str, data.parse_bool, int, int, float, float, int)
-        rows = data.read_csv(path, cls.COLUMNS, parsers)
-        for lineno, row in enumerate(rows, start=2):
-            try:
-                _sweep_row(row)
-            except InputError as e:
-                raise FormatError(f"{path} row {lineno}: {e}") from None
-        return cls(rows)
-
-
-def _sweep_row(values):
-    """A SweepRow of the values, which must be ones prune_sweep writes."""
-    row = SweepRow(str(values[0]), str(values[1]), bool(values[2]), int(values[3]),
-                   int(values[4]), float(values[5]), float(values[6]), int(values[7]))
-    valid = {"estimator": row.estimator in ESTIMATORS, "source": row.source in SOURCE_KINDS,
-             "data_size": row.data_size >= 1, "pruned_count": row.pruned_count >= 0,
-             "pruned_fraction": 0 <= row.pruned_fraction <= 1, "test_accuracy": 0 <= row.test_accuracy <= 1,
-             "seed": 0 <= row.seed < 2**64}
-    for column, ok in valid.items():
-        if not ok:
-            raise InputError(f"{column}: {getattr(row, column)!r} is not a value prune_sweep writes")
-    return row
+        return cls(data.read_csv(path, _SWEEP_COLUMNS))
 
 
 def _resolve_prune_counts(config, total):

@@ -39,7 +39,13 @@ per-example rows (no 1/batch factor on the loss gradient) for the same
 reason; the 1/N mean-loss convention of training lives in
 nn.softmax_cross_entropy.  Accumulators are float64 regardless of model
 dtype.
+
+GradientSource, estimate and ImportanceTable check their arguments with the
+rules of the data module; a table's metadata must be what estimate or
+harness.random_importance_table writes.
 """
+
+import math
 
 import numpy as np
 
@@ -54,19 +60,17 @@ SOURCE_KINDS = (LOSS, RANDOM)
 TAYLOR_ESTIMATORS = ("taylorfo", "taylorfo_abs", "taylorfo_sq")
 ESTIMATORS = TAYLOR_ESTIMATORS + ("molchanov_bn", "molchanov_group")
 RANDOM_RANK, NO_SOURCE = "random_rank", "none"  # metadata of harness.random_importance_table
+ESTIMATOR = data.one_of(ESTIMATORS)
+SOURCE = data.one_of(SOURCE_KINDS)
 
 
 class GradientSource:
     """Where output gradients come from: the loss, or seeded random rows."""
 
     def __init__(self, kind, normalize=False, seed=0):
-        if kind not in SOURCE_KINDS:
-            raise InputError(f"gradient source kind must be one of {SOURCE_KINDS}, got {kind!r}")
-        if not 0 <= int(seed) < 2**64:
-            raise InputError(f"seed must fit in 64 unsigned bits, got {seed}")
-        self.kind = kind
-        self.normalize = bool(normalize)
-        self.seed = int(seed)
+        self.kind = data.check(kind, SOURCE, "gradient source kind")
+        self.normalize = data.check(normalize, data.FLAG, "normalize")
+        self.seed = int(data.check(seed, data.SEED, "seed"))
 
     def __repr__(self):
         return f"GradientSource({self.kind!r}, normalize={self.normalize}, seed={self.seed})"
@@ -150,8 +154,7 @@ def accumulate(sites, signals, estimator):
 
     acc[c] += f(s[n,c]) summed over the batch, f = identity | abs | square.
     """
-    if estimator not in TAYLOR_ESTIMATORS:
-        raise InputError(f"accumulate handles {TAYLOR_ESTIMATORS}, got {estimator!r}")
+    data.check(estimator, data.one_of(TAYLOR_ESTIMATORS), "accumulate's estimator")
     for site in sites:
         if estimator not in site.acc:
             raise StateError(f"site {site.site_id} has no {estimator!r} accumulator")
@@ -180,34 +183,44 @@ def finalize(sites, estimator, source, data_size):
     return ImportanceTable(entries, estimator, source.kind, source.normalize, data_size, source.seed)
 
 
+# column -> (parser for table text, rule every value must pass), for an entry and a table; the
+# constructor holds the metadata to what estimate (_ESTIMATED) or random_importance_table (_CONTROL) writes
+ENTRY_COLUMNS = {"site_id": (str, data.TEXT), "node_index": (int, data.COUNT), "channel": (int, data.COUNT),
+                 "score": (data.finite_float, data.FINITE)}
+_COLUMNS = {**ENTRY_COLUMNS, "estimator": (str, data.TEXT), "source": (str, data.TEXT),
+            "normalized": (data.parse_bool, data.FLAG), "data_size": (int, data.COUNT), "seed": (int, data.SEED)}
+_ESTIMATED = {"estimator": (str, ESTIMATOR), "source": (str, SOURCE), "normalized": (data.parse_bool, data.FLAG),
+              "data_size": (int, data.SIZE), "seed": (int, data.SEED)}
+_CONTROL = {"estimator": (str, data.one_of((RANDOM_RANK,))), "source": (str, data.one_of((NO_SOURCE,))),
+            "normalized": (data.parse_bool, ((lambda v: v is False), "false")), "data_size": (int, data.integer(0, 0)),
+            "seed": (int, data.SEED)}
+
+
 class ImportanceTable:
     """One score per (site, channel), plus the metadata that produced it.
 
     entries are (site_id, node_index, channel, score) tuples in site order,
-    channels ascending.  Scores must be finite.
+    channels ascending.  Every value must pass its column's rule.  A nan or
+    infinite score is a StateError, the mark of a diverged model.
     """
 
-    COLUMNS = ("site_id", "node_index", "channel", "score", "estimator", "source", "normalized", "data_size", "seed")
+    COLUMNS = tuple(_COLUMNS)
 
     def __init__(self, entries, estimator, source, normalized, data_size, seed):
-        self.entries = [(str(s), int(n), int(c), float(v)) for s, n, c, v in entries]
-        if not all(np.isfinite(e[3]) for e in self.entries):
-            bad = next(e for e in self.entries if not np.isfinite(e[3]))
-            raise StateError(f"non-finite score at site {bad[0]} channel {bad[2]}")
-        try:
-            data_size, seed = int(data_size), int(seed)
-        except (TypeError, ValueError):
-            raise InputError(f"data_size and seed must be integers, got {data_size!r}, {seed!r}") from None
-        control = estimator == RANDOM_RANK
-        if not ((estimator in ESTIMATORS or control) and (source in SOURCE_KINDS or source == NO_SOURCE)
-                and data_size >= (0 if control else 1) and 0 <= seed < 2**64):
-            raise InputError(f"metadata {estimator!r}, {source!r}, data_size {data_size}, seed {seed} "
-                             "is not one estimate or random_importance_table writes")
+        self.entries = []
+        for entry in entries:
+            score = entry[3] if len(entry) == len(ENTRY_COLUMNS) else None
+            if isinstance(score, (float, np.floating)) and not math.isfinite(score):
+                raise StateError(f"non-finite score {score} at site {entry[0]!r} channel {entry[2]}")
+            site_id, node_index, channel, score = data.check_row(entry, ENTRY_COLUMNS)
+            self.entries.append((site_id, int(node_index), int(channel), float(score)))
+        data.check_row((estimator, source, normalized, data_size, seed),
+                       _CONTROL if estimator == RANDOM_RANK else _ESTIMATED)
         self.estimator = estimator
         self.source = source
-        self.normalized = bool(normalized)
-        self.data_size = data_size
-        self.seed = seed
+        self.normalized = normalized
+        self.data_size = int(data_size)
+        self.seed = int(seed)
 
     def __len__(self):
         return len(self.entries)
@@ -227,8 +240,7 @@ class ImportanceTable:
 
     @classmethod
     def from_csv(cls, path):
-        parsers = (str, int, int, data.finite_float, str, str, data.parse_bool, str, str)
-        rows = data.read_csv(path, cls.COLUMNS, parsers)
+        rows = data.read_csv(path, _COLUMNS)
         for lineno, row in enumerate(rows, start=2):
             if row[4:] != rows[0][4:]:
                 raise FormatError(f"{path} row {lineno}: metadata differs from the first row")
@@ -329,13 +341,11 @@ def estimate(model, dataset, d, estimator, source, batch_size=32):
     molchanov estimators fold their tap-point signal exactly as taylorfo_sq
     does; the table carries the molchanov name.
     """
-    if estimator not in ESTIMATORS:
-        raise InputError(f"estimator must be one of {ESTIMATORS}, got {estimator!r}")
+    data.check(estimator, ESTIMATOR, "estimator")
+    data.check(source, data.instance(GradientSource, "a GradientSource"), "source")
     images, labels = _dataset_arrays(dataset)
-    if not isinstance(d, (int, np.integer)) or not 0 < d <= len(images):
-        raise InputError(f"d must be an integer in [1, {len(images)}], got {d!r}")
-    if not isinstance(batch_size, (int, np.integer)) or batch_size < 1:
-        raise InputError(f"batch_size must be a positive integer, got {batch_size!r}")
+    data.check(d, data.integer(1, len(images)), "d")
+    data.check(batch_size, data.SIZE, "batch_size")
     if source.kind == LOSS:
         if labels is None:
             raise InputError("loss gradients need a labeled dataset")

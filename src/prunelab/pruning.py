@@ -33,6 +33,7 @@ import numpy as np
 
 from . import data
 from .errors import CapabilityError, FormatError, InputError
+from .importance import ENTRY_COLUMNS
 from .nn import INPUT, Model, Site
 
 
@@ -62,6 +63,10 @@ class PruneMask:
         return f"PruneMask({kept})"
 
 
+# column -> (parser for table text, rule every value must pass)
+_PLAN_COLUMNS = {"rank": (int, data.COUNT), **ENTRY_COLUMNS, "pruned": (data.parse_bool, data.FLAG)}
+
+
 class PrunePlan:
     """A full ascending ranking of prunable channels with the prune decisions.
 
@@ -72,7 +77,7 @@ class PrunePlan:
     fell inside the cheapest P but were spared to keep their site non-empty.
     """
 
-    COLUMNS = ("rank", "site_id", "node_index", "channel", "score", "pruned")
+    COLUMNS = tuple(_PLAN_COLUMNS)
 
     def __init__(self, entries, p, skipped=()):
         self.entries = list(entries)
@@ -105,8 +110,7 @@ class PrunePlan:
 
     @classmethod
     def from_csv(cls, path):
-        parsers = (int, str, int, int, data.finite_float, data.parse_bool)
-        entries = data.read_csv(path, cls.COLUMNS, parsers)
+        entries = data.read_csv(path, _PLAN_COLUMNS)
         for lineno, entry in enumerate(entries, start=2):
             if entry[0] != lineno - 2:
                 raise FormatError(f"{path} row {lineno}: ranks must run 0..N-1 in order, got {entry[0]}")
@@ -135,9 +139,7 @@ def rank_global(table, p, per_layer_normalize=False):
     for site_id, chans in site_counts.items():
         if sorted(chans) != list(range(len(chans))):
             raise InputError(f"site {site_id!r}: table does not cover channels 0..{len(chans) - 1}")
-    max_p = n - len(site_counts)
-    if not isinstance(p, (int, np.integer)) or not 0 <= p <= max_p:
-        raise InputError(f"p must be an integer in [0, {max_p}], got {p!r}")
+    data.check(p, data.integer(0, n - len(site_counts)), "p")
 
     scores = [float(score) for _, _, _, score in entries]
     if per_layer_normalize:

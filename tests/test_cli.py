@@ -6,6 +6,10 @@ user sees: exit codes, files on disk, and text on stdout/stderr.
 
 import contextlib
 import io
+import os
+import pathlib
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -50,6 +54,15 @@ def run(workspace, *argv):
 class TestParsing:
     def test_help_exits_zero(self):
         assert main(["--help"]) == 0
+
+    def test_module_run_prints_no_warning(self):
+        # the package must not import cli, or runpy warns that it is already in sys.modules
+        src = str(pathlib.Path(__file__).resolve().parents[1] / "src")
+        env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+        done = subprocess.run([sys.executable, "-W", "error", "-m", "prunelab.cli", "--help"],
+                              capture_output=True, text=True, env=env, check=False)
+        assert done.returncode == 0
+        assert done.stderr == ""
 
     def test_no_command_is_usage_error(self, capsys):
         assert main([]) == 1

@@ -70,7 +70,7 @@ class TestGenerate:
         with pytest.raises(InputError, match="noise"):
             data.generate_shapes(2, 3, image_size=12, noise=-0.1)
         for noise in (float("nan"), float("inf")):
-            with pytest.raises(InputError, match="noise must be finite"):
+            with pytest.raises(InputError, match="noise must be a finite number"):
                 data.generate_shapes(2, 3, image_size=12, noise=noise)
         with pytest.raises(InputError, match="split"):
             data.generate_shapes(2, 3, image_size=12, split="val")
@@ -235,8 +235,8 @@ class TestBatches:
 
 
 class TestCsvCodec:
-    COLUMNS = ("name", "flag", "value", "count")
-    PARSERS = (str, data.parse_bool, data.finite_float, int)
+    COLUMNS = {"name": (str, data.TEXT), "flag": (data.parse_bool, data.FLAG),
+               "value": (data.finite_float, data.FINITE), "count": (int, data.integer(-1))}
 
     def test_writes_the_table_spelling(self, tmp_path):
         path = tmp_path / "t.csv"
@@ -247,22 +247,22 @@ class TestCsvCodec:
         rows = [("a,b", True, 0.1, 3), ("é", False, -2.5e-300, -1)]
         path = tmp_path / "t.csv"
         data.write_csv(path, self.COLUMNS, rows)
-        assert data.read_csv(path, self.COLUMNS, self.PARSERS) == rows
+        assert data.read_csv(path, self.COLUMNS) == rows
 
     @pytest.mark.parametrize("text,match", [
         ("", "header"),
         ("name,flag,value\n", "header"),
         ("name,flag,value,count\n", "no entries"),
         ("name,flag,value,count\na,true,1.0,1\nb,true,1.0\n", "row 3: 3 fields, expected 4"),
-        ("name,flag,value,count\na,True,1.0,1\n", "row 2: flag: expected true or false"),
-        ("name,flag,value,count\na,true,nan,1\n", "row 2: value: 'nan' is not finite"),
-        ("name,flag,value,count\na,true,1.0,1.5\n", "row 2: count:"),
+        ("name,flag,value,count\na,True,1.0,1\n", "row 2: flag must be true or false, got 'True'"),
+        ("name,flag,value,count\na,true,nan,1\n", "row 2: value must be a finite number, got 'nan'"),
+        ("name,flag,value,count\na,true,1.0,1.5\n", "row 2: count must be an integer"),
     ])
     def test_malformed_table_is_format_error(self, tmp_path, text, match):
         path = tmp_path / "bad.csv"
         path.write_text(text, encoding="utf-8")
         with pytest.raises(FormatError, match=match):
-            data.read_csv(path, self.COLUMNS, self.PARSERS)
+            data.read_csv(path, self.COLUMNS)
 
     def test_parsers(self):
         assert data.parse_bool("true") is True and data.parse_bool("false") is False

@@ -164,6 +164,13 @@ class TestTrain:
         for (_, _, _, a), (_, _, _, b) in zip(model.parameters(), trained.parameters()):
             assert a.tobytes() == b.tobytes()
 
+    def test_images_labels_pair_is_input_error(self):
+        train_set, _ = tiny_sets()
+        model = build_mlp_small(num_classes=2, image_size=12, seed=0)
+        config = harness.ExperimentConfig(model="mlp_small", epochs=1)
+        with pytest.raises(InputError, match="dataset must be a Dataset"):
+            harness.train(model, (train_set.images, train_set.labels), config)
+
     def test_loss_decreases(self):
         train_set, _ = tiny_sets()
         model = build_mlp_small(num_classes=2, image_size=12, seed=0)
@@ -235,6 +242,18 @@ class TestEvaluate:
         model = Model([Flatten("flat", [INPUT]), fc], (1, 2, 2), 2)
         # all logits zero: argmax ties resolve to class 0
         assert harness.evaluate(model, dataset) == 0.6
+
+    def test_images_labels_pair_is_input_error(self):
+        _, test_set = tiny_sets()
+        model = build_mlp_small(num_classes=2, image_size=12, seed=0)
+        with pytest.raises(InputError, match="dataset must be a Dataset"):
+            harness.evaluate(model, (test_set.images, test_set.labels))
+
+    def test_fractional_batch_size_is_input_error(self):
+        _, test_set = tiny_sets()
+        model = build_mlp_small(num_classes=2, image_size=12, seed=0)
+        with pytest.raises(InputError, match="batch_size must be an integer >= 1, got 2.5"):
+            harness.evaluate(model, test_set, 2.5)
 
     def test_repeatable(self):
         _, test_set = tiny_sets()
@@ -388,7 +407,7 @@ class TestSweepCsv:
         fields = first.split(",")
         fields[header.split(",").index(column)] = value
         path.write_text("\n".join([header, ",".join(fields)] + rest) + "\n")
-        with pytest.raises(FormatError, match=f"row 2: {column}: "):
+        with pytest.raises(FormatError, match=f"row 2: {column} must be "):
             harness.SweepResult.from_csv(path)
 
     def test_accuracy_range_validated(self):
@@ -405,22 +424,22 @@ class TestSweepCsv:
         fields = first.split(",")
         fields[header.split(",").index(column)] = value
         path.write_text("\n".join([header, ",".join(fields)] + rest) + "\n")
-        with pytest.raises(FormatError, match=f"row 2: {column}: "):
+        with pytest.raises(FormatError, match=f"row 2: {column} must be "):
             harness.SweepResult.from_csv(path)
 
     def test_row_no_sweep_writes_is_rejected(self, tmp_path):
         path = tmp_path / "r.csv"
         path.write_text(",".join(harness.SweepResult.COLUMNS) + "\nbogus,nowhere,false,-5,-7,0.5,0.5,-3\n")
-        with pytest.raises(FormatError, match="row 2: estimator: 'bogus'"):
+        with pytest.raises(FormatError, match="row 2: estimator must be .*, got 'bogus'"):
             harness.SweepResult.from_csv(path)
-        with pytest.raises(InputError, match="estimator: 'bogus'"):
+        with pytest.raises(InputError, match="estimator must be .*, got 'bogus'"):
             harness.SweepResult([("bogus", "nowhere", False, -5, -7, 0.5, 0.5, -3)])
 
     @pytest.mark.parametrize("index,value", [(1, "none"), (3, 0), (4, -1), (7, -1), (7, 2**64)])
     def test_constructor_rejects_unwritable_value(self, index, value):
         row = ["taylorfo", "loss", False, 2, 1, 0.1, 0.5, 0]
         row[index] = value
-        with pytest.raises(InputError, match=f"{harness.SweepResult.COLUMNS[index]}: "):
+        with pytest.raises(InputError, match=f"{harness.SweepResult.COLUMNS[index]} must be "):
             harness.SweepResult([tuple(row)])
 
     def test_select_unknown_column(self, sweep_setup):

@@ -325,6 +325,10 @@ class TestEstimate:
         with pytest.raises(InputError, match="estimator"):
             imp.estimate(small_model, small_data, 4, "magnitude", loss_source())
 
+    def test_source_name_is_input_error(self, small_model, small_data):
+        with pytest.raises(InputError, match="source must be a GradientSource, got 'loss'"):
+            imp.estimate(small_model, small_data, 4, "taylorfo", "loss")
+
     def test_loss_needs_labels(self, small_model, small_data):
         images, _ = small_data
         with pytest.raises(InputError, match="label"):
@@ -500,18 +504,22 @@ class TestTableCsv:
             imp.ImportanceTable([("s", 0, 0, float("nan"))], "taylorfo", "loss", False, 1, 0)
 
     @pytest.mark.parametrize("row,match", [
-        ("a,0,0,1.0,taylorfo,loss,false,4.5,0", "data_size and seed must be integers"),
-        ("a,0,0,1.0,taylorfo,loss,false,4,seed", "data_size and seed must be integers"),
-        ("a,0,0,nan,taylorfo,loss,false,4,0", "not finite"),
-        ("a,0,0,-inf,taylorfo,loss,false,4,0", "not finite"),
-        ("a,0,0,1.0,bogus,nowhere,false,-5,-3", "metadata"),
-        ("a,0,0,1.0,bogus,loss,false,4,0", "metadata"),
-        ("a,0,0,1.0,taylorfo,nowhere,false,4,0", "metadata"),
-        ("a,0,0,1.0,random_rank,loss,false,-1,0", "metadata"),
-        ("a,0,0,1.0,taylorfo,loss,false,0,0", "metadata"),
-        ("a,0,0,1.0,molchanov_bn,none,false,-5,0", "metadata"),
-        ("a,0,0,1.0,taylorfo,random,true,4,-3", "metadata"),
-        ("a,0,0,1.0,taylorfo,random,true,4,18446744073709551616", "metadata"),
+        ("a,0,0,1.0,taylorfo,loss,false,4.5,0", "data_size must be an integer"),
+        ("a,0,0,1.0,taylorfo,loss,false,4,seed", "seed must be an integer"),
+        ("a,0,0,nan,taylorfo,loss,false,4,0", "score must be a finite number"),
+        ("a,0,0,-inf,taylorfo,loss,false,4,0", "score must be a finite number"),
+        ("a,0,0,1.0,bogus,nowhere,false,-5,-3", "data_size must be an integer >= 0, got -5"),
+        ("a,0,0,1.0,bogus,loss,false,4,0", "estimator must be one of"),
+        ("a,0,0,1.0,taylorfo,nowhere,false,4,0", "source must be one of"),
+        ("a,0,0,1.0,random_rank,loss,false,-1,0", "data_size must be an integer"),
+        ("a,0,0,1.0,taylorfo,loss,false,0,0", "data_size must be an integer >= 1"),
+        ("a,0,0,1.0,molchanov_bn,none,false,-5,0", "data_size must be an integer"),
+        ("a,0,0,1.0,taylorfo,random,true,4,-3", "seed must be an integer"),
+        ("a,0,0,1.0,taylorfo,random,true,4,18446744073709551616", "seed must be an integer"),
+        ("a,0,0,1.0,taylorfo,none,false,4,0", "source must be one of loss, random, got 'none'"),
+        ("a,0,0,1.0,random_rank,loss,false,0,0", "source must be one of none, got 'loss'"),
+        ("a,0,0,1.0,random_rank,none,true,0,0", "normalized must be false, got True"),
+        ("a,0,0,1.0,random_rank,none,false,5,0", r"data_size must be an integer in \[0, 0\], got 5"),
     ])
     def test_malformed_row_is_format_error(self, tmp_path, row, match):
         path = tmp_path / "bad.csv"
@@ -520,10 +528,12 @@ class TestTableCsv:
             imp.ImportanceTable.from_csv(path)
 
     def test_constructor_rejects_metadata_from_csv_rejects(self, tmp_path):
-        with pytest.raises(InputError, match="metadata 'bogus', 'nowhere', data_size -5, seed -3"):
+        with pytest.raises(InputError, match="estimator must be one of .*, got 'bogus'"):
             imp.ImportanceTable([("a", 0, 0, 1.0)], "bogus", "nowhere", False, -5, -3)
-        with pytest.raises(InputError, match="data_size and seed must be integers"):
+        with pytest.raises(InputError, match="data_size must be an integer >= 1, got '4.5'"):
             imp.ImportanceTable([("a", 0, 0, 1.0)], "taylorfo", "loss", False, "4.5", 0)
+        with pytest.raises(InputError, match="3 fields, expected 4"):
+            imp.ImportanceTable([("a", 0, 0)], "taylorfo", "loss", False, 4, 0)
         table = imp.ImportanceTable([("a", 0, 0, 1.0)], "random_rank", "none", False, 0, 2**64 - 1)
         table.to_csv(tmp_path / "control.csv")
         assert imp.ImportanceTable.from_csv(tmp_path / "control.csv").seed == 2**64 - 1
