@@ -12,10 +12,11 @@ trips are bit-exact: save(load(p)) writes the identical byte sequence.
 
 Loading fails closed: a header with a missing key, a value that fails its
 key's rule (the *_RULES tables, written in the data module's rule
-vocabulary), an unknown node kind or hyperparameter, a site whose channel
-count differs from its node's, or a mask that does not fit its node or sits
-on a node that gates no site (see nn.Model.gates) raises FormatError before
-any model is returned.
+vocabulary), an unknown node kind or hyperparameter, a graph that nn.Model
+rejects (a node with the wrong number of refs, a site outside the graph or
+of another width than its node, a mask that does not fit its node), or a
+mask on a node that gates no site (see nn.Model.gates) raises FormatError
+before any model is returned.
 """
 
 import json
@@ -124,9 +125,6 @@ def _check_header(header, blob_floats):
     for i, entry in enumerate(header["nodes"]):
         what = f"checkpoint node {i}"
         _check_fields(entry, NODE_RULES, what)
-        arity = 2 if entry["kind"] == "residual_add" else 1
-        if len(entry["refs"]) != arity:
-            raise FormatError(f"{what}: {entry['kind']!r} takes {arity} refs, got {entry['refs']!r}")
         for name, value in entry["hyper"].items():
             data.check(name, data.one_of(tuple(HYPER_RULES)), f"{what} hyperparameter name", FormatError)
             data.check(value, HYPER_RULES[name], f"{what} hyperparameter {name!r}", FormatError)
@@ -143,25 +141,6 @@ def _check_header(header, blob_floats):
     for key, reason in header["non_prunable"].items():
         data.check(key, node_key, "checkpoint non_prunable key", FormatError)
         data.check(reason, data.TEXT, f"checkpoint non_prunable {key!r}", FormatError)
-
-
-def _check_consistent(model):
-    """Sites must fit the nodes they name, and masks must sit on a site's
-    gate nodes and fit them."""
-    nodes = model.nodes
-    for s in model.sites:
-        if not 0 <= s.node_index < len(nodes):
-            raise FormatError(f"site {s.site_id!r}: node index {s.node_index} not in [0, {len(nodes)})")
-        width = nodes[s.node_index].out_channels()
-        if s.channels != width:
-            raise FormatError(f"site {s.site_id!r}: {s.channels} channels, node {s.node_index} has {width}")
-    gated = {i for s in model.sites for i in model.gates(s)}
-    for i, mask in model.masks.items():
-        if i not in gated:
-            raise FormatError(f"mask on node {i}: a {nodes[i].kind} node that gates no site")
-        width = nodes[i].out_channels()
-        if mask.size != width:
-            raise FormatError(f"mask on node {i}: length {mask.size}, node has {width} channels")
 
 
 def load_model(path):
@@ -221,8 +200,12 @@ def load_model(path):
             non_prunable={int(k): v for k, v in header["non_prunable"].items()},
             dtype=np.float32,
         )
+        model.masks = {int(k): np.asarray(m, dtype=np.float32) for k, m in header["masks"].items()}
+        model.check_masks()
     except InputError as e:
         raise FormatError(f"inconsistent checkpoint: {e}") from None
-    model.masks = {int(k): np.asarray(m, dtype=np.float32) for k, m in header["masks"].items()}
-    _check_consistent(model)
+    gated = {i for s in model.sites for i in model.gates(s)}
+    for i in model.masks:
+        if i not in gated:
+            raise FormatError(f"mask on node {i}: a {model.nodes[i].kind} node that gates no site")
     return model

@@ -16,6 +16,13 @@ and before the nonlinearity.  Channel masks attached to the model (see
 node computes, so masked channels contribute exactly zero downstream and, by
 the chain rule, their parameters receive zero gradient.  Masks live only on
 a site's gate nodes, :meth:`Model.gates`.
+
+A Model checks its structure when built, raising InputError unless each node
+reads ``arity`` refs, each to an earlier node or the input, site ids are
+unique, and each site names a node in range whose ``channels`` it matches.
+:meth:`Model.check_masks`, run before masks are applied, compacted or saved,
+rejects a mask keyed by no node, one whose length is not its node's channel
+count, or one holding values other than 0 and 1.
 """
 
 import copy
@@ -39,6 +46,8 @@ class Node:
     """Base graph node. Subclasses define kind, params, forward and backward."""
 
     kind = "base"
+    arity = 1  # the number of refs the node reads
+    channels = None  # output channel count; None where the node keeps its input's width
 
     def __init__(self, name, refs):
         self.name = name
@@ -50,9 +59,6 @@ class Node:
     def param_order(self):
         """Parameter names in checkpoint blob order (trainable, then state)."""
         return list(self.params) + list(self.state)
-
-    def out_channels(self):
-        return None
 
     def zero_grads(self):
         for k, v in self.params.items():
@@ -83,9 +89,6 @@ class Conv2d(Node):
         if bias:
             self.params["bias"] = np.zeros(out_channels, np.float32)
         self.zero_grads()
-
-    def out_channels(self):
-        return self.channels
 
     def hyper(self):
         return {
@@ -125,9 +128,6 @@ class Linear(Node):
         if bias:
             self.params["bias"] = np.zeros(out_features, np.float32)
         self.zero_grads()
-
-    def out_channels(self):
-        return self.channels
 
     def hyper(self):
         return {"in_features": self.in_features, "out_features": self.channels, "bias": self.has_bias}
@@ -171,9 +171,6 @@ class BatchNorm(Node):
         self.state["running_mean"] = np.zeros(channels, np.float32)
         self.state["running_var"] = np.ones(channels, np.float32)
         self.zero_grads()
-
-    def out_channels(self):
-        return self.channels
 
     def hyper(self):
         return {"channels": self.channels, "eps": self.eps, "momentum": self.momentum}
@@ -291,6 +288,7 @@ class MaxPool(_Pool):
 
 class ResidualAdd(Node):
     kind = "residual_add"
+    arity = 2
 
     def forward(self, xs, mode, cache):
         a, b = xs
@@ -360,9 +358,17 @@ class Model:
         self.masks = {}
         self._serial = 0
         for i, node in enumerate(self.nodes):
+            if len(node.refs) != node.arity:
+                raise InputError(f"node {i} ({node.name}): {node.kind} takes {node.arity} refs, got {node.refs}")
             for r in node.refs:
                 if r != INPUT and not 0 <= r < i:
                     raise InputError(f"node {i} ({node.name}) refs node {r}, which does not precede it")
+        for s in self.sites:
+            if s.node_index not in range(len(self.nodes)):
+                raise InputError(f"site {s.site_id!r}: node index {s.node_index} not in [0, {len(self.nodes)})")
+            width = self.nodes[s.node_index].channels
+            if s.channels != width:
+                raise InputError(f"site {s.site_id!r}: {s.channels} channels, node {s.node_index} has {width}")
         names = [s.site_id for s in self.sites]
         if len(set(names)) != len(names):
             raise InputError("duplicate site ids")
@@ -405,8 +411,13 @@ class Model:
         raise InputError(f"unknown site {site_id!r}")
 
     def check_masks(self):
-        """Raise InputError unless every mask holds only 0s and 1s, the values a checkpoint stores."""
+        """Raise InputError unless every mask sits on a node, fits its channel count and holds only 0s and 1s."""
         for i, m in self.masks.items():
+            if i not in range(len(self.nodes)):
+                raise InputError(f"mask on node {i!r}: no such node")
+            width = self.nodes[i].channels
+            if width is not None and np.shape(m) != (width,):
+                raise InputError(f"mask on node {i}: shape {np.shape(m)}, node has {width} channels")
             if not np.all((m == 0) | (m == 1)):
                 raise InputError(f"mask on node {i} holds values other than 0 and 1")
 

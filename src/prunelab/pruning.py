@@ -92,14 +92,8 @@ class PrunePlan:
 
     def mask(self):
         """Build the PruneMask realizing this plan's decisions."""
-        channels = {}
-        for _, site_id, _, channel, _, _ in self.entries:
-            channels.setdefault(site_id, []).append(channel)
-        keep = {}
-        for site_id, chans in channels.items():
-            if sorted(chans) != list(range(len(chans))):
-                raise InputError(f"site {site_id!r}: ranking does not cover channels 0..{len(chans) - 1}")
-            keep[site_id] = np.ones(len(chans), dtype=bool)
+        counts = _site_counts((site_id, channel) for _, site_id, _, channel, _, _ in self.entries)
+        keep = {site_id: np.ones(n, dtype=bool) for site_id, n in counts.items()}
         for _, site_id, _, channel, _, pruned in self.entries:
             if pruned:
                 keep[site_id][channel] = False
@@ -115,6 +109,17 @@ class PrunePlan:
             if entry[0] != lineno - 2:
                 raise FormatError(f"{path} row {lineno}: ranks must run 0..N-1 in order, got {entry[0]}")
         return cls(entries, sum(1 for e in entries if e[5]))
+
+
+def _site_counts(channels):
+    """{site_id: channel count} of (site_id, channel) pairs that number each site's channels 0..n-1 once."""
+    by_site = {}
+    for site_id, channel in channels:
+        by_site.setdefault(site_id, []).append(channel)
+    for site_id, chans in by_site.items():
+        if sorted(chans) != list(range(len(chans))):
+            raise InputError(f"site {site_id!r}: ranking does not cover channels 0..{len(chans) - 1}")
+    return {site_id: len(chans) for site_id, chans in by_site.items()}
 
 
 def rank_global(table, p, per_layer_normalize=False):
@@ -133,13 +138,8 @@ def rank_global(table, p, per_layer_normalize=False):
     """
     entries = list(table.entries)
     n = len(entries)
-    site_counts = {}
-    for site_id, _, channel, _ in entries:
-        site_counts.setdefault(site_id, []).append(channel)
-    for site_id, chans in site_counts.items():
-        if sorted(chans) != list(range(len(chans))):
-            raise InputError(f"site {site_id!r}: table does not cover channels 0..{len(chans) - 1}")
-    data.check(p, data.integer(0, n - len(site_counts)), "p")
+    survivors = _site_counts((site_id, channel) for site_id, _, channel, _ in entries)
+    data.check(p, data.integer(0, n - len(survivors)), "p")
 
     scores = [float(score) for _, _, _, score in entries]
     if per_layer_normalize:
@@ -150,7 +150,6 @@ def rank_global(table, p, per_layer_normalize=False):
                   for (sid, _, _, _), s in zip(entries, scores)]
 
     order = sorted(range(n), key=lambda k: (scores[k], entries[k][1], entries[k][2]))
-    survivors = {site_id: len(chans) for site_id, chans in site_counts.items()}
     pruned = [False] * n
     skipped = []
     taken = 0

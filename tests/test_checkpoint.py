@@ -305,7 +305,7 @@ class TestLoadConsistency:
     def test_mask_outside_gate_nodes(self, tmp_path, capsys, name, index):
         # cnn_residual's stem conv and cnn_small's classifier gate no site
         model = build_reference_models(seed=7)[name]
-        keep = np.ones(model.nodes[index].out_channels(), np.float32)
+        keep = np.ones(model.nodes[index].channels, np.float32)
         keep[1] = 0.0
         model.masks[index] = keep
         path = tmp_path / "m.npkt"
@@ -320,10 +320,21 @@ class TestLoadConsistency:
     def test_mask_outside_0_and_1_is_not_saved(self, tmp_path, value):
         # int(0.5) would store 0: the reloaded model would prune a channel the saved one kept
         model = build_reference_models(seed=7)["cnn_small"]
-        model.masks[4] = np.ones(model.nodes[4].out_channels(), np.float32)
+        model.masks[4] = np.ones(model.nodes[4].channels, np.float32)
         model.masks[4][3] = value
         path = tmp_path / "m.npkt"
         with pytest.raises(InputError, match="mask on node 4 holds values other than 0 and 1"):
+            checkpoint.save_model(path, model)
+        assert not path.exists()
+
+    @pytest.mark.parametrize("index,length,match", [(0, 5, r"mask on node 0: shape \(5,\), node has 16"),
+                                                    (99, 16, "mask on node 99: no such node")],
+                             ids=["short", "no_node"])
+    def test_mask_that_does_not_fit_is_not_saved(self, tmp_path, index, length, match):
+        model = build_reference_models(seed=7)["cnn_small"]
+        model.masks[index] = np.ones(length, np.float32)
+        path = tmp_path / "m.npkt"
+        with pytest.raises(InputError, match=match):
             checkpoint.save_model(path, model)
         assert not path.exists()
 

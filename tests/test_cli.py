@@ -253,7 +253,7 @@ class TestPrune:
     def test_mask_outside_gate_nodes_exits_3(self, workspace, tmp_path, capsys, name, index):
         # a mask on the residual stem conv or on the classifier gates no site
         model = build_reference_models()[name]
-        keep = np.ones(model.nodes[index].out_channels(), np.float32)
+        keep = np.ones(model.nodes[index].channels, np.float32)
         keep[1] = 0.0
         model.masks[index] = keep
         save_model(tmp_path / "stray.npkt", model)

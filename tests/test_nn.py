@@ -455,7 +455,7 @@ class TestReferenceModels:
         assert [(s.site_id, s.channels) for s in models["cnn_residual"].sites] == [("conv2", 16), ("conv4", 24)]
         for model in models.values():
             for s in model.sites:
-                assert model.nodes[s.node_index].out_channels() == s.channels
+                assert model.nodes[s.node_index].channels == s.channels
 
     def test_residual_branch_nodes_are_not_prunable(self):
         model = build_cnn_residual()
@@ -589,6 +589,17 @@ class TestValidation:
         model = build_mlp_small()
         with pytest.raises(InputError, match="mode"):
             model.forward(np.zeros((1, 1, 16, 16)), "predict")
+
+    @pytest.mark.parametrize("nodes,sites,match", [
+        ([Linear("a", [INPUT], 2, 2), ReLU("r", [0, INPUT])], [], r"node 1 \(r\): relu takes 1 refs"),
+        ([Linear("a", [INPUT], 2, 2), ResidualAdd("add", [0])], [], r"node 1 \(add\): residual_add takes 2 refs"),
+        ([Linear("a", [INPUT], 2, 2), Linear("b", [0], 2, 2)], [Site("a", 7, 2)], r"node index 7 not in \[0, 2\)"),
+        ([Linear("a", [INPUT], 2, 2), Linear("b", [0], 2, 2)], [Site("a", 0, 3)], "3 channels, node 0 has 2"),
+        ([Linear("a", [INPUT], 2, 2), ReLU("r", [0])], [Site("r", 1, 2)], "2 channels, node 1 has"),
+    ], ids=["relu_two_refs", "residual_add_one_ref", "site_out_of_range", "site_width", "site_on_relu"])
+    def test_malformed_structure_rejected(self, nodes, sites, match):
+        with pytest.raises(InputError, match=match):
+            Model(nodes, (2,), 2, sites)
 
     def test_duplicate_site_ids_rejected(self):
         nodes = [Linear("a", [INPUT], 2, 2), Linear("b", [0], 2, 2)]

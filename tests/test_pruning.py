@@ -457,7 +457,7 @@ STRAY_MASKS = [("cnn_residual", 0, "conv1"), ("cnn_small", 13, "fc_out")]
 
 def with_stray_mask(name, index):
     model = build_reference_models(image_size=8, seed=3)[name]
-    keep = np.ones(model.nodes[index].out_channels(), np.float32)
+    keep = np.ones(model.nodes[index].channels, np.float32)
     keep[1] = 0.0
     model.masks[index] = keep
     return model
@@ -479,13 +479,33 @@ class TestStrayMasks:
         assert np.array_equal(masked.masks[index], model.masks[index])
 
 
+# masks that do not fit the model: (node index, length, error)
+MISFIT_MASKS = [(0, 5, r"mask on node 0: shape \(5,\), node has 16 channels"),
+                (5, 3, r"mask on node 5: shape \(3,\), node has 24 channels"),
+                (99, 16, "mask on node 99: no such node")]
+
+
+class TestMaskFit:
+    """A model mask sits on a node and has one entry per channel of it."""
+
+    @pytest.mark.parametrize("index,length,match", MISFIT_MASKS, ids=["conv_short", "batch_norm_short", "no_node"])
+    def test_apply_mask_and_compact_reject_it(self, index, length, match):
+        model = build_cnn_small(seed=0)
+        model.masks[index] = np.ones(length, np.float32)
+        mask = pruning.PruneMask.all_keep(model)
+        with pytest.raises(InputError, match=match):
+            pruning.apply_mask(model, mask)
+        with pytest.raises(InputError, match=match):
+            pruning.compact(model, mask)
+
+
 class TestMaskValues:
     """A model mask holds only 0s and 1s, the values a checkpoint can store."""
 
     @pytest.mark.parametrize("value", [2.0, 0.5, -1.0, np.nan])
     def test_apply_mask_and_compact_reject_other_values(self, value):
         model = build_cnn_small(seed=0)
-        model.masks[4] = np.ones(model.nodes[4].out_channels(), np.float32)
+        model.masks[4] = np.ones(model.nodes[4].channels, np.float32)
         model.masks[4][3] = value
         mask = pruning.PruneMask.all_keep(model)
         with pytest.raises(InputError, match="mask on node 4 holds values other than 0 and 1"):
