@@ -12,11 +12,13 @@ trips are bit-exact: save(load(p)) writes the identical byte sequence.
 
 Loading fails closed: a header with a missing key, a value that fails its
 key's rule (the *_RULES tables, written in the data module's rule
-vocabulary), an unknown node kind or hyperparameter, a graph that nn.Model
-rejects (a node with the wrong number of refs, a site outside the graph or
-of another width than its node, a mask that does not fit its node), or a
-mask on a node that gates no site (see nn.Model.gates) raises FormatError
-before any model is returned.
+vocabulary), an unknown node kind or hyperparameter, or a graph that
+nn.Model rejects (a node with the wrong number of refs, a site outside the
+graph or of another width than its node, or a mask that breaks
+nn.Model.check_masks: one on a node that gates no site or one that does not
+fit its node) raises FormatError before any model is returned.  save_model
+runs the same mask check before it opens the file, so it never writes a
+checkpoint that load_model rejects for its masks.
 """
 
 import json
@@ -204,8 +206,4 @@ def load_model(path):
         model.check_masks()
     except InputError as e:
         raise FormatError(f"inconsistent checkpoint: {e}") from None
-    gated = {i for s in model.sites for i in model.gates(s)}
-    for i in model.masks:
-        if i not in gated:
-            raise FormatError(f"mask on node {i}: a {model.nodes[i].kind} node that gates no site")
     return model

@@ -7,8 +7,11 @@ where a bad config-file value is a config error.  Datasets come either from
 IDX files (`--images`/`--labels`) or, without them, from the synthetic glyph
 generator configured by the dataset fields of the config.
 
-The `importance` subcommand with `--source random` needs no labels at all:
-an images-only IDX file is enough, and any labels that do exist are ignored.
+The `importance` subcommand writes one table, so its config keys
+estimators, sources, normalize and data_sizes must each hold one value (a
+flag replaces the key's list).  With `--source random` it needs no labels at
+all: an images-only IDX file is enough, and any labels that do exist are
+ignored.
 
 Exit codes: 0 success, 1 usage error, 2 config error, 3 runtime failure.
 Errors print to standard error.
@@ -76,6 +79,9 @@ def _cmd_train(args):
 
 def _cmd_importance(args):
     config = _load_config(args)
+    for key in ("estimators", "sources", "normalize", "data_sizes"):
+        if len(getattr(config, key)) != 1:
+            raise ConfigError(f"{key} must hold one value for importance, got {getattr(config, key)}")
     source_kind = config.sources[0]
     model = load_model(args.checkpoint) if args.checkpoint else harness.build_model(config)
     source = GradientSource(source_kind, normalize=config.normalize[0], seed=config.seed)

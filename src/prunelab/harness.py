@@ -240,12 +240,16 @@ def prune_sweep(model, train_set, test_set, config):
     importance table is estimated once from the first D training examples;
     every P then reuses that table: rank globally, mask, measure test
     accuracy.  P=0 rows carry the unpruned accuracy and are always emitted
-    first within a combination.
+    first within a combination.  A P above the number of channels less the
+    number of sites (each site keeps one) raises InputError before any
+    evaluation or estimation.
     """
     if not model.sites:
         raise InputError("model has no prunable sites")
     total = sum(site.channels for site in model.sites)
     p_values = _resolve_prune_counts(config, total)
+    for p in p_values:  # rank_global's range, checked before any work
+        data.check(p, data.integer(0, total - len(model.sites)), "p")
     baseline = evaluate(model, test_set, config.eval_batch_size)
     rows = []
     for seed in config.sweep_seeds:

@@ -14,21 +14,22 @@ A prunable site is the output of a conv/linear node, taken before batch norm
 and before the nonlinearity.  Channel masks attached to the model (see
 ``prunelab.pruning``) are applied as an elementwise multiply right after the
 node computes, so masked channels contribute exactly zero downstream and, by
-the chain rule, their parameters receive zero gradient.  Masks live only on
-a site's gate nodes, :meth:`Model.gates`.
+the chain rule, their parameters receive zero gradient.
 
 A Model checks its structure when built, raising InputError unless each node
 reads ``arity`` refs, each to an earlier node or the input, site ids are
 unique, and each site names a node in range whose ``channels`` it matches.
-:meth:`Model.check_masks`, run before masks are applied, compacted or saved,
-rejects a mask keyed by no node, one whose length is not its node's channel
-count, or one holding values other than 0 and 1.
+:meth:`Model.check_masks`, run by every forward and before masks are
+applied, compacted or saved, is the one mask rule: a mask sits on a site's
+gate node (:meth:`Model.gates`), has one entry per channel of that node and
+holds only 0s and 1s; any other mask is InputError.
 """
 
 import copy
 
 import numpy as np
 
+from . import data
 from . import tensor as T
 from .errors import InputError, ShapeError, StateError
 
@@ -411,13 +412,16 @@ class Model:
         raise InputError(f"unknown site {site_id!r}")
 
     def check_masks(self):
-        """Raise InputError unless every mask sits on a node, fits its channel count and holds only 0s and 1s."""
+        """Raise InputError unless every mask sits on a gate node, fits its channel count and holds only 0s and 1s."""
+        gated = {i for s in self.sites for i in self.gates(s)} if self.masks else ()
         for i, m in self.masks.items():
-            if i not in range(len(self.nodes)):
+            if not data.integer(0, len(self.nodes) - 1)[0](i):  # True and 0.0 pass a range() test
                 raise InputError(f"mask on node {i!r}: no such node")
-            width = self.nodes[i].channels
-            if width is not None and np.shape(m) != (width,):
-                raise InputError(f"mask on node {i}: shape {np.shape(m)}, node has {width} channels")
+            node = self.nodes[i]
+            if i not in gated:
+                raise InputError(f"mask on node {i}: node {i} ({node.name}) is a {node.kind} node that gates no site")
+            if np.shape(m) != (node.channels,):
+                raise InputError(f"mask on node {i}: shape {np.shape(m)}, node has {node.channels} channels")
             if not np.all((m == 0) | (m == 1)):
                 raise InputError(f"mask on node {i} holds values other than 0 and 1")
 
@@ -449,6 +453,7 @@ class Model:
         x = np.asarray(x, dtype=self.dtype)
         if x.shape[1:] != self.input_shape:
             raise ShapeError(f"input shape {x.shape[1:]} != model input {self.input_shape}")
+        self.check_masks()
         self._serial += 1
         record = ForwardRecord(self._serial)
         for i, node in enumerate(self.nodes):

@@ -14,10 +14,11 @@ Pruning proceeds in three stages that are kept deliberately separate:
    receiving gradient.  Shapes do not change, which makes masked models
    convenient for quick accuracy measurements and finetuning.  Masks
    compose: a channel already masked on the model stays pruned.
-3. ``compact`` rewrites the graph into a genuinely smaller model in one pass
-   in graph order: pruned output channels are physically removed from the
-   producing layer (weight rows, bias entries, batch-norm parameters and
-   statistics) and the matching input channels from every consumer.
+3. ``compact`` applies the mask the same way, then rewrites the graph into
+   a genuinely smaller model in one pass in graph order: pruned output
+   channels are physically removed from the producing layer (weight rows,
+   bias entries, batch-norm parameters and statistics) and the matching
+   input channels from every consumer.
 
 The contract tying 2 and 3 together is checked by ``validate_equivalence``:
 masked and compacted models must produce the same logits on random inputs to
@@ -75,12 +76,13 @@ class PrunePlan:
     the value the ranking actually used, so with per-layer normalization it
     holds the normalized score.  skipped lists (site_id, channel) pairs that
     fell inside the cheapest P but were spared to keep their site non-empty.
+    An entry that breaks its column's rule is InputError, as in from_csv.
     """
 
     COLUMNS = tuple(_PLAN_COLUMNS)
 
     def __init__(self, entries, p, skipped=()):
-        self.entries = list(entries)
+        self.entries = [data.check_row(entry, _PLAN_COLUMNS) for entry in entries]
         self.p = p
         self.skipped = list(skipped)
 
@@ -171,30 +173,6 @@ def rank_global(table, p, per_layer_normalize=False):
     return PrunePlan(plan_entries, p, skipped)
 
 
-def _check_mask(model, mask):
-    model.check_masks()
-    model_sites = {s.site_id: s.channels for s in model.sites}
-    if set(mask.keep) != set(model_sites):
-        raise InputError(f"mask sites {sorted(mask.keep)} != model sites {sorted(model_sites)}")
-    for site_id, k in mask.keep.items():
-        if k.size != model_sites[site_id]:
-            raise InputError(f"site {site_id!r}: mask length {k.size} != {model_sites[site_id]} channels")
-
-
-def _site_keep(model, site, mask):
-    """The mask's keep vector for a site, intersected with the channels the
-    model already masks on the site's gate nodes, so masks compose instead of
-    replacing."""
-    keep = mask.keep[site.site_id]
-    for i in model.gates(site):
-        held = model.masks.get(i)
-        if held is not None:
-            keep = keep & (held != 0)
-            if not keep.any():
-                raise InputError(f"site {site.site_id!r} would keep no channels with the model's existing mask")
-    return keep
-
-
 def apply_mask(model, mask):
     """Return a copy of the model with pruned channels masked to zero.
 
@@ -202,14 +180,24 @@ def apply_mask(model, mask):
     node and any batch norm that reads it.  Zeroing only the producer would
     let the batch norm re-bias the channel away from zero, and the batch-norm
     parameters of a pruned channel must stop receiving gradient too.
-    Channels the model already masks stay masked.
+    Channels the model already masks on a site's gate nodes stay masked, so
+    masks compose instead of replacing each other.
     """
-    _check_mask(model, mask)
+    model.check_masks()
+    model_sites = {s.site_id: s.channels for s in model.sites}
+    if set(mask.keep) != set(model_sites):
+        raise InputError(f"mask sites {sorted(mask.keep)} != model sites {sorted(model_sites)}")
+    for site_id, k in mask.keep.items():
+        if k.size != model_sites[site_id]:
+            raise InputError(f"site {site_id!r}: mask length {k.size} != {model_sites[site_id]} channels")
     out = model.clone()
-    for site in out.sites:
-        keep = _site_keep(model, site, mask).astype(out.dtype)
-        for i in out.gates(site):
-            out.masks[i] = keep
+    for site in model.sites:
+        gates = model.gates(site)
+        held = [model.masks[i] != 0 for i in gates if i in model.masks]
+        keep = np.logical_and.reduce([mask.keep[site.site_id], *held])
+        if not keep.any():
+            raise InputError(f"site {site.site_id!r} would keep no channels with the model's existing mask")
+        out.masks.update(dict.fromkeys(gates, keep.astype(out.dtype)))
     return out
 
 
@@ -242,23 +230,19 @@ def _shrink_input(node, keep):
 def compact(model, mask):
     """Rewrite the model with pruned channels physically removed.
 
-    One pass over the nodes in graph order carries each node's kept output
-    channels forward.  A site node keeps what its mask and the masks already
-    on its gate nodes keep; batch norm, ReLU, pooling and flatten pass their
+    The channels kept are those ``apply_mask`` keeps: the mask composed with
+    the masks already on the model.  One pass over the nodes in graph order
+    carries each node's kept output channels forward.  A site node keeps
+    what its mask keeps; batch norm, ReLU, pooling and flatten pass their
     input's channels on, and batch norm drops the pruned entries of its
     parameters and statistics; a conv or linear node drops the matching
     input slices (after a flatten, each channel's block of columns).
     Reaching a residual addition or the network output with pruned channels
-    is not supported and raises CapabilityError, and so does a model mask
-    outside every site's gate nodes.  The compacted model carries no masks.
+    is not supported and raises CapabilityError.  The compacted model
+    carries no masks.
     """
-    _check_mask(model, mask)
-    gated = {i for site in model.sites for i in model.gates(site)}
-    for i in sorted(set(model.masks) - gated):
-        raise CapabilityError(f"node {i} ({model.nodes[i].name}): its mask gates no site, so it cannot be compacted")
-    site_keeps = {s.node_index: _site_keep(model, s, mask) for s in model.sites}
-    pruned = {i: keep for i, keep in site_keeps.items() if not keep.all()}
-    out = model.clone()
+    out = apply_mask(model, mask)
+    pruned = {s.node_index: out.masks[s.node_index] != 0 for s in out.sites if not out.masks[s.node_index].all()}
     keeps = []  # kept output channels per node; None keeps them all
     for i, node in enumerate(out.nodes):
         ins = [keeps[r] for r in node.refs if r != INPUT]
@@ -276,9 +260,8 @@ def compact(model, mask):
         keeps.append(keep)
     if keeps[-1] is not None:
         raise CapabilityError(f"node {len(keeps) - 1} ({out.nodes[-1].name}): pruning would shrink the network output")
-    sites = [Site(s.site_id, s.node_index, int(site_keeps[s.node_index].sum())) for s in model.sites]
-    return Model(out.nodes, model.input_shape, model.num_classes, sites,
-                 dict(model.non_prunable), dtype=model.dtype)
+    sites = [Site(s.site_id, s.node_index, out.nodes[s.node_index].channels) for s in out.sites]
+    return Model(out.nodes, out.input_shape, out.num_classes, sites, out.non_prunable, dtype=out.dtype)
 
 
 def validate_equivalence(model, mask, trials=100, seed=0):

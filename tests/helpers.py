@@ -1,5 +1,8 @@
 """Shared test utilities: finite differences, relative error and file mutation."""
 
+import json
+import struct
+
 import numpy as np
 
 REL_FLOOR = 1e-8
@@ -59,3 +62,14 @@ def mutate(raw, edit_list):
                 lines[i] = b",".join(fields)
             raw = b"\n".join(lines)
     return raw
+
+
+def rewrite_header(path, mutate):
+    """Apply mutate to the decoded JSON header of a checkpoint and write it
+    back in place, keeping the parameter blobs."""
+    raw = path.read_bytes()
+    (length,) = struct.unpack("<I", raw[8:12])
+    header = json.loads(raw[12 : 12 + length])
+    mutate(header)
+    new = json.dumps(header).encode("utf-8")
+    path.write_bytes(raw[:8] + struct.pack("<I", len(new)) + new + raw[12 + length :])

@@ -1,4 +1,5 @@
-"""NPKT checkpoints and IDX image/label files fail closed.
+"""NPKT checkpoints and IDX image/label files fail closed, and every
+checkpoint save_model writes loads back.
 
 Generated-input properties mutate valid files (flipped bytes, truncation,
 a spliced checkpoint header or IDX header word) and check that load_model
@@ -20,8 +21,8 @@ from hypothesis import strategies as st
 
 from prunelab import cli, data, harness
 from prunelab.checkpoint import load_model, save_model
-from prunelab.errors import FormatError
-from prunelab.nn import INPUT, BatchNorm, Conv2d, Flatten, Linear, MaxPool, Model, ReLU, Site
+from prunelab.errors import FormatError, InputError
+from prunelab.nn import INPUT, BatchNorm, Conv2d, Flatten, Linear, MaxPool, Model, ReLU, Site, build_reference_models
 
 from helpers import mutate
 
@@ -177,3 +178,44 @@ def test_mutated_idx_loads_or_is_format_error(workdir, kind, edit_list, words):
     loads_or_is_format_error(data.load_idx, paths["images"], paths["labels"])
     exits_cleanly(*run_cli("eval", "--checkpoint", workdir / "model.npkt",
                            "--images", paths["images"], "--labels", paths["labels"]))
+
+
+REFERENCE = build_reference_models(image_size=8, seed=5)
+IMAGES = np.random.default_rng(2).standard_normal((3, 1, 8, 8)).astype(np.float32)
+
+
+@st.composite
+def reference_masks(draw):
+    """A reference model's name and random masks for it: any node index in
+    [-1, n], any length, values from {0, 1, 0.5, 2}; gate nodes, fitting
+    lengths and 0/1 values are drawn often enough that some mask sets keep
+    every rule."""
+    name = draw(st.sampled_from(sorted(REFERENCE)))
+    model = REFERENCE[name]
+    gates = [i for s in model.sites for i in model.gates(s)]
+    masks = {}
+    for index in draw(st.lists(st.one_of(st.sampled_from(gates), st.integers(-1, len(model.nodes))), max_size=4)):
+        width = model.nodes[index].channels if 0 <= index < len(model.nodes) else None
+        length = draw(st.integers(0, 40) if width is None else st.one_of(st.just(width), st.integers(0, 40)))
+        values = draw(st.sampled_from(((0.0, 1.0), (0.0, 1.0, 0.5, 2.0))))
+        masks[index] = np.array(draw(st.lists(st.sampled_from(values), min_size=length, max_size=length)), np.float32)
+    return name, masks
+
+
+@PROPERTY
+@given(case=reference_masks())
+def test_saved_masks_load_back_or_are_refused(workdir, case):
+    name, masks = case
+    model = REFERENCE[name].clone()
+    model.masks = masks
+    path = workdir / "masked.npkt"
+    path.unlink(missing_ok=True)
+    try:
+        save_model(path, model)
+    except InputError:
+        assert not path.exists()
+        return
+    loaded = load_model(path)
+    assert loaded.masks.keys() == masks.keys()
+    assert all(np.array_equal(loaded.masks[i], m) for i, m in masks.items())
+    assert loaded.forward(IMAGES, "eval")[0].tobytes() == model.forward(IMAGES, "eval")[0].tobytes()

@@ -1,6 +1,5 @@
 """Checkpoint format tests: bit-exact round trips and corruption handling."""
 
-import json
 import struct
 
 import numpy as np
@@ -10,6 +9,8 @@ from prunelab import checkpoint
 from prunelab.cli import main
 from prunelab.errors import FormatError, InputError
 from prunelab.nn import build_reference_models
+
+from helpers import rewrite_header
 
 
 @pytest.fixture(params=["mlp_small", "cnn_small", "cnn_residual"])
@@ -134,17 +135,6 @@ class TestFormatErrors:
         path.write_bytes(b"")
         with pytest.raises(FormatError, match="truncated"):
             checkpoint.load_model(path)
-
-
-def rewrite_header(path, mutate):
-    """Apply mutate to the decoded JSON header and write it back in place,
-    keeping the parameter blobs."""
-    raw = path.read_bytes()
-    (length,) = struct.unpack("<I", raw[8:12])
-    header = json.loads(raw[12 : 12 + length])
-    mutate(header)
-    new = json.dumps(header).encode("utf-8")
-    path.write_bytes(raw[:8] + struct.pack("<I", len(new)) + new + raw[12 + length :])
 
 
 def setter(*keys, value):
@@ -305,16 +295,20 @@ class TestLoadConsistency:
     def test_mask_outside_gate_nodes(self, tmp_path, capsys, name, index):
         # cnn_residual's stem conv and cnn_small's classifier gate no site
         model = build_reference_models(seed=7)[name]
-        keep = np.ones(model.nodes[index].channels, np.float32)
-        keep[1] = 0.0
-        model.masks[index] = keep
+        keep = [1] * model.nodes[index].channels
+        keep[1] = 0
         path = tmp_path / "m.npkt"
         checkpoint.save_model(path, model)
+        rewrite_header(path, setter("masks", value={str(index): keep}))
         with pytest.raises(FormatError, match=f"mask on node {index}: .* gates no site"):
             checkpoint.load_model(path)
         assert main(["eval", "--checkpoint", str(path)]) == 3
         err = capsys.readouterr().err
         assert err.startswith("error: ") and "Traceback" not in err
+        model.masks[index] = np.array(keep, np.float32)
+        with pytest.raises(InputError, match=f"mask on node {index}: .* gates no site"):
+            checkpoint.save_model(tmp_path / "stray.npkt", model)
+        assert not (tmp_path / "stray.npkt").exists()
 
     @pytest.mark.parametrize("value", [0.5, 2.0])
     def test_mask_outside_0_and_1_is_not_saved(self, tmp_path, value):

@@ -19,10 +19,13 @@ from hypothesis import strategies as st
 from prunelab import data, harness
 from prunelab.checkpoint import load_model, save_model
 from prunelab.cli import main
+from prunelab.errors import InputError
 from prunelab.harness import SweepResult
 from prunelab.importance import ImportanceTable
 from prunelab.nn import build_reference_models
 from prunelab.pruning import PruneMask, PrunePlan, apply_mask
+
+from helpers import rewrite_header
 
 CONFIG_TEXT = """\
 # small enough to keep the suite fast
@@ -147,6 +150,17 @@ class TestImportance:
         assert code == 0
         assert ImportanceTable.from_csv(str(out)).seed == 7
 
+    @pytest.mark.parametrize("line", ["estimators = taylorfo, molchanov_bn", "sources = loss, random",
+                                      "normalize = false, true", "data_sizes = 4, 8"])
+    def test_a_list_for_a_single_value_key_is_config_error(self, tmp_path, capsys, line):
+        # exit 2 rather than 3 for the missing checkpoint: the keys are checked before any work
+        (tmp_path / "two.cfg").write_text(line + "\n")
+        code = main(["importance", "--config", str(tmp_path / "two.cfg"),
+                     "--checkpoint", str(tmp_path / "missing.npkt"), "--out", str(tmp_path / "t.csv")])
+        assert code == 2
+        assert f"{line.split()[0]} must hold one value" in capsys.readouterr().err
+        assert not (tmp_path / "t.csv").exists()
+
 
 @pytest.fixture(scope="module")
 def table_path(workspace):
@@ -253,10 +267,10 @@ class TestPrune:
     def test_mask_outside_gate_nodes_exits_3(self, workspace, tmp_path, capsys, name, index):
         # a mask on the residual stem conv or on the classifier gates no site
         model = build_reference_models()[name]
-        keep = np.ones(model.nodes[index].channels, np.float32)
-        keep[1] = 0.0
-        model.masks[index] = keep
+        keep = [1] * model.nodes[index].channels
+        keep[1] = 0
         save_model(tmp_path / "stray.npkt", model)
+        rewrite_header(tmp_path / "stray.npkt", lambda header: header["masks"].update({str(index): keep}))
         harness.random_importance_table(model).to_csv(tmp_path / "scores.csv")
         code = run(workspace, "prune", "--checkpoint", str(tmp_path / "stray.npkt"),
                    "--table", str(tmp_path / "scores.csv"), "--prune-count", "3",
@@ -265,6 +279,10 @@ class TestPrune:
         assert code == 3
         assert f"mask on node {index}" in err and "Traceback" not in err
         assert not (tmp_path / "small.npkt").exists()
+        model.masks[index] = np.array(keep, np.float32)
+        with pytest.raises(InputError, match=f"mask on node {index}: .* gates no site"):
+            save_model(tmp_path / "in_memory.npkt", model)
+        assert not (tmp_path / "in_memory.npkt").exists()
 
 
 class TestEval:

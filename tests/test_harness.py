@@ -363,6 +363,17 @@ class TestPruneSweep:
         result = harness.prune_sweep(model, train_set, test_set, config)
         assert all(0 <= r.test_accuracy <= 1 for r in result.rows)
 
+    @pytest.mark.parametrize("fractions", [(0.5, 0.99), (0.99,)])
+    def test_too_large_p_fails_before_any_work(self, sweep_setup, monkeypatch, fractions):
+        model, train_set, test_set = sweep_setup
+        calls = []
+        monkeypatch.setattr(harness, "evaluate", lambda *args: calls.append("evaluate"))
+        monkeypatch.setattr(harness, "estimate", lambda *args, **kwargs: calls.append("estimate"))
+        config = harness.ExperimentConfig(data_sizes=(2,), prune_fractions=fractions)
+        with pytest.raises(InputError, match=r"p must be an integer in \[0, 69\], got 71"):
+            harness.prune_sweep(model, train_set, test_set, config)
+        assert calls == []
+
     def test_sweep_seed_feeds_random_source(self, sweep_setup):
         model, train_set, test_set = sweep_setup
         config = harness.ExperimentConfig(

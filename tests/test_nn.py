@@ -555,6 +555,20 @@ class TestMasks:
         assert not conv.grads["weight"][3].any()
         assert conv.grads["weight"][0].any()
 
+    @pytest.mark.parametrize("index,length,match", [
+        (0, 5, r"mask on node 0: shape \(5,\), node has 16 channels"),
+        (99, 16, "mask on node 99: no such node"),
+        (13, 4, r"node 13 \(fc_out\) is a linear node that gates no site"),
+        (2, 3, r"node 2 \(relu1\) is a relu node that gates no site"),
+        (True, 16, "mask on node True: no such node"),
+        (0.0, 16, r"mask on node 0\.0: no such node"),
+    ], ids=["short", "no_node", "classifier", "relu", "bool_key", "float_key"])
+    def test_forward_rejects_a_mask_that_breaks_the_rule(self, index, length, match):
+        model = build_cnn_small(seed=0)
+        model.masks[index] = np.ones(length, np.float32)
+        with pytest.raises(InputError, match=match):
+            model.forward(np.zeros((2, 1, 16, 16)), "eval")
+
 
 class TestValidation:
     def test_forward_ref_must_precede(self):

@@ -189,6 +189,15 @@ class TestPlanCsv:
         with pytest.raises(FormatError, match="row 2: score must be a finite number"):
             pruning.PrunePlan.from_csv(path)
 
+    @pytest.mark.parametrize("entries,match", [
+        ([(0, "a", 0, 0, float("nan"), True), (1, "a", 0, 1, 1.0, False)], "score must be a finite number"),
+        ([(0, "a", 0, 0, 1.0, True), (1, "a", 0, -1, 1.0, False)], "channel must be"),
+        ([(0, "a", 0)], "3 fields, expected 6"),
+    ], ids=["nan_score", "negative_channel", "short_entry"])
+    def test_constructor_rejects_what_from_csv_rejects(self, entries, match):
+        with pytest.raises(InputError, match=match):
+            pruning.PrunePlan(entries, 1)
+
     def test_rank_gap(self, tmp_path):
         path = tmp_path / "gap.csv"
         path.write_text(
@@ -467,16 +476,16 @@ class TestStrayMasks:
     @pytest.mark.parametrize("name,index,node", STRAY_MASKS)
     def test_compact_names_the_node(self, name, index, node):
         model = with_stray_mask(name, index)
-        with pytest.raises(CapabilityError, match=rf"node {index} \({node}\).*gates no site"):
+        with pytest.raises(InputError, match=rf"node {index} \({node}\).*gates no site"):
             pruning.compact(model, pruning.PruneMask.all_keep(model))
-        with pytest.raises(CapabilityError, match=rf"node {index} \({node}\)"):
+        with pytest.raises(InputError, match=rf"node {index} \({node}\)"):
             pruning.validate_equivalence(model, random_mask(model, np.random.default_rng(1)))
 
     @pytest.mark.parametrize("name,index,node", STRAY_MASKS)
-    def test_apply_mask_keeps_it(self, name, index, node):
+    def test_apply_mask_rejects_it(self, name, index, node):
         model = with_stray_mask(name, index)
-        masked = pruning.apply_mask(model, pruning.PruneMask.all_keep(model))
-        assert np.array_equal(masked.masks[index], model.masks[index])
+        with pytest.raises(InputError, match=rf"node {index} \({node}\).*gates no site"):
+            pruning.apply_mask(model, pruning.PruneMask.all_keep(model))
 
 
 # masks that do not fit the model: (node index, length, error)
