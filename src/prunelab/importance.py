@@ -1,37 +1,34 @@
 """Channel-importance estimation.
 
-The forward signal of a channel is its pre-activation x, the backward signal
-is the gradient dx of some scalar objective with respect to it.  A channel's
-per-example signal is the spatial inner product of the two; the five
-estimators turn a stream of per-example signals into one score per channel:
+A channel's per-example signal s[n,c] sums x*dx over spatial positions,
+where x is a tap node's output and dx the gradient of a scalar objective
+with respect to it.  Each estimator is a table row: the tap it reads s at,
+and the fold it averages over examples.  accumulate and finalize take all five.
 
-  taylorfo          mean of s[n,c]
-  taylorfo_abs      mean of |s[n,c]|
-  taylorfo_sq       mean of s[n,c]^2
-  molchanov_bn      mean of (gamma_c dgamma_c(n) + beta_c dbeta_c(n))^2
-  molchanov_group   mean of (sum_w w dw(n) + b_c db_c(n))^2 over channel c's
-                    weights and bias
+  taylorfo          site node                    s
+  taylorfo_abs      site node                    |s|
+  taylorfo_sq       site node                    s^2
+  molchanov_bn      batch norm gating the site   s^2   (bn_node_for_site)
+  molchanov_group   weighted site node           s^2
 
-where s[n,c] sums x*dx over spatial positions per example first.  Output
-gradients come from a GradientSource: the softmax cross-entropy loss, or
-label-free random rows drawn from a counter-based generator keyed by (seed,
-example index) so scores cannot depend on how examples are grouped into
-batches.  Either kind can be normalized to unit L2 norm per example row.
+Output gradients come from a GradientSource: the softmax cross-entropy loss,
+or label-free random rows drawn from a counter-based generator keyed by
+(seed, example index) so scores cannot depend on how examples are grouped
+into batches.  Either kind can be normalized to unit L2 norm per example row.
 
-The two molchanov gates are the same signal read at another tap point, so
-all five estimators share one batched pass.  Let g be the gradient with
-respect to a node's output taken before its channel mask m, and let the
-recorded output be y = m * (W x + b) at a conv/linear site and
-z = m * (gamma xhat + beta) at a batch norm.  The chain rule gives, per
-example and channel,
+The molchanov rows are the mean gate scores (gamma_c dgamma_c(n) + beta_c
+dbeta_c(n))^2 and (sum_w w dw(n) + b_c db_c(n))^2 of Molchanov et al.  Let g
+be the gradient with respect to a node's output taken before its channel
+mask m, and let the recorded output be y = m * (W x + b) at a conv/linear
+site and z = m * (gamma xhat + beta) at a batch norm.  Per example and
+channel the chain rule gives
 
   sum_w w dw(n) + b db(n)          = sum_p g[n,c,p] y[n,c,p]   (site)
   gamma dgamma(n) + beta dbeta(n)  = sum_p g[n,c,p] z[n,c,p]   (batch norm)
 
-so molchanov_group is taylorfo_sq read at the site node, and molchanov_bn is
-taylorfo_sq read at the batch norm that gates the site (bn_node_for_site).
-molchanov_bn_score and molchanov_group_score keep the parameter-gradient
-form as reference oracles.
+so both are s^2 at their tap, and all five estimators share one batched
+pass.  molchanov_bn_score and molchanov_group_score keep the
+parameter-gradient form as reference oracles.
 
 estimate() runs the model in eval mode: batch statistics would couple
 examples within a batch and break partition invariance.  It backpropagates
@@ -57,10 +54,7 @@ LOSS = "loss"
 RANDOM = "random"
 SOURCE_KINDS = (LOSS, RANDOM)
 
-TAYLOR_ESTIMATORS = ("taylorfo", "taylorfo_abs", "taylorfo_sq")
-ESTIMATORS = TAYLOR_ESTIMATORS + ("molchanov_bn", "molchanov_group")
 RANDOM_RANK, NO_SOURCE = "random_rank", "none"  # metadata of harness.random_importance_table
-ESTIMATOR = data.one_of(ESTIMATORS)
 SOURCE = data.one_of(SOURCE_KINDS)
 
 
@@ -128,10 +122,7 @@ def channel_signal(x_site, dx_site):
         raise ShapeError(f"signal shapes differ: {x.shape} vs {dx.shape}")
     if x.ndim < 2:
         raise ShapeError(f"site tensors need batch and channel axes, got {x.shape}")
-    prod = (x * dx).astype(np.float64)
-    if x.ndim == 2:
-        return prod
-    return prod.sum(axis=tuple(range(2, x.ndim)))
+    return (x * dx).astype(np.float64).sum(axis=tuple(range(2, x.ndim)))
 
 
 class PrunableSite:
@@ -145,27 +136,53 @@ class PrunableSite:
         self.count = {e: 0 for e in estimators}
 
 
-def make_sites(model, estimators):
-    return [PrunableSite(s.site_id, s.node_index, s.channels, estimators) for s in model.sites]
+def bn_node_for_site(model, site):
+    """The batch-norm node whose gamma/beta gate the site's channels: the
+    site node itself if it is one, else its single batch-norm gate."""
+    if model.nodes[site.node_index].kind == "batch_norm":
+        return site.node_index
+    bns = model.gates(site)[1:]
+    if len(bns) == 1:
+        return bns[0]
+    raise InputError(f"site {site.site_id!r} has no adjacent batch norm; molchanov_bn needs one")
+
+
+def _site_node(model, site):
+    return site.node_index
+
+
+def _weighted_site_node(model, site):
+    if "weight" not in model.nodes[site.node_index].params:
+        raise InputError(f"site {site.site_id!r} node has no weights; molchanov_group needs them")
+    return site.node_index
+
+
+# estimator -> (tap(model, site): the node whose output carries s[n,c], fold averaged over examples)
+_ESTIMATOR_ROWS = {
+    "taylorfo": (_site_node, lambda s: s),
+    "taylorfo_abs": (_site_node, np.abs),
+    "taylorfo_sq": (_site_node, np.square),
+    "molchanov_bn": (bn_node_for_site, np.square),
+    "molchanov_group": (_weighted_site_node, np.square),
+}
+ESTIMATORS = tuple(_ESTIMATOR_ROWS)
+ESTIMATOR = data.one_of(ESTIMATORS)
 
 
 def accumulate(sites, signals, estimator):
     """Fold one batch of per-example signals into the accumulators.
 
-    acc[c] += f(s[n,c]) summed over the batch, f = identity | abs | square.
+    acc[c] += fold(s[n,c]) summed over the batch, with the estimator's fold
+    from the table: identity, abs or square.  Any of the five names works.
     """
-    data.check(estimator, data.one_of(TAYLOR_ESTIMATORS), "accumulate's estimator")
+    fold = _ESTIMATOR_ROWS[data.check(estimator, ESTIMATOR, "accumulate's estimator")][1]
     for site in sites:
         if estimator not in site.acc:
             raise StateError(f"site {site.site_id} has no {estimator!r} accumulator")
         s = np.asarray(signals[site.site_id], np.float64)
         if s.ndim != 2 or s.shape[1] != site.channels:
             raise ShapeError(f"site {site.site_id}: signals {s.shape} != [N, {site.channels}]")
-        if estimator == "taylorfo_abs":
-            s = np.abs(s)
-        elif estimator == "taylorfo_sq":
-            s = s * s
-        site.acc[estimator] += s.sum(axis=0)
+        site.acc[estimator] += fold(s).sum(axis=0)
         site.count[estimator] += s.shape[0]
 
 
@@ -295,17 +312,6 @@ def molchanov_group_score(node, per_example_grads):
     return acc / m
 
 
-def bn_node_for_site(model, site):
-    """The batch-norm node whose gamma/beta gate the site's channels: the
-    site node itself if it is one, else its single batch-norm gate."""
-    if model.nodes[site.node_index].kind == "batch_norm":
-        return site.node_index
-    bns = model.gates(site)[1:]
-    if len(bns) == 1:
-        return bns[0]
-    raise InputError(f"site {site.site_id!r} has no adjacent batch norm; molchanov_bn needs one")
-
-
 def _dataset_arrays(dataset):
     if isinstance(dataset, data.Dataset):
         images, labels = dataset.images, dataset.labels
@@ -314,32 +320,21 @@ def _dataset_arrays(dataset):
     else:
         raise InputError(f"dataset must be a Dataset or an (images, labels) pair, got {type(dataset).__name__}")
     images = np.asarray(images)
+    if images.ndim == 0:
+        raise InputError(f"images need a batch axis, got shape {images.shape}")
     if labels is not None:
         labels = np.asarray(labels)
-        if len(labels) != len(images):
-            raise InputError(f"{len(images)} images but {len(labels)} labels")
+        if labels.shape != images.shape[:1]:
+            raise InputError(f"labels must have shape ({len(images)},) for {len(images)} images, got {labels.shape}")
     return images, labels
-
-
-def _tap_nodes(model, estimator):
-    """{site_id: node index} of the node whose output carries each site's
-    signal: the batch norm gating the site for molchanov_bn, else the site."""
-    if estimator == "molchanov_bn":
-        return {s.site_id: bn_node_for_site(model, s) for s in model.sites}
-    if estimator == "molchanov_group":
-        for s in model.sites:
-            if "weight" not in model.nodes[s.node_index].params:
-                raise InputError(f"site {s.site_id!r} node has no weights; molchanov_group needs them")
-    return {s.site_id: s.node_index for s in model.sites}
 
 
 def estimate(model, dataset, d, estimator, source, batch_size=32):
     """Score every prunable channel from the first d dataset examples.
 
-    Runs the model in eval mode, streams batches of batch_size for every
-    estimator, and never reads labels when the source is random.  The
-    molchanov estimators fold their tap-point signal exactly as taylorfo_sq
-    does; the table carries the molchanov name.
+    Runs the model in eval mode, streams batches of batch_size, reads each
+    site's signal at the estimator's tap and folds it with accumulate, and
+    never reads labels when the source is random.
     """
     data.check(estimator, ESTIMATOR, "estimator")
     data.check(source, data.instance(GradientSource, "a GradientSource"), "source")
@@ -356,9 +351,8 @@ def estimate(model, dataset, d, estimator, source, batch_size=32):
     if not model.sites:
         raise InputError("model declares no prunable sites")
 
-    taps = _tap_nodes(model, estimator)
-    fold = estimator if estimator in TAYLOR_ESTIMATORS else "taylorfo_sq"
-    sites = make_sites(model, (fold,))
+    taps = {s.site_id: _ESTIMATOR_ROWS[estimator][0](model, s) for s in model.sites}
+    sites = [PrunableSite(s.site_id, s.node_index, s.channels, (estimator,)) for s in model.sites]
     # each record lives until the next forward replaces it: freeing it first
     # hands its pages back to the OS and the next batch faults them in again
     # (measured 10-15% slower); its node gradients are dropped at once so
@@ -372,7 +366,5 @@ def estimate(model, dataset, d, estimator, source, batch_size=32):
         model.backward(record, rows)
         signals = {site_id: channel_signal(record.values[i], record.grads[i]) for site_id, i in taps.items()}
         record.grads = None
-        accumulate(sites, signals, fold)
-    table = finalize(sites, fold, source, d)
-    table.estimator = estimator
-    return table
+        accumulate(sites, signals, estimator)
+    return finalize(sites, estimator, source, d)

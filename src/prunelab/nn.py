@@ -453,6 +453,8 @@ class Model:
         x = np.asarray(x, dtype=self.dtype)
         if x.shape[1:] != self.input_shape:
             raise ShapeError(f"input shape {x.shape[1:]} != model input {self.input_shape}")
+        if len(x) == 0:
+            raise InputError("forward needs at least one example")
         self.check_masks()
         self._serial += 1
         record = ForwardRecord(self._serial)
@@ -728,11 +730,7 @@ def build_cnn_residual(num_classes=4, image_size=16, in_channels=1, seed=0):
 
 def build_reference_models(num_classes=4, image_size=16, in_channels=1, seed=0):
     """The three fixed reference architectures used throughout the test suite."""
-    return {
-        "mlp_small": build_mlp_small(num_classes, image_size, in_channels, seed),
-        "cnn_small": build_cnn_small(num_classes, image_size, in_channels, seed),
-        "cnn_residual": build_cnn_residual(num_classes, image_size, in_channels, seed),
-    }
+    return {name: build(num_classes, image_size, in_channels, seed) for name, build in MODEL_BUILDERS.items()}
 
 
 MODEL_BUILDERS = {

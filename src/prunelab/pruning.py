@@ -271,6 +271,8 @@ def validate_equivalence(model, mask, trials=100, seed=0):
     correct compaction lands at numerical round-off: below about 1e-5 in
     float32 and 1e-10 in float64.
     """
+    data.check(trials, data.SIZE, "trials")
+    data.check(seed, data.SEED, "seed")
     masked = apply_mask(model, mask)
     small = compact(model, mask)
     rng = np.random.default_rng(seed)

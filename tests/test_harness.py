@@ -261,6 +261,10 @@ class TestEvaluate:
         assert harness.evaluate(model, test_set) == harness.evaluate(model, test_set)
 
     def test_empty_dataset_rejected(self):
+        # a Dataset holds at least one example, and an empty stand-in is no Dataset
+        with pytest.raises(InputError, match="at least one example"):
+            Dataset(np.zeros((0, 1, 2, 2)), np.zeros(0, dtype=np.int64), "test", 0)
+
         class Empty:
             images = np.zeros((0, 1, 2, 2))
             labels = np.zeros(0, dtype=np.int64)
@@ -269,7 +273,7 @@ class TestEvaluate:
                 return 0
 
         model = build_mlp_small(num_classes=2, image_size=12, seed=0)
-        with pytest.raises(InputError, match="empty"):
+        with pytest.raises(InputError, match="dataset must be a Dataset"):
             harness.evaluate(model, Empty())
 
 

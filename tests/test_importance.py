@@ -16,6 +16,7 @@ from prunelab.nn import (
     Model,
     ReLU,
     Site,
+    build_cnn_residual,
     build_cnn_small,
     build_mlp_small,
 )
@@ -122,14 +123,16 @@ def one_channel_site(estimators):
 class TestAccumulateFinalize:
     def test_signed_abs_square_fixture(self):
         # two examples with signals 1 and -2: mean -0.5, |.| mean 1.5, sq mean 2.5
-        for estimator, expected in [("taylorfo", -0.5), ("taylorfo_abs", 1.5), ("taylorfo_sq", 2.5)]:
+        for estimator, expected in [("taylorfo", -0.5), ("taylorfo_abs", 1.5), ("taylorfo_sq", 2.5),
+                                    ("molchanov_bn", 2.5), ("molchanov_group", 2.5)]:
             sites = [one_channel_site((estimator,))]
             imp.accumulate(sites, {"s": np.array([[1.0], [-2.0]])}, estimator)
             table = imp.finalize(sites, estimator, loss_source(), 2)
+            assert table.estimator == estimator
             assert abs(table.scores("s")[0] - expected) < 1e-12
 
     def test_all_zero_signals(self):
-        for estimator in imp.TAYLOR_ESTIMATORS:
+        for estimator in imp.ESTIMATORS:
             sites = [one_channel_site((estimator,))]
             imp.accumulate(sites, {"s": np.zeros((4, 1))}, estimator)
             assert imp.finalize(sites, estimator, loss_source(), 4).scores("s")[0] == 0.0
@@ -148,7 +151,7 @@ class TestAccumulateFinalize:
     def test_batch_split_matches_single_batch(self):
         rng = np.random.default_rng(9)
         signals = rng.normal(size=(8, 3))
-        for estimator in imp.TAYLOR_ESTIMATORS:
+        for estimator in imp.ESTIMATORS:
             whole = [imp.PrunableSite("s", 0, 3, (estimator,))]
             split = [imp.PrunableSite("s", 0, 3, (estimator,))]
             imp.accumulate(whole, {"s": signals}, estimator)
@@ -163,9 +166,9 @@ class TestAccumulateFinalize:
         with pytest.raises(StateError, match="accumulator"):
             imp.accumulate(sites, {"s": np.zeros((1, 1))}, "taylorfo_sq")
 
-    def test_non_taylor_estimator_rejected(self):
-        with pytest.raises(InputError, match="accumulate"):
-            imp.accumulate([one_channel_site(("molchanov_bn",))], {"s": np.zeros((1, 1))}, "molchanov_bn")
+    def test_unknown_estimator_rejected(self):
+        with pytest.raises(InputError, match="accumulate's estimator"):
+            imp.accumulate([one_channel_site(("bogus",))], {"s": np.zeros((1, 1))}, "bogus")
 
     def test_empty_finalize_is_state_error(self):
         sites = [one_channel_site(("taylorfo",))]
@@ -321,6 +324,18 @@ class TestEstimate:
         with pytest.raises(InputError, match="Dataset or an \\(images, labels\\) pair"):
             imp.estimate(small_model, dataset, 4, "taylorfo", loss_source())
 
+    @pytest.mark.parametrize("dataset", [("abc", None), ("abc", "d"), (3.0, None)], ids=["str", "str_pair", "scalar"])
+    def test_images_without_batch_axis_is_input_error(self, small_model, dataset):
+        with pytest.raises(InputError, match="images need a batch axis"):
+            imp.estimate(small_model, dataset, 1, "taylorfo", random_source())
+
+    @pytest.mark.parametrize("shape", [(16, 1), (1, 16), (15,), ()])
+    def test_labels_must_be_one_per_image(self, small_model, small_data, shape):
+        images, labels = small_data
+        with pytest.raises(InputError, match=r"labels must have shape \(16,\)"):
+            imp.estimate(small_model, (images, labels[: int(np.prod(shape))].reshape(shape)), 8, "taylorfo_sq",
+                         loss_source())
+
     def test_unknown_estimator(self, small_model, small_data):
         with pytest.raises(InputError, match="estimator"):
             imp.estimate(small_model, small_data, 4, "magnitude", loss_source())
@@ -428,6 +443,30 @@ class TestEstimate:
             b = sq_table.scores("bn")
             rel = np.abs(a - b) / np.maximum(np.maximum(np.abs(a), np.abs(b)), 1e-300)
             assert rel.max() < 1e-6
+
+
+class TestEstimatorTable:
+    @pytest.mark.parametrize("build", [build_cnn_small, build_cnn_residual])
+    @pytest.mark.parametrize("estimator", imp.ESTIMATORS)
+    def test_estimate_is_accumulate_at_the_tap(self, small_data, build, estimator):
+        """estimate reads channel_signal at the documented tap, the batch norm
+        gating the site for molchanov_bn and the site node otherwise, and
+        accumulates and finalizes it under its own name."""
+        model = build(image_size=8, seed=7).astype(np.float64)
+        images, labels = small_data
+        source = loss_source(normalize=True)
+        d = 6
+        logits, record = model.forward(images[:d], "eval")
+        model.backward(record, imp._per_example_rows(source, logits, labels[:d], np.arange(d)))
+        taps = {s.site_id: imp.bn_node_for_site(model, s) if estimator == "molchanov_bn" else s.node_index
+                for s in model.sites}
+        sites = [imp.PrunableSite(s.site_id, s.node_index, s.channels, (estimator,)) for s in model.sites]
+        imp.accumulate(sites, {k: imp.channel_signal(record.values[i], record.grads[i]) for k, i in taps.items()},
+                       estimator)
+        expected = imp.finalize(sites, estimator, source, d)
+        table = imp.estimate(model, (images, labels), d, estimator, source, batch_size=d)
+        assert table.estimator == expected.estimator == estimator
+        assert table.entries == expected.entries
 
 
 class TestDeadNeuronZeros:

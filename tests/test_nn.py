@@ -599,6 +599,13 @@ class TestValidation:
         with pytest.raises(ShapeError, match="output_grad"):
             model.backward(record, np.zeros((3, 4)))
 
+    @pytest.mark.parametrize("name", ["mlp_small", "cnn_small", "cnn_residual"])
+    @pytest.mark.parametrize("mode", ["train", "eval"])
+    def test_zero_example_batch_is_input_error(self, name, mode):
+        model = nn.MODEL_BUILDERS[name]()
+        with pytest.raises(InputError, match="at least one example"):
+            model.forward(np.zeros((0, 1, 16, 16)), mode)
+
     def test_bad_mode_rejected(self):
         model = build_mlp_small()
         with pytest.raises(InputError, match="mode"):

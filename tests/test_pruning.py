@@ -326,6 +326,18 @@ class TestCompact:
         model = build_cnn_small(image_size=8, seed=6)
         assert pruning.validate_equivalence(model, pruning.PruneMask.all_keep(model), trials=5) == 0.0
 
+    @pytest.mark.parametrize("arguments,match", [
+        (dict(trials=0), "trials must be an integer >= 1, got 0"),
+        (dict(trials=-1), "trials must be an integer >= 1, got -1"),
+        (dict(trials=2.0), "trials must be an integer >= 1"),
+        (dict(seed=-1), "seed must be an integer in"),
+        (dict(seed=2**64), "seed must be an integer in"),
+    ], ids=["zero_trials", "negative_trials", "float_trials", "negative_seed", "huge_seed"])
+    def test_bad_trials_or_seed_is_input_error(self, arguments, match):
+        model = build_cnn_small(image_size=8, seed=6)
+        with pytest.raises(InputError, match=match):
+            pruning.validate_equivalence(model, pruning.PruneMask.all_keep(model), **arguments)
+
     def test_heavy_pruning_still_equivalent(self):
         model = dirty_stats(build_cnn_small(image_size=8, seed=11)).astype(np.float64)
         keep = {s.site_id: np.zeros(s.channels, bool) for s in model.sites}

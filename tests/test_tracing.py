@@ -11,6 +11,7 @@ import importlib.util
 from pathlib import Path
 
 import prunelab
+import prunelab.cli  # noqa: F401  the tracer wraps prunelab.cli.main
 
 TRACING = Path(__file__).resolve().parent.parent / "perfbench" / "tracing.py"
 
