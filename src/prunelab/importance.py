@@ -27,15 +27,17 @@ channel the chain rule gives
   gamma dgamma(n) + beta dbeta(n)  = sum_p g[n,c,p] z[n,c,p]   (batch norm)
 
 so both are s^2 at their tap, and all five estimators share one batched
-pass.  molchanov_bn_score and molchanov_group_score keep the
+pass; molchanov_group and taylorfo_sq share tap and fold, so their tables
+are byte-identical.  molchanov_bn_score and molchanov_group_score keep the
 parameter-gradient form as reference oracles.
 
 estimate() runs the model in eval mode: batch statistics would couple
-examples within a batch and break partition invariance.  It backpropagates
-per-example rows (no 1/batch factor on the loss gradient) for the same
-reason; the 1/N mean-loss convention of training lives in
-nn.softmax_cross_entropy.  Accumulators are float64 regardless of model
-dtype.
+examples within a batch and break partition invariance (which holds to a
+relative 1e-12 in float64; float32 bytes change with batch_size).  It
+backpropagates per-example rows (no 1/batch factor on the loss gradient) for
+the same reason, and computes no parameter gradient; the 1/N mean-loss
+convention of training lives in nn.softmax_cross_entropy.  Accumulators are
+float64 regardless of model dtype.
 
 GradientSource, estimate and ImportanceTable check their arguments with the
 rules of the data module; a table's metadata must be what estimate or
@@ -362,8 +364,7 @@ def estimate(model, dataset, d, estimator, source, batch_size=32):
         logits, record = model.forward(images[start:stop], "eval")
         batch_labels = labels[start:stop] if source.kind == LOSS else None
         rows = _per_example_rows(source, logits, batch_labels, np.arange(start, stop))
-        model.zero_grads()
-        model.backward(record, rows)
+        model.backward(record, rows, params=False)
         signals = {site_id: channel_signal(record.values[i], record.grads[i]) for site_id, i in taps.items()}
         record.grads = None
         accumulate(sites, signals, estimator)

@@ -7,8 +7,8 @@ input.  Forward execution returns the logits plus a :class:`ForwardRecord`
 holding each node's output values[i] and layer cache caches[i]; a prunable
 site's pre-activation is values[site.node_index].  Backward accepts an
 arbitrary output gradient (it does not have to come from a loss),
-accumulates parameter gradients on the nodes and stores each node's output
-gradient as grads[i] on the record; it returns nothing.
+accumulates parameter gradients on the nodes unless asked not to, and stores
+each node's output gradient as grads[i] on the record; it returns nothing.
 
 A prunable site is the output of a conv/linear node, taken before batch norm
 and before the nonlinearity.  Channel masks attached to the model (see
@@ -44,7 +44,11 @@ def _channel_shape(param, x):
 
 
 class Node:
-    """Base graph node. Subclasses define kind, params, forward and backward."""
+    """Base graph node. Subclasses define kind, params, forward and backward.
+
+    backward(grad, cache) accumulates parameter gradients and returns one input
+    gradient per ref, unless Model.backward's switches in the cache say no:
+    cache["params"] false skips the former, cache["inputs"] false lets it return None."""
 
     kind = "base"
     arity = 1  # the number of refs the node reads
@@ -110,11 +114,12 @@ class Conv2d(Node):
         return out
 
     def backward(self, grad, cache):
-        gx, gw = T.conv2d_backward(cache["x"], self.params["weight"], grad, self.stride, self.padding)
-        self.grads["weight"] += gw
-        if self.has_bias:
-            self.grads["bias"] += grad.sum(axis=(0, 2, 3))
-        return [gx]
+        x, w = cache["x"], self.params["weight"]
+        if cache.get("params", True):
+            self.grads["weight"] += T.conv2d_grad_weight(x, w, grad, self.stride, self.padding)
+            if self.has_bias:
+                self.grads["bias"] += grad.sum(axis=(0, 2, 3))
+        return [T.conv2d_grad_input(x, w, grad, self.stride, self.padding) if cache.get("inputs", True) else None]
 
 
 class Linear(Node):
@@ -144,11 +149,11 @@ class Linear(Node):
         return out
 
     def backward(self, grad, cache):
-        x = cache["x"]
-        self.grads["weight"] += grad.T @ x
-        if self.has_bias:
-            self.grads["bias"] += grad.sum(axis=0)
-        return [grad @ self.params["weight"]]
+        if cache.get("params", True):
+            self.grads["weight"] += grad.T @ cache["x"]
+            if self.has_bias:
+                self.grads["bias"] += grad.sum(axis=0)
+        return [grad @ self.params["weight"] if cache.get("inputs", True) else None]
 
 
 class BatchNorm(Node):
@@ -207,8 +212,9 @@ class BatchNorm(Node):
 
     def backward(self, grad, cache):
         xhat, inv_std, axes = cache["xhat"], cache["inv_std"], cache["axes"]
-        self.grads["gamma"] += (grad * xhat).sum(axis=axes)
-        self.grads["beta"] += grad.sum(axis=axes)
+        if cache.get("params", True):
+            self.grads["gamma"] += (grad * xhat).sum(axis=axes)
+            self.grads["beta"] += grad.sum(axis=axes)
         dxhat = grad * _channel_shape(self.params["gamma"], grad)
         if cache["mode"] != "train":
             return [dxhat * _channel_shape(inv_std, grad)]
@@ -267,24 +273,39 @@ class AvgPool(_Pool):
 
 
 class MaxPool(_Pool):
+    """Running maximum over the k^2 strided corners x[:, :, i::k, j::k] of the
+    k x k windows.  The first maximum in row-major order wins a tie, in value
+    and in gradient; a window holding a NaN outputs NaN and passes no gradient."""
+
     kind = "max_pool"
+
+    def _corners(self, x):
+        k = self._windows(x)[-1]
+        return [(i, j, x[:, :, i::k, j::k]) for i in range(k) for j in range(k)]
 
     def forward(self, xs, mode, cache):
         x = xs[0]
-        n, c, ho, wo, k = self._windows(x)
-        windows = x.reshape(n, c, ho, k, wo, k).transpose(0, 1, 2, 4, 3, 5).reshape(n, c, ho, wo, k * k)
-        idx = windows.argmax(axis=-1)  # first max wins ties
-        cache["idx"] = idx
-        cache["in_shape"] = x.shape
-        return np.take_along_axis(windows, idx[..., None], axis=-1)[..., 0]
+        corners = self._corners(x)
+        out = corners[0][2].copy()
+        for _, _, corner in corners[1:]:
+            np.maximum(corner, out, out=out)  # equal operands (0.0, -0.0) give the second: the earlier corner
+        cache["x"], cache["out"] = x, out
+        return out
 
     def backward(self, grad, cache):
-        n, c, h, w = cache["in_shape"]
+        out = cache["out"]
         k = self.kernel
-        ho, wo = h // k, w // k
-        gw = np.zeros((n, c, ho, wo, k * k), grad.dtype)
-        np.put_along_axis(gw, cache["idx"][..., None], grad[..., None], axis=-1)
-        return [gw.reshape(n, c, ho, wo, k, k).transpose(0, 1, 2, 4, 3, 5).reshape(n, c, h, w)]
+        # in the unsigned-integer view, bits * hit copies a gradient exactly and
+        # writes +0.0 elsewhere; a float product would write -0.0 or NaN there
+        bits = grad.view(f"u{grad.itemsize}")
+        gx_bits = np.empty(cache["x"].shape, bits.dtype)
+        free = np.ones(out.shape, bool)
+        for i, j, corner in self._corners(cache["x"]):
+            hit = corner == out
+            hit &= free
+            free ^= hit
+            gx_bits[:, :, i::k, j::k] = bits * hit
+        return [gx_bits.view(grad.dtype)]
 
 
 class ResidualAdd(Node):
@@ -450,7 +471,10 @@ class Model:
         """
         if mode not in ("train", "eval"):
             raise InputError(f"mode must be 'train' or 'eval', got {mode!r}")
-        x = np.asarray(x, dtype=self.dtype)
+        try:
+            x = np.asarray(x, dtype=self.dtype)
+        except (TypeError, ValueError) as e:
+            raise InputError(f"input must be numeric: {e}") from None
         if x.shape[1:] != self.input_shape:
             raise ShapeError(f"input shape {x.shape[1:]} != model input {self.input_shape}")
         if len(x) == 0:
@@ -475,11 +499,12 @@ class Model:
             raise ShapeError(f"final node produced {logits.shape}, expected [N, {self.num_classes}]")
         return logits, record
 
-    def backward(self, record, output_grad):
+    def backward(self, record, output_grad, params=True):
         """Back-propagate an arbitrary output gradient through the record.
 
         Accumulates parameter gradients on the nodes (caller zeroes between
-        steps) and returns nothing.  output_grad is any array of the logits
+        steps) and returns nothing; with params=False it computes none and
+        leaves node.grads untouched.  output_grad is any array of the logits
         shape; it is not required to come from a loss.  The gradient with
         respect to every node's output, taken before that node's mask, is
         kept on the record as record.grads[i], beside record.values[i].
@@ -499,8 +524,10 @@ class Model:
             m = self._mask_for(i, g)
             if m is not None:
                 g = g * m
-            gins = self.nodes[i].backward(g, record.caches[i])
-            for r, gr in zip(self.nodes[i].refs, gins):
+            node = self.nodes[i]
+            inputs = any(r != INPUT for r in node.refs)  # the model input's gradient is never read
+            gins = node.backward(g, {**record.caches[i], "params": params, "inputs": inputs})
+            for r, gr in zip(node.refs, gins):
                 if r == INPUT:
                     continue
                 buffers[r] = gr if buffers[r] is None else buffers[r] + gr

@@ -1,4 +1,5 @@
-"""Shared test utilities: finite differences, relative error and file mutation."""
+"""Shared test utilities: finite differences, relative error, file mutation
+and reference kernels."""
 
 import json
 import struct
@@ -34,6 +35,26 @@ def central_diff(f, x, eps=1e-5):
         flat[i] = orig
         gflat[i] = (fp - fm) / (2 * eps)
     return grad
+
+
+def max_pool_oracle(x, k):
+    """Max pool by window argmax; returns (output, backward(grad)).
+
+    Each k x k window is laid out as one row in row-major window order, and
+    argmax picks its first maximum; the backward puts each output gradient
+    at that position and +0.0 everywhere else.
+    """
+    n, c, h, w = x.shape
+    ho, wo = h // k, w // k
+    windows = x.reshape(n, c, ho, k, wo, k).transpose(0, 1, 2, 4, 3, 5).reshape(n, c, ho, wo, k * k)
+    idx = windows.argmax(axis=-1)
+
+    def backward(grad):
+        gw = np.zeros((n, c, ho, wo, k * k), grad.dtype)
+        np.put_along_axis(gw, idx[..., None], grad[..., None], axis=-1)
+        return gw.reshape(n, c, ho, wo, k, k).transpose(0, 1, 2, 4, 3, 5).reshape(n, c, h, w)
+
+    return np.take_along_axis(windows, idx[..., None], axis=-1)[..., 0], backward
 
 
 def mutate(raw, edit_list):

@@ -1,10 +1,12 @@
 """Importance estimation tests: hand-arithmetic oracles for the estimators,
 gradient-source contracts, and the batching/labeling invariances."""
 
+import resource
+
 import numpy as np
 import pytest
 
-from prunelab import harness
+from prunelab import harness, tensor
 from prunelab import importance as imp
 from prunelab.errors import FormatError, InputError, ShapeError, StateError
 from prunelab.nn import (
@@ -323,6 +325,47 @@ class TestEstimate:
                    "list": [images, labels], "object": object()}[shape]
         with pytest.raises(InputError, match="Dataset or an \\(images, labels\\) pair"):
             imp.estimate(small_model, dataset, 4, "taylorfo", loss_source())
+
+    @pytest.mark.parametrize("source", [loss_source(), random_source()], ids=["loss", "random"])
+    def test_non_numeric_images_are_input_error(self, source):
+        model = build_cnn_small(seed=0)
+        dataset = (np.full((2, 1, 16, 16), "a"), np.zeros(2, int))
+        with pytest.raises(InputError, match="input must be numeric"):
+            imp.estimate(model, dataset, 1, "taylorfo", source)
+
+    def test_leaves_parameter_gradients_untouched(self, small_model, small_data):
+        model = small_model.clone()
+        for node in model.nodes:
+            for k, v in node.grads.items():
+                node.grads[k] = np.full_like(v, 7.25)
+        imp.estimate(model, small_data, 8, "molchanov_bn", loss_source(), batch_size=4)
+        for node in model.nodes:
+            for k, v in node.grads.items():
+                assert (v == 7.25).all(), f"{node.name}.{k}"
+
+    def test_backward_skips_weight_columns_and_the_first_fold(self, small_model, small_data, monkeypatch):
+        """Per batch: im2col only for the three forward convs, col2im only
+        for conv2 and conv3 (conv1's input gradient reaches the model input)."""
+        calls = {"im2col": 0, "col2im": 0}
+        for name in calls:
+            def counted(*args, _fn=getattr(tensor, name), _name=name):
+                calls[_name] += 1
+                return _fn(*args)
+            monkeypatch.setattr(tensor, name, counted)
+        imp.estimate(small_model, small_data, 8, "taylorfo", loss_source(), batch_size=4)
+        assert calls == {"im2col": 2 * 3, "col2im": 2 * 2}
+
+    @pytest.mark.skipif(not tensor.MALLOC_PINNED, reason="no mallopt, or the environment tunes malloc")
+    def test_repeated_estimate_reuses_freed_pages(self):
+        """The arrays a batch frees serve the next batch: a second estimate
+        faults in almost no new pages (thousands with glibc's dynamic
+        thresholds on this model and D)."""
+        model = build_cnn_small(seed=0)
+        images = np.random.default_rng(0).normal(size=(600, 1, 16, 16)).astype(model.dtype)
+        imp.estimate(model, (images, None), 600, "taylorfo", random_source())
+        before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
+        imp.estimate(model, (images, None), 600, "taylorfo", random_source())
+        assert resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before < 500
 
     @pytest.mark.parametrize("dataset", [("abc", None), ("abc", "d"), (3.0, None)], ids=["str", "str_pair", "scalar"])
     def test_images_without_batch_axis_is_input_error(self, small_model, dataset):

@@ -3,6 +3,9 @@ finite-difference verification of every parameter gradient."""
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
 
 from prunelab import nn
 from prunelab.errors import InputError, ShapeError, StateError
@@ -26,7 +29,7 @@ from prunelab.nn import (
     softmax_cross_entropy,
 )
 
-from helpers import central_diff, rel_err
+from helpers import central_diff, max_pool_oracle, rel_err
 
 
 def linear_model(weight, bias=None, dtype=np.float64):
@@ -606,6 +609,12 @@ class TestValidation:
         with pytest.raises(InputError, match="at least one example"):
             model.forward(np.zeros((0, 1, 16, 16)), mode)
 
+    @pytest.mark.parametrize("name", ["mlp_small", "cnn_small", "cnn_residual"])
+    def test_non_numeric_input_is_input_error(self, name):
+        model = nn.MODEL_BUILDERS[name]()
+        with pytest.raises(InputError, match="input must be numeric"):
+            model.forward(np.full((2, 1, 16, 16), "a"), "eval")
+
     def test_bad_mode_rejected(self):
         model = build_mlp_small()
         with pytest.raises(InputError, match="mode"):
@@ -626,3 +635,70 @@ class TestValidation:
         nodes = [Linear("a", [INPUT], 2, 2), Linear("b", [0], 2, 2)]
         with pytest.raises(InputError, match="duplicate"):
             Model(nodes, (2,), 2, [Site("s", 0, 2), Site("s", 1, 2)])
+
+
+# values that tie inside a window: ReLU zeros of both signs, repeats, and
+# negatives, so that the first-max rule decides most windows
+_POOL_VALUES = st.sampled_from([0.0, -0.0, 1.0, -1.0, 2.5]) | st.floats(-4, 4, width=32)
+_GRAD_VALUES = st.sampled_from([0.0, -0.0, -1.5, 3.0]) | st.floats(-4, 4, width=32)
+
+
+@st.composite
+def max_pool_cases(draw):
+    dtype = draw(st.sampled_from([np.float32, np.float64]))
+    k = draw(st.sampled_from([2, 3]))
+    n, c, ho, wo = draw(st.tuples(*[st.integers(1, 3)] * 4))
+    x = draw(hnp.arrays(dtype, (n, c, ho * k, wo * k), elements=_POOL_VALUES))
+    if draw(st.booleans()):
+        x = np.maximum(x, 0)  # what a ReLU hands the pool
+    grad = draw(hnp.arrays(dtype, (n, c, ho, wo), elements=_GRAD_VALUES))
+    return x, grad, k
+
+
+class TestMaxPoolCorners:
+    @settings(max_examples=300, deadline=None, derandomize=True)
+    @given(case=max_pool_cases())
+    def test_forward_and_backward_match_the_argmax_oracle_byte_for_byte(self, case):
+        x, grad, k = case
+        node = MaxPool("p", [INPUT], kernel=k)
+        cache = {}
+        out = node.forward([x], "eval", cache)
+        (gx,) = node.backward(grad, cache)
+        want_out, want_backward = max_pool_oracle(x, k)
+        want_gx = want_backward(grad)
+        assert out.dtype == want_out.dtype and out.tobytes() == want_out.tobytes()
+        assert gx.dtype == want_gx.dtype and gx.tobytes() == want_gx.tobytes()
+
+    def test_nan_window_outputs_nan_and_passes_no_gradient(self):
+        node = MaxPool("p", [INPUT], kernel=2)
+        x = np.array([[[[1.0, np.nan, 5.0, 2.0], [3.0, 0.0, 1.0, 1.0]]]])
+        cache = {}
+        out = node.forward([x], "eval", cache)
+        assert np.isnan(out[0, 0, 0, 0]) and out[0, 0, 0, 1] == 5.0
+        (gx,) = node.backward(np.array([[[[7.0, 9.0]]]]), cache)
+        assert np.array_equal(gx, [[[[0.0, 0.0, 9.0, 0.0], [0.0, 0.0, 0.0, 0.0]]]])
+
+
+class TestBackwardWithoutParams:
+    """Model.backward(params=False) computes the node gradients that
+    importance reads and nothing it does not."""
+
+    @pytest.mark.parametrize("name", ["mlp_small", "cnn_small", "cnn_residual"])
+    @pytest.mark.parametrize("mode", ["train", "eval"])
+    def test_record_grads_identical_and_node_grads_untouched(self, name, mode):
+        model = nn.MODEL_BUILDERS[name](seed=4)
+        x = np.random.default_rng(5).normal(size=(3, 1, 16, 16)).astype(np.float32)
+        output_grad = np.random.default_rng(6).normal(size=(3, 4))
+        _, record = model.forward(x, mode)
+        model.zero_grads()
+        model.backward(record, output_grad)
+        want = [g.tobytes() for g in record.grads]
+        sentinel = {(i, k): np.full_like(v, 7.25)
+                    for i, node in enumerate(model.nodes) for k, v in node.grads.items()}
+        for (i, k), v in sentinel.items():
+            model.nodes[i].grads[k] = v.copy()
+        model.backward(record, output_grad, params=False)
+        assert [g.tobytes() for g in record.grads] == want
+        for (i, k), v in sentinel.items():
+            assert model.nodes[i].grads[k].tobytes() == v.tobytes(), f"node {i} {k}"
+

@@ -1,3 +1,7 @@
+import os
+import subprocess
+import sys
+
 import numpy as np
 import pytest
 from helpers import central_diff, rel_err
@@ -92,3 +96,39 @@ class TestConv2dBackward:
         num_gw = central_diff(lambda wv: float(np.sum(tensor.conv2d(x, wv, stride, padding) * g)), w)
         assert rel_err(gx, num_gx).max() < 1e-6
         assert rel_err(gw, num_gw).max() < 1e-6
+
+    @pytest.mark.parametrize("stride", [1, 2])
+    @pytest.mark.parametrize("padding", [0, 1])
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    def test_halves_equal_conv2d_backward_byte_for_byte(self, stride, padding, dtype):
+        rng = np.random.default_rng(7)
+        x = rng.normal(size=(3, 2, 7, 7)).astype(dtype)
+        w = rng.normal(size=(4, 2, 3, 3)).astype(dtype)
+        g = rng.normal(size=tensor.conv2d(x, w, stride, padding).shape).astype(dtype)
+        gx, gw = tensor.conv2d_backward(x, w, g, stride, padding)
+        # the single-pass adjoints the halves were split from
+        cols = tensor.im2col(x, 3, 3, stride, padding)
+        go = g.reshape(3, 4, -1)
+        want_gw = np.einsum("nfp,ncp->fc", go, cols, optimize=True).reshape(w.shape)
+        want_gx = tensor.col2im(np.einsum("fc,nfp->ncp", w.reshape(4, -1), go, optimize=True), x.shape, 3, 3,
+                                stride, padding)
+        assert want_gx.tobytes() == gx.tobytes() and want_gw.tobytes() == gw.tobytes()
+        half_gx = tensor.conv2d_grad_input(x, w, g, stride, padding)
+        half_gw = tensor.conv2d_grad_weight(x, w, g, stride, padding)
+        assert half_gx.dtype == gx.dtype and half_gx.tobytes() == gx.tobytes()
+        assert half_gw.dtype == gw.dtype and half_gw.tobytes() == gw.tobytes()
+
+    @pytest.mark.parametrize("half", ["conv2d_grad_input", "conv2d_grad_weight"])
+    def test_halves_check_grad_output_shape(self, half):
+        with pytest.raises(ShapeError, match="grad_output"):
+            getattr(tensor, half)(np.ones((1, 1, 5, 5)), np.ones((1, 1, 3, 3)), np.ones((1, 1, 2, 2)))
+
+
+class TestMallocPin:
+    @pytest.mark.parametrize("env", [{"MALLOC_TOP_PAD_": "0"},
+                                     {"GLIBC_TUNABLES": "glibc.malloc.trim_threshold=1000000"}])
+    def test_environment_malloc_tuning_is_left_alone(self, env):
+        env = {**os.environ, **env, "PYTHONPATH": os.pathsep.join(p for p in sys.path if p)}
+        code = "from prunelab import tensor; print(tensor.MALLOC_PINNED)"
+        out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True)
+        assert out.stdout.strip() == "False"
