@@ -36,11 +36,10 @@ from .errors import InputError, ShapeError, StateError
 INPUT = -1
 
 
-def _channel_shape(param, x):
-    """Reshape a per-channel vector for broadcasting against x (2-d or 4-d)."""
-    if x.ndim == 2:
-        return param.reshape(1, -1)
-    return param.reshape(1, -1, 1, 1)
+def _row(param, x):
+    """A per-channel vector repeated over the spatial positions of one example
+    of x: numpy runs a pass against it over x as contiguous (N, C*H*W) rows."""
+    return np.repeat(param, x[0].size // x.shape[1]).reshape(x.shape[1:])
 
 
 class Node:
@@ -162,7 +161,10 @@ class BatchNorm(Node):
     Train mode normalizes with batch statistics (biased variance) and updates
     the running estimates with momentum; eval mode normalizes with the running
     estimates.  The train-mode backward is the full batch-statistics adjoint,
-    so dgamma/dbeta are exact in both modes.
+    so dgamma/dbeta are exact in both modes.  Each elementwise pass runs on x
+    viewed as (N, C*H*W) rows, 32 examples at a time (``tensor.blocks``).  The
+    cache holds x, not xhat: backward recomputes xhat with the same passes
+    when it needs it, in train mode or to accumulate dgamma.
     """
 
     kind = "batch_norm"
@@ -203,40 +205,46 @@ class BatchNorm(Node):
             mean = self.state["running_mean"]
             var = self.state["running_var"]
         inv_std = 1.0 / np.sqrt(var + x.dtype.type(self.eps))
-        xhat = (x - _channel_shape(mean, x)) * _channel_shape(inv_std, x)
-        cache["xhat"] = xhat
-        cache["inv_std"] = inv_std
-        cache["axes"] = axes
-        cache["mode"] = mode
-        return xhat * _channel_shape(self.params["gamma"], x) + _channel_shape(self.params["beta"], x)
+        cache.update(x=x, mean=mean, inv_std=inv_std, axes=axes, mode=mode)
+        mean_r, inv_r, gamma_r, beta_r = (_row(v, x) for v in (mean, inv_std, self.params["gamma"], self.params["beta"]))
+        out = np.empty(x.shape, np.result_type(x, mean_r, inv_r, gamma_r, beta_r))
+        for blk in T.blocks(len(x)):
+            o = np.subtract(x[blk], mean_r, out=out[blk])
+            o *= inv_r
+            o *= gamma_r
+            o += beta_r
+        return out
 
     def backward(self, grad, cache):
-        xhat, inv_std, axes = cache["xhat"], cache["inv_std"], cache["axes"]
+        x, inv_std, axes, train = cache["x"], cache["inv_std"], cache["axes"], cache["mode"] == "train"
+        if train or cache.get("params", True):
+            xhat = x - _row(cache["mean"], x)  # the forward's first two passes: the same bytes
+            xhat *= _row(inv_std, x)
         if cache.get("params", True):
             self.grads["gamma"] += (grad * xhat).sum(axis=axes)
             self.grads["beta"] += grad.sum(axis=axes)
-        dxhat = grad * _channel_shape(self.params["gamma"], grad)
-        if cache["mode"] != "train":
-            return [dxhat * _channel_shape(inv_std, grad)]
+        dxhat = grad * _row(self.params["gamma"], grad)
+        if not train:
+            dxhat *= _row(inv_std, grad)
+            return [dxhat]
         m = grad.size // grad.shape[1]
         s1 = dxhat.sum(axis=axes)
         s2 = (dxhat * xhat).sum(axis=axes)
-        dx = (dxhat - _channel_shape(s1, grad) / m - xhat * _channel_shape(s2, grad) / m) * _channel_shape(
-            inv_std, grad
-        )
-        return [dx]
+        return [(dxhat - _row(s1, grad) / m - xhat * _row(s2, grad) / m) * _row(inv_std, grad)]
 
 
 class ReLU(Node):
+    """Caches its input; backward passes grad where the input is positive."""
+
     kind = "relu"
 
     def forward(self, xs, mode, cache):
         x = xs[0]
-        cache["mask"] = x > 0
+        cache["x"] = x
         return np.maximum(x, 0)
 
     def backward(self, grad, cache):
-        return [grad * cache["mask"]]
+        return [grad * (cache["x"] > 0)]
 
 
 class _Pool(Node):
@@ -256,13 +264,26 @@ class _Pool(Node):
 
 
 class AvgPool(_Pool):
+    """Sums each window row left to right over the strided corners, then the
+    rows top to bottom, then divides by k^2: the order of numpy's mean over a
+    window's two axes, so the output bytes equal it.  An input one window wide
+    keeps that mean, which then sums each window's k^2 values in one run."""
+
     kind = "avg_pool"
 
     def forward(self, xs, mode, cache):
         x = xs[0]
         n, c, ho, wo, k = self._windows(x)
         cache["in_shape"] = x.shape
-        return x.reshape(n, c, ho, k, wo, k).mean(axis=(3, 5))
+        if wo == 1:
+            return x.reshape(n, c, ho, k, wo, k).mean(axis=(3, 5))
+        for i in range(k):
+            row = x[:, :, i::k, ::k] + 0.0  # numpy's sum starts at +0.0: a window of -0.0 averages to +0.0
+            for j in range(1, k):
+                row += x[:, :, i::k, j::k]
+            out = row if i == 0 else np.add(out, row, out=out)
+        out /= k * k
+        return out
 
     def backward(self, grad, cache):
         n, c, h, w = cache["in_shape"]
@@ -426,12 +447,6 @@ class Model:
     def clone(self):
         return copy.deepcopy(self)
 
-    def site_by_id(self, site_id):
-        for s in self.sites:
-            if s.site_id == site_id:
-                return s
-        raise InputError(f"unknown site {site_id!r}")
-
     def check_masks(self):
         """Raise InputError unless every mask sits on a gate node, fits its channel count and holds only 0s and 1s."""
         gated = {i for s in self.sites for i in self.gates(s)} if self.masks else ()
@@ -457,9 +472,7 @@ class Model:
 
     def _mask_for(self, i, x):
         m = self.masks.get(i)
-        if m is None:
-            return None
-        return _channel_shape(m.astype(x.dtype), x)
+        return None if m is None else _row(m.astype(x.dtype), x)
 
     def forward(self, x, mode="train"):
         """Run the graph; returns (logits, record).
@@ -471,6 +484,8 @@ class Model:
         """
         if mode not in ("train", "eval"):
             raise InputError(f"mode must be 'train' or 'eval', got {mode!r}")
+        if np.iscomplexobj(x):
+            raise InputError("input must be real, got complex values")
         try:
             x = np.asarray(x, dtype=self.dtype)
         except (TypeError, ValueError) as e:
@@ -491,7 +506,7 @@ class Model:
                 raise ShapeError(f"node {i} ({node.name}): {e}") from e
             m = self._mask_for(i, out)
             if m is not None:
-                out = out * m
+                out *= m  # in place: a gate node's output is its own new array
             record.values.append(out)
             record.caches.append(cache)
         logits = record.values[-1]
@@ -523,7 +538,7 @@ class Model:
                 continue
             m = self._mask_for(i, g)
             if m is not None:
-                g = g * m
+                g = g * m  # not in place: a residual add hands one gradient to both refs
             node = self.nodes[i]
             inputs = any(r != INPUT for r in node.refs)  # the model input's gradient is never read
             gins = node.backward(g, {**record.caches[i], "params": params, "inputs": inputs})

@@ -4,14 +4,16 @@ All kernels operate on row-major numpy arrays of dtype float32 or float64 and
 validate operand shapes and dtypes before touching data, so shape bugs
 surface at the call site.
 
-Convolution comes in two routes that must agree:
-
-- ``conv2d_direct``: naive ascending-index loops, the correctness oracle.
-- ``conv2d``: im2col + one big matmul, the fast path used by the layers.
+``conv2d`` runs im2col and the matmul once per block of at most 32 examples
+(``blocks``), each block writing into one preallocated output.  numpy's
+stacked matmul makes one BLAS call per example either way, so the output
+bytes equal one matmul over the whole batch, while a block's 9x-inflated
+patch columns stay in cache.
 
 A caller computes only the adjoint it reads: ``conv2d_grad_input`` (folded
 back by ``col2im``, the adjoint of ``im2col``) or ``conv2d_grad_weight``;
-``conv2d_backward`` returns both.
+``conv2d_backward`` returns both.  The adjoints run over the whole batch:
+their einsum reductions sum in an order that blocking would change.
 
 Importing the module fixes the C allocator's thresholds for the process (see
 ``_pin_malloc_thresholds``; ``MALLOC_PINNED`` says whether it did), so that
@@ -26,6 +28,8 @@ import numpy as np
 from .errors import InputError, ShapeError
 
 FLOAT_DTYPES = (np.float32, np.float64)
+
+_BLOCK = 32  # examples per block of a blocked forward
 
 # glibc mallopt parameters (malloc.h): blocks up to 32 MB, glibc's 64-bit
 # limit, come from the heap, and up to 64 MB of free heap top stays mapped
@@ -59,6 +63,11 @@ def _pin_malloc_thresholds():
 
 
 MALLOC_PINNED = _pin_malloc_thresholds()
+
+
+def blocks(n):
+    """Slices that split n examples into blocks of at most 32 (``_BLOCK``)."""
+    return [slice(i, i + _BLOCK) for i in range(0, n, _BLOCK)]
 
 
 def _check_float(t, name="operand"):
@@ -138,41 +147,17 @@ def col2im(cols, x_shape, kh, kw, stride, padding):
 def conv2d(x, w, stride=1, padding=0):
     """Cross-correlate x [N,C,H,W] with w [F,C,kh,kw] -> [N,F,Ho,Wo].
 
-    Zero padding, no kernel flip, no bias.  Fast path: im2col + matmul.
+    Zero padding, no kernel flip, no bias.  im2col + matmul per block.
     """
     _check_conv_args(x, w)
     n = x.shape[0]
     f, _, kh, kw = w.shape
     ho = conv_output_size(x.shape[2], kh, stride, padding)
     wo = conv_output_size(x.shape[3], kw, stride, padding)
-    cols = im2col(x, kh, kw, stride, padding)
-    out = w.reshape(f, -1) @ cols  # [N, F, Ho*Wo] via batched matmul
+    out = np.empty((n, f, ho * wo), x.dtype)
+    for blk in blocks(n):
+        np.matmul(w.reshape(f, -1), im2col(x[blk], kh, kw, stride, padding), out=out[blk])
     return out.reshape(n, f, ho, wo)
-
-
-def conv2d_direct(x, w, stride=1, padding=0):
-    """Reference convolution with explicit ascending-index loops.
-
-    Slow; kept as the independent oracle for the im2col route.
-    """
-    _check_conv_args(x, w)
-    n, c, h, wd = x.shape
-    f, _, kh, kw = w.shape
-    ho = conv_output_size(h, kh, stride, padding)
-    wo = conv_output_size(wd, kw, stride, padding)
-    xp = _pad_input(x, padding)
-    out = np.zeros((n, f, ho, wo), dtype=x.dtype)
-    for b in range(n):
-        for o in range(f):
-            for i in range(ho):
-                for j in range(wo):
-                    acc = x.dtype.type(0)
-                    for ci in range(c):
-                        for u in range(kh):
-                            for v in range(kw):
-                                acc += xp[b, ci, i * stride + u, j * stride + v] * w[o, ci, u, v]
-                    out[b, o, i, j] = acc
-    return out
 
 
 def _grad_columns(x, w, grad_output, stride, padding):

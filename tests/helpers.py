@@ -6,6 +6,9 @@ import struct
 
 import numpy as np
 
+from prunelab import tensor
+from prunelab.errors import InputError
+
 REL_FLOOR = 1e-8
 
 
@@ -55,6 +58,71 @@ def max_pool_oracle(x, k):
         return gw.reshape(n, c, ho, wo, k, k).transpose(0, 1, 2, 4, 3, 5).reshape(n, c, h, w)
 
     return np.take_along_axis(windows, idx[..., None], axis=-1)[..., 0], backward
+
+
+def conv2d_direct(x, w, stride=1, padding=0):
+    """Reference convolution with explicit ascending-index loops.
+
+    Slow; the independent oracle for ``tensor.conv2d``'s im2col route.
+    """
+    n, c, h, wd = x.shape
+    f, _, kh, kw = w.shape
+    ho = tensor.conv_output_size(h, kh, stride, padding)
+    wo = tensor.conv_output_size(wd, kw, stride, padding)
+    xp = np.pad(x, ((0, 0), (0, 0), (padding, padding), (padding, padding)))
+    out = np.zeros((n, f, ho, wo), dtype=x.dtype)
+    for b in range(n):
+        for o in range(f):
+            for i in range(ho):
+                for j in range(wo):
+                    acc = x.dtype.type(0)
+                    for ci in range(c):
+                        for u in range(kh):
+                            for v in range(kw):
+                                acc += xp[b, ci, i * stride + u, j * stride + v] * w[o, ci, u, v]
+                    out[b, o, i, j] = acc
+    return out
+
+
+def avg_pool_oracle(x, k):
+    """Average pool as numpy's mean over each window's two axes."""
+    n, c, h, w = x.shape
+    return x.reshape(n, c, h // k, k, w // k, k).mean(axis=(3, 5))
+
+
+def batch_norm_oracle(x, gamma, beta, mean, var, eps, train):
+    """Batch norm by per-channel operands broadcast as (1, C) or (1, C, 1, 1),
+    the whole batch at once; returns (output, backward(grad) -> (dx, dgamma,
+    dbeta)).  In train mode mean and var are ignored for the batch's own."""
+    axes = (0,) if x.ndim == 2 else (0, 2, 3)
+
+    def per_channel(v):
+        return v.reshape((1, -1) + (1,) * (x.ndim - 2))
+
+    if train:
+        mean, var = x.mean(axis=axes), x.var(axis=axes)
+    inv_std = 1.0 / np.sqrt(var + x.dtype.type(eps))
+    xhat = (x - per_channel(mean)) * per_channel(inv_std)
+
+    def backward(grad):
+        dgamma, dbeta = (grad * xhat).sum(axis=axes), grad.sum(axis=axes)
+        dxhat = grad * per_channel(gamma)
+        if not train:
+            return dxhat * per_channel(inv_std), dgamma, dbeta
+        m = grad.size // grad.shape[1]
+        s1 = dxhat.sum(axis=axes)
+        s2 = (dxhat * xhat).sum(axis=axes)
+        dx = (dxhat - per_channel(s1) / m - xhat * per_channel(s2) / m) * per_channel(inv_std)
+        return dx, dgamma, dbeta
+
+    return xhat * per_channel(gamma) + per_channel(beta), backward
+
+
+def site_by_id(model, site_id):
+    for s in model.sites:
+        if s.site_id == site_id:
+            return s
+    raise InputError(f"unknown site {site_id!r}")
 
 
 def mutate(raw, edit_list):

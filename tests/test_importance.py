@@ -11,6 +11,7 @@ from prunelab import importance as imp
 from prunelab.errors import FormatError, InputError, ShapeError, StateError
 from prunelab.nn import (
     INPUT,
+    MODEL_BUILDERS,
     BatchNorm,
     Conv2d,
     Flatten,
@@ -371,6 +372,12 @@ class TestEstimate:
     def test_images_without_batch_axis_is_input_error(self, small_model, dataset):
         with pytest.raises(InputError, match="images need a batch axis"):
             imp.estimate(small_model, dataset, 1, "taylorfo", random_source())
+
+    @pytest.mark.parametrize("name", ["mlp_small", "cnn_small", "cnn_residual"])
+    def test_complex_images_are_input_error(self, name):
+        model = MODEL_BUILDERS[name](seed=0)
+        with pytest.raises(InputError, match="input must be real"):
+            imp.estimate(model, (np.ones((2, 1, 16, 16), complex), None), 2, "taylorfo", random_source())
 
     @pytest.mark.parametrize("shape", [(16, 1), (1, 16), (15,), ()])
     def test_labels_must_be_one_per_image(self, small_model, small_data, shape):

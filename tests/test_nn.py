@@ -29,7 +29,7 @@ from prunelab.nn import (
     softmax_cross_entropy,
 )
 
-from helpers import central_diff, max_pool_oracle, rel_err
+from helpers import avg_pool_oracle, batch_norm_oracle, central_diff, max_pool_oracle, rel_err, site_by_id
 
 
 def linear_model(weight, bias=None, dtype=np.float64):
@@ -134,6 +134,87 @@ class TestBatchNorm:
         node.forward([np.random.default_rng(1).normal(size=(4, 3))], "eval", {})
         assert np.array_equal(node.state["running_mean"], before[0])
         assert np.array_equal(node.state["running_var"], before[1])
+
+
+class TestBatchNormRows:
+    """Batch norm's passes run on (N, C*H*W) rows, per block of 32 examples;
+    forward and backward bytes equal the broadcast formulas."""
+
+    @pytest.mark.parametrize("shape", [(70, 3, 4, 4), (33, 5, 1, 1), (31, 6), (1, 2, 3, 3)])
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    @pytest.mark.parametrize("mode,params", [("train", True), ("eval", True), ("eval", False)])
+    def test_forward_and_backward_equal_the_broadcast_formulas(self, shape, dtype, mode, params):
+        rng = np.random.default_rng(sum(shape))
+        c = shape[1]
+        node = BatchNorm("bn", [INPUT], c)
+        for table, name in ((node.params, "gamma"), (node.params, "beta"), (node.state, "running_mean")):
+            table[name] = rng.normal(size=c).astype(dtype)
+        node.state["running_var"] = rng.uniform(0.5, 2.0, size=c).astype(dtype)
+        node.zero_grads()
+        stats = (node.state["running_mean"], node.state["running_var"])
+        x = rng.normal(1.0, 3.0, size=shape).astype(dtype)
+        grad = rng.normal(size=shape).astype(dtype)
+        want_out, want_backward = batch_norm_oracle(x, node.params["gamma"], node.params["beta"], *stats,
+                                                    node.eps, mode == "train")
+        cache = {}
+        out = node.forward([x], mode, cache)
+        (dx,) = node.backward(grad, {**cache, "params": params})
+        want_dx, want_dgamma, want_dbeta = want_backward(grad)
+        assert out.dtype == want_out.dtype and out.tobytes() == want_out.tobytes()
+        assert dx.dtype == want_dx.dtype and dx.tobytes() == want_dx.tobytes()
+        if params:
+            assert node.grads["gamma"].tobytes() == (np.zeros(c, dtype) + want_dgamma).tobytes()
+            assert node.grads["beta"].tobytes() == (np.zeros(c, dtype) + want_dbeta).tobytes()
+        else:
+            assert not node.grads["gamma"].any() and not node.grads["beta"].any()
+
+
+class TestEvalCaches:
+    @pytest.mark.parametrize("name", ["mlp_small", "cnn_small", "cnn_residual"])
+    def test_eval_record_holds_no_boolean_mask_and_no_xhat(self, name):
+        model = nn.MODEL_BUILDERS[name](seed=1)
+        _, record = model.forward(np.random.default_rng(2).normal(size=(3, 1, 16, 16)), "eval")
+        for i, cache in enumerate(record.caches):
+            assert "xhat" not in cache, f"node {i}"
+            assert not any(getattr(v, "dtype", None) == bool for v in cache.values()), f"node {i}"
+
+    def test_relu_backward_is_grad_times_the_positive_mask(self):
+        x = np.array([[-1.0, -0.0, 0.0, 2.0, np.nan, np.inf, -np.inf, 1e-300]])
+        grad = np.array([[3.0, 4.0, -5.0, -6.0, 7.0, np.nan, 8.0, -0.0]])
+        node = ReLU("r", [INPUT])
+        cache = {}
+        node.forward([x], "eval", cache)
+        (gx,) = node.backward(grad, cache)
+        want = grad * (x > 0)
+        assert gx.dtype == want.dtype and gx.tobytes() == want.tobytes()
+
+
+# signed zeros and magnitudes from 1e-3 to 1e3 of either sign
+_TINY = float(np.float32(1e-3))
+_AVG_POOL_VALUES = (st.sampled_from([0.0, -0.0]) | st.floats(_TINY, 1e3, width=32)
+                    | st.floats(-1e3, -_TINY, width=32))
+
+
+@st.composite
+def avg_pool_cases(draw):
+    dtype = draw(st.sampled_from([np.float32, np.float64]))
+    k = draw(st.integers(2, 4))
+    n, c, ho, wo = draw(st.tuples(*[st.integers(1, 3)] * 4))
+    return draw(hnp.arrays(dtype, (n, c, ho * k, wo * k), elements=_AVG_POOL_VALUES)), k
+
+
+class TestAvgPoolCorners:
+    @settings(max_examples=300, deadline=None, derandomize=True)
+    @given(case=avg_pool_cases())
+    def test_forward_matches_the_mean_oracle_byte_for_byte(self, case):
+        x, k = case
+        out = AvgPool("p", [INPUT], kernel=k).forward([x], "eval", {})
+        want = avg_pool_oracle(x, k)
+        assert out.dtype == want.dtype and out.tobytes() == want.tobytes()
+
+    def test_window_of_negative_zeros_averages_to_positive_zero(self):
+        out = AvgPool("p", [INPUT], kernel=2).forward([np.full((1, 1, 2, 2), -0.0)], "eval", {})
+        assert out.tobytes() == np.zeros((1, 1, 1, 1)).tobytes()
 
 
 class TestBackward:
@@ -336,7 +417,7 @@ class TestFiniteDifference:
         g = rng.normal(size=(4, 4))
         _, record = model.forward(x, "eval")
         model.backward(record, g)
-        node_index = model.site_by_id("fc2").node_index
+        node_index = site_by_id(model, "fc2").node_index
         node = model.nodes[node_index]
 
         def objective(b):
@@ -535,7 +616,7 @@ class TestGates:
 class TestMasks:
     def test_masked_channels_are_zero_in_record(self):
         model = build_cnn_small(seed=9).astype(np.float64)
-        site = model.site_by_id("conv2")
+        site = site_by_id(model, "conv2")
         keep = np.ones(site.channels)
         keep[[1, 5]] = 0.0
         model.masks[site.node_index] = keep
@@ -546,7 +627,7 @@ class TestMasks:
 
     def test_masked_channel_params_get_zero_grads(self):
         model = build_cnn_small(seed=9).astype(np.float64)
-        site = model.site_by_id("conv2")
+        site = site_by_id(model, "conv2")
         keep = np.ones(site.channels)
         keep[3] = 0.0
         model.masks[site.node_index] = keep
@@ -614,6 +695,12 @@ class TestValidation:
         model = nn.MODEL_BUILDERS[name]()
         with pytest.raises(InputError, match="input must be numeric"):
             model.forward(np.full((2, 1, 16, 16), "a"), "eval")
+
+    @pytest.mark.parametrize("name", ["mlp_small", "cnn_small", "cnn_residual"])
+    def test_complex_input_is_input_error(self, name):
+        model = nn.MODEL_BUILDERS[name]()
+        with pytest.raises(InputError, match="input must be real"):
+            model.forward(np.zeros((2, 1, 16, 16), complex), "eval")
 
     def test_bad_mode_rejected(self):
         model = build_mlp_small()

@@ -4,7 +4,7 @@ import sys
 
 import numpy as np
 import pytest
-from helpers import central_diff, rel_err
+from helpers import central_diff, conv2d_direct, rel_err
 
 from prunelab import tensor
 from prunelab.errors import ShapeError
@@ -48,7 +48,7 @@ class TestConv2d:
             x = rng.normal(size=(2, 3, 7, 7)).astype(np.float32)
             w = rng.normal(size=(4, 3, 3, 3)).astype(np.float32)
             fast = tensor.conv2d(x, w, stride, padding)
-            slow = tensor.conv2d_direct(x, w, stride, padding)
+            slow = conv2d_direct(x, w, stride, padding)
             assert np.abs(fast - slow).max() / np.abs(slow).max() < 1e-5
 
     def test_1x1_kernel_equals_per_position_matmul(self):
@@ -60,6 +60,33 @@ class TestConv2d:
         xm = x.transpose(0, 2, 3, 1).reshape(-1, 5)
         ref = (xm @ w.reshape(3, 5).T).reshape(2, 4, 4, 3).transpose(0, 3, 1, 2)
         assert np.abs(out - ref).max() < 1e-12
+
+
+class TestConv2dBlocks:
+    """conv2d runs per block of at most 32 examples; its bytes equal one
+    matmul over the whole batch, so block boundaries do not show."""
+
+    @pytest.mark.parametrize("n", [1, 31, 32, 33, 200])
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    @pytest.mark.parametrize("stride,padding", [(1, 0), (1, 1), (2, 0), (2, 1)])
+    def test_equals_the_unblocked_matmul_byte_for_byte(self, n, dtype, stride, padding):
+        rng = np.random.default_rng(n)
+        x = rng.normal(size=(n, 3, 7, 7)).astype(dtype)
+        w = rng.normal(size=(4, 3, 3, 3)).astype(dtype)
+        out = tensor.conv2d(x, w, stride, padding)
+        want = w.reshape(4, -1) @ tensor.im2col(x, 3, 3, stride, padding)
+        assert out.dtype == want.dtype and out.tobytes() == want.tobytes()
+
+    def test_one_im2col_call_per_block(self, monkeypatch):
+        calls = []
+
+        def counted(x, *args, _im2col=tensor.im2col):
+            calls.append(len(x))
+            return _im2col(x, *args)
+
+        monkeypatch.setattr(tensor, "im2col", counted)
+        tensor.conv2d(np.ones((70, 1, 4, 4)), np.ones((2, 1, 3, 3)), 1, 1)
+        assert calls == [32, 32, 6]
 
 
 class TestConv2dBackward:
