@@ -22,7 +22,8 @@ Every value the package reads (config fields, table columns, record
 arguments, checkpoint headers) must pass a rule of the vocabulary below, a
 (test, words) pair, before it is converted or stored; check() raises
 "<field> must be <words>, got <value>".  A rule rejects what int(), float()
-or bool() would truncate, coerce or overflow on.
+or bool() would truncate, coerce or overflow on.  check_labels is the one
+rule for a label vector wherever labels meet a dataset, a loss or a model.
 
 The importance, plan and sweep tables share one CSV codec: UTF-8, "\n" line
 ends, a fixed header, true/false booleans and repr(float(v)) floats, so a
@@ -56,20 +57,13 @@ class Dataset:
         labels = np.array(labels)
         if images.ndim != 4:
             raise InputError(f"images must be [M, C, H, W], got shape {images.shape}")
-        if labels.ndim != 1 or labels.shape[0] != images.shape[0]:
-            raise InputError(f"labels shape {labels.shape} does not match {images.shape[0]} images")
-        if not np.issubdtype(labels.dtype, np.integer):
-            raise InputError(f"labels must be integers, got dtype {labels.dtype}")
+        check_labels(labels, images.shape[0], num_classes)
         if images.size and (not np.isfinite(images).all() or images.min() < 0 or images.max() > 1):
             raise InputError("image values must lie in [0, 1]")
         if labels.size == 0:
             raise InputError("dataset must hold at least one example")
-        if labels.min() < 0:
-            raise InputError("labels must be non-negative")
         if num_classes is None:
             num_classes = int(labels.max()) + 1
-        if labels.max() >= num_classes:
-            raise InputError(f"labels out of range [0, {num_classes})")
         counts = np.bincount(labels, minlength=num_classes)
         missing = np.flatnonzero(counts == 0)
         if missing.size:
@@ -336,6 +330,20 @@ def check(value, rule, field, error=InputError):
     if not rule[0](value):
         raise error(f"{field} must be {rule[1]}, got {reprlib.repr(value)}")
     return value
+
+
+def check_labels(labels, count, num_classes=None):
+    """The labels as an array, if they are count integers in [0, num_classes)
+    (no upper bound for None); else InputError."""
+    labels = np.asarray(labels)
+    if labels.shape != (count,):
+        raise InputError(f"labels must have shape ({count},), got {labels.shape}")
+    if not np.issubdtype(labels.dtype, np.integer):
+        raise InputError(f"labels must be integers, got dtype {labels.dtype}")
+    bound = np.inf if num_classes is None else num_classes
+    if labels.size and (labels.min() < 0 or labels.max() >= bound):
+        raise InputError(f"labels out of range [0, {bound}): {labels.min()}..{labels.max()}")
+    return labels
 
 
 def check_row(row, columns, where="", error=InputError):

@@ -169,9 +169,11 @@ def train(model, dataset, config):
 
 
 def evaluate(model, dataset, batch_size=256):
-    """Argmax accuracy in eval mode; ties go to the lowest class index."""
+    """Argmax accuracy in eval mode; ties go to the lowest class index.  Each
+    batch's labels must lie in [0, model.num_classes), checked before its forward."""
     hits = 0
     for images, labels in data.batches(dataset, batch_size):
+        data.check_labels(labels, len(images), model.num_classes)
         logits, _ = model.forward(images, "eval")
         hits += int((np.argmax(logits, axis=1) == labels).sum())
     return hits / len(dataset)
@@ -240,7 +242,8 @@ def prune_sweep(model, train_set, test_set, config):
     accuracy.  P=0 rows carry the unpruned accuracy and are always emitted
     first within a combination.  A P above the number of channels less the
     number of sites (each site keeps one) raises InputError before any
-    evaluation or estimation.
+    evaluation or estimation, and test labels outside the model's classes
+    raise it at the baseline evaluation, before any estimation.
     """
     if not model.sites:
         raise InputError("model has no prunable sites")

@@ -28,8 +28,9 @@ channel the chain rule gives
 
 so both are s^2 at their tap, and all five estimators share one batched
 pass; molchanov_group and taylorfo_sq share tap and fold, so their tables
-are byte-identical.  molchanov_bn_score and molchanov_group_score keep the
-parameter-gradient form as reference oracles.
+are byte-identical.  molchanov_bn_score keeps the parameter-gradient form
+of the batch-norm score as a reference oracle; the group score's oracle,
+molchanov_group_score, lives with the tests in tests/helpers.py.
 
 estimate() runs the model in eval mode: batch statistics would couple
 examples within a batch and break partition invariance (which holds to a
@@ -289,31 +290,6 @@ def molchanov_bn_score(bn_node, per_example_grads):
     return acc / m
 
 
-def molchanov_group_score(node, per_example_grads):
-    """Score a conv/linear node from a stream of per-example parameter grads.
-
-    The group of output channel c is row c of the weight (plus its bias):
-    score[c] = (1/M) sum_n (sum_w w dw(n))^2 over that group.  Each stream
-    element is a dict {param name: grad array} shaped like the node's params.
-    """
-    if "weight" not in node.params:
-        raise InputError(f"molchanov_group needs a node with weights, got kind {node.kind!r}")
-    weight = node.params["weight"].astype(np.float64)
-    reduce_axes = tuple(range(1, weight.ndim))
-    bias = node.params.get("bias")
-    acc = np.zeros(weight.shape[0], np.float64)
-    m = 0
-    for grads in per_example_grads:
-        gate = (weight * np.asarray(grads["weight"], np.float64)).sum(axis=reduce_axes)
-        if bias is not None:
-            gate = gate + bias.astype(np.float64) * np.asarray(grads["bias"], np.float64)
-        acc += gate * gate
-        m += 1
-    if m == 0:
-        raise StateError("molchanov_group: empty gradient stream")
-    return acc / m
-
-
 def _dataset_arrays(dataset):
     if isinstance(dataset, data.Dataset):
         images, labels = dataset.images, dataset.labels
@@ -324,10 +300,6 @@ def _dataset_arrays(dataset):
     images = np.asarray(images)
     if images.ndim == 0:
         raise InputError(f"images need a batch axis, got shape {images.shape}")
-    if labels is not None:
-        labels = np.asarray(labels)
-        if labels.shape != images.shape[:1]:
-            raise InputError(f"labels must have shape ({len(images)},) for {len(images)} images, got {labels.shape}")
     return images, labels
 
 
@@ -346,10 +318,10 @@ def estimate(model, dataset, d, estimator, source, batch_size=32):
     if source.kind == LOSS:
         if labels is None:
             raise InputError("loss gradients need a labeled dataset")
-        if not np.issubdtype(labels.dtype, np.integer):
-            raise InputError(f"labels must be integers, got dtype {labels.dtype}")
-        if labels[:d].min() < 0 or labels[:d].max() >= model.num_classes:
-            raise InputError(f"labels out of range [0, {model.num_classes})")
+        labels = data.check_labels(labels, len(images), model.num_classes)
+    if not isinstance(dataset, data.Dataset) and np.issubdtype(images.dtype, np.number):  # a Dataset checked its own
+        if not np.isfinite(images[:d]).all():
+            raise InputError(f"images must be finite, got nan or inf in the first {d}")
     if not model.sites:
         raise InputError("model declares no prunable sites")
 

@@ -560,18 +560,13 @@ def softmax_cross_entropy(logits, labels):
 
     grad_logits = (softmax - onehot) / N, the gradient of the mean loss.
     """
-    labels = np.asarray(labels)
     n, k = logits.shape
-    if labels.shape != (n,):
-        raise InputError(f"labels shape {labels.shape} != ({n},)")
-    if not np.issubdtype(labels.dtype, np.integer):
-        raise InputError(f"labels must be integers, got dtype {labels.dtype}")
-    if labels.min(initial=0) < 0 or labels.max(initial=0) >= k:
-        raise InputError(f"labels out of range [0, {k})")
+    labels = data.check_labels(labels, n, k)
     shifted = logits - logits.max(axis=1, keepdims=True)
-    logz = np.log(np.exp(shifted).sum(axis=1))
-    loss = float(np.mean(logz - shifted[np.arange(n), labels]))
-    grad = softmax(logits)
+    e = np.exp(shifted)
+    total = e.sum(axis=1, keepdims=True)
+    loss = float(np.mean(np.log(total[:, 0]) - shifted[np.arange(n), labels]))
+    grad = e / total
     grad[np.arange(n), labels] -= 1
     return loss, grad / n
 

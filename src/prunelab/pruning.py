@@ -51,14 +51,6 @@ class PruneMask:
                 raise InputError(f"site {site_id!r} would keep no channels")
             self.keep[site_id] = k
 
-    @classmethod
-    def all_keep(cls, model):
-        return cls({s.site_id: np.ones(s.channels, dtype=bool) for s in model.sites})
-
-    @property
-    def pruned_count(self):
-        return int(sum((~k).sum() for k in self.keep.values()))
-
     def __repr__(self):
         kept = {sid: f"{int(k.sum())}/{k.size}" for sid, k in self.keep.items()}
         return f"PruneMask({kept})"
@@ -88,9 +80,6 @@ class PrunePlan:
 
     def __len__(self):
         return len(self.entries)
-
-    def pruned_channels(self):
-        return [(sid, ch) for _, sid, _, ch, _, pruned in self.entries if pruned]
 
     def mask(self):
         """Build the PruneMask realizing this plan's decisions."""

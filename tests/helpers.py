@@ -1,5 +1,5 @@
-"""Shared test utilities: finite differences, relative error, file mutation
-and reference kernels."""
+"""Shared test utilities: finite differences, relative error, file mutation,
+reference kernels and scores, and mask and plan queries."""
 
 import json
 import struct
@@ -7,7 +7,8 @@ import struct
 import numpy as np
 
 from prunelab import tensor
-from prunelab.errors import InputError
+from prunelab.errors import InputError, StateError
+from prunelab.pruning import PruneMask
 
 REL_FLOOR = 1e-8
 
@@ -116,6 +117,46 @@ def batch_norm_oracle(x, gamma, beta, mean, var, eps, train):
         return dx, dgamma, dbeta
 
     return xhat * per_channel(gamma) + per_channel(beta), backward
+
+
+def molchanov_group_score(node, per_example_grads):
+    """Molchanov et al.'s group score of a conv/linear node from a stream of
+    per-example parameter grads: the oracle for the molchanov_group estimator.
+
+    The group of output channel c is row c of the weight (plus its bias):
+    score[c] = (1/M) sum_n (sum_w w dw(n))^2 over that group.  Each stream
+    element is a dict {param name: grad array} shaped like the node's params.
+    """
+    if "weight" not in node.params:
+        raise InputError(f"molchanov_group needs a node with weights, got kind {node.kind!r}")
+    weight = node.params["weight"].astype(np.float64)
+    reduce_axes = tuple(range(1, weight.ndim))
+    bias = node.params.get("bias")
+    acc = np.zeros(weight.shape[0], np.float64)
+    m = 0
+    for grads in per_example_grads:
+        gate = (weight * np.asarray(grads["weight"], np.float64)).sum(axis=reduce_axes)
+        if bias is not None:
+            gate = gate + bias.astype(np.float64) * np.asarray(grads["bias"], np.float64)
+        acc += gate * gate
+        m += 1
+    if m == 0:
+        raise StateError("molchanov_group: empty gradient stream")
+    return acc / m
+
+
+def all_keep(model):
+    """The mask that keeps every channel of every site."""
+    return PruneMask({s.site_id: np.ones(s.channels, dtype=bool) for s in model.sites})
+
+
+def pruned_count(mask):
+    return int(sum((~k).sum() for k in mask.keep.values()))
+
+
+def pruned_channels(plan):
+    """The (site_id, channel) pairs a plan prunes, in rank order."""
+    return [(sid, ch) for _, sid, _, ch, _, pruned in plan.entries if pruned]
 
 
 def site_by_id(model, site_id):

@@ -25,7 +25,7 @@ from prunelab.importance import ImportanceTable
 from prunelab.nn import build_reference_models
 from prunelab.pruning import PruneMask, PrunePlan, apply_mask
 
-from helpers import rewrite_header
+from helpers import all_keep, rewrite_header
 
 CONFIG_TEXT = """\
 # small enough to keep the suite fast
@@ -206,7 +206,7 @@ class TestPrune:
         # mask each site's top-scored channel, which the plan itself never prunes
         model = load_model(str(workspace / "model.npkt"))
         scores = ImportanceTable.from_csv(str(table_path))
-        keep = PruneMask.all_keep(model).keep
+        keep = all_keep(model).keep
         for site in model.sites:
             keep[site.site_id][np.argmax(scores.scores(site.site_id))] = False
         masked = tmp_path / "masked.npkt"
@@ -305,6 +305,20 @@ class TestEval:
     def test_idx_test_set(self, workspace):
         assert run(workspace, "eval", "--config", "@/tiny.cfg", "--checkpoint", "@/model.npkt",
                    "--images", "@/imgs.idx", "--labels", "@/labs.idx") == 0
+
+
+class TestClassCount:
+    """A 4-class checkpoint run with a config of another class count."""
+
+    @pytest.mark.parametrize("command", ["eval", "sweep"])
+    def test_labels_beyond_the_checkpoint_are_runtime_error(self, workspace, tmp_path, capsys, command):
+        cfg = tmp_path / "six.cfg"
+        cfg.write_text(CONFIG_TEXT + "num_classes = 6\nsources = random\n")
+        out = tmp_path / "out.csv"
+        assert run(workspace, command, "--config", str(cfg), "--checkpoint", "@/model.npkt",
+                   "--out", str(out)) == 3
+        assert "error: labels out of range [0, 4): 0..5" in capsys.readouterr().err
+        assert not out.exists()
 
 
 class TestConfigHandling:

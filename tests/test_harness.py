@@ -9,6 +9,8 @@ from prunelab.data import Dataset, generate_shapes, make_splits
 from prunelab.errors import ConfigError, FormatError, InputError, TrainingError
 from prunelab.nn import INPUT, Flatten, Linear, Model, build_cnn_small, build_mlp_small
 
+from helpers import all_keep, pruned_channels
+
 
 def tiny_sets(num_classes=2, per_class_train=10, per_class_test=5, image_size=12, noise=0.05, seed=0):
     return make_splits(num_classes, per_class_train, per_class_test, image_size, noise, seed)
@@ -216,7 +218,7 @@ class TestTrain:
 
         train_set, _ = tiny_sets()
         model = build_mlp_small(num_classes=2, image_size=12, seed=0)
-        keep = PruneMask.all_keep(model).keep
+        keep = all_keep(model).keep
         keep["fc1"][3] = False
         masked = apply_mask(model, PruneMask(keep))
         config = harness.ExperimentConfig(model="mlp_small", epochs=2, weight_decay=0.0)
@@ -277,6 +279,14 @@ class TestEvaluate:
             harness.evaluate(model, Empty())
 
 
+    def test_labels_beyond_the_model_fail_before_any_forward(self, monkeypatch):
+        _, test_set = tiny_sets(num_classes=3)
+        model = build_mlp_small(num_classes=2, image_size=12, seed=0)
+        monkeypatch.setattr(Model, "forward", lambda *args: pytest.fail("forward ran"))
+        with pytest.raises(InputError, match=r"labels out of range \[0, 2\): 0\.\.2"):
+            harness.evaluate(model, test_set)
+
+
 class TestRandomTable:
     def test_covers_channels_and_is_seeded(self):
         model = build_cnn_small(image_size=16, seed=0)
@@ -292,7 +302,7 @@ class TestRandomTable:
 
         model = build_cnn_small(image_size=16, seed=0)
         plan = rank_global(harness.random_importance_table(model, seed=0), 10)
-        assert len(plan.pruned_channels()) == 10
+        assert len(pruned_channels(plan)) == 10
 
 
 @pytest.fixture(scope="module")
@@ -377,6 +387,15 @@ class TestPruneSweep:
         with pytest.raises(InputError, match=r"p must be an integer in \[0, 69\], got 71"):
             harness.prune_sweep(model, train_set, test_set, config)
         assert calls == []
+
+    def test_test_labels_beyond_the_model_fail_before_any_work(self, sweep_setup, monkeypatch):
+        model, train_set, _ = sweep_setup
+        _, test_set = tiny_sets(num_classes=6, per_class_train=8, per_class_test=4, image_size=16)
+        monkeypatch.setattr(Model, "forward", lambda *args: pytest.fail("forward ran"))
+        monkeypatch.setattr(harness, "estimate", lambda *args, **kwargs: pytest.fail("estimate ran"))
+        config = harness.ExperimentConfig(sources=("random",), data_sizes=(2,), prune_counts=(5,))
+        with pytest.raises(InputError, match=r"labels out of range \[0, 4\): 0\.\.5"):
+            harness.prune_sweep(model, train_set, test_set, config)
 
     def test_sweep_seed_feeds_random_source(self, sweep_setup):
         model, train_set, test_set = sweep_setup

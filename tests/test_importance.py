@@ -24,6 +24,8 @@ from prunelab.nn import (
     build_mlp_small,
 )
 
+from helpers import all_keep, molchanov_group_score
+
 
 def loss_source(normalize=False):
     return imp.GradientSource(imp.LOSS, normalize=normalize)
@@ -229,7 +231,7 @@ class TestMolchanovScores:
         node = Linear("fc", [INPUT], 1, 1, bias=False)
         node.params["weight"] = np.array([[1.0, 2.0]]).reshape(1, 2)
         node.in_features = 2
-        score = imp.molchanov_group_score(node, [{"weight": np.array([[3.0, -1.0]])}])
+        score = molchanov_group_score(node, [{"weight": np.array([[3.0, -1.0]])}])
         # (1*3 + 2*(-1))^2 = 1
         assert abs(score[0] - 1.0) < 1e-12
 
@@ -237,7 +239,7 @@ class TestMolchanovScores:
         node = Linear("fc", [INPUT], 3, 2, bias=False)
         node.params["weight"] = np.zeros((2, 3))
         stream = [{"weight": np.random.default_rng(0).normal(size=(2, 3))}]
-        assert np.array_equal(imp.molchanov_group_score(node, stream), np.zeros(2))
+        assert np.array_equal(molchanov_group_score(node, stream), np.zeros(2))
 
     def test_group_includes_bias(self):
         node = Linear("fc", [INPUT], 1, 1)
@@ -245,11 +247,11 @@ class TestMolchanovScores:
         node.params["bias"] = np.array([3.0])
         stream = [{"weight": np.array([[1.0]]), "bias": np.array([[-1.0]]).reshape(1)}]
         # (2*1 + 3*(-1))^2 = 1
-        assert abs(imp.molchanov_group_score(node, stream)[0] - 1.0) < 1e-12
+        assert abs(molchanov_group_score(node, stream)[0] - 1.0) < 1e-12
 
     def test_group_rejects_weightless_node(self):
         with pytest.raises(InputError, match="weights"):
-            imp.molchanov_group_score(ReLU("r", [INPUT]), [])
+            molchanov_group_score(ReLU("r", [INPUT]), [])
 
     def test_group_single_input_linear_agrees_with_taylor_sq(self):
         # with one input feature and no bias, w*dw = (w*v)*dx = x*dx exactly
@@ -264,7 +266,7 @@ class TestMolchanovScores:
         g = rng.normal(size=(1, 4))
         model.zero_grads()
         model.backward(record, g)
-        group = imp.molchanov_group_score(node, [{"weight": node.grads["weight"]}])
+        group = molchanov_group_score(node, [{"weight": node.grads["weight"]}])
         taylor_sq = imp.channel_signal(record.values[0], record.grads[0])[0] ** 2
         assert np.abs(group - taylor_sq).max() < 1e-12
 
@@ -379,6 +381,23 @@ class TestEstimate:
         with pytest.raises(InputError, match="input must be real"):
             imp.estimate(model, (np.ones((2, 1, 16, 16), complex), None), 2, "taylorfo", random_source())
 
+    @pytest.mark.parametrize("pixel", [np.nan, np.inf, -np.inf], ids=["nan", "inf", "-inf"])
+    @pytest.mark.parametrize("source", [loss_source(), random_source()], ids=["loss", "random"])
+    def test_non_finite_images_fail_before_any_forward(self, small_model, small_data, monkeypatch, pixel, source):
+        images, labels = small_data
+        images = images.copy()
+        images[3, 0, 2, 5] = pixel
+        monkeypatch.setattr(Model, "forward", lambda *args: pytest.fail("forward ran"))
+        with pytest.raises(InputError, match=r"images must be finite, got nan or inf in the first 8"):
+            imp.estimate(small_model, (images, labels), 8, "taylorfo", source)
+
+    def test_images_past_d_are_not_read(self, small_model, small_data):
+        images, labels = small_data
+        images = images.copy()
+        images[8:] = np.nan
+        clean = imp.estimate(small_model, small_data, 8, "taylorfo", loss_source())
+        assert imp.estimate(small_model, (images, labels), 8, "taylorfo", loss_source()).entries == clean.entries
+
     @pytest.mark.parametrize("shape", [(16, 1), (1, 16), (15,), ()])
     def test_labels_must_be_one_per_image(self, small_model, small_data, shape):
         images, labels = small_data
@@ -473,7 +492,7 @@ class TestEstimate:
             small_model.zero_grads()
             small_model.backward(record, rows)
             stream.append({k: v.copy() for k, v in node.grads.items()})
-        oracle = imp.molchanov_group_score(node, stream)
+        oracle = molchanov_group_score(node, stream)
         assert np.abs(table.scores(site.site_id) - oracle).max() <= 1e-15
 
     @pytest.mark.parametrize("source_kind", ["loss", "random"])
@@ -670,7 +689,7 @@ class TestBatchedMolchanov:
     def masked_model(self, small_model):
         from prunelab.pruning import PruneMask, apply_mask
 
-        keep = PruneMask.all_keep(small_model).keep
+        keep = all_keep(small_model).keep
         keep["conv1"][[2, 9]] = False
         keep["conv2"][[0, 5, 6]] = False
         return apply_mask(small_model, PruneMask(keep))
@@ -697,7 +716,7 @@ class TestBatchedMolchanov:
         for site in masked_model.sites:
             node = masked_model.nodes[site.node_index]
             stream = per_example_stream(masked_model, images, labels, source, d, node, tuple(node.params))
-            oracle = imp.molchanov_group_score(node, stream)
+            oracle = molchanov_group_score(node, stream)
             assert np.abs(table.scores(site.site_id) - oracle).max() <= 1e-15, site.site_id
         assert not table.scores("conv1")[[2, 9]].any()
 
@@ -713,7 +732,7 @@ class TestBatchedMolchanov:
         table = imp.estimate(model, small_data, d, "molchanov_group", source, batch_size=5)
         for site in model.sites:
             node = model.nodes[site.node_index]
-            oracle = imp.molchanov_group_score(
+            oracle = molchanov_group_score(
                 node, per_example_stream(model, images, labels, source, d, node, ("weight", "bias"))
             )
             scores = table.scores(site.site_id)

@@ -26,6 +26,7 @@ from prunelab.nn import (
     build_mlp_small,
     build_reference_models,
     gradient_check,
+    softmax,
     softmax_cross_entropy,
 )
 
@@ -502,6 +503,17 @@ class TestSoftmaxCrossEntropy:
     def test_extreme_logits_stay_finite(self):
         loss, grad = softmax_cross_entropy(np.array([[1000.0, -1000.0]]), np.array([1]))
         assert np.isfinite(loss) and np.isfinite(grad).all()
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    @pytest.mark.parametrize("scale", [1e-3, 1.0, 30.0])
+    def test_grad_is_softmax_minus_onehot_bytewise(self, dtype, scale):
+        rng = np.random.default_rng(7)
+        logits = (rng.normal(size=(33, 7)) * scale).astype(dtype)
+        labels = rng.integers(0, 7, size=33)
+        expected = softmax(logits)
+        expected[np.arange(33), labels] -= 1
+        _, grad = softmax_cross_entropy(logits, labels)
+        assert grad.dtype == dtype and grad.tobytes() == (expected / 33).tobytes()
 
     def test_label_out_of_range(self):
         with pytest.raises(InputError, match="range"):

@@ -23,6 +23,8 @@ from prunelab.nn import (
     build_reference_models,
 )
 
+from helpers import all_keep, pruned_channels, pruned_count
+
 
 def table_for(rows):
     """rows: (site_id, node_index, channel, score)"""
@@ -54,17 +56,17 @@ def dirty_stats(model, seed=0):
 class TestRankGlobal:
     def test_forced_minimum(self):
         plan = pruning.rank_global(single_site_table([0.1, 0.5, 0.2]), 1)
-        assert plan.pruned_channels() == [("s", 0)]
+        assert pruned_channels(plan) == [("s", 0)]
 
     def test_hand_sorted_pair(self):
         plan = pruning.rank_global(single_site_table([0.1, 0.5, 0.2]), 2)
-        assert plan.pruned_channels() == [("s", 0), ("s", 2)]
+        assert pruned_channels(plan) == [("s", 0), ("s", 2)]
 
     def test_equal_scores_tie_break(self):
         table = table_for([("a", 3, 0, 1.0), ("a", 3, 1, 1.0), ("b", 1, 0, 1.0), ("b", 1, 1, 1.0)])
         plan = pruning.rank_global(table, 1)
         # lowest (node index, channel) wins the tie
-        assert plan.pruned_channels() == [("b", 0)]
+        assert pruned_channels(plan) == [("b", 0)]
 
     def test_skip_preserves_last_survivor(self):
         table = table_for(
@@ -72,7 +74,7 @@ class TestRankGlobal:
             + [("b", 1, c, 10.0 + c) for c in range(3)]
         )
         plan = pruning.rank_global(table, 2)
-        assert plan.pruned_channels() == [("a", 0), ("b", 0)]
+        assert pruned_channels(plan) == [("a", 0), ("b", 0)]
         assert plan.skipped == [("a", 1)]
 
     def test_p_bounds(self):
@@ -104,7 +106,7 @@ class TestRankGlobal:
         )
         previous = set()
         for p in range(11):
-            current = set(pruning.rank_global(table, p).pruned_channels())
+            current = set(pruned_channels(pruning.rank_global(table, p)))
             assert previous <= current
             assert len(current) == p
             previous = current
@@ -125,17 +127,17 @@ class TestRankGlobal:
             [("a", 0, 0, 1.0), ("a", 0, 1, 2.0), ("b", 1, 0, 100.0), ("b", 1, 1, 400.0)]
         )
         raw = pruning.rank_global(table, 2)
-        assert raw.pruned_channels() == [("a", 0), ("b", 0)]
+        assert pruned_channels(raw) == [("a", 0), ("b", 0)]
         assert raw.skipped == [("a", 1)]
         norm = pruning.rank_global(table, 2, per_layer_normalize=True)
         # a -> [0.5, 1.0], b -> [0.25, 1.0]: b0 is now cheapest
-        assert norm.pruned_channels() == [("b", 0), ("a", 0)]
+        assert pruned_channels(norm) == [("b", 0), ("a", 0)]
         assert norm.skipped == []
 
     def test_normalization_leaves_zero_site_alone(self):
         table = table_for([("a", 0, 0, 0.0), ("a", 0, 1, 0.0), ("b", 1, 0, 5.0), ("b", 1, 1, 6.0)])
         plan = pruning.rank_global(table, 1, per_layer_normalize=True)
-        assert plan.pruned_channels() == [("a", 0)]
+        assert pruned_channels(plan) == [("a", 0)]
 
     def test_incomplete_channel_coverage(self):
         table = table_for([("s", 0, 0, 1.0), ("s", 0, 2, 2.0)])
@@ -218,7 +220,7 @@ class TestPruneMask:
     def test_plan_mask_counts(self):
         table = single_site_table([3.0, 1.0, 2.0, 4.0])
         mask = pruning.rank_global(table, 2).mask()
-        assert mask.pruned_count == 2
+        assert pruned_count(mask) == 2
         assert mask.keep["s"].tolist() == [True, False, False, True]
 
     def test_empty_site_rejected(self):
@@ -227,8 +229,8 @@ class TestPruneMask:
 
     def test_all_keep_helper(self):
         model = build_mlp_small(image_size=8, seed=0)
-        mask = pruning.PruneMask.all_keep(model)
-        assert mask.pruned_count == 0
+        mask = all_keep(model)
+        assert pruned_count(mask) == 0
         assert set(mask.keep) == {"fc1", "fc2"}
 
 
@@ -236,7 +238,7 @@ class TestApplyMask:
     def test_all_keep_forward_bitwise_identical(self):
         for build in (build_mlp_small, build_cnn_small):
             model = build(image_size=8, seed=1)
-            masked = pruning.apply_mask(model, pruning.PruneMask.all_keep(model))
+            masked = pruning.apply_mask(model, all_keep(model))
             x = np.random.default_rng(2).standard_normal((3,) + model.input_shape)
             a, _ = model.forward(x, "eval")
             b, _ = masked.forward(x, "eval")
@@ -255,7 +257,7 @@ class TestApplyMask:
 
     def test_masked_channels_record_zero_and_get_no_grad(self):
         model = build_cnn_small(image_size=8, seed=3).astype(np.float64)
-        keep = pruning.PruneMask.all_keep(model).keep
+        keep = all_keep(model).keep
         keep["conv2"][5] = False
         masked = pruning.apply_mask(model, pruning.PruneMask(keep))
         rng = np.random.default_rng(4)
@@ -273,7 +275,7 @@ class TestApplyMask:
 
     def test_original_model_untouched(self):
         model = build_cnn_small(image_size=8, seed=3)
-        pruning.apply_mask(model, pruning.PruneMask.all_keep(model))
+        pruning.apply_mask(model, all_keep(model))
         assert model.masks == {}
 
     def test_site_mismatch(self):
@@ -288,7 +290,7 @@ class TestApplyMask:
 class TestCompact:
     def test_all_keep_is_identity(self):
         model = dirty_stats(build_cnn_small(image_size=8, seed=5))
-        small = pruning.compact(model, pruning.PruneMask.all_keep(model))
+        small = pruning.compact(model, all_keep(model))
         assert small.param_count() == model.param_count()
         for a, b in zip(model.nodes, small.nodes):
             for k in a.params:
@@ -298,7 +300,7 @@ class TestCompact:
 
     def test_shape_bookkeeping(self):
         model = build_cnn_small(image_size=8, seed=5)
-        keep = pruning.PruneMask.all_keep(model).keep
+        keep = all_keep(model).keep
         keep["conv1"][7] = False
         small = pruning.compact(model, pruning.PruneMask(keep))
         assert small.nodes[0].params["weight"].shape == (15, 1, 3, 3)
@@ -312,7 +314,7 @@ class TestCompact:
     def test_masked_equivalence_float64(self, build):
         model = dirty_stats(build(image_size=8, seed=6)).astype(np.float64)
         mask = random_mask(model, np.random.default_rng(9))
-        assert mask.pruned_count > 0
+        assert pruned_count(mask) > 0
         deviation = pruning.validate_equivalence(model, mask, trials=20, seed=1)
         assert deviation < 1e-10
 
@@ -324,7 +326,7 @@ class TestCompact:
 
     def test_all_keep_deviation_zero(self):
         model = build_cnn_small(image_size=8, seed=6)
-        assert pruning.validate_equivalence(model, pruning.PruneMask.all_keep(model), trials=5) == 0.0
+        assert pruning.validate_equivalence(model, all_keep(model), trials=5) == 0.0
 
     @pytest.mark.parametrize("arguments,match", [
         (dict(trials=0), "trials must be an integer >= 1, got 0"),
@@ -336,7 +338,7 @@ class TestCompact:
     def test_bad_trials_or_seed_is_input_error(self, arguments, match):
         model = build_cnn_small(image_size=8, seed=6)
         with pytest.raises(InputError, match=match):
-            pruning.validate_equivalence(model, pruning.PruneMask.all_keep(model), **arguments)
+            pruning.validate_equivalence(model, all_keep(model), **arguments)
 
     def test_heavy_pruning_still_equivalent(self):
         model = dirty_stats(build_cnn_small(image_size=8, seed=11)).astype(np.float64)
@@ -397,7 +399,7 @@ class TestCompact:
 
 def conv2_off(model, channels):
     """A PruneMask that keeps everything except the given conv2 channels."""
-    keep = pruning.PruneMask.all_keep(model).keep
+    keep = all_keep(model).keep
     keep["conv2"][list(channels)] = False
     return pruning.PruneMask(keep)
 
@@ -415,7 +417,7 @@ class TestMaskComposition:
     def test_all_keep_leaves_existing_mask(self):
         model = build_cnn_small(image_size=8, seed=3)
         masked = pruning.apply_mask(model, conv2_off(model, (1, 2)))
-        again = pruning.apply_mask(masked, pruning.PruneMask.all_keep(model))
+        again = pruning.apply_mask(masked, all_keep(model))
         assert set(again.masks) == set(masked.masks)
         for node, keep in masked.masks.items():
             assert np.array_equal(again.masks[node], keep)
@@ -429,7 +431,7 @@ class TestMaskComposition:
         again = pruning.apply_mask(model, conv2_off(model, (1,)))
         for node in (4, 5):
             assert np.flatnonzero(again.masks[node] == 0).tolist() == [1, 4, 9]
-        small = pruning.compact(model, pruning.PruneMask.all_keep(model))
+        small = pruning.compact(model, all_keep(model))
         assert small.sites[1].channels == 22
         x = np.random.default_rng(7).standard_normal((3,) + model.input_shape)
         a, _ = model.forward(x, "eval")
@@ -460,7 +462,7 @@ class TestMaskComposition:
     def test_compact_all_keep_of_masked_model_shrinks(self):
         model = build_cnn_small(image_size=8, seed=5)
         masked = pruning.apply_mask(model, conv2_off(model, (7,)))
-        small = pruning.compact(masked, pruning.PruneMask.all_keep(model))
+        small = pruning.compact(masked, all_keep(model))
         assert small.sites[1].channels == 23
         assert small.param_count() < model.param_count()
 
@@ -489,7 +491,7 @@ class TestStrayMasks:
     def test_compact_names_the_node(self, name, index, node):
         model = with_stray_mask(name, index)
         with pytest.raises(InputError, match=rf"node {index} \({node}\).*gates no site"):
-            pruning.compact(model, pruning.PruneMask.all_keep(model))
+            pruning.compact(model, all_keep(model))
         with pytest.raises(InputError, match=rf"node {index} \({node}\)"):
             pruning.validate_equivalence(model, random_mask(model, np.random.default_rng(1)))
 
@@ -497,7 +499,7 @@ class TestStrayMasks:
     def test_apply_mask_rejects_it(self, name, index, node):
         model = with_stray_mask(name, index)
         with pytest.raises(InputError, match=rf"node {index} \({node}\).*gates no site"):
-            pruning.apply_mask(model, pruning.PruneMask.all_keep(model))
+            pruning.apply_mask(model, all_keep(model))
 
 
 # masks that do not fit the model: (node index, length, error)
@@ -513,7 +515,7 @@ class TestMaskFit:
     def test_apply_mask_and_compact_reject_it(self, index, length, match):
         model = build_cnn_small(seed=0)
         model.masks[index] = np.ones(length, np.float32)
-        mask = pruning.PruneMask.all_keep(model)
+        mask = all_keep(model)
         with pytest.raises(InputError, match=match):
             pruning.apply_mask(model, mask)
         with pytest.raises(InputError, match=match):
@@ -528,7 +530,7 @@ class TestMaskValues:
         model = build_cnn_small(seed=0)
         model.masks[4] = np.ones(model.nodes[4].channels, np.float32)
         model.masks[4][3] = value
-        mask = pruning.PruneMask.all_keep(model)
+        mask = all_keep(model)
         with pytest.raises(InputError, match="mask on node 4 holds values other than 0 and 1"):
             pruning.apply_mask(model, mask)
         with pytest.raises(InputError, match="mask on node 4 holds values other than 0 and 1"):

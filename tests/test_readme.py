@@ -1,8 +1,10 @@
 """Every fenced python block of README.md runs, so the documented library
-example cannot go stale, and the config-key table lists exactly the
-ExperimentConfig fields with their defaults."""
+example cannot go stale, the config-key table lists exactly the
+ExperimentConfig fields with their defaults, and every name the library
+table lists is an attribute of its row's module."""
 
 import contextlib
+import importlib
 import io
 import pathlib
 import re
@@ -38,3 +40,22 @@ def test_config_table_lists_every_field_with_its_default():
     for key, (parse, default, _) in harness._FIELDS.items():
         shown = table[key]
         assert (None if shown == "unset" else parse(shown.strip("`"))) == default, key
+
+
+def library_table():
+    """[(module, backticked names)] from the README's "Library" table."""
+    table = README.read_text(encoding="utf-8").split("## Library", 1)[1].split("\n\n")[1]
+    rows = [row.split(" | ") for row in table.splitlines()[2:]]
+    return [(module.strip("| `"), re.findall(r"`([^`]+)`", contents)) for module, contents in rows]
+
+
+def test_library_table_lists_every_module():
+    assert [module for module, _ in library_table()] == [
+        f"prunelab.{name}" for name in ("nn", "importance", "pruning", "data", "harness", "checkpoint", "cli")]
+
+
+@pytest.mark.parametrize("module,names", library_table(), ids=[module for module, _ in library_table()])
+def test_library_table_names_resolve(module, names):
+    found = importlib.import_module(module)
+    assert names
+    assert [name for name in names if not hasattr(found, name)] == []

@@ -5,6 +5,7 @@ are fed values that int(), float() or bool() would silently truncate,
 coerce or overflow on: fractional floats for integer fields, True for
 integers, strings for flags, 2**64, 10**400 and numpy scalars.  Each record
 either raises its documented error or stores a value equal to the input.
+Bad labels meet one rule, with one message, wherever they meet a model.
 """
 
 import json
@@ -13,12 +14,12 @@ import struct
 import numpy as np
 import pytest
 
-from prunelab import checkpoint
+from prunelab import checkpoint, data, harness
 from prunelab.cli import main
 from prunelab.errors import FormatError, InputError
 from prunelab.harness import SweepResult
-from prunelab.importance import RANDOM, GradientSource, ImportanceTable
-from prunelab.nn import build_reference_models
+from prunelab.importance import LOSS, RANDOM, GradientSource, ImportanceTable, estimate
+from prunelab.nn import build_mlp_small, build_reference_models, softmax_cross_entropy
 
 VALUES = {"2.7": 2.7, "4.0": 4.0, "True": True, "'false'": "false", "'3'": "3", "2**64": 2**64,
           "10**400": 10**400, "int64(3)": np.int64(3), "uint64(2**64-1)": np.uint64(2**64 - 1),
@@ -108,3 +109,35 @@ def test_eps_a_batch_norm_cannot_use_fails_at_load(saved, capsys, eps):
     assert main(["eval", "--checkpoint", str(saved)]) == 3
     err = capsys.readouterr().err
     assert err.startswith("error: ") and "Traceback" not in err
+
+
+LABELS = np.arange(8) % 4
+BAD_LABELS = {"float": (LABELS.astype(np.float64), "labels must be integers, got dtype float64"),
+              "short": (LABELS[:-1], r"labels must have shape \(8,\), got \(7,\)"),
+              "negative": (np.where(LABELS == 1, -1, LABELS), r"labels out of range \[0, 4\): -1\.\.3"),
+              "class_count": (np.where(LABELS == 1, 4, LABELS), r"labels out of range \[0, 4\): 0\.\.4")}
+
+
+def _evaluate(model, images, labels, monkeypatch):
+    # a Dataset holds no bad labels, so the batch arrives as they would from a stale one
+    monkeypatch.setattr(data, "batches", lambda dataset, batch_size: iter([(images, labels)]))
+    harness.evaluate(model, data.generate_shapes(4, 2, image_size=12), 8)
+
+
+LABEL_USERS = {
+    "Dataset": lambda model, images, labels, _: data.Dataset(images, labels, "train", 0, num_classes=4),
+    "softmax_cross_entropy": lambda model, images, labels, _: softmax_cross_entropy(np.zeros((8, 4)), labels),
+    "estimate": lambda model, images, labels, _: estimate(model, (images, labels), 8, "taylorfo",
+                                                          GradientSource(LOSS)),
+    "evaluate": _evaluate,
+}
+
+
+@pytest.mark.parametrize("user", LABEL_USERS)
+@pytest.mark.parametrize("case", BAD_LABELS)
+def test_bad_labels_get_one_message_everywhere(user, case, monkeypatch):
+    labels, message = BAD_LABELS[case]
+    images = np.random.default_rng(0).random((8, 1, 12, 12)).astype(np.float32)
+    model = build_mlp_small(num_classes=4, image_size=12, seed=0)
+    with pytest.raises(InputError, match=f"^{message}$"):
+        LABEL_USERS[user](model, images, labels, monkeypatch)
