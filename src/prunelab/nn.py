@@ -79,6 +79,13 @@ class Node:
 
 
 class Conv2d(Node):
+    """2d convolution with optional bias (``tensor.conv2d``).
+
+    The cache holds x and, in train mode only, the patch columns the forward
+    built, which the weight adjoint reads instead of building them again.  An
+    eval-mode cache holds no columns: at evaluation batch sizes they are k^2
+    times the size of x."""
+
     kind = "conv2d"
 
     def __init__(self, name, refs, in_channels, out_channels, kernel, stride=1, padding=0, bias=True):
@@ -106,16 +113,17 @@ class Conv2d(Node):
 
     def forward(self, xs, mode, cache):
         x = xs[0]
-        out = T.conv2d(x, self.params["weight"], self.stride, self.padding)
+        cols = [] if mode == "train" else None
+        out = T.conv2d(x, self.params["weight"], self.stride, self.padding, cols=cols)
         if self.has_bias:
             out = out + self.params["bias"].reshape(1, -1, 1, 1)
-        cache["x"] = x
+        cache.update(x=x, cols=cols)
         return out
 
     def backward(self, grad, cache):
         x, w = cache["x"], self.params["weight"]
         if cache.get("params", True):
-            self.grads["weight"] += T.conv2d_grad_weight(x, w, grad, self.stride, self.padding)
+            self.grads["weight"] += T.conv2d_grad_weight(x, w, grad, self.stride, self.padding, cols=cache["cols"])
             if self.has_bias:
                 self.grads["bias"] += grad.sum(axis=(0, 2, 3))
         return [T.conv2d_grad_input(x, w, grad, self.stride, self.padding) if cache.get("inputs", True) else None]
@@ -230,7 +238,13 @@ class BatchNorm(Node):
         m = grad.size // grad.shape[1]
         s1 = dxhat.sum(axis=axes)
         s2 = (dxhat * xhat).sum(axis=axes)
-        return [(dxhat - _row(s1, grad) / m - xhat * _row(s2, grad) / m) * _row(inv_std, grad)]
+        # (dxhat - s1/m - xhat*s2/m) * inv_std, op for op, in place
+        np.subtract(dxhat, _row(s1, grad) / m, out=dxhat)
+        xhat *= _row(s2, grad)
+        xhat /= m
+        dxhat -= xhat
+        dxhat *= _row(inv_std, grad)
+        return [dxhat]
 
 
 class ReLU(Node):
@@ -321,11 +335,12 @@ class MaxPool(_Pool):
         bits = grad.view(f"u{grad.itemsize}")
         gx_bits = np.empty(cache["x"].shape, bits.dtype)
         free = np.ones(out.shape, bool)
+        hit = np.empty(out.shape, bool)
         for i, j, corner in self._corners(cache["x"]):
-            hit = corner == out
+            np.equal(corner, out, out=hit)
             hit &= free
             free ^= hit
-            gx_bits[:, :, i::k, j::k] = bits * hit
+            np.multiply(bits, hit, out=gx_bits[:, :, i::k, j::k])
         return [gx_bits.view(grad.dtype)]
 
 

@@ -12,8 +12,14 @@ patch columns stay in cache.
 
 A caller computes only the adjoint it reads: ``conv2d_grad_input`` (folded
 back by ``col2im``, the adjoint of ``im2col``) or ``conv2d_grad_weight``;
-``conv2d_backward`` returns both.  The adjoints run over the whole batch:
-their einsum reductions sum in an order that blocking would change.
+``conv2d_backward`` returns both.  Each adjoint is one plain matmul over the
+whole batch, the GEMM that numpy 2.x's ``einsum(..., optimize=True)``
+decomposes it into: [N*Ho*Wo, F] . [F, C*kh*kw] for the input columns,
+[C*kh*kw, N*Ho*Wo] . [N*Ho*Wo, F] for the weight.  The tests compare both
+with that einsum byte for byte, so a numpy whose einsum picks another
+decomposition fails them instead of drifting silently.  The weight adjoint
+reads the block columns a ``conv2d`` call kept in its ``cols`` list (a
+train-mode ``nn.Conv2d`` asks for them) instead of running ``im2col`` again.
 
 Importing the module fixes the C allocator's thresholds for the process (see
 ``_pin_malloc_thresholds``; ``MALLOC_PINNED`` says whether it did), so that
@@ -129,25 +135,44 @@ def im2col(x, kh, kw, stride, padding):
     return cols.reshape(n, c * kh * kw, ho * wo)
 
 
+def _inside(tap, out_extent, extent, stride, padding):
+    """The output positions whose tap lands inside the image along one axis,
+    and the image positions they land on."""
+    lo = max(0, -((tap - padding) // stride))
+    hi = min(out_extent, (extent - 1 + padding - tap) // stride + 1)
+    first = lo * stride + tap - padding
+    return slice(lo, hi), slice(first, first + stride * (hi - lo), stride)
+
+
 def col2im(cols, x_shape, kh, kw, stride, padding):
-    """Adjoint of im2col: fold patch columns back, accumulating overlaps."""
+    """Adjoint of im2col: fold patch columns [N, C*kh*kw, Ho*Wo] back into a
+    contiguous [N,C,H,W], accumulating overlaps tap by tap in (i, j) order.
+
+    The taps add into a zeroed channel-last (N, H, W, C) buffer, each from
+    only the output positions that land inside the image; a tap that would
+    land in the padding adds nothing.  The buffer is transposed once at the
+    end.  cols may be any strided view, such as a transposed matmul result.
+    """
     n, c, h, w = x_shape
     ho = conv_output_size(h, kh, stride, padding)
     wo = conv_output_size(w, kw, stride, padding)
-    xp = np.zeros((n, c, h + 2 * padding, w + 2 * padding), dtype=cols.dtype)
+    out = np.zeros((n, h, w, c), dtype=cols.dtype)
     cols = cols.reshape(n, c, kh, kw, ho, wo)
     for i in range(kh):
+        rows, ys = _inside(i, ho, h, stride, padding)
         for j in range(kw):
-            xp[:, :, i : i + stride * ho : stride, j : j + stride * wo : stride] += cols[:, :, i, j]
-    if padding == 0:
-        return xp
-    return xp[:, :, padding : padding + h, padding : padding + w]
+            cs, xs = _inside(j, wo, w, stride, padding)
+            if rows.start < rows.stop and cs.start < cs.stop:
+                out[:, ys, xs] += cols[:, :, i, j, rows, cs].transpose(0, 2, 3, 1)
+    return np.ascontiguousarray(out.transpose(0, 3, 1, 2))
 
 
-def conv2d(x, w, stride=1, padding=0):
+def conv2d(x, w, stride=1, padding=0, cols=None):
     """Cross-correlate x [N,C,H,W] with w [F,C,kh,kw] -> [N,F,Ho,Wo].
 
-    Zero padding, no kernel flip, no bias.  im2col + matmul per block.
+    Zero padding, no kernel flip, no bias.  im2col + matmul per block.  A list
+    passed as cols receives each block's patch columns, in block order, for
+    ``conv2d_grad_weight``.
     """
     _check_conv_args(x, w)
     n = x.shape[0]
@@ -156,7 +181,11 @@ def conv2d(x, w, stride=1, padding=0):
     wo = conv_output_size(x.shape[3], kw, stride, padding)
     out = np.empty((n, f, ho * wo), x.dtype)
     for blk in blocks(n):
-        np.matmul(w.reshape(f, -1), im2col(x[blk], kh, kw, stride, padding), out=out[blk])
+        block_cols = im2col(x[blk], kh, kw, stride, padding)
+        np.matmul(w.reshape(f, -1), block_cols, out=out[blk])
+        if cols is not None:
+            cols.append(block_cols)
+        del block_cols  # so the next block's columns reuse this block's cached memory
     return out.reshape(n, f, ho, wo)
 
 
@@ -177,19 +206,26 @@ def _grad_columns(x, w, grad_output, stride, padding):
 def conv2d_grad_input(x, w, grad_output, stride=1, padding=0):
     """Adjoint of conv2d in x; x is read for its shape only."""
     go = _grad_columns(x, w, grad_output, stride, padding)
-    f, _, kh, kw = w.shape
-    # dcols[n] = W.T . go[n], then fold back
-    grad_cols = np.einsum("fc,nfp->ncp", w.reshape(f, -1), go, optimize=True)
+    n, f, p = go.shape
+    kh, kw = w.shape[2:]
+    # dcols[n] = W.T . go[n] for every n at once, folded back from a view
+    grad_cols = np.matmul(go.transpose(0, 2, 1).reshape(n * p, f), w.reshape(f, -1))
+    grad_cols = grad_cols.reshape(n, p, -1).transpose(0, 2, 1)
     return col2im(grad_cols, x.shape, kh, kw, stride, padding)
 
 
-def conv2d_grad_weight(x, w, grad_output, stride=1, padding=0):
-    """Adjoint of conv2d in w; w is read for its shape only."""
+def conv2d_grad_weight(x, w, grad_output, stride=1, padding=0, cols=None):
+    """Adjoint of conv2d in w; w is read for its shape only, and x too when
+    cols is the list of block columns a ``conv2d`` of the same x and w kept."""
     go = _grad_columns(x, w, grad_output, stride, padding)
-    f, c, kh, kw = w.shape
-    cols = im2col(x, kh, kw, stride, padding)  # [N, C*kh*kw, Ho*Wo]
-    # dW[f, :] = sum_n go[n, f] . cols[n].T
-    return np.einsum("nfp,ncp->fc", go, cols, optimize=True).reshape(f, c, kh, kw)
+    n, f, p = go.shape
+    kh, kw = w.shape[2:]
+    if cols is None:
+        cols = [im2col(x, kh, kw, stride, padding)]
+    cols = cols[0] if len(cols) == 1 else np.concatenate(cols)
+    # dW[f, :] = sum_n go[n, f] . cols[n].T, with the columns as [C*kh*kw, N*P]
+    gw = np.matmul(cols.transpose(1, 0, 2).reshape(-1, n * p), go.transpose(0, 2, 1).reshape(n * p, f))
+    return gw.T.reshape(w.shape)
 
 
 def conv2d_backward(x, w, grad_output, stride=1, padding=0):

@@ -85,6 +85,37 @@ def conv2d_direct(x, w, stride=1, padding=0):
     return out
 
 
+def col2im_padded(cols, x_shape, kh, kw, stride, padding):
+    """Reference col2im: every tap added, in (i, j) order, into a zeroed
+    padded NCHW buffer, whose interior is returned (a view when padded)."""
+    n, c, h, w = x_shape
+    ho = tensor.conv_output_size(h, kh, stride, padding)
+    wo = tensor.conv_output_size(w, kw, stride, padding)
+    xp = np.zeros((n, c, h + 2 * padding, w + 2 * padding), dtype=cols.dtype)
+    cols = cols.reshape(n, c, kh, kw, ho, wo)
+    for i in range(kh):
+        for j in range(kw):
+            xp[:, :, i : i + stride * ho : stride, j : j + stride * wo : stride] += cols[:, :, i, j]
+    return xp[:, :, padding : padding + h, padding : padding + w]
+
+
+def conv2d_grad_input_einsum(x, w, grad_output, stride=1, padding=0):
+    """Reference input adjoint: einsum(optimize=True) columns, folded back by
+    ``col2im_padded``."""
+    f, _, kh, kw = w.shape
+    go = grad_output.reshape(len(x), f, -1)
+    grad_cols = np.einsum("fc,nfp->ncp", w.reshape(f, -1), go, optimize=True)
+    return col2im_padded(grad_cols, x.shape, kh, kw, stride, padding)
+
+
+def conv2d_grad_weight_einsum(x, w, grad_output, stride=1, padding=0, cols=None):
+    """Reference weight adjoint: einsum(optimize=True) over columns rebuilt
+    from x; ignores any columns a forward kept."""
+    f, _, kh, kw = w.shape
+    go = grad_output.reshape(len(x), f, -1)
+    return np.einsum("nfp,ncp->fc", go, tensor.im2col(x, kh, kw, stride, padding), optimize=True).reshape(w.shape)
+
+
 def avg_pool_oracle(x, k):
     """Average pool as numpy's mean over each window's two axes."""
     n, c, h, w = x.shape

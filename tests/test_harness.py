@@ -4,12 +4,12 @@ prune-sweep row accounting."""
 import numpy as np
 import pytest
 
-from prunelab import harness
+from prunelab import harness, tensor
 from prunelab.data import Dataset, generate_shapes, make_splits
 from prunelab.errors import ConfigError, FormatError, InputError, TrainingError
 from prunelab.nn import INPUT, Flatten, Linear, Model, build_cnn_small, build_mlp_small
 
-from helpers import all_keep, pruned_channels
+from helpers import all_keep, conv2d_grad_input_einsum, conv2d_grad_weight_einsum, pruned_channels
 
 
 def tiny_sets(num_classes=2, per_class_train=10, per_class_test=5, image_size=12, noise=0.05, seed=0):
@@ -227,6 +227,21 @@ class TestTrain:
         assert trained.nodes[1].params["bias"][3] == masked.nodes[1].params["bias"][3]
         assert trained.nodes[3].params["weight"][:, 3].tobytes() == masked.nodes[3].params["weight"][:, 3].tobytes()
         assert trained.nodes[1].params["weight"][2].tobytes() != masked.nodes[1].params["weight"][2].tobytes()
+
+    @pytest.mark.parametrize("name", ["cnn_small", "cnn_residual"])
+    @pytest.mark.parametrize("batch_size", [32, 80])
+    def test_one_epoch_equals_the_einsum_adjoints_byte_for_byte(self, name, batch_size, monkeypatch):
+        """The plain-GEMM adjoints, the channel-last col2im and the columns a
+        train forward keeps (one block at batch 32, three at 80) train the
+        same parameter bytes as the einsum adjoints over rebuilt columns."""
+        config = harness.ExperimentConfig(model=name, epochs=1, batch_size=batch_size)
+        train_set, _ = harness.build_datasets(config)
+        got, _ = harness.train(harness.build_model(config), train_set, config)
+        monkeypatch.setattr(tensor, "conv2d_grad_input", conv2d_grad_input_einsum)
+        monkeypatch.setattr(tensor, "conv2d_grad_weight", conv2d_grad_weight_einsum)
+        want, _ = harness.train(harness.build_model(config), train_set, config)
+        for (_, _, _, a), (_, _, _, b) in zip(got.parameters(), want.parameters(), strict=True):
+            assert a.tobytes() == b.tobytes()
 
     def test_trains_to_frozen_threshold(self):
         config = harness.ExperimentConfig()

@@ -7,7 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
-from prunelab import nn
+from prunelab import nn, tensor
 from prunelab.errors import InputError, ShapeError, StateError
 from prunelab.nn import (
     INPUT,
@@ -178,6 +178,23 @@ class TestEvalCaches:
         for i, cache in enumerate(record.caches):
             assert "xhat" not in cache, f"node {i}"
             assert not any(getattr(v, "dtype", None) == bool for v in cache.values()), f"node {i}"
+
+    @pytest.mark.parametrize("name", ["cnn_small", "cnn_residual"])
+    def test_only_a_train_forward_keeps_conv_columns(self, name, monkeypatch):
+        """An eval cache holds no columns; a train backward reads the kept
+        ones, so its weight gradients run no im2col."""
+        model = nn.MODEL_BUILDERS[name](seed=1)
+        x = np.random.default_rng(2).normal(size=(40, 1, 16, 16))
+        convs = [i for i, node in enumerate(model.nodes) if node.kind == "conv2d"]
+        _, record = model.forward(x, "eval")
+        assert all(record.caches[i]["cols"] is None for i in convs)
+        logits, record = model.forward(x, "train")
+        for i in convs:
+            assert [len(block) for block in record.caches[i]["cols"]] == [32, 8], f"node {i}"
+        calls = []
+        monkeypatch.setattr(tensor, "im2col", lambda *args: calls.append(args))
+        model.backward(record, np.ones_like(logits))
+        assert calls == []
 
     def test_relu_backward_is_grad_times_the_positive_mask(self):
         x = np.array([[-1.0, -0.0, 0.0, 2.0, np.nan, np.inf, -np.inf, 1e-300]])

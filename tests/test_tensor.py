@@ -4,7 +4,8 @@ import sys
 
 import numpy as np
 import pytest
-from helpers import central_diff, conv2d_direct, rel_err
+from helpers import (central_diff, col2im_padded, conv2d_direct, conv2d_grad_input_einsum,
+                     conv2d_grad_weight_einsum, rel_err)
 
 from prunelab import tensor
 from prunelab.errors import ShapeError
@@ -149,6 +150,95 @@ class TestConv2dBackward:
     def test_halves_check_grad_output_shape(self, half):
         with pytest.raises(ShapeError, match="grad_output"):
             getattr(tensor, half)(np.ones((1, 1, 5, 5)), np.ones((1, 1, 3, 3)), np.ones((1, 1, 2, 2)))
+
+
+def _col2im_cases():
+    """(x_shape, kernel, stride, padding) over stride {1, 2} x padding {0, 1, 2}
+    wherever the convolution exists.  7x5 fits every pair; in the other two
+    shapes some tap lands only in the padding (kernel 5 over a 2-row image at
+    stride 1, kernel 3 over a 1-row image at stride 2)."""
+    cases = []
+    for x_shape, k in [((3, 4, 7, 5), 3), ((2, 3, 2, 2), 5), ((2, 3, 1, 1), 3)]:
+        for stride in (1, 2):
+            for padding in (0, 1, 2):
+                try:
+                    for extent in x_shape[2:]:
+                        tensor.conv_output_size(extent, k, stride, padding)
+                except ShapeError:
+                    continue
+                cases.append((x_shape, k, stride, padding))
+    return cases
+
+
+class TestCol2im:
+    """col2im folds into a channel-last buffer from only the in-image output
+    positions; its bytes equal the padded-buffer oracle's."""
+
+    @pytest.mark.parametrize("x_shape,k,stride,padding", _col2im_cases())
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    @pytest.mark.parametrize("layout", ["contiguous", "transposed"])
+    def test_equals_the_padded_oracle_byte_for_byte(self, x_shape, k, stride, padding, dtype, layout):
+        n, c, h, w = x_shape
+        ho = tensor.conv_output_size(h, k, stride, padding)
+        wo = tensor.conv_output_size(w, k, stride, padding)
+        rng = np.random.default_rng(stride * 10 + padding)
+        values = rng.normal(size=(n, ho * wo, c * k * k)).astype(dtype)
+        values[values < -1.5] = -0.0
+        cols = values.transpose(0, 2, 1)  # the layout conv2d_grad_input hands over
+        if layout == "contiguous":
+            cols = np.ascontiguousarray(cols)
+        got = tensor.col2im(cols, x_shape, k, k, stride, padding)
+        want = col2im_padded(cols, x_shape, k, k, stride, padding)
+        assert got.flags.c_contiguous and got.shape == x_shape and got.dtype == want.dtype
+        assert got.tobytes() == want.tobytes()
+
+    def test_a_tap_whose_outputs_all_land_in_the_top_padding(self):
+        # kernel 9, padding 3 over 4 rows: tap 0's two output rows land on
+        # image rows -3 and -2, so its image slice must not wrap to rows 0..2
+        cols = np.random.default_rng(3).normal(size=(1, 2 * 81, 4))
+        got = tensor.col2im(cols, (1, 2, 4, 4), 9, 9, 1, 3)
+        assert got.tobytes() == col2im_padded(cols, (1, 2, 4, 4), 9, 9, 1, 3).tobytes()
+
+    def test_a_tap_with_no_output_inside_the_image_adds_nothing(self):
+        # kernel 3, stride 2, padding 2 over one pixel: tap 1 lands on rows -1 and 1
+        cols = np.ones((1, 9, 4))
+        got = tensor.col2im(cols, (1, 1, 1, 1), 3, 3, 2, 2)
+        assert got.tolist() == [[[[4.0]]]]  # taps (0|2, 0|2), one position each
+
+
+class TestConvAdjointGemms:
+    """Each adjoint half is the GEMM numpy's einsum(optimize=True) runs, so
+    its bytes equal that einsum's at the cnn_small conv shapes."""
+
+    SHAPES = [(1, 16, 16), (16, 24, 8), (24, 32, 4)]  # (C, F, H=W) of conv1..conv3
+
+    @pytest.mark.parametrize("c,f,h", SHAPES)
+    @pytest.mark.parametrize("n", [32, 256])
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    def test_halves_equal_einsum_byte_for_byte(self, c, f, h, n, dtype):
+        rng = np.random.default_rng(n + c)
+        x = rng.normal(size=(n, c, h, h)).astype(dtype)
+        w = rng.normal(size=(f, c, 3, 3)).astype(dtype)
+        g = rng.normal(size=(n, f, h, h)).astype(dtype)
+        gx = tensor.conv2d_grad_input(x, w, g, 1, 1)
+        assert gx.tobytes() == conv2d_grad_input_einsum(x, w, g, 1, 1).tobytes()
+        want_gw = conv2d_grad_weight_einsum(x, w, g, 1, 1).tobytes()
+        assert tensor.conv2d_grad_weight(x, w, g, 1, 1).tobytes() == want_gw
+        kept = []
+        tensor.conv2d(x, w, 1, 1, cols=kept)
+        assert tensor.conv2d_grad_weight(x, w, g, 1, 1, cols=kept).tobytes() == want_gw
+
+    @pytest.mark.parametrize("stride,padding", [(1, 1), (2, 0)])
+    def test_kept_block_columns_equal_rebuilt_ones(self, stride, padding):
+        rng = np.random.default_rng(8)
+        x = rng.normal(size=(70, 3, 7, 7)).astype(np.float32)
+        w = rng.normal(size=(4, 3, 3, 3)).astype(np.float32)
+        kept = []
+        out = tensor.conv2d(x, w, stride, padding, cols=kept)
+        assert [len(b) for b in kept] == [32, 32, 6]
+        g = rng.normal(size=out.shape).astype(np.float32)
+        got = tensor.conv2d_grad_weight(x, w, g, stride, padding, cols=kept)
+        assert got.tobytes() == tensor.conv2d_grad_weight(x, w, g, stride, padding).tobytes()
 
 
 class TestMallocPin:
