@@ -77,12 +77,20 @@ def _random_rows(seed, example_indices, width):
     """Standard-normal rows, one per example, keyed by (seed, example index).
 
     Each row comes from its own counter-based stream, so the row for example
-    i is the same no matter which batch it appears in.
+    i is the same no matter which batch it appears in.  One Philox generator
+    serves the call: re-keyed with a zero counter and an empty buffer, it
+    starts the stream a new ``Philox(key=[seed, i])`` would.
     """
+    bits = np.random.Philox(key=0)
+    gen = np.random.Generator(bits)
+    key = np.empty(2, np.uint64)
+    state = {"bit_generator": "Philox", "state": {"counter": np.zeros(4, np.uint64), "key": key},
+             "buffer": np.zeros(4, np.uint64), "buffer_pos": 4, "has_uint32": 0, "uinteger": 0}
     rows = np.empty((len(example_indices), width), np.float64)
     for j, idx in enumerate(example_indices):
-        key = np.array([seed, int(idx)], dtype=np.uint64)
-        rows[j] = np.random.Generator(np.random.Philox(key=key)).standard_normal(width)
+        key[:] = seed, int(idx)
+        bits.state = state
+        rows[j] = gen.standard_normal(width)
     return rows
 
 

@@ -320,9 +320,9 @@ class MaxPool(_Pool):
 
     def forward(self, xs, mode, cache):
         x = xs[0]
-        corners = self._corners(x)
-        out = corners[0][2].copy()
-        for _, _, corner in corners[1:]:
+        corners = [corner for _, _, corner in self._corners(x)]
+        out = np.maximum(corners[1], corners[0]) if len(corners) > 1 else corners[0].copy()
+        for corner in corners[2:]:
             np.maximum(corner, out, out=out)  # equal operands (0.0, -0.0) give the second: the earlier corner
         cache["x"], cache["out"] = x, out
         return out

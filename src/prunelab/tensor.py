@@ -8,7 +8,11 @@ surface at the call site.
 (``blocks``), each block writing into one preallocated output.  numpy's
 stacked matmul makes one BLAS call per example either way, so the output
 bytes equal one matmul over the whole batch, while a block's 9x-inflated
-patch columns stay in cache.
+patch columns stay in cache.  ``im2col`` lays each image out flat between
+two zero margins of padding*W + padding elements and gathers every tap with
+one copy through a strided view; a tap of a stride-1 "same" conv reads one
+contiguous run of H*W.  There is no horizontal padding: an output column
+left or right of the image reads the neighbouring row, and is zeroed after.
 
 A caller computes only the adjoint it reads: ``conv2d_grad_input`` (folded
 back by ``col2im``, the adjoint of ``im2col``) or ``conv2d_grad_weight``;
@@ -101,15 +105,6 @@ def conv_output_size(extent, kernel, stride, padding):
     return span // stride + 1
 
 
-def _pad_input(x, padding):
-    if padding == 0:
-        return x
-    n, c, h, w = x.shape
-    xp = np.zeros((n, c, h + 2 * padding, w + 2 * padding), dtype=x.dtype)
-    xp[:, :, padding : padding + h, padding : padding + w] = x
-    return xp
-
-
 def _check_conv_args(x, w):
     _check_float(x, "input")
     _check_same_dtype(x, w)
@@ -123,15 +118,20 @@ def _check_conv_args(x, w):
 
 
 def im2col(x, kh, kw, stride, padding):
-    """Unfold [N,C,H,W] into patch columns [N, C*kh*kw, Ho*Wo]."""
+    """Unfold [N,C,H,W] into patch columns [N, C*kh*kw, Ho*Wo] by one strided copy (module docstring)."""
     n, c, h, w = x.shape
     ho = conv_output_size(h, kh, stride, padding)
     wo = conv_output_size(w, kw, stride, padding)
-    xp = _pad_input(x, padding)
-    cols = np.empty((n, c, kh, kw, ho, wo), dtype=x.dtype)
-    for i in range(kh):
-        for j in range(kw):
-            cols[:, :, i, j] = xp[:, :, i : i + stride * ho : stride, j : j + stride * wo : stride]
+    m = padding * w + padding
+    flat = np.zeros((n, c, m + h * w + m), x.dtype)
+    flat[:, :, m : m + h * w].reshape(n, c, h, w)[...] = x
+    e = flat.itemsize  # tap (i, j) of output (y, x) reads flat[..., (y*stride + i)*W + x*stride + j]
+    cols = np.ndarray((n, c, kh, kw, ho, wo), x.dtype, flat,
+                      strides=flat.strides[:2] + (w * e, e, stride * w * e, stride * e)).copy()
+    for j in range(kw):
+        inside = _inside(j, wo, w, stride, padding)[0]
+        cols[:, :, :, j, :, : inside.start] = 0
+        cols[:, :, :, j, :, max(inside.stop, inside.start) :] = 0
     return cols.reshape(n, c * kh * kw, ho * wo)
 
 

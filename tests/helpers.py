@@ -85,6 +85,21 @@ def conv2d_direct(x, w, stride=1, padding=0):
     return out
 
 
+def im2col_padded(x, kh, kw, stride, padding):
+    """Reference im2col: one slice copy per tap out of a zero-padded NCHW
+    copy of x."""
+    n, c, h, w = x.shape
+    ho = tensor.conv_output_size(h, kh, stride, padding)
+    wo = tensor.conv_output_size(w, kw, stride, padding)
+    xp = np.zeros((n, c, h + 2 * padding, w + 2 * padding), dtype=x.dtype)
+    xp[:, :, padding : padding + h, padding : padding + w] = x
+    cols = np.empty((n, c, kh, kw, ho, wo), dtype=x.dtype)
+    for i in range(kh):
+        for j in range(kw):
+            cols[:, :, i, j] = xp[:, :, i : i + stride * ho : stride, j : j + stride * wo : stride]
+    return cols.reshape(n, c * kh * kw, ho * wo)
+
+
 def col2im_padded(cols, x_shape, kh, kw, stride, padding):
     """Reference col2im: every tap added, in (i, j) order, into a zeroed
     padded NCHW buffer, whose interior is returned (a view when padded)."""
@@ -110,10 +125,10 @@ def conv2d_grad_input_einsum(x, w, grad_output, stride=1, padding=0):
 
 def conv2d_grad_weight_einsum(x, w, grad_output, stride=1, padding=0, cols=None):
     """Reference weight adjoint: einsum(optimize=True) over columns rebuilt
-    from x; ignores any columns a forward kept."""
+    from x by ``im2col_padded``; ignores any columns a forward kept."""
     f, _, kh, kw = w.shape
     go = grad_output.reshape(len(x), f, -1)
-    return np.einsum("nfp,ncp->fc", go, tensor.im2col(x, kh, kw, stride, padding), optimize=True).reshape(w.shape)
+    return np.einsum("nfp,ncp->fc", go, im2col_padded(x, kh, kw, stride, padding), optimize=True).reshape(w.shape)
 
 
 def avg_pool_oracle(x, k):
@@ -148,6 +163,16 @@ def batch_norm_oracle(x, gamma, beta, mean, var, eps, train):
         return dx, dgamma, dbeta
 
     return xhat * per_channel(gamma) + per_channel(beta), backward
+
+
+def random_rows_oracle(seed, example_indices, width):
+    """Reference random output-gradient rows: a new Generator(Philox) keyed
+    by (seed, example index) for every row."""
+    rows = np.empty((len(example_indices), width), np.float64)
+    for j, idx in enumerate(example_indices):
+        key = np.array([seed, int(idx)], dtype=np.uint64)
+        rows[j] = np.random.Generator(np.random.Philox(key=key)).standard_normal(width)
+    return rows
 
 
 def molchanov_group_score(node, per_example_grads):

@@ -24,7 +24,7 @@ from prunelab.nn import (
     build_mlp_small,
 )
 
-from helpers import all_keep, molchanov_group_score
+from helpers import all_keep, molchanov_group_score, random_rows_oracle
 
 
 def loss_source(normalize=False):
@@ -99,6 +99,13 @@ class TestPerExampleRows:
         rows = output_rows(random_source(seed=3), 2000, 4)
         assert abs(rows.mean()) < 0.05
         assert abs(rows.std() - 1.0) < 0.05
+
+    @pytest.mark.parametrize("seed", [0, 1, 2**63, 2**64 - 1])
+    @pytest.mark.parametrize("indices", [[0, 1, 2, 3], [9, 2, 40, 2, 0], [2**40, 3, 2**63 + 7, 2**40 + 1]])
+    @pytest.mark.parametrize("width", [1, 4, 10, 33])
+    def test_re_keyed_rows_equal_a_generator_per_row_byte_for_byte(self, seed, indices, width):
+        got = imp._random_rows(seed, np.array(indices, np.uint64), width)
+        assert got.tobytes() == random_rows_oracle(seed, indices, width).tobytes()
 
 
 class TestChannelSignal:

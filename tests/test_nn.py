@@ -785,6 +785,25 @@ class TestMaxPoolCorners:
         assert out.dtype == want_out.dtype and out.tobytes() == want_out.tobytes()
         assert gx.dtype == want_gx.dtype and gx.tobytes() == want_gx.tobytes()
 
+    @pytest.mark.parametrize("k", [1, 2, 3])
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    def test_forward_equals_a_running_max_from_a_copy_of_corner_0(self, k, dtype):
+        # NaNs of both signs and two payloads, zeros of both signs and
+        # infinities, so which operand np.maximum returns shows in the bytes
+        bits = np.array([0, 1 << 63, 0x7FF8000000000001, 0xFFF8000000000000], np.uint64)
+        if dtype == np.float32:
+            bits = np.array([0, 1 << 31, 0x7FC00001, 0xFFC00000], np.uint32)
+        specials = np.concatenate([bits.view(dtype), np.array([np.inf, -np.inf, 1.5, -2.0], dtype)])
+        x = np.random.default_rng(k).choice(specials, size=(2, 3, 6 * k, 3 * k))
+        want = x[:, :, ::k, ::k].copy()
+        for i in range(k):
+            for j in range(k):
+                if i or j:
+                    np.maximum(x[:, :, i::k, j::k], want, out=want)
+        out = MaxPool("p", [INPUT], kernel=k).forward([x], "eval", {})
+        assert out.dtype == want.dtype and out.tobytes() == want.tobytes()
+        assert not np.shares_memory(out, x)
+
     def test_nan_window_outputs_nan_and_passes_no_gradient(self):
         node = MaxPool("p", [INPUT], kernel=2)
         x = np.array([[[[1.0, np.nan, 5.0, 2.0], [3.0, 0.0, 1.0, 1.0]]]])

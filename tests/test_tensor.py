@@ -5,7 +5,7 @@ import sys
 import numpy as np
 import pytest
 from helpers import (central_diff, col2im_padded, conv2d_direct, conv2d_grad_input_einsum,
-                     conv2d_grad_weight_einsum, rel_err)
+                     conv2d_grad_weight_einsum, im2col_padded, rel_err)
 
 from prunelab import tensor
 from prunelab.errors import ShapeError
@@ -150,6 +150,65 @@ class TestConv2dBackward:
     def test_halves_check_grad_output_shape(self, half):
         with pytest.raises(ShapeError, match="grad_output"):
             getattr(tensor, half)(np.ones((1, 1, 5, 5)), np.ones((1, 1, 3, 3)), np.ones((1, 1, 2, 2)))
+
+
+def _im2col_cases():
+    """(x_shape, (kh, kw), stride, padding) over stride {1, 2, 3} x padding
+    {0..3} x three kernels with kh != kw, wherever the convolution exists.
+    Every image has H != W; in the 1x2 image the kernel-(5, 3) taps 0 and 4
+    land only in the top and bottom padding."""
+    cases = []
+    for x_shape in [(2, 3, 7, 5), (2, 2, 6, 9), (3, 2, 1, 2)]:
+        for kernel in [(3, 2), (1, 4), (5, 3)]:
+            for stride in (1, 2, 3):
+                for padding in range(4):
+                    try:
+                        for extent, k in zip(x_shape[2:], kernel):
+                            tensor.conv_output_size(extent, k, stride, padding)
+                    except ShapeError:
+                        continue
+                    cases.append((x_shape, kernel, stride, padding))
+    return cases
+
+
+def _special_values(shape, dtype, seed):
+    """Normal draws with -0.0, NaN, +inf and -inf sprinkled in."""
+    x = np.random.default_rng(seed).normal(size=shape).astype(dtype)
+    flat = x.reshape(-1)
+    flat[::5], flat[1::7], flat[2::11], flat[3::13] = -0.0, np.nan, np.inf, -np.inf
+    return x
+
+
+class TestIm2col:
+    """im2col gathers every tap with one copy from a zero-margined flat image
+    and zeroes the columns that wrap into a neighbouring row; its bytes equal
+    the padded slice-per-tap oracle's."""
+
+    @pytest.mark.parametrize("x_shape,kernel,stride,padding", _im2col_cases())
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    @pytest.mark.parametrize("layout", ["contiguous", "transposed"])
+    def test_equals_the_padded_oracle_byte_for_byte(self, x_shape, kernel, stride, padding, dtype, layout):
+        n, c, h, w = x_shape
+        x = _special_values((n, c, w, h), dtype, stride * 10 + padding).transpose(0, 1, 3, 2)
+        if layout == "contiguous":
+            x = np.ascontiguousarray(x)
+        got = tensor.im2col(x, *kernel, stride, padding)
+        want = im2col_padded(x, *kernel, stride, padding)
+        assert got.shape == want.shape and got.dtype == want.dtype
+        assert got.tobytes() == want.tobytes()
+
+    def test_a_tap_left_of_the_image_that_ends_before_column_zero(self):
+        # kernel width 6, padding 3 over a 1-column image: tap 5 lands on
+        # columns 2 and 3, right of the image, and _inside's stop is -1, so
+        # only max(stop, start) zeroes output column 0 as well as column 1
+        x = _special_values((2, 3, 5, 1), np.float32, 4)
+        got = tensor.im2col(x, 3, 6, 1, 3)
+        assert got.tobytes() == im2col_padded(x, 3, 6, 1, 3).tobytes()
+
+    def test_the_cnn_small_blocks_equal_the_oracle(self):
+        for c, h in [(1, 16), (16, 8), (24, 4)]:
+            x = _special_values((32, c, h, h), np.float32, c)
+            assert tensor.im2col(x, 3, 3, 1, 1).tobytes() == im2col_padded(x, 3, 3, 1, 1).tobytes()
 
 
 def _col2im_cases():
