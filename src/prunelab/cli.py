@@ -1,11 +1,14 @@
 """Command-line front end: train, importance, prune, sweep, eval.
 
-Every subcommand reads an optional `--config` file (flat `key = value` text),
-with command-line flags taking precedence over config values: a flag must pass
-the rule of the config key it overrides, and a bad flag value is a usage error
-where a bad config-file value is a config error.  Datasets come either from
-IDX files (`--images`/`--labels`) or, without them, from the synthetic glyph
-generator configured by the dataset fields of the config.
+`main` loads the config once for every subcommand: an optional `--config`
+file (flat `key = value` text), with command-line flags taking precedence over
+config values.  A flag must pass the rule of the config key it overrides, and a
+bad flag value is a usage error where a bad or unreadable config file is a
+config error.  Every command that reads a dataset gets it from one function:
+the IDX pair (`--images`/`--labels`), or without `--images` the split it
+needs (train for train and importance, test for eval, both for sweep) from the
+synthetic glyph generator configured by the dataset fields of the config; a
+split is rendered only when the command reads it.
 
 The `importance` subcommand writes one table, so its config keys
 estimators, sources, normalize and data_sizes must each hold one value (a
@@ -56,20 +59,20 @@ def _load_config(args):
         raise UsageError(f"bad flag value: {e}") from None
 
 
-def _labeled_dataset(args, config, split):
-    if args.images:
-        if not args.labels:
-            raise UsageError("--images needs --labels here (labels are required for this command)")
+def _dataset(args, config, split, labels=True):
+    """The IDX pair, (images, None) from images alone where the command needs no
+    labels, or without --images (sweep has no such flag) the config's glyph split."""
+    if not getattr(args, "images", None):
+        return harness.build_split(config, split)
+    if args.labels:
         return data.load_idx(args.images, args.labels, split=split)
-    train_set, test_set = harness.build_datasets(config)
-    return train_set if split == "train" else test_set
+    if labels:
+        raise UsageError("--images needs --labels here; only importance with --source random is label-free")
+    return data.load_idx_images(args.images), None
 
 
-def _cmd_train(args):
-    config = _load_config(args)
-    train_set = _labeled_dataset(args, config, "train")
-    model = harness.build_model(config)
-    trained, log = harness.train(model, train_set, config)
+def _cmd_train(args, config):
+    trained, log = harness.train(harness.build_model(config), _dataset(args, config, "train"), config)
     for entry in log:
         print(f"epoch {entry.epoch}: loss {entry.loss:.6f} accuracy {entry.accuracy:.4f}")
     save_model(args.out, trained)
@@ -77,31 +80,20 @@ def _cmd_train(args):
     return 0
 
 
-def _cmd_importance(args):
-    config = _load_config(args)
+def _cmd_importance(args, config):
     for key in ("estimators", "sources", "normalize", "data_sizes"):
         if len(getattr(config, key)) != 1:
             raise ConfigError(f"{key} must hold one value for importance, got {getattr(config, key)}")
-    source_kind = config.sources[0]
     model = load_model(args.checkpoint) if args.checkpoint else harness.build_model(config)
-    source = GradientSource(source_kind, normalize=config.normalize[0], seed=config.seed)
-    if args.images:
-        if args.labels:
-            dataset = data.load_idx(args.images, args.labels, split="train")
-        elif source_kind == LOSS:
-            raise UsageError("--source loss needs --labels; only random gradients are label-free")
-        else:
-            dataset = (data.load_idx_images(args.images), None)
-    else:
-        dataset, _ = harness.build_datasets(config)
+    source = GradientSource(config.sources[0], normalize=config.normalize[0], seed=config.seed)
+    dataset = _dataset(args, config, "train", labels=source.kind == LOSS)
     table = estimate(model, dataset, config.data_sizes[0], config.estimators[0], source)
     table.to_csv(args.out)
     print(f"wrote {len(table)} scores to {args.out}")
     return 0
 
 
-def _cmd_prune(args):
-    config = _load_config(args)
+def _cmd_prune(args, config):
     model = load_model(args.checkpoint)
     table = ImportanceTable.from_csv(args.table)
     total = len(table)
@@ -115,9 +107,8 @@ def _cmd_prune(args):
     return 0
 
 
-def _cmd_sweep(args):
-    config = _load_config(args)
-    train_set, test_set = harness.build_datasets(config)
+def _cmd_sweep(args, config):
+    train_set, test_set = (_dataset(args, config, split) for split in data.SPLITS)
     if args.checkpoint:
         model = load_model(args.checkpoint)
     else:
@@ -128,11 +119,9 @@ def _cmd_sweep(args):
     return 0
 
 
-def _cmd_eval(args):
-    config = _load_config(args)
+def _cmd_eval(args, config):
     model = load_model(args.checkpoint)
-    dataset = _labeled_dataset(args, config, "test")
-    accuracy = harness.evaluate(model, dataset, config.eval_batch_size)
+    accuracy = harness.evaluate(model, _dataset(args, config, "test"), config.eval_batch_size)
     print(f"accuracy {accuracy!r}")
     if args.out:
         with open(args.out, "w") as fh:
@@ -202,7 +191,7 @@ def main(argv=None):
         parser.print_usage(sys.stderr)
         return 1
     try:
-        return args.func(args)
+        return args.func(args, _load_config(args))
     except UsageError as e:
         print(f"usage error: {e}", file=sys.stderr)
         return 1

@@ -1,5 +1,7 @@
 """Dataset provisioning: a deterministic synthetic glyph generator, an IDX
-binary codec, and seeded batching.
+binary codec, and seeded batching.  The IDX readers share one header check:
+FormatError unless a file holds a whole header with the kind's magic, a first
+count >= 1, and exactly the payload its counts declare.
 
 The generator renders small grayscale images of geometric glyphs (bars,
 crosses, rings, checkerboards, ...) at randomized positions and scales, with
@@ -34,6 +36,7 @@ the path, and the row (the header is row 1) and column where there is one.
 """
 
 import csv
+import math
 import numbers
 import reprlib
 import struct
@@ -230,9 +233,23 @@ def save_idx(dataset, images_path, labels_path):
         fh.write(dataset.labels.astype(np.uint8).tobytes())
 
 
-def _read_file(path):
+def _read_idx(path, kind, magic):
+    """The header counts and the ubyte payload of an IDX file of the kind (images or labels)."""
     with open(path, "rb") as fh:
-        return fh.read()
+        buf = fh.read()
+    words = 1 + magic % 256  # the magic, then as many counts as its low byte says
+    header = 4 * words
+    if len(buf) < header:
+        raise FormatError(f"{kind} file truncated: {len(buf)} bytes, header needs {header}")
+    found, *shape = struct.unpack_from(f">{words}I", buf)
+    if found != magic:
+        raise FormatError(f"bad {kind} magic 0x{found:08x} at offset 0, expected 0x{magic:08x}")
+    if shape[0] == 0:
+        raise FormatError(f"{kind[:-1]} count must be >= 1")
+    expected = header + math.prod(shape)
+    if len(buf) != expected:
+        raise FormatError(f"{kind} file has {len(buf)} bytes, expected {expected} (payload at offset {header})")
+    return shape, np.frombuffer(buf, dtype=np.uint8, offset=header)
 
 
 def load_idx_images(images_path):
@@ -241,32 +258,13 @@ def load_idx_images(images_path):
     Useful on its own for label-free importance estimation, where no labels
     file exists at all.
     """
-    buf = _read_file(images_path)
-    if len(buf) < 16:
-        raise FormatError(f"images file truncated: {len(buf)} bytes, header needs 16")
-    magic, m, h, w = struct.unpack_from(">IIII", buf)
-    if magic != IMAGES_MAGIC:
-        raise FormatError(f"bad images magic 0x{magic:08x} at offset 0, expected 0x{IMAGES_MAGIC:08x}")
-    if m == 0:
-        raise FormatError("image count must be >= 1")
-    expected = 16 + m * h * w
-    if len(buf) != expected:
-        raise FormatError(f"images file has {len(buf)} bytes, expected {expected} (payload at offset 16)")
-    images = np.frombuffer(buf, dtype=np.uint8, offset=16).astype(np.float32) / 255.0
-    return images.reshape(m, 1, h, w)
+    (m, h, w), pixels = _read_idx(images_path, "images", IMAGES_MAGIC)
+    return (pixels.astype(np.float32) / 255.0).reshape(m, 1, h, w)
 
 
 def load_idx_labels(labels_path):
     """Load just the label vector of an IDX file."""
-    buf = _read_file(labels_path)
-    if len(buf) < 8:
-        raise FormatError(f"labels file truncated: {len(buf)} bytes, header needs 8")
-    magic, m = struct.unpack_from(">II", buf)
-    if magic != LABELS_MAGIC:
-        raise FormatError(f"bad labels magic 0x{magic:08x} at offset 0, expected 0x{LABELS_MAGIC:08x}")
-    if len(buf) != 8 + m:
-        raise FormatError(f"labels file has {len(buf)} bytes, expected {8 + m} (payload at offset 8)")
-    return np.frombuffer(buf, dtype=np.uint8, offset=8).astype(np.int64)
+    return _read_idx(labels_path, "labels", LABELS_MAGIC)[1].astype(np.int64)
 
 
 def load_idx(images_path, labels_path, split="train", seed=0):

@@ -21,7 +21,7 @@ from collections import namedtuple
 
 import numpy as np
 
-from . import data
+from . import data, importance
 from .errors import ConfigError, InputError, TrainingError
 from .importance import ESTIMATOR, NO_SOURCE, RANDOM_RANK, SOURCE, GradientSource, ImportanceTable, estimate
 from .nn import MODEL_BUILDERS, softmax_cross_entropy
@@ -101,8 +101,8 @@ class ExperimentConfig:
         try:
             with open(path, encoding="utf-8") as fh:
                 text = fh.read()
-        except UnicodeDecodeError as e:
-            raise ConfigError(f"{path}: not UTF-8 text: {e}") from None
+        except (OSError, UnicodeDecodeError) as e:
+            raise ConfigError(f"{path}: not a readable UTF-8 text file: {e}") from None
         for lineno, raw in enumerate(text.splitlines(), start=1):
             line = raw.split("#", 1)[0].strip()
             if not line:
@@ -131,6 +131,12 @@ def build_model(config):
 def build_datasets(config):
     return data.make_splits(config.num_classes, config.per_class_train, config.per_class_test,
                             config.image_size, config.noise, config.data_seed)
+
+
+def build_split(config, split):
+    """The config's glyph split alone: the matching element of build_datasets(config)."""
+    per_class = config.per_class_train if split == "train" else config.per_class_test
+    return data.generate_shapes(config.num_classes, per_class, config.image_size, config.noise, config.data_seed, split)
 
 
 def train(model, dataset, config):
@@ -226,11 +232,7 @@ def _resolve_prune_counts(config, total):
     # without either key, an even 10-point grid from nothing pruned to 70% pruned
     fractions = np.linspace(0.0, 0.7, 10) if config.prune_fractions is None else config.prune_fractions
     listed = [round(f * total) for f in fractions] if config.prune_counts is None else config.prune_counts
-    counts = [0]
-    for p in listed:
-        if p != 0 and p not in counts:
-            counts.append(p)
-    return counts
+    return list(dict.fromkeys([0, *listed]))  # P=0 first, then each other P once, in order
 
 
 def prune_sweep(model, train_set, test_set, config):
@@ -241,9 +243,10 @@ def prune_sweep(model, train_set, test_set, config):
     every P then reuses that table: rank globally, mask, measure test
     accuracy.  P=0 rows carry the unpruned accuracy and are always emitted
     first within a combination.  A P above the number of channels less the
-    number of sites (each site keeps one) raises InputError before any
-    evaluation or estimation, and test labels outside the model's classes
-    raise it at the baseline evaluation, before any estimation.
+    number of sites (each site keeps one) or a D above the number of training
+    examples raises InputError before any evaluation or estimation, and test
+    labels outside the model's classes raise it at the baseline evaluation,
+    before any estimation.
     """
     if not model.sites:
         raise InputError("model has no prunable sites")
@@ -251,6 +254,9 @@ def prune_sweep(model, train_set, test_set, config):
     p_values = _resolve_prune_counts(config, total)
     for p in p_values:  # rank_global's range, checked before any work
         data.check(p, data.integer(0, total - len(model.sites)), "p")
+    examples = len(importance._dataset_arrays(train_set)[0])  # a Dataset or an (images, labels) pair
+    for d in config.data_sizes:  # estimate's range, likewise
+        data.check(d, data.integer(1, examples), "data_size")
     baseline = evaluate(model, test_set, config.eval_batch_size)
     rows = []
     for seed in config.sweep_seeds:

@@ -307,6 +307,16 @@ class TestEval:
                    "--images", "@/imgs.idx", "--labels", "@/labs.idx") == 0
 
 
+@pytest.mark.parametrize("command,splits", [("importance", ["train"]), ("eval", ["test"]), ("sweep", ["train", "test"])])
+def test_a_command_renders_only_the_glyph_splits_it_reads(workspace, tmp_path, monkeypatch, command, splits):
+    rendered = []
+    real = data.generate_shapes
+    monkeypatch.setattr(data, "generate_shapes", lambda *args: rendered.append(args[-1]) or real(*args))
+    assert run(workspace, command, "--config", "@/tiny.cfg", "--checkpoint", "@/model.npkt",
+               "--out", str(tmp_path / "out")) == 0
+    assert rendered == splits
+
+
 class TestClassCount:
     """A 4-class checkpoint run with a config of another class count."""
 
@@ -337,9 +347,13 @@ class TestConfigHandling:
         assert code == 2
         assert "config error" in err and "Traceback" not in err
 
-    def test_missing_config_file_is_runtime_error(self, workspace):
-        code = run(workspace, "eval", "--config", "@/nope.cfg", "--checkpoint", "@/model.npkt")
-        assert code == 3
+    @pytest.mark.parametrize("config", ["@/nope.cfg", "@"])
+    def test_unreadable_config_is_config_error(self, workspace, capsys, config):
+        # a missing path and a directory both fail to open
+        code = run(workspace, "eval", "--config", config, "--checkpoint", "@/model.npkt")
+        err = capsys.readouterr().err
+        assert code == 2
+        assert "config error" in err and "not a readable UTF-8 text file" in err and "Traceback" not in err
 
 
 class TestConfigRules:

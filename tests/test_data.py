@@ -1,6 +1,7 @@
 """Dataset tests: generator determinism, glyph separability, the IDX codec
 against hand-built bytes, and batching order."""
 
+import re
 import struct
 
 import numpy as np
@@ -187,6 +188,23 @@ class TestIdx:
         lp.write_bytes(struct.pack(">II", 0x00000801, 0))
         with pytest.raises(FormatError, match=">= 1"):
             data.load_idx(ip, lp)
+
+    def test_zero_labels_rejected(self, tmp_path):
+        lp = tmp_path / "l.idx"
+        lp.write_bytes(struct.pack(">II", 0x00000801, 0))
+        with pytest.raises(FormatError, match="label count must be >= 1"):
+            data.load_idx_labels(lp)
+
+    @pytest.mark.parametrize("raw,message", [
+        (b"\x00\x00\x08", "labels file truncated: 3 bytes, header needs 8"),
+        (struct.pack(">II", 0x00000803, 1) + bytes(1), "bad labels magic 0x00000803 at offset 0, expected 0x00000801"),
+        (struct.pack(">II", 0x00000801, 3) + bytes(2), "labels file has 10 bytes, expected 11 (payload at offset 8)"),
+    ])
+    def test_labels_header_messages(self, tmp_path, raw, message):
+        lp = tmp_path / "l.idx"
+        lp.write_bytes(raw)
+        with pytest.raises(FormatError, match=re.escape(message)):
+            data.load_idx_labels(lp)
 
     def test_multichannel_export_rejected(self, tmp_path):
         images = np.zeros((2, 3, 4, 4))

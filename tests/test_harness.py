@@ -92,6 +92,11 @@ class TestConfig:
         with pytest.raises(ConfigError, match="UTF-8"):
             harness.ExperimentConfig.from_file(path)
 
+    @pytest.mark.parametrize("name", ["missing.cfg", "."])
+    def test_unreadable_file_is_config_error(self, tmp_path, name):
+        with pytest.raises(ConfigError, match="not a readable UTF-8 text file"):
+            harness.ExperimentConfig.from_file(tmp_path / name)
+
     def test_validation_errors(self):
         cases = [
             dict(model="resnet50"),
@@ -154,6 +159,16 @@ class TestConfig:
         for key, (parse, default, (test, words)) in harness._FIELDS.items():
             assert callable(parse) and isinstance(words, str)
             assert test(default), key
+
+
+class TestBuildSplit:
+    def test_equals_the_matching_element_of_build_datasets(self):
+        config = harness.ExperimentConfig(num_classes=3, per_class_train=7, per_class_test=5, data_seed=11)
+        for split, want in zip(("train", "test"), harness.build_datasets(config)):
+            got = harness.build_split(config, split)
+            assert (got.split, got.seed, got.num_classes) == (want.split, want.seed, want.num_classes)
+            for a, b in ((got.images, want.images), (got.labels, want.labels)):
+                assert (a.dtype, a.shape, a.tobytes()) == (b.dtype, b.shape, b.tobytes())
 
 
 class TestTrain:
@@ -400,6 +415,19 @@ class TestPruneSweep:
         monkeypatch.setattr(harness, "estimate", lambda *args, **kwargs: calls.append("estimate"))
         config = harness.ExperimentConfig(data_sizes=(2,), prune_fractions=fractions)
         with pytest.raises(InputError, match=r"p must be an integer in \[0, 69\], got 71"):
+            harness.prune_sweep(model, train_set, test_set, config)
+        assert calls == []
+
+    @pytest.mark.parametrize("as_pair", [False, True])
+    def test_too_large_d_fails_before_any_work(self, sweep_setup, monkeypatch, as_pair):
+        model, train_set, test_set = sweep_setup
+        if as_pair:  # estimate's other dataset form
+            train_set = (train_set.images, train_set.labels)
+        calls = []
+        monkeypatch.setattr(harness, "evaluate", lambda *args: calls.append("evaluate"))
+        monkeypatch.setattr(harness, "estimate", lambda *args, **kwargs: calls.append("estimate"))
+        config = harness.ExperimentConfig(data_sizes=(10, 5000), prune_counts=(5,))
+        with pytest.raises(InputError, match=r"data_size must be an integer in \[1, 32\], got 5000"):
             harness.prune_sweep(model, train_set, test_set, config)
         assert calls == []
 

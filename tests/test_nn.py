@@ -475,6 +475,17 @@ class TestGradientCheck:
         gradient_check(model, np.random.default_rng(4).normal(size=(2, 1, 6, 6)))
         assert np.array_equal(bn.state["running_mean"], before)
 
+    @pytest.mark.parametrize("mode", ["eval", "train"])
+    def test_replays_only_the_nodes_a_parameter_reaches(self, monkeypatch, mode):
+        model = micro_cnn(seed=2)
+        calls = []
+        for i, node in enumerate(model.nodes):
+            monkeypatch.setattr(node, "forward", lambda xs, m, c, i=i, f=node.forward: calls.append(i) or f(xs, m, c))
+        gradient_check(model, np.random.default_rng(4).normal(size=(2, 1, 6, 6)), mode=mode)
+        sizes = np.cumsum([sum(p.size for p in node.params.values()) for node in model.nodes])
+        # one unperturbed forward, then two forwards of nodes k onward per parameter element of node k
+        assert [calls.count(i) for i in range(len(model.nodes))] == [1 + 2 * int(n) for n in sizes]
+
     def test_names_node_with_broken_backward(self):
         bad = _BrokenConv("badconv", [INPUT], 1, 2, 3, padding=1)
         rng = np.random.default_rng(6)
