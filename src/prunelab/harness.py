@@ -16,6 +16,7 @@ parameters are exempt.  The recipe is a local choice: results are only ever
 compared across estimators on the same trained model.
 """
 
+import itertools
 import numbers
 from collections import namedtuple
 
@@ -180,7 +181,7 @@ def evaluate(model, dataset, batch_size=256):
     hits = 0
     for images, labels in data.batches(dataset, batch_size):
         data.check_labels(labels, len(images), model.num_classes)
-        logits, _ = model.forward(images, "eval")
+        logits, _ = model.forward(images, "eval", record=False)
         hits += int((np.argmax(logits, axis=1) == labels).sum())
     return hits / len(dataset)
 
@@ -243,8 +244,9 @@ def prune_sweep(model, train_set, test_set, config):
     every P then reuses that table: rank globally, mask, measure test
     accuracy.  P=0 rows carry the unpruned accuracy and are always emitted
     first within a combination.  A P above the number of channels less the
-    number of sites (each site keeps one) or a D above the number of training
-    examples raises InputError before any evaluation or estimation, and test
+    number of sites (each site keeps one), a D above the number of training
+    examples or, with finetune_epochs, a train_set that is no Dataset raises
+    InputError before any evaluation or estimation, and test
     labels outside the model's classes raise it at the baseline evaluation,
     before any estimation.
     """
@@ -257,25 +259,21 @@ def prune_sweep(model, train_set, test_set, config):
     examples = len(importance._dataset_arrays(train_set)[0])  # a Dataset or an (images, labels) pair
     for d in config.data_sizes:  # estimate's range, likewise
         data.check(d, data.integer(1, examples), "data_size")
+    if config.finetune_epochs:  # train's dataset rule, likewise
+        data.check(train_set, data.instance(data.Dataset, "a Dataset when finetune_epochs > 0"), "train_set")
     baseline = evaluate(model, test_set, config.eval_batch_size)
     rows = []
-    for seed in config.sweep_seeds:
-        for estimator in config.estimators:
-            for source_kind in config.sources:
-                for normalize in config.normalize:
-                    for d in config.data_sizes:
-                        source = GradientSource(source_kind, normalize=normalize, seed=seed)
-                        table = estimate(model, train_set, d, estimator, source,
-                                         batch_size=config.eval_batch_size)
-                        for p in p_values:
-                            if p == 0:
-                                accuracy = baseline
-                            else:
-                                masked = apply_mask(model, rank_global(table, p).mask())
-                                if config.finetune_epochs:
-                                    masked, _ = train(masked, train_set,
-                                                      config.replace(epochs=config.finetune_epochs))
-                                accuracy = evaluate(masked, test_set, config.eval_batch_size)
-                            rows.append((estimator, source_kind, normalize, d,
-                                         p, p / total, accuracy, seed))
+    for seed, estimator, source_kind, normalize, d in itertools.product(
+            config.sweep_seeds, config.estimators, config.sources, config.normalize, config.data_sizes):
+        source = GradientSource(source_kind, normalize=normalize, seed=seed)
+        table = estimate(model, train_set, d, estimator, source, batch_size=config.eval_batch_size)
+        for p in p_values:
+            if p == 0:
+                accuracy = baseline
+            else:
+                masked = apply_mask(model, rank_global(table, p).mask())
+                if config.finetune_epochs:
+                    masked, _ = train(masked, train_set, config.replace(epochs=config.finetune_epochs))
+                accuracy = evaluate(masked, test_set, config.eval_batch_size)
+            rows.append((estimator, source_kind, normalize, d, p, p / total, accuracy, seed))
     return SweepResult(rows)

@@ -133,7 +133,8 @@ def channel_signal(x_site, dx_site):
         raise ShapeError(f"signal shapes differ: {x.shape} vs {dx.shape}")
     if x.ndim < 2:
         raise ShapeError(f"site tensors need batch and channel axes, got {x.shape}")
-    return (x * dx).astype(np.float64).sum(axis=tuple(range(2, x.ndim)))
+    # float64 sums of x*dx without a float64 copy of it: the same bytes
+    return (x * dx).reshape(*x.shape[:2], math.prod(x.shape[2:])).sum(axis=2, dtype=np.float64)
 
 
 class PrunableSite:

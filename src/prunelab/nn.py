@@ -3,9 +3,11 @@
 A :class:`Model` is a topologically ordered list of nodes (conv, linear,
 batch norm, relu, pooling, residual add, flatten).  Node ``refs`` name the
 producer node indices; the constant :data:`INPUT` (-1) refers to the model
-input.  Forward execution returns the logits plus a :class:`ForwardRecord`
+input.  A recorded forward returns the logits plus a :class:`ForwardRecord`
 holding each node's output values[i] and layer cache caches[i]; a prunable
-site's pre-activation is values[site.node_index].  Backward accepts an
+site's pre-activation is values[site.node_index].  A record-free forward
+(``record=False``) keeps neither, drops each value after its last reader and
+lets batch norm and ReLU overwrite a dead input: the same logits bytes.  Backward accepts an
 arbitrary output gradient (it does not have to come from a loss),
 accumulates parameter gradients on the nodes unless asked not to, and stores
 each node's output gradient as grads[i] on the record; it returns nothing.
@@ -45,6 +47,7 @@ def _row(param, x):
 class Node:
     """Base graph node. Subclasses define kind, params, forward and backward.
 
+    forward(xs, mode, cache) may write over xs[0] where a record-free run sets cache["inplace"].
     backward(grad, cache) accumulates parameter gradients and returns one input
     gradient per ref, unless Model.backward's switches in the cache say no:
     cache["params"] false skips the former, cache["inputs"] false lets it return None."""
@@ -52,6 +55,7 @@ class Node:
     kind = "base"
     arity = 1  # the number of refs the node reads
     channels = None  # output channel count; None where the node keeps its input's width
+    view = False  # whether forward may return a view of its input
 
     def __init__(self, name, refs):
         self.name = name
@@ -170,7 +174,8 @@ class BatchNorm(Node):
     the running estimates with momentum; eval mode normalizes with the running
     estimates.  The train-mode backward is the full batch-statistics adjoint,
     so dgamma/dbeta are exact in both modes.  Each elementwise pass runs on x
-    viewed as (N, C*H*W) rows, 32 examples at a time (``tensor.blocks``).  The
+    viewed as (N, C*H*W) rows, 32 examples at a time (``tensor.blocks``), into x
+    itself where cache["inplace"] allows and the dtypes agree.  The
     cache holds x, not xhat: backward recomputes xhat with the same passes
     when it needs it, in train mode or to accumulate dgamma.
     """
@@ -191,16 +196,11 @@ class BatchNorm(Node):
     def hyper(self):
         return {"channels": self.channels, "eps": self.eps, "momentum": self.momentum}
 
-    def _axes(self, x):
-        if x.ndim == 2:
-            return (0,)
-        if x.ndim == 4:
-            return (0, 2, 3)
-        raise ShapeError(f"batch norm expects 2-d or 4-d input, got {x.shape}")
-
     def forward(self, xs, mode, cache):
         x = xs[0]
-        axes = self._axes(x)
+        axes = {2: (0,), 4: (0, 2, 3)}.get(x.ndim)
+        if axes is None:
+            raise ShapeError(f"batch norm expects 2-d or 4-d input, got {x.shape}")
         if x.shape[1] != self.channels:
             raise ShapeError(f"batch norm has {self.channels} channels, input {x.shape}")
         if mode == "train":
@@ -215,7 +215,8 @@ class BatchNorm(Node):
         inv_std = 1.0 / np.sqrt(var + x.dtype.type(self.eps))
         cache.update(x=x, mean=mean, inv_std=inv_std, axes=axes, mode=mode)
         mean_r, inv_r, gamma_r, beta_r = (_row(v, x) for v in (mean, inv_std, self.params["gamma"], self.params["beta"]))
-        out = np.empty(x.shape, np.result_type(x, mean_r, inv_r, gamma_r, beta_r))
+        dtype = np.result_type(x, mean_r, inv_r, gamma_r, beta_r)
+        out = x if cache.get("inplace") and x.dtype == dtype else np.empty(x.shape, dtype)
         for blk in T.blocks(len(x)):
             o = np.subtract(x[blk], mean_r, out=out[blk])
             o *= inv_r
@@ -255,7 +256,7 @@ class ReLU(Node):
     def forward(self, xs, mode, cache):
         x = xs[0]
         cache["x"] = x
-        return np.maximum(x, 0)
+        return np.maximum(x, 0, out=x if cache.get("inplace") else None)
 
     def backward(self, grad, cache):
         return [grad * (cache["x"] > 0)]
@@ -360,6 +361,7 @@ class ResidualAdd(Node):
 
 class Flatten(Node):
     kind = "flatten"
+    view = True
 
     def forward(self, xs, mode, cache):
         x = xs[0]
@@ -430,6 +432,15 @@ class Model:
         names = [s.site_id for s in self.sites]
         if len(set(names)) != len(names):
             raise InputError("duplicate site ids")
+        # for record-free runs (_run): the values dropped after each node, and the
+        # buffer each node may overwrite, where it is the buffer's last reader
+        base, last = {INPUT: INPUT}, {}  # value -> its buffer (a view is on its input's) -> last reader
+        for i, node in enumerate(self.nodes):
+            base[i] = base[node.refs[0]] if node.view else i
+            last.update((base[r], i) for r in node.refs)
+        self._frees = [[v for v in range(len(self.nodes) - 1) if last.get(base[v], v) == i] for i in range(len(self.nodes))]
+        self._dead_input = [base[n.refs[0]] if n.arity == 1 and last[base[n.refs[0]]] == i else INPUT
+                            for i, n in enumerate(self.nodes)]
 
     # -- parameter access ---------------------------------------------------
 
@@ -489,13 +500,14 @@ class Model:
         m = self.masks.get(i)
         return None if m is None else _row(m.astype(x.dtype), x)
 
-    def forward(self, x, mode="train"):
+    def forward(self, x, mode="train", record=True):
         """Run the graph; returns (logits, record).
 
         In train mode batch norm uses batch statistics and updates its running
         estimates; eval mode uses the running estimates.  The record captures
         the (post-mask) output of every node as record.values[i]; a prunable
-        site's pre-activation is record.values[site.node_index].
+        site's pre-activation is record.values[site.node_index].  With
+        record=False it returns (logits, None) from a record-free run (_run).
         """
         if mode not in ("train", "eval"):
             raise InputError(f"mode must be 'train' or 'eval', got {mode!r}")
@@ -511,27 +523,36 @@ class Model:
             raise InputError("forward needs at least one example")
         self.check_masks()
         self._serial += 1
-        record = ForwardRecord(self._serial)
-        logits = self._run(record.values, record.caches, x, mode)
+        record = ForwardRecord(self._serial) if record else None
+        logits = self._run([] if record is None else record.values, record and record.caches, x, mode)
         if logits.ndim != 2 or logits.shape[1] != self.num_classes:
             raise ShapeError(f"final node produced {logits.shape}, expected [N, {self.num_classes}]")
         return logits, record
 
     def _run(self, values, caches, x, mode):
-        """Run the nodes from len(values) on, appending their outputs and caches; returns the last output."""
-        for i in range(len(values), len(self.nodes)):
+        """Run the nodes from len(values) on, appending their outputs and caches; returns the last output.
+
+        With caches None it is record-free: it keeps no caches, drops each value after its
+        buffer's last reader, and lets that reader overwrite the buffer (cache["inplace"])
+        if this run made it: never the model input or a value the caller passed in."""
+        start = len(values)
+        for i in range(start, len(self.nodes)):
             node = self.nodes[i]
             xs = [x if r == INPUT else values[r] for r in node.refs]
-            cache = {}
+            cache = {"inplace": True} if caches is None and self._dead_input[i] >= start else {}
             try:
                 out = node.forward(xs, mode, cache)
             except ShapeError as e:
                 raise ShapeError(f"node {i} ({node.name}): {e}") from e
             m = self._mask_for(i, out)
             if m is not None:
-                out *= m  # in place: a gate node's output is its own new array
+                out *= m  # in place: a gate node's output is its own array, or an input no one reads again
             values.append(out)
-            caches.append(cache)
+            if caches is None:
+                for r in self._frees[i]:
+                    values[r] = None
+            else:
+                caches.append(cache)
         return values[-1]
 
     def backward(self, record, output_grad, params=True):
@@ -641,8 +662,8 @@ def gradient_check(model, x, output_grad=None, tolerance=1e-6, eps=1e-5, mode="e
         output_grad = np.random.default_rng(20240817).standard_normal(logits.shape)
     model.backward(record, output_grad)
 
-    def objective(k):  # replay nodes k onward on the unperturbed values of the nodes before k
-        return float(np.sum(model._run(record.values[:k], record.caches[:k], x, mode) * output_grad))
+    def objective(k):  # replay nodes k onward, record-free, on the unperturbed values of the nodes before k
+        return float(np.sum(model._run(record.values[:k], None, x, mode) * output_grad))
 
     report = GradCheckReport(tolerance)
     for k, node, pname, param in model.parameters():

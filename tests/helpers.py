@@ -165,6 +165,12 @@ def batch_norm_oracle(x, gamma, beta, mean, var, eps, train):
     return xhat * per_channel(gamma) + per_channel(beta), backward
 
 
+def channel_signal_oracle(x, dx):
+    """The product x*dx copied to float64, then summed over its spatial axes:
+    the form ``importance.channel_signal`` had before it summed in float64 directly."""
+    return (x * dx).astype(np.float64).sum(axis=tuple(range(2, x.ndim)))
+
+
 def random_rows_oracle(seed, example_indices, width):
     """Reference random output-gradient rows: a new Generator(Philox) keyed
     by (seed, example index) for every row."""

@@ -431,6 +431,16 @@ class TestPruneSweep:
             harness.prune_sweep(model, train_set, test_set, config)
         assert calls == []
 
+    def test_a_pair_to_finetune_on_fails_before_any_work(self, sweep_setup, monkeypatch):
+        model, train_set, test_set = sweep_setup
+        calls = []
+        monkeypatch.setattr(harness, "evaluate", lambda *args: calls.append("evaluate"))
+        monkeypatch.setattr(harness, "estimate", lambda *args, **kwargs: calls.append("estimate"))
+        config = harness.ExperimentConfig(data_sizes=(10,), prune_counts=(5,), finetune_epochs=1)
+        with pytest.raises(InputError, match=r"train_set must be a Dataset when finetune_epochs > 0, got \(array"):
+            harness.prune_sweep(model, (train_set.images, train_set.labels), test_set, config)
+        assert calls == []
+
     def test_test_labels_beyond_the_model_fail_before_any_work(self, sweep_setup, monkeypatch):
         model, train_set, _ = sweep_setup
         _, test_set = tiny_sets(num_classes=6, per_class_train=8, per_class_test=4, image_size=16)

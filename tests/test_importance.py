@@ -5,6 +5,8 @@ import resource
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from prunelab import harness, tensor
 from prunelab import importance as imp
@@ -24,7 +26,7 @@ from prunelab.nn import (
     build_mlp_small,
 )
 
-from helpers import all_keep, molchanov_group_score, random_rows_oracle
+from helpers import all_keep, channel_signal_oracle, molchanov_group_score, random_rows_oracle
 
 
 def loss_source(normalize=False):
@@ -126,6 +128,16 @@ class TestChannelSignal:
     def test_shape_mismatch(self):
         with pytest.raises(ShapeError, match="differ"):
             imp.channel_signal(np.zeros((1, 2)), np.zeros((1, 3)))
+
+    @settings(max_examples=60, deadline=None)
+    @given(dtype=st.sampled_from([np.float32, np.float64]), n=st.integers(1, 5), c=st.integers(1, 6),
+           spatial=st.one_of(st.just(()), st.tuples(st.integers(1, 80), st.integers(1, 80))),
+           seed=st.integers(0, 2**32 - 1))
+    def test_equals_the_float64_copy_sum_byte_for_byte(self, dtype, n, c, spatial, seed):
+        rng = np.random.default_rng(seed)
+        x, dx = (rng.normal(size=(n, c) + spatial).astype(dtype) for _ in range(2))
+        got = imp.channel_signal(x, dx)
+        assert got.dtype == np.float64 and got.tobytes() == channel_signal_oracle(x, dx).tobytes()
 
 
 def one_channel_site(estimators):

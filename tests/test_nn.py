@@ -7,7 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
-from prunelab import nn, tensor
+from prunelab import nn, pruning, tensor
 from prunelab.errors import InputError, ShapeError, StateError
 from prunelab.nn import (
     INPUT,
@@ -510,6 +510,120 @@ class TestGradientCheck:
         model = build_mlp_small(image_size=8)
         with pytest.raises(InputError, match="float64"):
             gradient_check(model, np.zeros((1, 1, 8, 8)))
+
+
+def _masked(model, seed):
+    """apply_mask with a random keep vector per site, each keeping at least one channel."""
+    rng = np.random.default_rng(seed)
+    keep = {}
+    for s in model.sites:
+        k = rng.random(s.channels) < 0.6
+        k[rng.integers(s.channels)] = True
+        keep[s.site_id] = k
+    return pruning.apply_mask(model, pruning.PruneMask(keep))
+
+
+class TestRecordFreeForward:
+    """forward(x, "eval", record=False): no record, no caches, values dropped
+    after their last reader, batch norm and ReLU writing over a dead input."""
+
+    @pytest.mark.parametrize("name", ["mlp_small", "cnn_small", "cnn_residual"])
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    @pytest.mark.parametrize("masks", [0, 1, 2])
+    @pytest.mark.parametrize("n", [1, 5, 200])
+    def test_logits_equal_the_recorded_forward_byte_for_byte(self, name, dtype, masks, n):
+        model = _jiggle(nn.MODEL_BUILDERS[name](seed=3), 3).astype(dtype)
+        rng = np.random.default_rng(n)
+        for node in model.nodes:
+            if node.kind == "batch_norm":
+                node.state["running_mean"] = rng.normal(size=node.channels, scale=0.3).astype(dtype)
+                node.state["running_var"] = rng.uniform(0.5, 2.0, size=node.channels).astype(dtype)
+        for seed in range(masks):  # masked, then masked on masked
+            model = _masked(model, seed)
+        x = rng.normal(size=(n, 1, 16, 16)).astype(dtype)
+        want, _ = model.forward(x, "eval")
+        got, record = model.forward(x, "eval", record=False)
+        assert record is None
+        assert got.dtype == want.dtype and got.tobytes() == want.tobytes()
+
+    @pytest.mark.parametrize("first", [BatchNorm("bn", [INPUT], 2), ReLU("relu", [INPUT]), Flatten("flat", [INPUT])])
+    def test_the_callers_images_are_never_written(self, first):
+        rng = np.random.default_rng(7)
+        width = 2 * 3 * 3
+        nodes = [first, ReLU("relu2", [0]), Flatten("f", [1]), Linear("fc", [2], width, 3)]
+        if first.kind == "batch_norm":
+            first.state["running_mean"] = rng.normal(size=2)
+        nodes[3].params["weight"] = rng.normal(size=(3, width))
+        model = Model(nodes, (2, 3, 3), 3, dtype=np.float64)
+        x = rng.normal(size=(4, 2, 3, 3))
+        before = x.copy()
+        want, _ = model.forward(x, "eval")
+        got, _ = model.forward(x, "eval", record=False)
+        assert x.tobytes() == before.tobytes()
+        assert got.tobytes() == want.tobytes()
+
+    @pytest.mark.parametrize("kind", ["relu", "batch_norm"])
+    def test_a_buffer_a_flatten_view_still_reads_is_not_overwritten(self, kind):
+        """Node 2 is the last node to read node 0 itself, but node 4 reads
+        node 1, a view of node 0's buffer: node 2 must leave that buffer alone."""
+        rng = np.random.default_rng(8)
+        conv = Conv2d("conv", [INPUT], 1, 2, 3, padding=1)
+        conv.params["weight"] = rng.normal(size=(2, 1, 3, 3))
+        conv.params["bias"] = rng.normal(size=2)
+        mid = ReLU("mid", [0]) if kind == "relu" else BatchNorm("mid", [0], 2)
+        fc = Linear("fc", [4], 2 * 16, 3)
+        fc.params["weight"] = rng.normal(size=(3, 32))
+        nodes = [conv, Flatten("f1", [0]), mid, Flatten("f2", [2]), ResidualAdd("add", [1, 3]), fc]
+        model = Model(nodes, (1, 4, 4), 3, dtype=np.float64)
+        x = rng.normal(size=(3, 1, 4, 4))
+        want, _ = model.forward(x, "eval")
+        got, _ = model.forward(x, "eval", record=False)
+        assert got.tobytes() == want.tobytes()
+
+    @pytest.mark.parametrize("name", ["cnn_small", "cnn_residual"])
+    def test_batch_norm_and_relu_overwrite_their_input_and_nothing_else(self, name, monkeypatch):
+        model = nn.MODEL_BUILDERS[name](seed=1)
+        written = {}
+        for i, node in enumerate(model.nodes):
+            def spy(xs, mode, cache, i=i, f=node.forward):
+                out = f(xs, mode, cache)
+                written[i] = np.shares_memory(out, xs[0]) and not model.nodes[i].view
+                return out
+            monkeypatch.setattr(node, "forward", spy)
+        model.forward(np.random.default_rng(2).normal(size=(3, 1, 16, 16)), "eval", record=False)
+        readers = [[j for j, n in enumerate(model.nodes) if i in n.refs] for i in range(len(model.nodes))]
+        want = {i: node.kind in ("batch_norm", "relu") and readers[node.refs[0]] == [i]
+                for i, node in enumerate(model.nodes)}
+        assert written == want and any(want.values())
+
+    @pytest.mark.parametrize("mode", ["eval", "train"])
+    def test_gradient_check_reports_the_same_and_keeps_its_record(self, mode, monkeypatch):
+        """Against a replay that keeps a record, on the three architectures,
+        over the first 6 elements of every parameter (so from every node a
+        parameter sits on); the values gradient_check replays from are never written."""
+        prefixes = []
+        run, parameters = Model._run, Model.parameters
+
+        def replay(self, values, caches, x, mode, recorded=False):
+            if recorded:
+                return run(self, values, [] if caches is None else caches, x, mode)
+            prefix = list(values)
+            before = [v.tobytes() for v in prefix]
+            out = run(self, values, caches, x, mode)
+            prefixes.append([v.tobytes() for v in prefix] == before)
+            return out
+
+        monkeypatch.setattr(Model, "parameters", lambda self: (
+            (i, node, name, p.reshape(-1)[:6]) for i, node, name, p in parameters(self)))
+        models = [builder(seed=2).astype(np.float64) for builder in nn.MODEL_BUILDERS.values()]
+        x = np.random.default_rng(9).uniform(0.0, 1.0, size=(2, 1, 16, 16))
+        monkeypatch.setattr(Model, "_run", lambda *a: replay(*a, recorded=True))
+        want = [repr(gradient_check(model, x, mode=mode).entries) for model in models]
+        monkeypatch.setattr(Model, "_run", replay)
+        assert [repr(gradient_check(model, x, mode=mode).entries) for model in models] == want
+        # each model's unperturbed forward, then two replays per parameter element
+        assert len(prefixes) == sum(1 + sum(2 * min(p.size, 6) for *_, p in parameters(m)) for m in models)
+        assert all(prefixes)
 
 
 class TestSoftmaxCrossEntropy:
