@@ -97,13 +97,10 @@ def save_model(path, model):
         fh.write(struct.pack("<I", VERSION))
         fh.write(struct.pack("<I", len(header)))
         fh.write(header)
-        total = 12 + len(header)
         for node in model.nodes:
             for name in node.param_order():
-                raw = np.ascontiguousarray(_blob(node, name), dtype="<f4").tobytes()
-                fh.write(raw)
-                total += len(raw)
-    return total
+                fh.write(np.ascontiguousarray(_blob(node, name), dtype="<f4").tobytes())
+        return fh.tell()
 
 
 def _take(buf, offset, count, what):

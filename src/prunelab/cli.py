@@ -97,7 +97,7 @@ def _cmd_prune(args, config):
     model = load_model(args.checkpoint)
     table = ImportanceTable.from_csv(args.table)
     total = len(table)
-    p = config.prune_counts[0] if config.prune_counts is not None else round(config.prune_fractions[0] * total)
+    p = harness.prune_counts(config, total)[-1]  # [0, P] from the one prune flag, or [0] when P is 0
     plan = rank_global(table, p, per_layer_normalize=args.per_layer_normalize)
     if args.plan:
         plan.to_csv(args.plan)

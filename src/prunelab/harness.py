@@ -229,11 +229,13 @@ class SweepResult:
         return cls(data.read_csv(path, _SWEEP_COLUMNS))
 
 
-def _resolve_prune_counts(config, total):
-    # without either key, an even 10-point grid from nothing pruned to 70% pruned
+def prune_counts(config, total):
+    """The P values a config lists for a pool of total channels: P=0 first, then
+    each other P once, in order.  A fraction f is round(f * total); without
+    either key, an even 10-point grid from nothing pruned to 70% pruned."""
     fractions = np.linspace(0.0, 0.7, 10) if config.prune_fractions is None else config.prune_fractions
     listed = [round(f * total) for f in fractions] if config.prune_counts is None else config.prune_counts
-    return list(dict.fromkeys([0, *listed]))  # P=0 first, then each other P once, in order
+    return list(dict.fromkeys([0, *listed]))
 
 
 def prune_sweep(model, train_set, test_set, config):
@@ -253,7 +255,7 @@ def prune_sweep(model, train_set, test_set, config):
     if not model.sites:
         raise InputError("model has no prunable sites")
     total = sum(site.channels for site in model.sites)
-    p_values = _resolve_prune_counts(config, total)
+    p_values = prune_counts(config, total)
     for p in p_values:  # rank_global's range, checked before any work
         data.check(p, data.integer(0, total - len(model.sites)), "p")
     examples = len(importance._dataset_arrays(train_set)[0])  # a Dataset or an (images, labels) pair

@@ -83,12 +83,7 @@ class Node:
 
 
 class Conv2d(Node):
-    """2d convolution with optional bias (``tensor.conv2d``).
-
-    The cache holds x and, in train mode only, the patch columns the forward
-    built, which the weight adjoint reads instead of building them again.  An
-    eval-mode cache holds no columns: at evaluation batch sizes they are k^2
-    times the size of x."""
+    """2d convolution with optional bias (``tensor.conv2d``); the cache holds x."""
 
     kind = "conv2d"
 
@@ -117,17 +112,16 @@ class Conv2d(Node):
 
     def forward(self, xs, mode, cache):
         x = xs[0]
-        cols = [] if mode == "train" else None
-        out = T.conv2d(x, self.params["weight"], self.stride, self.padding, cols=cols)
+        out = T.conv2d(x, self.params["weight"], self.stride, self.padding)
         if self.has_bias:
             out = out + self.params["bias"].reshape(1, -1, 1, 1)
-        cache.update(x=x, cols=cols)
+        cache["x"] = x
         return out
 
     def backward(self, grad, cache):
         x, w = cache["x"], self.params["weight"]
         if cache.get("params", True):
-            self.grads["weight"] += T.conv2d_grad_weight(x, w, grad, self.stride, self.padding, cols=cache["cols"])
+            self.grads["weight"] += T.conv2d_grad_weight(x, w, grad, self.stride, self.padding)
             if self.has_bias:
                 self.grads["bias"] += grad.sum(axis=(0, 2, 3))
         return [T.conv2d_grad_input(x, w, grad, self.stride, self.padding) if cache.get("inputs", True) else None]

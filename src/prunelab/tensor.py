@@ -21,9 +21,7 @@ whole batch, the GEMM that numpy 2.x's ``einsum(..., optimize=True)``
 decomposes it into: [N*Ho*Wo, F] . [F, C*kh*kw] for the input columns,
 [C*kh*kw, N*Ho*Wo] . [N*Ho*Wo, F] for the weight.  The tests compare both
 with that einsum byte for byte, so a numpy whose einsum picks another
-decomposition fails them instead of drifting silently.  The weight adjoint
-reads the block columns a ``conv2d`` call kept in its ``cols`` list (a
-train-mode ``nn.Conv2d`` asks for them) instead of running ``im2col`` again.
+decomposition fails them instead of drifting silently.
 
 Importing the module fixes the C allocator's thresholds for the process (see
 ``_pin_malloc_thresholds``; ``MALLOC_PINNED`` says whether it did), so that
@@ -167,12 +165,10 @@ def col2im(cols, x_shape, kh, kw, stride, padding):
     return np.ascontiguousarray(out.transpose(0, 3, 1, 2))
 
 
-def conv2d(x, w, stride=1, padding=0, cols=None):
+def conv2d(x, w, stride=1, padding=0):
     """Cross-correlate x [N,C,H,W] with w [F,C,kh,kw] -> [N,F,Ho,Wo].
 
-    Zero padding, no kernel flip, no bias.  im2col + matmul per block.  A list
-    passed as cols receives each block's patch columns, in block order, for
-    ``conv2d_grad_weight``.
+    Zero padding, no kernel flip, no bias.  im2col + matmul per block.
     """
     _check_conv_args(x, w)
     n = x.shape[0]
@@ -183,8 +179,6 @@ def conv2d(x, w, stride=1, padding=0, cols=None):
     for blk in blocks(n):
         block_cols = im2col(x[blk], kh, kw, stride, padding)
         np.matmul(w.reshape(f, -1), block_cols, out=out[blk])
-        if cols is not None:
-            cols.append(block_cols)
         del block_cols  # so the next block's columns reuse this block's cached memory
     return out.reshape(n, f, ho, wo)
 
@@ -214,15 +208,12 @@ def conv2d_grad_input(x, w, grad_output, stride=1, padding=0):
     return col2im(grad_cols, x.shape, kh, kw, stride, padding)
 
 
-def conv2d_grad_weight(x, w, grad_output, stride=1, padding=0, cols=None):
-    """Adjoint of conv2d in w; w is read for its shape only, and x too when
-    cols is the list of block columns a ``conv2d`` of the same x and w kept."""
+def conv2d_grad_weight(x, w, grad_output, stride=1, padding=0):
+    """Adjoint of conv2d in w; w is read for its shape only."""
     go = _grad_columns(x, w, grad_output, stride, padding)
     n, f, p = go.shape
     kh, kw = w.shape[2:]
-    if cols is None:
-        cols = [im2col(x, kh, kw, stride, padding)]
-    cols = cols[0] if len(cols) == 1 else np.concatenate(cols)
+    cols = im2col(x, kh, kw, stride, padding)
     # dW[f, :] = sum_n go[n, f] . cols[n].T, with the columns as [C*kh*kw, N*P]
     gw = np.matmul(cols.transpose(1, 0, 2).reshape(-1, n * p), go.transpose(0, 2, 1).reshape(n * p, f))
     return gw.T.reshape(w.shape)

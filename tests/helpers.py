@@ -123,9 +123,9 @@ def conv2d_grad_input_einsum(x, w, grad_output, stride=1, padding=0):
     return col2im_padded(grad_cols, x.shape, kh, kw, stride, padding)
 
 
-def conv2d_grad_weight_einsum(x, w, grad_output, stride=1, padding=0, cols=None):
-    """Reference weight adjoint: einsum(optimize=True) over columns rebuilt
-    from x by ``im2col_padded``; ignores any columns a forward kept."""
+def conv2d_grad_weight_einsum(x, w, grad_output, stride=1, padding=0):
+    """Reference weight adjoint: einsum(optimize=True) over columns built
+    from x by ``im2col_padded``."""
     f, _, kh, kw = w.shape
     go = grad_output.reshape(len(x), f, -1)
     return np.einsum("nfp,ncp->fc", go, im2col_padded(x, kh, kw, stride, padding), optimize=True).reshape(w.shape)

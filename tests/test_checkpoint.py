@@ -34,7 +34,7 @@ class TestRoundTrip:
 
     def test_save_load_save_is_bit_exact(self, model, tmp_path):
         p1, p2 = tmp_path / "a.npkt", tmp_path / "b.npkt"
-        checkpoint.save_model(p1, model)
+        assert checkpoint.save_model(p1, model) == p1.stat().st_size
         checkpoint.save_model(p2, checkpoint.load_model(p1))
         assert p1.read_bytes() == p2.read_bytes()
 

@@ -149,6 +149,13 @@ class TestConfig:
         config = harness.ExperimentConfig(prune_counts=(4,)).replace(prune_counts=None, prune_fractions=(0.5,))
         assert config.prune_fractions == (0.5,)
 
+    def test_prune_counts_lists_zero_first_then_each_p_once(self):
+        config = harness.ExperimentConfig
+        assert harness.prune_counts(config(prune_fractions=(0.5, 0.0, 0.25)), 10) == [0, 5, 2]  # round(2.5) is 2
+        assert harness.prune_counts(config(prune_counts=(4, 0, 4)), 10) == [0, 4]
+        assert harness.prune_counts(config(prune_counts=(0,)), 10) == [0]
+        assert harness.prune_counts(config(), 30) == [0, 2, 5, 7, 9, 12, 14, 16, 19, 21]
+
     def test_valid_values_are_kept_as_given(self):
         config = harness.ExperimentConfig(epochs=np.int64(3), learning_rate=1, data_sizes=[2, 4],
                                           prune_counts=(), seed=2**64 - 1, num_classes=10, image_size=12)

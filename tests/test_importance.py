@@ -140,6 +140,32 @@ class TestChannelSignal:
         assert got.dtype == np.float64 and got.tobytes() == channel_signal_oracle(x, dx).tobytes()
 
 
+class TestSignalContraction:
+    """An eval-mode backward is linear in the output gradient, so each source's
+    signal is a K-column contraction s[n,c] = sum_k g[n,k] A[n,c,k] of the
+    signals A of the K one-hot backwards."""
+
+    @pytest.mark.parametrize("name", ["mlp_small", "cnn_small", "cnn_residual"])
+    def test_every_source_signal_is_the_one_hot_contraction(self, name):
+        model = MODEL_BUILDERS[name](seed=4).astype(np.float64)
+        rng = np.random.default_rng(5)
+        x, labels = rng.normal(size=(5, 1, 16, 16)), rng.integers(0, model.num_classes, 5)
+        logits, record = model.forward(x, "eval")
+        taps = [i for site in model.sites for i in model.gates(site)]
+
+        def signals(rows):
+            model.backward(record, rows, params=False)
+            return {i: imp.channel_signal(record.values[i], record.grads[i]) for i in taps}
+
+        one_hot = [signals(np.repeat(np.eye(model.num_classes)[k : k + 1], 5, axis=0))
+                   for k in range(model.num_classes)]
+        for source in (loss_source(), loss_source(True), random_source(), random_source(True)):
+            rows = imp._per_example_rows(source, logits, labels, np.arange(5))
+            for i, s in signals(rows).items():
+                contraction = np.einsum("nk,knc->nc", rows, np.stack([a[i] for a in one_hot]))
+                assert np.abs(s - contraction).max() <= 1e-12 * np.abs(s).max(), (source, i)
+
+
 def one_channel_site(estimators):
     return imp.PrunableSite("s", 0, 1, estimators)
 

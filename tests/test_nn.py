@@ -180,21 +180,20 @@ class TestEvalCaches:
             assert not any(getattr(v, "dtype", None) == bool for v in cache.values()), f"node {i}"
 
     @pytest.mark.parametrize("name", ["cnn_small", "cnn_residual"])
-    def test_only_a_train_forward_keeps_conv_columns(self, name, monkeypatch):
-        """An eval cache holds no columns; a train backward reads the kept
-        ones, so its weight gradients run no im2col."""
+    def test_conv_cache_holds_only_x_and_the_weight_gradient_rebuilds_columns(self, name):
+        """Train and eval conv caches hold only x, and a train backward's conv
+        weight gradients are conv2d_grad_weight's on that x and gradient."""
         model = nn.MODEL_BUILDERS[name](seed=1)
-        x = np.random.default_rng(2).normal(size=(40, 1, 16, 16))
+        x = np.random.default_rng(2).normal(size=(40, 1, 16, 16))  # two blocks of a blocked forward
         convs = [i for i, node in enumerate(model.nodes) if node.kind == "conv2d"]
-        _, record = model.forward(x, "eval")
-        assert all(record.caches[i]["cols"] is None for i in convs)
-        logits, record = model.forward(x, "train")
+        for mode in ("eval", "train"):
+            logits, record = model.forward(x, mode)
+            assert all(list(record.caches[i]) == ["x"] for i in convs), mode
+        model.backward(record, np.random.default_rng(3).normal(size=logits.shape))
         for i in convs:
-            assert [len(block) for block in record.caches[i]["cols"]] == [32, 8], f"node {i}"
-        calls = []
-        monkeypatch.setattr(tensor, "im2col", lambda *args: calls.append(args))
-        model.backward(record, np.ones_like(logits))
-        assert calls == []
+            node, w = model.nodes[i], model.nodes[i].params["weight"]
+            gw = tensor.conv2d_grad_weight(record.caches[i]["x"], w, record.grads[i], node.stride, node.padding)
+            assert node.grads["weight"].tobytes() == (np.zeros_like(w) + gw).tobytes(), f"node {i}"
 
     def test_relu_backward_is_grad_times_the_positive_mask(self):
         x = np.array([[-1.0, -0.0, 0.0, 2.0, np.nan, np.inf, -np.inf, 1e-300]])

@@ -283,21 +283,6 @@ class TestConvAdjointGemms:
         assert gx.tobytes() == conv2d_grad_input_einsum(x, w, g, 1, 1).tobytes()
         want_gw = conv2d_grad_weight_einsum(x, w, g, 1, 1).tobytes()
         assert tensor.conv2d_grad_weight(x, w, g, 1, 1).tobytes() == want_gw
-        kept = []
-        tensor.conv2d(x, w, 1, 1, cols=kept)
-        assert tensor.conv2d_grad_weight(x, w, g, 1, 1, cols=kept).tobytes() == want_gw
-
-    @pytest.mark.parametrize("stride,padding", [(1, 1), (2, 0)])
-    def test_kept_block_columns_equal_rebuilt_ones(self, stride, padding):
-        rng = np.random.default_rng(8)
-        x = rng.normal(size=(70, 3, 7, 7)).astype(np.float32)
-        w = rng.normal(size=(4, 3, 3, 3)).astype(np.float32)
-        kept = []
-        out = tensor.conv2d(x, w, stride, padding, cols=kept)
-        assert [len(b) for b in kept] == [32, 32, 6]
-        g = rng.normal(size=out.shape).astype(np.float32)
-        got = tensor.conv2d_grad_weight(x, w, g, stride, padding, cols=kept)
-        assert got.tobytes() == tensor.conv2d_grad_weight(x, w, g, stride, padding).tobytes()
 
 
 class TestMallocPin:
