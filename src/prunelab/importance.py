@@ -34,11 +34,17 @@ molchanov_group_score, lives with the tests in tests/helpers.py.
 
 estimate() runs the model in eval mode: batch statistics would couple
 examples within a batch and break partition invariance (which holds to a
-relative 1e-12 in float64; float32 bytes change with batch_size).  It
-backpropagates per-example rows (no 1/batch factor on the loss gradient) for
-the same reason, and computes no parameter gradient; the 1/N mean-loss
-convention of training lives in nn.softmax_cross_entropy.  Accumulators are
-float64 regardless of model dtype.
+relative 1e-12 in float64).  It backpropagates per-example rows (no 1/batch
+factor on the loss gradient) for the same reason, and computes no parameter
+gradient; the 1/N mean-loss convention of training lives in
+nn.softmax_cross_entropy.  Accumulators are float64 regardless of model
+dtype.  The network runs 32 examples at a time (tensor.blocks) whatever
+batch_size is, so memory does not grow with it: batch_size only groups the
+float64 sums.  A CNN's signals do not depend on that blocking, unless a
+block gets small enough for the BLAS to pick another kernel for a conv's
+input-gradient GEMM (OpenBLAS sgemm: cnn_small's conv3 on a float32 block of
+under ten examples).  A Linear's x @ W.T may round a row differently for
+another number of rows, so mlp_small's tables do depend on it, by round-off.
 
 GradientSource, estimate and ImportanceTable check their arguments with the
 rules of the data module; a table's metadata must be what estimate or
@@ -49,7 +55,7 @@ import math
 
 import numpy as np
 
-from . import data
+from . import data, tensor
 from .errors import FormatError, InputError, ShapeError, StateError
 from .nn import softmax
 
@@ -312,12 +318,22 @@ def _dataset_arrays(dataset):
     return images, labels
 
 
+def _block_signals(model, images, labels, source, taps, lo, hi):
+    """Examples lo:hi forward and back: each tap's signals {site_id: s[n,c]}.
+    The record is freed on return, before the next block's forward."""
+    logits, record = model.forward(images[lo:hi], "eval")
+    rows = _per_example_rows(source, logits, labels[lo:hi] if source.kind == LOSS else None, np.arange(lo, hi))
+    model.backward(record, rows, params=False)
+    return {site_id: channel_signal(record.values[i], record.grads[i]) for site_id, i in taps.items()}
+
+
 def estimate(model, dataset, d, estimator, source, batch_size=32):
     """Score every prunable channel from the first d dataset examples.
 
-    Runs the model in eval mode, streams batches of batch_size, reads each
-    site's signal at the estimator's tap and folds it with accumulate, and
-    never reads labels when the source is random.
+    Runs the model in eval mode on blocks of at most 32 examples, reads
+    each site's signal at the estimator's tap, and folds the signals of each
+    batch of batch_size examples with one accumulate call.  Never reads
+    labels when the source is random.
     """
     data.check(estimator, ESTIMATOR, "estimator")
     data.check(source, data.instance(GradientSource, "a GradientSource"), "source")
@@ -336,17 +352,9 @@ def estimate(model, dataset, d, estimator, source, batch_size=32):
 
     taps = {s.site_id: _ESTIMATOR_ROWS[estimator][0](model, s) for s in model.sites}
     sites = [PrunableSite(s.site_id, s.node_index, s.channels, (estimator,)) for s in model.sites]
-    # each record lives until the next forward replaces it: freeing it first
-    # hands its pages back to the OS and the next batch faults them in again
-    # (measured 10-15% slower); its node gradients are dropped at once so
-    # they do not add to that overlap
     for start in range(0, d, batch_size):
         stop = min(start + batch_size, d)
-        logits, record = model.forward(images[start:stop], "eval")
-        batch_labels = labels[start:stop] if source.kind == LOSS else None
-        rows = _per_example_rows(source, logits, batch_labels, np.arange(start, stop))
-        model.backward(record, rows, params=False)
-        signals = {site_id: channel_signal(record.values[i], record.grads[i]) for site_id, i in taps.items()}
-        record.grads = None
-        accumulate(sites, signals, estimator)
+        parts = [_block_signals(model, images, labels, source, taps, start + blk.start, min(start + blk.stop, stop))
+                 for blk in tensor.blocks(stop - start)]
+        accumulate(sites, {site_id: np.concatenate([p[site_id] for p in parts]) for site_id in taps}, estimator)
     return finalize(sites, estimator, source, d)

@@ -6,6 +6,7 @@ import struct
 
 import numpy as np
 
+from prunelab import importance as imp
 from prunelab import tensor
 from prunelab.errors import InputError, StateError
 from prunelab.pruning import PruneMask
@@ -179,6 +180,25 @@ def random_rows_oracle(seed, example_indices, width):
         key = np.array([seed, int(idx)], dtype=np.uint64)
         rows[j] = np.random.Generator(np.random.Philox(key=key)).standard_normal(width)
     return rows
+
+
+def estimate_whole_batch(model, dataset, d, estimator, source, batch_size=32):
+    """``importance.estimate`` with the network run on each whole batch at
+    once: the byte oracle for estimate's blocks of 32.  dataset is an
+    (images, labels) pair and nothing is checked."""
+    images, labels = dataset
+    tap = imp._ESTIMATOR_ROWS[estimator][0]
+    taps = {s.site_id: tap(model, s) for s in model.sites}
+    sites = [imp.PrunableSite(s.site_id, s.node_index, s.channels, (estimator,)) for s in model.sites]
+    for start in range(0, d, batch_size):
+        stop = min(start + batch_size, d)
+        logits, record = model.forward(images[start:stop], "eval")
+        batch_labels = labels[start:stop] if source.kind == imp.LOSS else None
+        rows = imp._per_example_rows(source, logits, batch_labels, np.arange(start, stop))
+        model.backward(record, rows, params=False)
+        signals = {site_id: imp.channel_signal(record.values[i], record.grads[i]) for site_id, i in taps.items()}
+        imp.accumulate(sites, signals, estimator)
+    return imp.finalize(sites, estimator, source, d)
 
 
 def molchanov_group_score(node, per_example_grads):

@@ -2,6 +2,7 @@
 gradient-source contracts, and the batching/labeling invariances."""
 
 import resource
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -26,7 +27,8 @@ from prunelab.nn import (
     build_mlp_small,
 )
 
-from helpers import all_keep, channel_signal_oracle, molchanov_group_score, random_rows_oracle
+from helpers import (all_keep, channel_signal_oracle, estimate_whole_batch, molchanov_group_score,
+                     random_rows_oracle)
 
 
 def loss_source(normalize=False):
@@ -801,3 +803,94 @@ class TestBatchedMolchanov:
         imp.estimate(model, small_data, d, estimator, random_source(), batch_size=batch_size)
         assert len(calls) == -(-d // batch_size)
         assert sum(calls) == d
+
+
+SOURCES = [loss_source(), loss_source(True), random_source(), random_source(True)]
+SOURCE_IDS = ["loss", "loss_normalized", "random", "random_normalized"]
+# D is batch_size + 4, and batch 100 runs blocks of 32, 32, 32 and 4; cnn_small in float32 at
+# batch 100 has its own test (test_a_small_float32_block_moves_cnn_small_by_round_off_only)
+BLOCKED_CASES = [(name, dtype, batch_size) for name in ("cnn_small", "cnn_residual")
+                 for dtype in (np.float32, np.float64) for batch_size in (32, 100, 256)
+                 if (name, dtype, batch_size) != ("cnn_small", np.float32, 100)]
+
+
+class TestBlockedEstimate:
+    """estimate runs the network on blocks of at most 32 examples; batch_size
+    only groups the float64 sums.  The oracle runs each batch whole."""
+
+    @staticmethod
+    def dataset(d, image_size=16):
+        rng = np.random.default_rng(7)
+        return rng.uniform(0.0, 1.0, size=(d, 1, image_size, image_size)), rng.integers(0, 4, size=d)
+
+    @pytest.mark.parametrize("source", SOURCES, ids=SOURCE_IDS)
+    @pytest.mark.parametrize("name, dtype, batch_size", BLOCKED_CASES,
+                             ids=[f"{n}-{np.dtype(t).name}-{b}" for n, t, b in BLOCKED_CASES])
+    def test_cnn_tables_equal_the_whole_batch_loop_byte_for_byte(self, name, dtype, batch_size, source):
+        model = MODEL_BUILDERS[name](seed=0).astype(dtype)
+        d = batch_size + 4
+        dataset = self.dataset(d)
+        for estimator in imp.ESTIMATORS:
+            blocked = imp.estimate(model, dataset, d, estimator, source, batch_size=batch_size)
+            whole = estimate_whole_batch(model, dataset, d, estimator, source, batch_size=batch_size)
+            assert blocked.scores().tobytes() == whole.scores().tobytes(), estimator
+
+    @staticmethod
+    def assert_round_off_only(blocked, whole):
+        assert np.abs(blocked - whole).max() <= 1e-5 * np.abs(whole).max()
+        assert np.array_equal(np.argsort(blocked, kind="stable"), np.argsort(whole, kind="stable"))
+
+    @pytest.mark.parametrize("source", SOURCES, ids=SOURCE_IDS)
+    def test_a_small_float32_block_moves_cnn_small_by_round_off_only(self, source):
+        """conv3's input-gradient GEMM of a 4-example block is small enough
+        for OpenBLAS to pick another sgemm kernel than for the whole batch."""
+        model = build_cnn_small(seed=0)
+        dataset = self.dataset(104)
+        for estimator in imp.ESTIMATORS:
+            blocked = imp.estimate(model, dataset, 104, estimator, source, batch_size=100).scores()
+            whole = estimate_whole_batch(model, dataset, 104, estimator, source, batch_size=100).scores()
+            self.assert_round_off_only(blocked, whole)
+
+    @pytest.mark.parametrize("source", SOURCES, ids=SOURCE_IDS)
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64], ids=["float32", "float64"])
+    def test_mlp_tables_move_by_round_off_only(self, dtype, source):
+        """A Linear's x @ W.T need not give the same rows for another number
+        of rows, so mlp_small's blocked tables may differ in the last bits."""
+        model = build_mlp_small(seed=3).astype(dtype)
+        dataset = self.dataset(260)
+        for estimator in ("taylorfo", "taylorfo_abs", "taylorfo_sq", "molchanov_group"):
+            blocked = imp.estimate(model, dataset, 260, estimator, source, batch_size=256).scores()
+            whole = estimate_whole_batch(model, dataset, 260, estimator, source, batch_size=256).scores()
+            self.assert_round_off_only(blocked, whole)
+
+    def test_forwards_at_most_32_examples(self):
+        model = build_cnn_small(image_size=8, seed=0)
+        images, _ = self.dataset(600, image_size=8)
+        calls = []
+        forward = model.forward
+
+        def counting_forward(*args, **kwargs):
+            calls.append(len(args[0]))
+            return forward(*args, **kwargs)
+
+        model.forward = counting_forward
+        imp.estimate(model, (images, None), 600, "taylorfo", random_source(), batch_size=256)
+        assert calls == [32] * 8 + [32] * 8 + [32, 32, 24]
+
+    @pytest.mark.parametrize("name", ["cnn_small", "cnn_residual"])
+    def test_peak_memory_does_not_grow_with_batch_size(self, name):
+        """tracemalloc sees numpy's buffers: a batch of 256 peaks within 1.25x
+        of a batch of 32 (a whole-batch forward and backward: about 8x)."""
+        model = MODEL_BUILDERS[name](seed=0)
+        images = self.dataset(600)[0].astype(model.dtype)
+        peaks = {}
+        tracemalloc.start()
+        try:
+            for batch_size in (32, 256):
+                tracemalloc.reset_peak()
+                before = tracemalloc.get_traced_memory()[0]
+                imp.estimate(model, (images, None), 600, "taylorfo", random_source(), batch_size=batch_size)
+                peaks[batch_size] = tracemalloc.get_traced_memory()[1] - before
+        finally:
+            tracemalloc.stop()
+        assert peaks[256] <= 1.25 * peaks[32], peaks
