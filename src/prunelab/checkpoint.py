@@ -15,10 +15,16 @@ key's rule (the *_RULES tables, written in the data module's rule
 vocabulary), an unknown node kind or hyperparameter, or a graph that
 nn.Model rejects (a node with the wrong number of refs, a site outside the
 graph or of another width than its node, or a mask that breaks
-nn.Model.check_masks: one on a node that gates no site or one that does not
-fit its node) raises FormatError before any model is returned.  save_model
-runs the same mask check before it opens the file, so it never writes a
-checkpoint that load_model rejects for its masks.
+nn.Model.check_masks: one on a node that gates no site, one that does not
+fit its node, or one that not every gate of its site holds) raises
+FormatError before any model is returned.  save_model runs the same mask
+check before it opens the file, so it never writes a checkpoint that
+load_model rejects for its masks.
+
+Masks are stored one key per gate node, and every gate of a site must hold
+the same mask.  A checkpoint that masks only some of a site's gates (a conv
+but not its batch norm, or the reverse), which older versions wrote and
+read, now fails to load (``prunelab`` exits 3).
 """
 
 import json

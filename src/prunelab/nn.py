@@ -23,8 +23,8 @@ reads ``arity`` refs, each to an earlier node or the input, site ids are
 unique, and each site names a node in range whose ``channels`` it matches.
 :meth:`Model.check_masks`, run by every forward and before masks are
 applied, compacted or saved, is the one mask rule: a mask sits on a site's
-gate node (:meth:`Model.gates`), has one entry per channel of that node and
-holds only 0s and 1s; any other mask is InputError.
+gate node (:meth:`Model.gates`), has one entry per channel of that node,
+holds only 0s and 1s, and is on every gate of its site; else InputError.
 """
 
 import copy
@@ -468,18 +468,21 @@ class Model:
         return copy.deepcopy(self)
 
     def check_masks(self):
-        """Raise InputError unless every mask sits on a gate node, fits its channel count and holds only 0s and 1s."""
-        gated = {i for s in self.sites for i in self.gates(s)} if self.masks else ()
+        """Raise InputError unless every mask fits a gate node, holds only 0s and 1s, and every gate of its site holds it."""
+        gates = {i: g for g in map(self.gates, self.sites) for i in g} if self.masks else {}  # gate -> its site's gates
         for i, m in self.masks.items():
             if not data.integer(0, len(self.nodes) - 1)[0](i):  # True and 0.0 pass a range() test
                 raise InputError(f"mask on node {i!r}: no such node")
             node = self.nodes[i]
-            if i not in gated:
+            if i not in gates:
                 raise InputError(f"mask on node {i}: node {i} ({node.name}) is a {node.kind} node that gates no site")
             if np.shape(m) != (node.channels,):
                 raise InputError(f"mask on node {i}: shape {np.shape(m)}, node has {node.channels} channels")
             if not np.all((m == 0) | (m == 1)):
                 raise InputError(f"mask on node {i} holds values other than 0 and 1")
+        for i, m in self.masks.items():
+            if not all(j in self.masks and np.array_equal(self.masks[j], m) for j in gates[i]):
+                raise InputError(f"mask on node {i}: its site's gate nodes {gates[i]} must all hold this same mask")
 
     def gates(self, site):
         """Indices of the nodes whose masks gate a site's channels: the site

@@ -168,9 +168,8 @@ def apply_mask(model, mask):
     The mask is installed on the site's gate nodes (``Model.gates``): the site
     node and any batch norm that reads it.  Zeroing only the producer would
     let the batch norm re-bias the channel away from zero, and the batch-norm
-    parameters of a pruned channel must stop receiving gradient too.
-    Channels the model already masks on a site's gate nodes stay masked, so
-    masks compose instead of replacing each other.
+    parameters of a pruned channel must stop receiving gradient too.  Masks
+    compose: what the site's one mask (``Model.check_masks``) prunes stays pruned.
     """
     model.check_masks()
     model_sites = {s.site_id: s.channels for s in model.sites}
@@ -181,12 +180,10 @@ def apply_mask(model, mask):
             raise InputError(f"site {site_id!r}: mask length {k.size} != {model_sites[site_id]} channels")
     out = model.clone()
     for site in model.sites:
-        gates = model.gates(site)
-        held = [model.masks[i] != 0 for i in gates if i in model.masks]
-        keep = np.logical_and.reduce([mask.keep[site.site_id], *held])
+        keep = mask.keep[site.site_id] & (model.masks.get(site.node_index, 1) != 0)
         if not keep.any():
             raise InputError(f"site {site.site_id!r} would keep no channels with the model's existing mask")
-        out.masks.update(dict.fromkeys(gates, keep.astype(out.dtype)))
+        out.masks.update(dict.fromkeys(model.gates(site), keep.astype(out.dtype)))
     return out
 
 

@@ -16,7 +16,7 @@ import struct
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from prunelab import cli, data, harness
@@ -30,8 +30,8 @@ PROPERTY = settings(max_examples=500, deadline=None, derandomize=True)
 
 
 def tiny_model():
-    """Two conv sites with batch-norm gates on 1x4x4 images, masked on a site
-    node and on a batch norm."""
+    """Two conv sites with batch-norm gates on 1x4x4 images, each masked with
+    one keep vector on both of its gate nodes."""
     nodes = [
         Conv2d("c1", [INPUT], 1, 3, 3, padding=1, bias=False),
         BatchNorm("bn1", [0], 3),
@@ -47,7 +47,8 @@ def tiny_model():
     rng = np.random.default_rng(0)
     for _, _, _, param in model.parameters():
         param[...] = rng.normal(size=param.shape)
-    model.masks = {0: np.array([1, 0, 1], np.float32), 5: np.array([1, 1, 0, 1], np.float32)}
+    c1, c2 = np.array([1, 0, 1], np.float32), np.array([1, 1, 0, 1], np.float32)
+    model.masks = {0: c1, 1: c1.copy(), 4: c2, 5: c2.copy()}
     return model
 
 
@@ -120,7 +121,7 @@ def exits_cleanly(code, err):
 
 
 def test_valid_files_load(workdir):
-    assert load_model(workdir / "model.npkt").masks.keys() == {0, 5}
+    assert load_model(workdir / "model.npkt").masks.keys() == {0, 1, 4, 5}
     assert len(data.load_idx(workdir / "images.idx", workdir / "labels.idx")) == 4
     assert run_cli("eval", "--checkpoint", workdir / "model.npkt", "--images", workdir / "images.idx",
                    "--labels", workdir / "labels.idx")[0] == 0
@@ -184,16 +185,24 @@ REFERENCE = build_reference_models(image_size=8, seed=5)
 IMAGES = np.random.default_rng(2).standard_normal((3, 1, 8, 8)).astype(np.float32)
 
 
+def whole_site_masks(model, keeps):
+    """{gate node: keep} putting each keep vector of {site id: keep} on every gate of its site."""
+    return {i: np.array(keeps[s.site_id], np.float32) for s in model.sites if s.site_id in keeps for i in model.gates(s)}
+
+
 @st.composite
 def reference_masks(draw):
-    """A reference model's name and random masks for it: any node index in
-    [-1, n], any length, values from {0, 1, 0.5, 2}; gate nodes, fitting
-    lengths and 0/1 values are drawn often enough that some mask sets keep
-    every rule."""
+    """A reference model's name and random masks for it: whole-site masks (one
+    0/1 vector on every gate of a site), then masks on any node index in
+    [-1, n], of any length, with values from {0, 1, 0.5, 2}; gate nodes,
+    fitting lengths and 0/1 values are drawn often enough that some mask sets
+    keep every rule, and some break only the one-mask-per-site rule."""
     name = draw(st.sampled_from(sorted(REFERENCE)))
     model = REFERENCE[name]
+    sites = draw(st.lists(st.sampled_from(model.sites), max_size=len(model.sites), unique_by=lambda s: s.site_id))
+    masks = whole_site_masks(model, {s.site_id: draw(st.lists(st.sampled_from((0.0, 1.0)), min_size=s.channels,
+                                                              max_size=s.channels)) for s in sites})
     gates = [i for s in model.sites for i in model.gates(s)]
-    masks = {}
     for index in draw(st.lists(st.one_of(st.sampled_from(gates), st.integers(-1, len(model.nodes))), max_size=4)):
         width = model.nodes[index].channels if 0 <= index < len(model.nodes) else None
         length = draw(st.integers(0, 40) if width is None else st.one_of(st.just(width), st.integers(0, 40)))
@@ -204,6 +213,7 @@ def reference_masks(draw):
 
 @PROPERTY
 @given(case=reference_masks())
+@example(case=("cnn_small", whole_site_masks(REFERENCE["cnn_small"], {"conv1": [1] * 15 + [0], "conv2": [0, 1] * 12})))
 def test_saved_masks_load_back_or_are_refused(workdir, case):
     name, masks = case
     model = REFERENCE[name].clone()

@@ -5,12 +5,15 @@ import struct
 import numpy as np
 import pytest
 
-from prunelab import checkpoint
+from prunelab import checkpoint, pruning
 from prunelab.cli import main
 from prunelab.errors import FormatError, InputError
 from prunelab.nn import build_reference_models
 
-from helpers import rewrite_header
+from helpers import all_keep, rewrite_header
+
+# the message of a mask that not every gate of its site holds
+ONE_MASK = r"its site's gate nodes \[\d+, \d+\] must all hold this same mask"
 
 
 @pytest.fixture(params=["mlp_small", "cnn_small", "cnn_residual"])
@@ -55,12 +58,13 @@ class TestRoundTrip:
         site = model.sites[0]
         keep = np.ones(site.channels, np.float32)
         keep[0] = 0.0
-        model.masks[site.node_index] = keep
+        gates = model.gates(site)
+        model.masks.update(dict.fromkeys(gates, keep))
         path = tmp_path / "m.npkt"
         checkpoint.save_model(path, model)
         loaded = checkpoint.load_model(path)
-        assert set(loaded.masks) == {site.node_index}
-        assert np.array_equal(loaded.masks[site.node_index], keep)
+        assert set(loaded.masks) == set(gates)
+        assert all(np.array_equal(loaded.masks[i], keep) for i in gates)
 
     def test_forward_agrees_after_reload(self, model, tmp_path):
         path = tmp_path / "m.npkt"
@@ -228,7 +232,7 @@ class TestHeaderValidation:
         model = build_reference_models(seed=7)["cnn_small"]
         keep = np.ones(16, np.float32)
         keep[3] = 0.0
-        model.masks[0] = keep
+        model.masks.update({0: keep, 1: keep})  # conv1 and bn1, the gates of site conv1
         path = tmp_path / "m.npkt"
         checkpoint.save_model(path, model)
         return path
@@ -288,26 +292,39 @@ class TestLoadConsistency:
             checkpoint.load_model(saved)
 
     def test_mask_of_right_length_loads(self, saved):
-        rewrite_header(saved, setter("masks", value={"1": [1] * 15 + [0]}))
+        keep = [1] * 15 + [0]
+        rewrite_header(saved, setter("masks", value={"0": keep, "1": keep}))
         assert checkpoint.load_model(saved).masks[1][15] == 0.0
+        rewrite_header(saved, setter("masks", value={"1": keep}))  # bn1 without conv1, its site's other gate
+        with pytest.raises(FormatError, match=f"mask on node 1: {ONE_MASK}"):
+            checkpoint.load_model(saved)
 
-    @pytest.mark.parametrize("name,index", [("cnn_residual", 0), ("cnn_small", 13)])
-    def test_mask_outside_gate_nodes(self, tmp_path, capsys, name, index):
-        # cnn_residual's stem conv and cnn_small's classifier gate no site
+    @pytest.mark.parametrize("name,index,rule", [("cnn_residual", 0, "gates no site"), ("cnn_small", 13, "gates no site"),
+                                                 ("cnn_small", 0, ONE_MASK), ("cnn_small", 1, ONE_MASK)],
+                             ids=["residual_stem", "classifier", "conv_without_batch_norm", "batch_norm_without_conv"])
+    def test_mask_outside_gate_nodes(self, tmp_path, capsys, name, index, rule):
+        # cnn_residual's stem conv and cnn_small's classifier gate no site; cnn_small's
+        # conv1 and bn1 gate one site, so a mask on either alone is not the site's one mask
         model = build_reference_models(seed=7)[name]
         keep = [1] * model.nodes[index].channels
         keep[1] = 0
         path = tmp_path / "m.npkt"
         checkpoint.save_model(path, model)
         rewrite_header(path, setter("masks", value={str(index): keep}))
-        with pytest.raises(FormatError, match=f"mask on node {index}: .* gates no site"):
+        match = f"mask on node {index}: .*{rule}"
+        with pytest.raises(FormatError, match=match):
             checkpoint.load_model(path)
         assert main(["eval", "--checkpoint", str(path)]) == 3
         err = capsys.readouterr().err
         assert err.startswith("error: ") and "Traceback" not in err
+        model.nodes[1].state["running_mean"][:] = -0.5  # bn1 would shift a channel masked on conv1 alone off zero
         model.masks[index] = np.array(keep, np.float32)
-        with pytest.raises(InputError, match=f"mask on node {index}: .* gates no site"):
-            checkpoint.save_model(tmp_path / "stray.npkt", model)
+        mask = all_keep(model)
+        for call in (model.check_masks, lambda: model.forward(np.zeros((2,) + model.input_shape), "eval"),
+                     lambda: checkpoint.save_model(tmp_path / "stray.npkt", model),
+                     lambda: pruning.apply_mask(model, mask), lambda: pruning.compact(model, mask)):
+            with pytest.raises(InputError, match=match):
+                call()
         assert not (tmp_path / "stray.npkt").exists()
 
     @pytest.mark.parametrize("value", [0.5, 2.0])

@@ -263,24 +263,29 @@ class TestPrune:
         assert code == 3
         assert "error:" in err and "Traceback" not in err
 
-    @pytest.mark.parametrize("name,index", [("cnn_residual", 0), ("cnn_small", 13)])
-    def test_mask_outside_gate_nodes_exits_3(self, workspace, tmp_path, capsys, name, index):
-        # a mask on the residual stem conv or on the classifier gates no site
+    @pytest.mark.parametrize("name,index,rule", [
+        ("cnn_residual", 0, "gates no site"), ("cnn_small", 13, "gates no site"),
+        ("cnn_small", 0, "must all hold this same mask"), ("cnn_small", 1, "must all hold this same mask"),
+    ], ids=["residual_stem", "classifier", "conv_without_batch_norm", "batch_norm_without_conv"])
+    def test_mask_outside_gate_nodes_exits_3(self, workspace, tmp_path, capsys, name, index, rule):
+        # a mask on the residual stem conv or on the classifier gates no site, and one on
+        # cnn_small's conv1 or bn1 alone misses the other gate of their site
         model = build_reference_models()[name]
         keep = [1] * model.nodes[index].channels
         keep[1] = 0
         save_model(tmp_path / "stray.npkt", model)
         rewrite_header(tmp_path / "stray.npkt", lambda header: header["masks"].update({str(index): keep}))
         harness.random_importance_table(model).to_csv(tmp_path / "scores.csv")
-        code = run(workspace, "prune", "--checkpoint", str(tmp_path / "stray.npkt"),
-                   "--table", str(tmp_path / "scores.csv"), "--prune-count", "3",
-                   "--out", str(tmp_path / "small.npkt"))
-        err = capsys.readouterr().err
-        assert code == 3
-        assert f"mask on node {index}" in err and "Traceback" not in err
-        assert not (tmp_path / "small.npkt").exists()
+        for argv in (("prune", "--table", str(tmp_path / "scores.csv"), "--prune-count", "3"), ("eval",)):
+            code = run(workspace, *argv, "--checkpoint", str(tmp_path / "stray.npkt"),
+                       "--out", str(tmp_path / "out"))
+            err = capsys.readouterr().err
+            assert code == 3
+            assert err.startswith("error: ") and f"mask on node {index}" in err and rule in err
+            assert "Traceback" not in err
+            assert not (tmp_path / "out").exists()
         model.masks[index] = np.array(keep, np.float32)
-        with pytest.raises(InputError, match=f"mask on node {index}: .* gates no site"):
+        with pytest.raises(InputError, match=f"mask on node {index}: .*{rule}"):
             save_model(tmp_path / "in_memory.npkt", model)
         assert not (tmp_path / "in_memory.npkt").exists()
 

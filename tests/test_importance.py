@@ -167,6 +167,31 @@ class TestSignalContraction:
                 contraction = np.einsum("nk,knc->nc", rows, np.stack([a[i] for a in one_hot]))
                 assert np.abs(s - contraction).max() <= 1e-12 * np.abs(s).max(), (source, i)
 
+    @pytest.mark.parametrize("normalize", [False, True])
+    def test_random_square_score_converges_to_its_closed_form(self, normalize):
+        # E[s^2] = sum_k A[n,c,k]^2 for standard-normal rows g, and 1/K of it for
+        # unit rows (E[g_k g_l] = delta_kl / K), so the seed mean of random-source
+        # taylorfo_sq tends to mean_n sum_k A^2, over K when normalized; errors are
+        # relative to the largest expected score, as channels dead on x expect 0
+        model = build_cnn_small(seed=4).astype(np.float64)
+        x = np.random.default_rng(5).normal(size=(6, 1, 16, 16))
+        k = model.num_classes
+        _, record = model.forward(x, "eval")
+        one_hot = []
+        for row in np.eye(k):
+            model.backward(record, np.repeat(row[None], 6, axis=0), params=False)
+            one_hot.append(np.concatenate([imp.channel_signal(record.values[s.node_index], record.grads[s.node_index])
+                                           for s in model.sites], axis=1))
+        expected = (np.stack(one_hot) ** 2).sum(axis=0).mean(axis=0) / (k if normalize else 1)
+        total, errors = 0.0, {}
+        for seed in range(1, 401):
+            table = imp.estimate(model, (x, None), 6, "taylorfo_sq", random_source(normalize, seed))
+            total = total + np.concatenate([table.scores(s.site_id) for s in model.sites])
+            if seed in (25, 400):
+                errors[seed] = np.abs(total / seed - expected).max() / expected.max()
+        assert errors[400] < 0.03
+        assert errors[400] < errors[25]
+
 
 def one_channel_site(estimators):
     return imp.PrunableSite("s", 0, 1, estimators)

@@ -772,18 +772,20 @@ class TestMasks:
         site = site_by_id(model, "conv2")
         keep = np.ones(site.channels)
         keep[[1, 5]] = 0.0
-        model.masks[site.node_index] = keep
+        model.masks.update(dict.fromkeys(model.gates(site), keep))
+        model.nodes[5].state["running_mean"][:] = -0.5  # the batch norm would re-bias a channel it did not gate
         x = np.random.default_rng(10).normal(size=(2, 1, 16, 16))
         _, record = model.forward(x, "eval")
-        assert not record.values[site.node_index][:, [1, 5]].any()
-        assert record.values[site.node_index][:, 0].any()
+        for i in model.gates(site):
+            assert not record.values[i][:, [1, 5]].any()
+            assert record.values[i][:, 0].any()
 
     def test_masked_channel_params_get_zero_grads(self):
         model = build_cnn_small(seed=9).astype(np.float64)
         site = site_by_id(model, "conv2")
         keep = np.ones(site.channels)
         keep[3] = 0.0
-        model.masks[site.node_index] = keep
+        model.masks.update(dict.fromkeys(model.gates(site), keep))
         x = np.random.default_rng(11).normal(size=(2, 1, 16, 16))
         logits, record = model.forward(x, "eval")
         model.zero_grads()
@@ -799,7 +801,10 @@ class TestMasks:
         (2, 3, r"node 2 \(relu1\) is a relu node that gates no site"),
         (True, 16, "mask on node True: no such node"),
         (0.0, 16, r"mask on node 0\.0: no such node"),
-    ], ids=["short", "no_node", "classifier", "relu", "bool_key", "float_key"])
+        (0, 16, r"mask on node 0: its site's gate nodes \[0, 1\] must all hold this same mask"),
+        (1, 16, r"mask on node 1: its site's gate nodes \[0, 1\] must all hold this same mask"),
+    ], ids=["short", "no_node", "classifier", "relu", "bool_key", "float_key", "conv_without_batch_norm",
+            "batch_norm_without_conv"])
     def test_forward_rejects_a_mask_that_breaks_the_rule(self, index, length, match):
         model = build_cnn_small(seed=0)
         model.masks[index] = np.ones(length, np.float32)

@@ -423,11 +423,15 @@ class TestMaskComposition:
             assert np.array_equal(again.masks[node], keep)
 
     def test_batch_norm_mask_is_kept(self):
-        # a checkpoint may carry a mask on the batch norm alone
+        # a mask on conv2's batch norm is the site's one mask only if conv2 holds it too
         model = build_cnn_small(image_size=8, seed=3)
         keep = np.ones(24)
         keep[[4, 9]] = 0.0
         model.masks[5] = keep
+        for call in (pruning.apply_mask, pruning.compact):
+            with pytest.raises(InputError, match=r"mask on node 5: its site's gate nodes \[4, 5\] must all hold"):
+                call(model, conv2_off(model, (1,)))
+        model.masks[4] = keep
         again = pruning.apply_mask(model, conv2_off(model, (1,)))
         for node in (4, 5):
             assert np.flatnonzero(again.masks[node] == 0).tolist() == [1, 4, 9]
