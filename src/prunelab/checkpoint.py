@@ -14,17 +14,12 @@ Loading fails closed: a header with a missing key, a value that fails its
 key's rule (the *_RULES tables, written in the data module's rule
 vocabulary), an unknown node kind or hyperparameter, or a graph that
 nn.Model rejects (a node with the wrong number of refs, a site outside the
-graph or of another width than its node, or a mask that breaks
-nn.Model.check_masks: one on a node that gates no site, one that does not
-fit its node, or one that not every gate of its site holds) raises
-FormatError before any model is returned.  save_model runs the same mask
-check before it opens the file, so it never writes a checkpoint that
-load_model rejects for its masks.
-
-Masks are stored one key per gate node, and every gate of a site must hold
-the same mask.  A checkpoint that masks only some of a site's gates (a conv
-but not its batch norm, or the reverse), which older versions wrote and
-read, now fails to load (``prunelab`` exits 3).
+graph or of another width than its node, or a mask that does not fit its
+site node), or masks other than save_model writes for the loaded model (one
+key per gate node of each masked site, nn.Model.gates, all holding the site
+node's mask, which load_model reads) raises FormatError before any model is
+returned.  save_model runs nn.Model.check_masks before it opens the file,
+so it never writes a checkpoint that load_model rejects for its masks.
 """
 
 import json
@@ -86,7 +81,7 @@ def _header_dict(model):
             {"site_id": s.site_id, "node_index": s.node_index, "channels": s.channels} for s in model.sites
         ],
         "non_prunable": {str(k): v for k, v in model.non_prunable.items()},
-        "masks": {str(k): [int(v) for v in m] for k, m in model.masks.items()},
+        "masks": {str(i): [int(v) for v in m] for i in range(len(model.nodes)) if (m := model.gate_mask(i)) is not None},
     }
 
 
@@ -205,8 +200,13 @@ def load_model(path):
             non_prunable={int(k): v for k, v in header["non_prunable"].items()},
             dtype=np.float32,
         )
-        model.masks = {int(k): np.asarray(m, dtype=np.float32) for k, m in header["masks"].items()}
+        model.masks = {s.node_index: np.asarray(header["masks"][str(s.node_index)], dtype=np.float32)
+                       for s in sites if str(s.node_index) in header["masks"]}
         model.check_masks()
     except InputError as e:
         raise FormatError(f"inconsistent checkpoint: {e}") from None
+    masks = _header_dict(model)["masks"]
+    if header["masks"] != masks:
+        wrong = sorted(int(k) for k in header["masks"].keys() | masks.keys() if header["masks"].get(k) != masks.get(k))
+        raise FormatError(f"inconsistent checkpoint: masks at nodes {wrong} break one mask per site, on each gate of it")
     return model

@@ -22,9 +22,9 @@ A Model checks its structure when built, raising InputError unless each node
 reads ``arity`` refs, each to an earlier node or the input, site ids are
 unique, and each site names a node in range whose ``channels`` it matches.
 :meth:`Model.check_masks`, run by every forward and before masks are
-applied, compacted or saved, is the one mask rule: a mask sits on a site's
-gate node (:meth:`Model.gates`), has one entry per channel of that node,
-holds only 0s and 1s, and is on every gate of its site; else InputError.
+applied, compacted or saved, is the one mask rule: a mask is keyed by a site
+node, has one entry per channel of it and holds only 0s and 1s; else
+InputError.  The model applies it at every gate node of the site (:meth:`Model.gate_mask`).
 """
 
 import copy
@@ -399,8 +399,8 @@ class ForwardRecord:
 
 
 class Model:
-    """A node graph, its prunable sites, and channel masks {node index: keep
-    vector} that sit on the sites' gate nodes (see gates)."""
+    """A node graph, its prunable sites, and channel masks {site node index:
+    keep vector}, each applied at every gate node of its site (see gates)."""
 
     def __init__(self, nodes, input_shape, num_classes, sites=None, non_prunable=None, dtype=np.float32):
         self.nodes = list(nodes)
@@ -426,6 +426,8 @@ class Model:
         names = [s.site_id for s in self.sites]
         if len(set(names)) != len(names):
             raise InputError("duplicate site ids")
+        self._site_of = {g: s.node_index for s in self.sites for g in self.gates(s)}  # gate -> site node of its mask
+        self._site_of.update((s.node_index, s.node_index) for s in self.sites)  # a site node gates with its own mask
         # for record-free runs (_run): the values dropped after each node, and the
         # buffer each node may overwrite, where it is the buffer's last reader
         base, last = {INPUT: INPUT}, {}  # value -> its buffer (a view is on its input's) -> last reader
@@ -468,21 +470,17 @@ class Model:
         return copy.deepcopy(self)
 
     def check_masks(self):
-        """Raise InputError unless every mask fits a gate node, holds only 0s and 1s, and every gate of its site holds it."""
-        gates = {i: g for g in map(self.gates, self.sites) for i in g} if self.masks else {}  # gate -> its site's gates
+        """Raise InputError unless every mask is keyed by a site node, fits it, and holds only 0s and 1s."""
         for i, m in self.masks.items():
             if not data.integer(0, len(self.nodes) - 1)[0](i):  # True and 0.0 pass a range() test
                 raise InputError(f"mask on node {i!r}: no such node")
             node = self.nodes[i]
-            if i not in gates:
-                raise InputError(f"mask on node {i}: node {i} ({node.name}) is a {node.kind} node that gates no site")
+            if self._site_of.get(i) != i:
+                raise InputError(f"mask on node {i}: node {i} ({node.name}) is a {node.kind} node, not a site node")
             if np.shape(m) != (node.channels,):
                 raise InputError(f"mask on node {i}: shape {np.shape(m)}, node has {node.channels} channels")
             if not np.all((m == 0) | (m == 1)):
                 raise InputError(f"mask on node {i} holds values other than 0 and 1")
-        for i, m in self.masks.items():
-            if not all(j in self.masks and np.array_equal(self.masks[j], m) for j in gates[i]):
-                raise InputError(f"mask on node {i}: its site's gate nodes {gates[i]} must all hold this same mask")
 
     def gates(self, site):
         """Indices of the nodes whose masks gate a site's channels: the site
@@ -493,9 +491,9 @@ class Model:
 
     # -- execution ------------------------------------------------------------
 
-    def _mask_for(self, i, x):
-        m = self.masks.get(i)
-        return None if m is None else _row(m.astype(x.dtype), x)
+    def gate_mask(self, i):
+        """The mask node i's output is multiplied by: its site's, where node i gates a masked site; else None."""
+        return self.masks.get(self._site_of.get(i))
 
     def forward(self, x, mode="train", record=True):
         """Run the graph; returns (logits, record).
@@ -541,9 +539,9 @@ class Model:
                 out = node.forward(xs, mode, cache)
             except ShapeError as e:
                 raise ShapeError(f"node {i} ({node.name}): {e}") from e
-            m = self._mask_for(i, out)
+            m = self.gate_mask(i)
             if m is not None:
-                out *= m  # in place: a gate node's output is its own array, or an input no one reads again
+                out *= _row(m.astype(out.dtype), out)  # in place: a gate's output is its own array or a dead input
             values.append(out)
             if caches is None:
                 for r in self._frees[i]:
@@ -574,9 +572,9 @@ class Model:
             g = buffers[i]
             if g is None:
                 continue
-            m = self._mask_for(i, g)
+            m = self.gate_mask(i)
             if m is not None:
-                g = g * m  # not in place: a residual add hands one gradient to both refs
+                g = g * _row(m.astype(g.dtype), g)  # not in place: a residual add hands one gradient to both refs
             node = self.nodes[i]
             inputs = any(r != INPUT for r in node.refs)  # the model input's gradient is never read
             gins = node.backward(g, {**record.caches[i], "params": params, "inputs": inputs})
@@ -800,11 +798,6 @@ def build_cnn_residual(num_classes=4, image_size=16, in_channels=1, seed=0):
         },
     )
     return _init_params(model, seed)
-
-
-def build_reference_models(num_classes=4, image_size=16, in_channels=1, seed=0):
-    """The three fixed reference architectures used throughout the test suite."""
-    return {name: build(num_classes, image_size, in_channels, seed) for name, build in MODEL_BUILDERS.items()}
 
 
 MODEL_BUILDERS = {

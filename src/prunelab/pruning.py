@@ -12,7 +12,8 @@ Pruning proceeds in three stages that are kept deliberately separate:
 2. ``apply_mask`` turns a plan into a runtime mask on the model: pruned
    channels are forced to zero in the forward pass and their parameters stop
    receiving gradient.  Shapes do not change, which makes masked models
-   convenient for quick accuracy measurements and finetuning.  Masks
+   convenient for quick accuracy measurements and finetuning.  A model holds
+   one mask per site (``Model.masks``, keyed by the site node); masks
    compose: a channel already masked on the model stays pruned.
 3. ``compact`` applies the mask the same way, then rewrites the graph into
    a genuinely smaller model in one pass in graph order: pruned output
@@ -38,13 +39,16 @@ from .importance import ENTRY_COLUMNS
 from .nn import INPUT, Model, Site
 
 
+_KEEP = (lambda k: k.dtype == bool or k.dtype.kind in "iu" and np.all((k == 0) | (k == 1)), "bools or integers 0 and 1")
+
+
 class PruneMask:
-    """Per-site boolean keep vectors; False marks a pruned channel."""
+    """Per-site keep vectors of bools or integers 0 and 1 (else InputError); False marks a pruned channel."""
 
     def __init__(self, keep):
         self.keep = {}
         for site_id, k in keep.items():
-            k = np.asarray(k, dtype=bool)
+            k = data.check(np.asarray(k), _KEEP, f"site {site_id!r} keep vector").astype(bool)
             if k.ndim != 1:
                 raise InputError(f"site {site_id!r}: keep vector must be 1-D")
             if not k.any():
@@ -127,6 +131,7 @@ def rank_global(table, p, per_layer_normalize=False):
     layers with different scale; sites whose scores are all zero are left
     as is.
     """
+    data.check(per_layer_normalize, data.FLAG, "per_layer_normalize")
     entries = list(table.entries)
     n = len(entries)
     survivors = _site_counts((site_id, channel) for site_id, _, channel, _ in entries)
@@ -165,12 +170,14 @@ def rank_global(table, p, per_layer_normalize=False):
 def apply_mask(model, mask):
     """Return a copy of the model with pruned channels masked to zero.
 
-    The mask is installed on the site's gate nodes (``Model.gates``): the site
-    node and any batch norm that reads it.  Zeroing only the producer would
-    let the batch norm re-bias the channel away from zero, and the batch-norm
-    parameters of a pruned channel must stop receiving gradient too.  Masks
-    compose: what the site's one mask (``Model.check_masks``) prunes stays pruned.
+    The site's one mask is stored under the site node, and the model applies
+    it at every gate node (``Model.gates``): the site node and any batch norm
+    that reads it.  Zeroing only the producer would let the batch norm
+    re-bias the channel away from zero, and the batch-norm parameters of a
+    pruned channel must stop receiving gradient too.  Masks compose: what the
+    model's mask prunes stays pruned.  Anything but a PruneMask is InputError.
     """
+    data.check(mask, data.instance(PruneMask, "a PruneMask"), "mask")
     model.check_masks()
     model_sites = {s.site_id: s.channels for s in model.sites}
     if set(mask.keep) != set(model_sites):
@@ -183,7 +190,7 @@ def apply_mask(model, mask):
         keep = mask.keep[site.site_id] & (model.masks.get(site.node_index, 1) != 0)
         if not keep.any():
             raise InputError(f"site {site.site_id!r} would keep no channels with the model's existing mask")
-        out.masks.update(dict.fromkeys(model.gates(site), keep.astype(out.dtype)))
+        out.masks[site.node_index] = keep.astype(out.dtype)
     return out
 
 

@@ -1,5 +1,5 @@
-"""Shared test utilities: finite differences, relative error, file mutation,
-reference kernels and scores, and mask and plan queries."""
+"""Shared test utilities: the reference models, finite differences, relative
+error, file mutation, reference kernels and scores, and mask and plan queries."""
 
 import json
 import struct
@@ -9,9 +9,15 @@ import numpy as np
 from prunelab import importance as imp
 from prunelab import tensor
 from prunelab.errors import InputError, StateError
+from prunelab.nn import MODEL_BUILDERS
 from prunelab.pruning import PruneMask
 
 REL_FLOOR = 1e-8
+
+
+def build_reference_models(num_classes=4, image_size=16, in_channels=1, seed=0):
+    """The three fixed reference architectures used throughout the test suite."""
+    return {name: build(num_classes, image_size, in_channels, seed) for name, build in MODEL_BUILDERS.items()}
 
 
 def rel_err(analytic, numeric, floor=REL_FLOOR):
@@ -278,10 +284,11 @@ def mutate(raw, edit_list):
 
 def rewrite_header(path, mutate):
     """Apply mutate to the decoded JSON header of a checkpoint and write it
-    back in place, keeping the parameter blobs."""
+    back in place, with sorted keys as save_model writes it, keeping the
+    parameter blobs."""
     raw = path.read_bytes()
     (length,) = struct.unpack("<I", raw[8:12])
     header = json.loads(raw[12 : 12 + length])
     mutate(header)
-    new = json.dumps(header).encode("utf-8")
+    new = json.dumps(header, sort_keys=True).encode("utf-8")
     path.write_bytes(raw[:8] + struct.pack("<I", len(new)) + new + raw[12 + length :])

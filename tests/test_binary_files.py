@@ -22,16 +22,16 @@ from hypothesis import strategies as st
 from prunelab import cli, data, harness
 from prunelab.checkpoint import load_model, save_model
 from prunelab.errors import FormatError, InputError
-from prunelab.nn import INPUT, BatchNorm, Conv2d, Flatten, Linear, MaxPool, Model, ReLU, Site, build_reference_models
+from prunelab.nn import INPUT, BatchNorm, Conv2d, Flatten, Linear, MaxPool, Model, ReLU, Site
 
-from helpers import mutate
+from helpers import build_reference_models, mutate
 
 PROPERTY = settings(max_examples=500, deadline=None, derandomize=True)
 
 
 def tiny_model():
     """Two conv sites with batch-norm gates on 1x4x4 images, each masked with
-    one keep vector on both of its gate nodes."""
+    one keep vector, held under its site node."""
     nodes = [
         Conv2d("c1", [INPUT], 1, 3, 3, padding=1, bias=False),
         BatchNorm("bn1", [0], 3),
@@ -47,8 +47,7 @@ def tiny_model():
     rng = np.random.default_rng(0)
     for _, _, _, param in model.parameters():
         param[...] = rng.normal(size=param.shape)
-    c1, c2 = np.array([1, 0, 1], np.float32), np.array([1, 1, 0, 1], np.float32)
-    model.masks = {0: c1, 1: c1.copy(), 4: c2, 5: c2.copy()}
+    model.masks = {0: np.array([1, 0, 1], np.float32), 4: np.array([1, 1, 0, 1], np.float32)}
     return model
 
 
@@ -121,7 +120,7 @@ def exits_cleanly(code, err):
 
 
 def test_valid_files_load(workdir):
-    assert load_model(workdir / "model.npkt").masks.keys() == {0, 1, 4, 5}
+    assert load_model(workdir / "model.npkt").masks.keys() == {0, 4}
     assert len(data.load_idx(workdir / "images.idx", workdir / "labels.idx")) == 4
     assert run_cli("eval", "--checkpoint", workdir / "model.npkt", "--images", workdir / "images.idx",
                    "--labels", workdir / "labels.idx")[0] == 0
@@ -185,23 +184,23 @@ REFERENCE = build_reference_models(image_size=8, seed=5)
 IMAGES = np.random.default_rng(2).standard_normal((3, 1, 8, 8)).astype(np.float32)
 
 
-def whole_site_masks(model, keeps):
-    """{gate node: keep} putting each keep vector of {site id: keep} on every gate of its site."""
-    return {i: np.array(keeps[s.site_id], np.float32) for s in model.sites if s.site_id in keeps for i in model.gates(s)}
+def site_masks(model, keeps):
+    """{site node: keep} of {site id: keep}."""
+    return {s.node_index: np.array(keeps[s.site_id], np.float32) for s in model.sites if s.site_id in keeps}
 
 
 @st.composite
 def reference_masks(draw):
-    """A reference model's name and random masks for it: whole-site masks (one
-    0/1 vector on every gate of a site), then masks on any node index in
-    [-1, n], of any length, with values from {0, 1, 0.5, 2}; gate nodes,
-    fitting lengths and 0/1 values are drawn often enough that some mask sets
-    keep every rule, and some break only the one-mask-per-site rule."""
+    """A reference model's name and random masks for it: site masks (one 0/1
+    vector under a site node), then masks on any node index in [-1, n], of any
+    length, with values from {0, 1, 0.5, 2}; gate nodes, fitting lengths and
+    0/1 values are drawn often enough that some mask sets keep every rule, and
+    some break only the site-node rule (a mask on a batch-norm gate)."""
     name = draw(st.sampled_from(sorted(REFERENCE)))
     model = REFERENCE[name]
     sites = draw(st.lists(st.sampled_from(model.sites), max_size=len(model.sites), unique_by=lambda s: s.site_id))
-    masks = whole_site_masks(model, {s.site_id: draw(st.lists(st.sampled_from((0.0, 1.0)), min_size=s.channels,
-                                                              max_size=s.channels)) for s in sites})
+    masks = site_masks(model, {s.site_id: draw(st.lists(st.sampled_from((0.0, 1.0)), min_size=s.channels,
+                                                        max_size=s.channels)) for s in sites})
     gates = [i for s in model.sites for i in model.gates(s)]
     for index in draw(st.lists(st.one_of(st.sampled_from(gates), st.integers(-1, len(model.nodes))), max_size=4)):
         width = model.nodes[index].channels if 0 <= index < len(model.nodes) else None
@@ -213,7 +212,7 @@ def reference_masks(draw):
 
 @PROPERTY
 @given(case=reference_masks())
-@example(case=("cnn_small", whole_site_masks(REFERENCE["cnn_small"], {"conv1": [1] * 15 + [0], "conv2": [0, 1] * 12})))
+@example(case=("cnn_small", site_masks(REFERENCE["cnn_small"], {"conv1": [1] * 15 + [0], "conv2": [0, 1] * 12})))
 def test_saved_masks_load_back_or_are_refused(workdir, case):
     name, masks = case
     model = REFERENCE[name].clone()
@@ -229,3 +228,6 @@ def test_saved_masks_load_back_or_are_refused(workdir, case):
     assert loaded.masks.keys() == masks.keys()
     assert all(np.array_equal(loaded.masks[i], m) for i, m in masks.items())
     assert loaded.forward(IMAGES, "eval")[0].tobytes() == model.forward(IMAGES, "eval")[0].tobytes()
+    raw = path.read_bytes()
+    save_model(path, loaded)
+    assert path.read_bytes() == raw

@@ -1,5 +1,6 @@
 """Checkpoint format tests: bit-exact round trips and corruption handling."""
 
+import json
 import struct
 
 import numpy as np
@@ -8,12 +9,11 @@ import pytest
 from prunelab import checkpoint, pruning
 from prunelab.cli import main
 from prunelab.errors import FormatError, InputError
-from prunelab.nn import build_reference_models
 
-from helpers import all_keep, rewrite_header
+from helpers import all_keep, build_reference_models, rewrite_header
 
-# the message of a mask that not every gate of its site holds
-ONE_MASK = r"its site's gate nodes \[\d+, \d+\] must all hold this same mask"
+# the message of a header whose masks are not each site's one mask on every gate of the site
+GATE_MASKS = r"masks at nodes \[{}\] break one mask per site, on each gate of it"
 
 
 @pytest.fixture(params=["mlp_small", "cnn_small", "cnn_residual"])
@@ -58,13 +58,13 @@ class TestRoundTrip:
         site = model.sites[0]
         keep = np.ones(site.channels, np.float32)
         keep[0] = 0.0
-        gates = model.gates(site)
-        model.masks.update(dict.fromkeys(gates, keep))
+        model.masks[site.node_index] = keep
         path = tmp_path / "m.npkt"
         checkpoint.save_model(path, model)
+        assert read_header(path)["masks"] == dict.fromkeys(map(str, model.gates(site)), keep.astype(int).tolist())
         loaded = checkpoint.load_model(path)
-        assert set(loaded.masks) == set(gates)
-        assert all(np.array_equal(loaded.masks[i], keep) for i in gates)
+        assert set(loaded.masks) == {site.node_index}
+        assert np.array_equal(loaded.masks[site.node_index], keep)
 
     def test_forward_agrees_after_reload(self, model, tmp_path):
         path = tmp_path / "m.npkt"
@@ -139,6 +139,12 @@ class TestFormatErrors:
         path.write_bytes(b"")
         with pytest.raises(FormatError, match="truncated"):
             checkpoint.load_model(path)
+
+
+def read_header(path):
+    raw = path.read_bytes()
+    (length,) = struct.unpack("<I", raw[8:12])
+    return json.loads(raw[12 : 12 + length])
 
 
 def setter(*keys, value):
@@ -223,6 +229,11 @@ HEADER_MUTATIONS = {
     "mask_on_relu": setter("masks", value={"2": [1] * 16}),
     "mask_value_two": setter("masks", "0", value=[1] * 15 + [2]),
     "mask_value_half": setter("masks", "0", value=[1] * 15 + [0.5]),
+    # the saved fixture masks site conv1 (nodes 0 and 1) with channel 3 off
+    "mask_bn1_alone": deleter("masks", "0"),
+    "mask_conv1_alone": deleter("masks", "1"),
+    "mask_copies_unequal": setter("masks", "1", value=[1] * 16),
+    "mask_beside_site_on_relu": setter("masks", "2", value=[1] * 16),
 }
 
 
@@ -232,7 +243,7 @@ class TestHeaderValidation:
         model = build_reference_models(seed=7)["cnn_small"]
         keep = np.ones(16, np.float32)
         keep[3] = 0.0
-        model.masks.update({0: keep, 1: keep})  # conv1 and bn1, the gates of site conv1
+        model.masks[0] = keep  # site conv1, stored under its gates conv1 and bn1
         path = tmp_path / "m.npkt"
         checkpoint.save_model(path, model)
         return path
@@ -247,7 +258,8 @@ class TestHeaderValidation:
         with pytest.raises(FormatError):
             checkpoint.load_model(saved)
 
-    @pytest.mark.parametrize("name", ["no_sites", "nodes_int", "hyper_missing_kernel", "node_refs_forward"])
+    @pytest.mark.parametrize("name", ["no_sites", "nodes_int", "hyper_missing_kernel", "node_refs_forward",
+                                      "mask_bn1_alone", "mask_conv1_alone", "mask_copies_unequal", "mask_on_relu"])
     def test_cli_exits_3_without_traceback(self, saved, name, capsys):
         rewrite_header(saved, HEADER_MUTATIONS[name])
         assert main(["eval", "--checkpoint", str(saved)]) == 3
@@ -294,32 +306,48 @@ class TestLoadConsistency:
     def test_mask_of_right_length_loads(self, saved):
         keep = [1] * 15 + [0]
         rewrite_header(saved, setter("masks", value={"0": keep, "1": keep}))
-        assert checkpoint.load_model(saved).masks[1][15] == 0.0
-        rewrite_header(saved, setter("masks", value={"1": keep}))  # bn1 without conv1, its site's other gate
-        with pytest.raises(FormatError, match=f"mask on node 1: {ONE_MASK}"):
-            checkpoint.load_model(saved)
+        assert checkpoint.load_model(saved).masks[0][15] == 0.0
 
-    @pytest.mark.parametrize("name,index,rule", [("cnn_residual", 0, "gates no site"), ("cnn_small", 13, "gates no site"),
-                                                 ("cnn_small", 0, ONE_MASK), ("cnn_small", 1, ONE_MASK)],
-                             ids=["residual_stem", "classifier", "conv_without_batch_norm", "batch_norm_without_conv"])
-    def test_mask_outside_gate_nodes(self, tmp_path, capsys, name, index, rule):
-        # cnn_residual's stem conv and cnn_small's classifier gate no site; cnn_small's
-        # conv1 and bn1 gate one site, so a mask on either alone is not the site's one mask
+    @pytest.mark.parametrize("name", ["cnn_small", "cnn_residual"])
+    def test_gate_keys_load_to_site_keys_and_resave_byte_identical(self, tmp_path, name):
+        # one key per gate node, each holding its site's mask: the checkpoint older versions wrote
         model = build_reference_models(seed=7)[name]
-        keep = [1] * model.nodes[index].channels
-        keep[1] = 0
-        path = tmp_path / "m.npkt"
+        path, again = tmp_path / "gates.npkt", tmp_path / "again.npkt"
         checkpoint.save_model(path, model)
-        rewrite_header(path, setter("masks", value={str(index): keep}))
-        match = f"mask on node {index}: .*{rule}"
-        with pytest.raises(FormatError, match=match):
+        masks = {str(g): [int(c % 3 != 1) for c in range(s.channels)] for s in model.sites for g in model.gates(s)}
+        rewrite_header(path, setter("masks", value=masks))
+        loaded = checkpoint.load_model(path)
+        assert sorted(loaded.masks) == [s.node_index for s in model.sites]
+        checkpoint.save_model(again, loaded)
+        assert again.read_bytes() == path.read_bytes()
+
+    @pytest.mark.parametrize("name,masks,wrong", [
+        ("cnn_small", {"1": [1] * 15 + [0]}, "1"),
+        ("cnn_small", {"0": [1] * 15 + [0]}, "1"),
+        ("cnn_small", {"0": [1] * 15 + [0], "1": [0] + [1] * 15}, "1"),
+        ("cnn_small", {"2": [1] * 16}, "2"),
+        ("cnn_small", {"13": [1, 0, 1, 1]}, "13"),
+        ("cnn_residual", {"0": [1] * 15 + [0]}, "0"),
+    ], ids=["bn1_alone", "conv1_alone", "unequal_copies", "relu", "classifier", "residual_stem"])
+    def test_header_gate_masks_must_be_one_site_mask_on_every_gate(self, tmp_path, capsys, name, masks, wrong):
+        path = tmp_path / "m.npkt"
+        checkpoint.save_model(path, build_reference_models(seed=7)[name])
+        rewrite_header(path, setter("masks", value=masks))
+        with pytest.raises(FormatError, match=GATE_MASKS.format(wrong)):
             checkpoint.load_model(path)
         assert main(["eval", "--checkpoint", str(path)]) == 3
         err = capsys.readouterr().err
         assert err.startswith("error: ") and "Traceback" not in err
-        model.nodes[1].state["running_mean"][:] = -0.5  # bn1 would shift a channel masked on conv1 alone off zero
-        model.masks[index] = np.array(keep, np.float32)
+
+    @pytest.mark.parametrize("name,index,length", [("cnn_residual", 0, 16), ("cnn_small", 13, 4), ("cnn_small", 1, 16),
+                                                   ("cnn_small", 2, 16)],
+                             ids=["residual_stem", "classifier", "batch_norm_gate", "relu"])
+    def test_mask_off_site_nodes_is_refused_in_memory(self, tmp_path, name, index, length):
+        # the residual stem conv and the classifier gate no site; bn1 gates site conv1 but is not its node
+        model = build_reference_models(seed=7)[name]
+        model.masks[index] = np.ones(length, np.float32)
         mask = all_keep(model)
+        match = f"mask on node {index}: .* not a site node"
         for call in (model.check_masks, lambda: model.forward(np.zeros((2,) + model.input_shape), "eval"),
                      lambda: checkpoint.save_model(tmp_path / "stray.npkt", model),
                      lambda: pruning.apply_mask(model, mask), lambda: pruning.compact(model, mask)):

@@ -24,13 +24,13 @@ from prunelab.nn import (
     build_cnn_residual,
     build_cnn_small,
     build_mlp_small,
-    build_reference_models,
     gradient_check,
     softmax,
     softmax_cross_entropy,
 )
 
-from helpers import avg_pool_oracle, batch_norm_oracle, central_diff, max_pool_oracle, rel_err, site_by_id
+from helpers import (avg_pool_oracle, batch_norm_oracle, build_reference_models, central_diff, max_pool_oracle,
+                     rel_err, site_by_id)
 
 
 def linear_model(weight, bias=None, dtype=np.float64):
@@ -772,7 +772,7 @@ class TestMasks:
         site = site_by_id(model, "conv2")
         keep = np.ones(site.channels)
         keep[[1, 5]] = 0.0
-        model.masks.update(dict.fromkeys(model.gates(site), keep))
+        model.masks[site.node_index] = keep  # the site's one mask gates conv2 and bn2
         model.nodes[5].state["running_mean"][:] = -0.5  # the batch norm would re-bias a channel it did not gate
         x = np.random.default_rng(10).normal(size=(2, 1, 16, 16))
         _, record = model.forward(x, "eval")
@@ -785,7 +785,7 @@ class TestMasks:
         site = site_by_id(model, "conv2")
         keep = np.ones(site.channels)
         keep[3] = 0.0
-        model.masks.update(dict.fromkeys(model.gates(site), keep))
+        model.masks[site.node_index] = keep
         x = np.random.default_rng(11).normal(size=(2, 1, 16, 16))
         logits, record = model.forward(x, "eval")
         model.zero_grads()
@@ -797,19 +797,50 @@ class TestMasks:
     @pytest.mark.parametrize("index,length,match", [
         (0, 5, r"mask on node 0: shape \(5,\), node has 16 channels"),
         (99, 16, "mask on node 99: no such node"),
-        (13, 4, r"node 13 \(fc_out\) is a linear node that gates no site"),
-        (2, 3, r"node 2 \(relu1\) is a relu node that gates no site"),
+        (13, 4, r"node 13 \(fc_out\) is a linear node, not a site node"),
+        (2, 3, r"node 2 \(relu1\) is a relu node, not a site node"),
         (True, 16, "mask on node True: no such node"),
         (0.0, 16, r"mask on node 0\.0: no such node"),
-        (0, 16, r"mask on node 0: its site's gate nodes \[0, 1\] must all hold this same mask"),
-        (1, 16, r"mask on node 1: its site's gate nodes \[0, 1\] must all hold this same mask"),
-    ], ids=["short", "no_node", "classifier", "relu", "bool_key", "float_key", "conv_without_batch_norm",
-            "batch_norm_without_conv"])
+        (1, 16, r"node 1 \(bn1\) is a batch_norm node, not a site node"),
+    ], ids=["short", "no_node", "classifier", "relu", "bool_key", "float_key", "batch_norm_gate"])
     def test_forward_rejects_a_mask_that_breaks_the_rule(self, index, length, match):
         model = build_cnn_small(seed=0)
         model.masks[index] = np.ones(length, np.float32)
         with pytest.raises(InputError, match=match):
             model.forward(np.zeros((2, 1, 16, 16)), "eval")
+
+    def test_site_mask_gates_every_gate_node(self):
+        model = build_cnn_residual(seed=2).astype(np.float64)
+        site = site_by_id(model, "conv4")
+        keep = np.ones(site.channels)
+        keep[[0, 7]] = 0.0
+        model.masks[site.node_index] = keep
+        assert [i for i in range(len(model.nodes)) if model.gate_mask(i) is not None] == model.gates(site)
+        _, record = model.forward(np.random.default_rng(12).normal(size=(2, 1, 16, 16)), "eval")
+        for i in model.gates(site):
+            assert not record.values[i][:, [0, 7]].any()
+
+    def test_a_site_node_gates_with_its_own_mask(self):
+        # bn is a site of its own and a gate of site fc: it applies its own mask, whatever the site order
+        nodes = [nn.Linear("fc", [INPUT], 2, 2), nn.BatchNorm("bn", [0], 2)]
+        for sites in ([Site("fc", 0, 2), Site("bn", 1, 2)], [Site("bn", 1, 2), Site("fc", 0, 2)]):
+            model = Model(nodes, (2,), 2, sites)
+            model.masks = {0: np.array([1.0, 0.0]), 1: np.array([0.0, 1.0])}
+            assert [model.gate_mask(i).tolist() for i in (0, 1)] == [[1.0, 0.0], [0.0, 1.0]]
+
+    def test_masked_runs_do_not_rebuild_the_gate_map(self, monkeypatch):
+        model = build_cnn_small(seed=0)
+        calls = []
+        gates = Model.gates
+        monkeypatch.setattr(Model, "gates", lambda self, site: calls.append(site) or gates(self, site))
+        masked = pruning.apply_mask(model, pruning.PruneMask({s.site_id: np.arange(s.channels) % 2 == 0
+                                                              for s in model.sites}))
+        masked.check_masks()
+        masked.forward(np.zeros((2, 1, 16, 16)), "eval")
+        _, record = masked.forward(np.zeros((2, 1, 16, 16)), "train")
+        masked.backward(record, np.ones((2, 4), np.float32))
+        assert calls == []
+        assert sorted(masked.masks) == [s.node_index for s in model.sites]
 
 
 class TestValidation:

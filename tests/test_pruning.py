@@ -20,10 +20,9 @@ from prunelab.nn import (
     build_cnn_residual,
     build_cnn_small,
     build_mlp_small,
-    build_reference_models,
 )
 
-from helpers import all_keep, pruned_channels, pruned_count
+from helpers import all_keep, build_reference_models, pruned_channels, pruned_count
 
 
 def table_for(rows):
@@ -144,6 +143,13 @@ class TestRankGlobal:
         with pytest.raises(InputError, match="cover"):
             pruning.rank_global(table, 1)
 
+    @pytest.mark.parametrize("flag", ["no", "", 1, None])
+    def test_per_layer_normalize_must_be_a_flag(self, flag):
+        # a truthy "no" would rank exactly as True does
+        table = table_for([("a", 0, 0, 1.0), ("a", 0, 1, 2.0), ("b", 1, 0, 100.0), ("b", 1, 1, 400.0)])
+        with pytest.raises(InputError, match="per_layer_normalize must be true or false"):
+            pruning.rank_global(table, 2, per_layer_normalize=flag)
+
 
 class TestPlanCsv:
     def plan(self):
@@ -226,6 +232,23 @@ class TestPruneMask:
     def test_empty_site_rejected(self):
         with pytest.raises(InputError, match="no channels"):
             pruning.PruneMask({"s": np.zeros(3, dtype=bool)})
+
+    @pytest.mark.parametrize("keep", [[2, 0], ["a", ""], [np.nan, 0], [0.5, 1], [1.0, 0.0]],
+                             ids=["two", "strings", "nan", "half", "floats"])
+    def test_entries_must_be_bools_or_integers_0_and_1(self, keep):
+        with pytest.raises(InputError, match="site 's' keep vector must be bools or integers 0 and 1"):
+            pruning.PruneMask({"s": keep})
+
+    @pytest.mark.parametrize("keep", [[True, False], [1, 0], np.array([1, 0], np.uint8)], ids=["bools", "ints", "uint8"])
+    def test_bool_and_0_1_entries_build(self, keep):
+        assert pruning.PruneMask({"s": keep}).keep["s"].tolist() == [True, False]
+
+    @pytest.mark.parametrize("call", [pruning.apply_mask, pruning.compact, pruning.validate_equivalence],
+                             ids=["apply_mask", "compact", "validate_equivalence"])
+    def test_mask_must_be_a_prune_mask(self, call):
+        model = build_mlp_small(image_size=8, seed=0)
+        with pytest.raises(InputError, match="mask must be a PruneMask"):
+            call(model, {s.site_id: np.ones(s.channels, bool) for s in model.sites})
 
     def test_all_keep_helper(self):
         model = build_mlp_small(image_size=8, seed=0)
@@ -409,10 +432,11 @@ class TestMaskComposition:
         model = build_cnn_small(image_size=8, seed=3)
         first = pruning.apply_mask(model, conv2_off(model, (1, 2, 3)))
         both = pruning.apply_mask(first, conv2_off(model, (5,)))
-        for node in (4, 5):  # conv2 and the batch norm it feeds
-            assert np.flatnonzero(both.masks[node] == 0).tolist() == [1, 2, 3, 5]
+        assert sorted(both.masks) == [0, 4, 8]  # one mask per site, under its site node
+        assert np.flatnonzero(both.masks[4] == 0).tolist() == [1, 2, 3, 5]
         _, record = both.forward(np.random.default_rng(4).standard_normal((2,) + model.input_shape), "eval")
-        assert not record.values[4][:, [1, 2, 3, 5]].any()
+        for node in (4, 5):  # conv2 and the batch norm it feeds
+            assert not record.values[node][:, [1, 2, 3, 5]].any()
 
     def test_all_keep_leaves_existing_mask(self):
         model = build_cnn_small(image_size=8, seed=3)
@@ -422,19 +446,19 @@ class TestMaskComposition:
         for node, keep in masked.masks.items():
             assert np.array_equal(again.masks[node], keep)
 
-    def test_batch_norm_mask_is_kept(self):
-        # a mask on conv2's batch norm is the site's one mask only if conv2 holds it too
+    def test_site_mask_is_kept(self):
+        # site conv2's one mask sits on conv2 (node 4); on its batch norm (node 5) it is refused
         model = build_cnn_small(image_size=8, seed=3)
         keep = np.ones(24)
         keep[[4, 9]] = 0.0
         model.masks[5] = keep
         for call in (pruning.apply_mask, pruning.compact):
-            with pytest.raises(InputError, match=r"mask on node 5: its site's gate nodes \[4, 5\] must all hold"):
+            with pytest.raises(InputError, match=r"mask on node 5: node 5 \(bn2\) is a batch_norm node, not a site"):
                 call(model, conv2_off(model, (1,)))
-        model.masks[4] = keep
+        model.masks = {4: keep}
         again = pruning.apply_mask(model, conv2_off(model, (1,)))
-        for node in (4, 5):
-            assert np.flatnonzero(again.masks[node] == 0).tolist() == [1, 4, 9]
+        assert np.flatnonzero(again.masks[4] == 0).tolist() == [1, 4, 9]
+        assert 5 not in again.masks
         small = pruning.compact(model, all_keep(model))
         assert small.sites[1].channels == 22
         x = np.random.default_rng(7).standard_normal((3,) + model.input_shape)
@@ -477,9 +501,9 @@ class TestMaskComposition:
         assert pruning.validate_equivalence(masked, mask, trials=20, seed=3) < 1e-4
 
 
-# masks outside every site's gate nodes: the residual stem conv and the
-# small CNN's classifier, (model, node index, node name)
-STRAY_MASKS = [("cnn_residual", 0, "conv1"), ("cnn_small", 13, "fc_out")]
+# masks off every site node: the residual stem conv, the small CNN's
+# classifier and a batch-norm gate, (model, node index, node name)
+STRAY_MASKS = [("cnn_residual", 0, "conv1"), ("cnn_small", 13, "fc_out"), ("cnn_small", 5, "bn2")]
 
 
 def with_stray_mask(name, index):
@@ -494,7 +518,7 @@ class TestStrayMasks:
     @pytest.mark.parametrize("name,index,node", STRAY_MASKS)
     def test_compact_names_the_node(self, name, index, node):
         model = with_stray_mask(name, index)
-        with pytest.raises(InputError, match=rf"node {index} \({node}\).*gates no site"):
+        with pytest.raises(InputError, match=rf"node {index} \({node}\).*not a site node"):
             pruning.compact(model, all_keep(model))
         with pytest.raises(InputError, match=rf"node {index} \({node}\)"):
             pruning.validate_equivalence(model, random_mask(model, np.random.default_rng(1)))
@@ -502,20 +526,20 @@ class TestStrayMasks:
     @pytest.mark.parametrize("name,index,node", STRAY_MASKS)
     def test_apply_mask_rejects_it(self, name, index, node):
         model = with_stray_mask(name, index)
-        with pytest.raises(InputError, match=rf"node {index} \({node}\).*gates no site"):
+        with pytest.raises(InputError, match=rf"node {index} \({node}\).*not a site node"):
             pruning.apply_mask(model, all_keep(model))
 
 
 # masks that do not fit the model: (node index, length, error)
 MISFIT_MASKS = [(0, 5, r"mask on node 0: shape \(5,\), node has 16 channels"),
-                (5, 3, r"mask on node 5: shape \(3,\), node has 24 channels"),
+                (4, 3, r"mask on node 4: shape \(3,\), node has 24 channels"),
                 (99, 16, "mask on node 99: no such node")]
 
 
 class TestMaskFit:
-    """A model mask sits on a node and has one entry per channel of it."""
+    """A model mask sits on a site node and has one entry per channel of it."""
 
-    @pytest.mark.parametrize("index,length,match", MISFIT_MASKS, ids=["conv_short", "batch_norm_short", "no_node"])
+    @pytest.mark.parametrize("index,length,match", MISFIT_MASKS, ids=["conv_short", "conv2_short", "no_node"])
     def test_apply_mask_and_compact_reject_it(self, index, length, match):
         model = build_cnn_small(seed=0)
         model.masks[index] = np.ones(length, np.float32)

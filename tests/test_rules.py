@@ -19,7 +19,9 @@ from prunelab.cli import main
 from prunelab.errors import FormatError, InputError
 from prunelab.harness import SweepResult
 from prunelab.importance import LOSS, RANDOM, GradientSource, ImportanceTable, estimate
-from prunelab.nn import build_mlp_small, build_reference_models, softmax_cross_entropy
+from prunelab.nn import build_mlp_small, softmax_cross_entropy
+
+from helpers import build_reference_models
 
 VALUES = {"2.7": 2.7, "4.0": 4.0, "True": True, "'false'": "false", "'3'": "3", "2**64": 2**64,
           "10**400": 10**400, "int64(3)": np.int64(3), "uint64(2**64-1)": np.uint64(2**64 - 1),

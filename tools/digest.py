@@ -12,6 +12,9 @@ The set, on the default 4-class glyph data with seed 0 and 3-epoch training:
 - on each float32, batch-32 model, the importance table of every estimator
   x {loss, random} x normalize at D=600, estimated in batches of 32 and 256
   (molchanov_bn is skipped on mlp_small, which has no batch norm);
+- on each float32, batch-32 CNN (cnn_small, cnn_residual), the checkpoint of
+  a fixed mask through ``apply_mask``: every third channel of each site
+  pruned, starting at channel 1;
 - the sweep CSV of the ``sweep_grid`` benchmark's config on cnn_small;
 - every file of one ``cli_pipeline`` round trip: ``prunelab train`` of a
   cnn_residual, then importance, prune --plan and eval at P = 5, 11, 17, 23
@@ -45,12 +48,13 @@ import time
 import numpy as np
 
 import prunelab
-from prunelab import checkpoint, cli, data, harness, importance, tensor
+from prunelab import checkpoint, cli, data, harness, importance, pruning, tensor
 
 sys.path.insert(0, str(pathlib.Path(__file__).resolve().parents[1]))  # the checkout root, for perfbench
 from perfbench import run as perfbench_run
 
 MODELS = ("mlp_small", "cnn_small", "cnn_residual")
+MASKED_MODELS = ("cnn_small", "cnn_residual")
 DTYPES = (np.float32, np.float64)
 TRAIN_BATCHES = (32, 40)
 TABLE_BATCHES = (32, 256)
@@ -88,6 +92,14 @@ def _tables(model, name, train_set, d, work_dir):
                     path = os.path.join(work_dir, "table.csv")
                     table.to_csv(path)
                     yield f"table/{name}/{estimator}/{source}/normalize{int(normalize)}/batch{batch}", _read(path)
+
+
+def _masked(model, name, work_dir):
+    """The checkpoint of a fixed mask on the model: its mask bytes on disk."""
+    mask = pruning.PruneMask({s.site_id: np.arange(s.channels) % 3 != 1 for s in model.sites})
+    path = os.path.join(work_dir, "masked.npkt")
+    checkpoint.save_model(path, pruning.apply_mask(model, mask))
+    yield f"masked/{name}/checkpoint", _read(path)
 
 
 def _sweep(model, config, d, work_dir):
@@ -142,6 +154,8 @@ def outputs(size, work_dir):
                 if (dtype, batch) == (np.float32, 32):
                     scored = model
         yield from _tables(scored, name, train_set, d, work_dir)
+        if name in MASKED_MODELS:
+            yield from _masked(scored, name, work_dir)
         if name == "cnn_small":
             yield from _sweep(scored, base, d, work_dir)
     yield from _cli(base, d, work_dir)
