@@ -35,10 +35,12 @@ molchanov_group_score, lives with the tests in tests/helpers.py.
 estimate() runs the model in eval mode: batch statistics would couple
 examples within a batch and break partition invariance (which holds to a
 relative 1e-12 in float64).  It backpropagates per-example rows (no 1/batch
-factor on the loss gradient) for the same reason, and computes no parameter
-gradient; the 1/N mean-loss convention of training lives in
-nn.softmax_cross_entropy.  Accumulators are float64 regardless of model
-dtype.  The network runs 32 examples at a time (tensor.blocks) whatever
+factor on the loss gradient) for the same reason; the 1/N mean-loss
+convention of training lives in nn.softmax_cross_entropy.  The backward
+runs only to the taps (Model.backward's taps), so it computes no parameter
+gradient and skips every node upstream of all of them: cnn_residual's stem
+and conv2, and cnn_small's bn1 under molchanov_bn.  Accumulators are
+float64 regardless of model dtype.  The network runs 32 examples at a time (tensor.blocks) whatever
 batch_size is, so memory does not grow with it: batch_size only groups the
 float64 sums.  A CNN's signals do not depend on that blocking, unless a
 block gets small enough for the BLAS to pick another kernel for a conv's
@@ -319,11 +321,12 @@ def _dataset_arrays(dataset):
 
 
 def _block_signals(model, images, labels, source, taps, lo, hi):
-    """Examples lo:hi forward and back: each tap's signals {site_id: s[n,c]}.
-    The record is freed on return, before the next block's forward."""
+    """Examples lo:hi forward, and back to the taps alone: each tap's signals
+    {site_id: s[n,c]}.  The record is freed on return, before the next
+    block's forward."""
     logits, record = model.forward(images[lo:hi], "eval")
     rows = _per_example_rows(source, logits, labels[lo:hi] if source.kind == LOSS else None, np.arange(lo, hi))
-    model.backward(record, rows, params=False)
+    model.backward(record, rows, taps=taps.values())
     return {site_id: channel_signal(record.values[i], record.grads[i]) for site_id, i in taps.items()}
 
 

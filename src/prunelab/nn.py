@@ -8,9 +8,11 @@ holding each node's output values[i] and layer cache caches[i]; a prunable
 site's pre-activation is values[site.node_index].  A record-free forward
 (``record=False``) keeps neither, drops each value after its last reader and
 lets batch norm and ReLU overwrite a dead input: the same logits bytes.  Backward accepts an
-arbitrary output gradient (it does not have to come from a loss),
-accumulates parameter gradients on the nodes unless asked not to, and stores
-each node's output gradient as grads[i] on the record; it returns nothing.
+arbitrary output gradient (it does not have to come from a loss), stores
+each node's output gradient as grads[i] on the record and returns nothing.
+Without taps it also accumulates parameter gradients on the nodes.  Given
+taps, the nodes whose gradients the caller reads, it computes no parameter
+gradient and runs back only to the taps: grads[i] is None upstream of them all.
 
 A prunable site is the output of a conv/linear node, taken before batch norm
 and before the nonlinearity.  Channel masks attached to the model (see
@@ -19,8 +21,9 @@ node computes, so masked channels contribute exactly zero downstream and, by
 the chain rule, their parameters receive zero gradient.
 
 A Model checks its structure when built, raising InputError unless each node
-reads ``arity`` refs, each to an earlier node or the input, site ids are
-unique, and each site names a node in range whose ``channels`` it matches.
+reads ``arity`` refs, each to an earlier node or the input, site ids and
+site nodes are unique, and each site names a node in range whose
+``channels`` it matches.
 :meth:`Model.check_masks`, run by every forward and before masks are
 applied, compacted or saved, is the one mask rule: a mask is keyed by a site
 node, has one entry per channel of it and holds only 0s and 1s; else
@@ -28,6 +31,7 @@ InputError.  The model applies it at every gate node of the site (:meth:`Model.g
 """
 
 import copy
+from collections.abc import Iterable
 
 import numpy as np
 
@@ -391,7 +395,8 @@ class Site:
 
 
 class ForwardRecord:
-    def __init__(self, serial):
+    def __init__(self, model, serial):
+        self.model = model
         self.serial = serial
         self.values = []
         self.caches = []
@@ -426,6 +431,9 @@ class Model:
         names = [s.site_id for s in self.sites]
         if len(set(names)) != len(names):
             raise InputError("duplicate site ids")
+        nodes = [s.node_index for s in self.sites]
+        if len(set(nodes)) != len(nodes):
+            raise InputError("two sites on one node: masks are keyed by a site's node")
         self._site_of = {g: s.node_index for s in self.sites for g in self.gates(s)}  # gate -> site node of its mask
         self._site_of.update((s.node_index, s.node_index) for s in self.sites)  # a site node gates with its own mask
         # for record-free runs (_run): the values dropped after each node, and the
@@ -518,7 +526,7 @@ class Model:
             raise InputError("forward needs at least one example")
         self.check_masks()
         self._serial += 1
-        record = ForwardRecord(self._serial) if record else None
+        record = ForwardRecord(self, self._serial) if record else None
         logits = self._run([] if record is None else record.values, record and record.caches, x, mode)
         if logits.ndim != 2 or logits.shape[1] != self.num_classes:
             raise ShapeError(f"final node produced {logits.shape}, expected [N, {self.num_classes}]")
@@ -550,39 +558,50 @@ class Model:
                 caches.append(cache)
         return values[-1]
 
-    def backward(self, record, output_grad, params=True):
-        """Back-propagate an arbitrary output gradient through the record.
+    def backward(self, record, output_grad, taps=None):
+        """Back-propagate an arbitrary output gradient (any array of the
+        logits shape) through this model's latest record; returns nothing.
 
-        Accumulates parameter gradients on the nodes (caller zeroes between
-        steps) and returns nothing; with params=False it computes none and
-        leaves node.grads untouched.  output_grad is any array of the logits
-        shape; it is not required to come from a loss.  The gradient with
-        respect to every node's output, taken before that node's mask, is
-        kept on the record as record.grads[i], beside record.values[i].
+        Without taps it accumulates parameter gradients on the nodes (caller
+        zeroes between steps) and keeps the gradient with respect to every
+        node's output, taken before that node's mask, as record.grads[i].
+        With taps, the node indices whose gradients the caller reads, it
+        leaves node.grads untouched and runs a node only where a ref is a
+        tap or lies downstream of one: record.grads[i] is None upstream of
+        every tap, and zeros at a tap no gradient reaches.
         """
+        if not isinstance(record, ForwardRecord) or record.model is not self:
+            raise StateError("backward needs a record of this model's recorded forward")
         if record.serial != self._serial:
             raise StateError("record is stale: backward must follow the forward that produced it")
         output_grad = np.asarray(output_grad, dtype=self.dtype)
         logits = record.values[-1]
         if output_grad.shape != logits.shape:
             raise ShapeError(f"output_grad shape {output_grad.shape} != logits shape {logits.shape}")
+        params = taps is None
+        if not params:
+            taps = list(taps) if isinstance(taps, Iterable) else taps
+            taps = set(data.check(taps, data.list_of(data.integer(0, len(self.nodes) - 1)), "taps"))
+            reach = []  # whether node i's output gradient flows to a tap: it is one, or reads one that does
+            for i, node in enumerate(self.nodes):
+                reach.append(i in taps or any(r != INPUT and reach[r] for r in node.refs))
         buffers = [None] * len(self.nodes)
         buffers[-1] = output_grad
         for i in range(len(self.nodes) - 1, -1, -1):
             g = buffers[i]
-            if g is None:
+            node = self.nodes[i]
+            takes = [r != INPUT and (params or reach[r]) for r in node.refs]  # never the model input's gradient
+            if g is None or not (params or any(takes)):
                 continue
             m = self.gate_mask(i)
             if m is not None:
                 g = g * _row(m.astype(g.dtype), g)  # not in place: a residual add hands one gradient to both refs
-            node = self.nodes[i]
-            inputs = any(r != INPUT for r in node.refs)  # the model input's gradient is never read
-            gins = node.backward(g, {**record.caches[i], "params": params, "inputs": inputs})
-            for r, gr in zip(node.refs, gins):
-                if r == INPUT:
-                    continue
-                buffers[r] = gr if buffers[r] is None else buffers[r] + gr
-        record.grads = [np.zeros_like(v) if g is None else g for g, v in zip(buffers, record.values)]
+            gins = node.backward(g, {**record.caches[i], "params": params, "inputs": any(takes)})
+            for r, gr, take in zip(node.refs, gins, takes):
+                if take:
+                    buffers[r] = gr if buffers[r] is None else buffers[r] + gr
+        record.grads = [np.zeros_like(v) if g is None and (params or i in taps) else g
+                        for i, (g, v) in enumerate(zip(buffers, record.values))]
 
 
 def softmax(logits):

@@ -222,6 +222,7 @@ HEADER_MUTATIONS = {
     "site_id_int": setter("sites", 0, "site_id", value=1),
     "site_channels_str": setter("sites", 0, "channels", value="16"),
     "site_duplicate_id": setter("sites", 1, "site_id", value="conv1"),
+    "site_duplicate_node": setter("sites", 1, value={"site_id": "conv1b", "node_index": 0, "channels": 16}),
     "mask_str": setter("masks", "0", value="1111"),
     "mask_bad_value": setter("masks", "0", value=[1] * 15 + ["0"]),
     "mask_bad_key": setter("masks", value={"conv1": [1] * 16}),
@@ -259,7 +260,8 @@ class TestHeaderValidation:
             checkpoint.load_model(saved)
 
     @pytest.mark.parametrize("name", ["no_sites", "nodes_int", "hyper_missing_kernel", "node_refs_forward",
-                                      "mask_bn1_alone", "mask_conv1_alone", "mask_copies_unequal", "mask_on_relu"])
+                                      "mask_bn1_alone", "mask_conv1_alone", "mask_copies_unequal", "mask_on_relu",
+                                      "site_duplicate_node"])
     def test_cli_exits_3_without_traceback(self, saved, name, capsys):
         rewrite_header(saved, HEADER_MUTATIONS[name])
         assert main(["eval", "--checkpoint", str(saved)]) == 3
@@ -291,6 +293,11 @@ class TestLoadConsistency:
     def test_site_node_index_in_range(self, saved):
         rewrite_header(saved, setter("sites", 0, "node_index", value=99))
         with pytest.raises(FormatError, match="node index 99"):
+            checkpoint.load_model(saved)
+
+    def test_two_sites_on_one_node(self, saved):
+        rewrite_header(saved, HEADER_MUTATIONS["site_duplicate_node"])
+        with pytest.raises(FormatError, match="inconsistent checkpoint: two sites on one node"):
             checkpoint.load_model(saved)
 
     def test_site_on_channelless_node(self, saved):

@@ -156,7 +156,7 @@ class TestSignalContraction:
         taps = [i for site in model.sites for i in model.gates(site)]
 
         def signals(rows):
-            model.backward(record, rows, params=False)
+            model.backward(record, rows, taps=taps)
             return {i: imp.channel_signal(record.values[i], record.grads[i]) for i in taps}
 
         one_hot = [signals(np.repeat(np.eye(model.num_classes)[k : k + 1], 5, axis=0))
@@ -179,7 +179,7 @@ class TestSignalContraction:
         _, record = model.forward(x, "eval")
         one_hot = []
         for row in np.eye(k):
-            model.backward(record, np.repeat(row[None], 6, axis=0), params=False)
+            model.backward(record, np.repeat(row[None], 6, axis=0), taps=[s.node_index for s in model.sites])
             one_hot.append(np.concatenate([imp.channel_signal(record.values[s.node_index], record.grads[s.node_index])
                                            for s in model.sites], axis=1))
         expected = (np.stack(one_hot) ** 2).sum(axis=0).mean(axis=0) / (k if normalize else 1)

@@ -7,6 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
+from prunelab import importance as imp
 from prunelab import nn, pruning, tensor
 from prunelab.errors import InputError, ShapeError, StateError
 from prunelab.nn import (
@@ -912,6 +913,37 @@ class TestValidation:
         with pytest.raises(InputError, match="duplicate"):
             Model(nodes, (2,), 2, [Site("s", 0, 2), Site("s", 1, 2)])
 
+    def test_two_sites_on_one_node_rejected(self):
+        # masks are keyed by site node: two sites on node 0 would share one mask, and
+        # apply_mask of {a: [1, 0, 1], b: [1, 1, 0]} would keep site a's pruned channel 1
+        nodes = [Linear("fc", [INPUT], 2, 3), Linear("out", [0], 3, 2)]
+        with pytest.raises(InputError, match="two sites on one node"):
+            Model(nodes, (2,), 2, [Site("a", 0, 3), Site("b", 0, 3)])
+
+    def test_record_of_another_model_rejected(self):
+        # a masked clone copies the serial, so only the record's model tells the records apart
+        model = build_cnn_small(seed=0)
+        x = np.random.default_rng(0).normal(size=(2, 1, 16, 16))
+        logits, record = model.forward(x, "eval")
+        assert record.model is model
+        keep = {s.site_id: np.ones(s.channels, bool) for s in model.sites}
+        keep["conv2"][3] = False
+        masked = pruning.apply_mask(model, pruning.PruneMask(keep))
+        with pytest.raises(StateError, match="record of this model"):
+            masked.backward(record, np.ones_like(logits))
+        masked.zero_grads()
+        _, own = masked.forward(x, "eval")
+        masked.backward(own, np.ones_like(logits))
+        assert not masked.nodes[8].grads["weight"][:, 3].any()
+
+    @pytest.mark.parametrize("record", [None, "record", 0])
+    def test_missing_record_rejected(self, record):
+        model = build_mlp_small()
+        logits, none = model.forward(np.zeros((2, 1, 16, 16)), "eval", record=False)
+        assert none is None
+        with pytest.raises(StateError, match="record of this model"):
+            model.backward(record, np.zeros_like(logits))
+
 
 # values that tie inside a window: ReLU zeros of both signs, repeats, and
 # negatives, so that the first-max rule decides most windows
@@ -974,13 +1006,32 @@ class TestMaxPoolCorners:
         assert np.array_equal(gx, [[[[0.0, 0.0, 9.0, 0.0], [0.0, 0.0, 0.0, 0.0]]]])
 
 
-class TestBackwardWithoutParams:
-    """Model.backward(params=False) computes the node gradients that
-    importance reads and nothing it does not."""
+def _ran_backward(monkeypatch, model):
+    """The indices of the nodes whose backward runs, in call order, collected into the returned list."""
+    ran = []
+    for cls in nn.NODE_KINDS.values():
+        def spy(node, grad, cache, _backward=cls.backward):
+            ran.append(next(i for i, n in enumerate(model.nodes) if n is node))
+            return _backward(node, grad, cache)
+        monkeypatch.setattr(cls, "backward", spy)
+    return ran
+
+
+# a tap list with one entry that is not a node index of a 14-node model, at a drawn position
+_BAD_TAP = (st.booleans() | st.integers(max_value=-1) | st.integers(min_value=14) | st.floats()
+            | st.sampled_from(["4", None, 4.0, np.float64(4.0), np.bool_(True), [4]]))
+_BAD_TAPS = st.tuples(st.lists(st.integers(0, 13), max_size=4), _BAD_TAP, st.integers(0, 4)).map(
+    lambda t: t[0][:t[2]] + [t[1]] + t[0][t[2]:])
+
+
+class TestBackwardToTaps:
+    """Model.backward(taps=...) computes the node gradients that importance
+    reads at its taps and nothing it does not: no parameter gradient, and no
+    node whose refs neither are taps nor lie downstream of one."""
 
     @pytest.mark.parametrize("name", ["mlp_small", "cnn_small", "cnn_residual"])
     @pytest.mark.parametrize("mode", ["train", "eval"])
-    def test_record_grads_identical_and_node_grads_untouched(self, name, mode):
+    def test_all_taps_match_the_full_backward_and_leave_node_grads(self, name, mode):
         model = nn.MODEL_BUILDERS[name](seed=4)
         x = np.random.default_rng(5).normal(size=(3, 1, 16, 16)).astype(np.float32)
         output_grad = np.random.default_rng(6).normal(size=(3, 4))
@@ -992,8 +1043,67 @@ class TestBackwardWithoutParams:
                     for i, node in enumerate(model.nodes) for k, v in node.grads.items()}
         for (i, k), v in sentinel.items():
             model.nodes[i].grads[k] = v.copy()
-        model.backward(record, output_grad, params=False)
+        model.backward(record, output_grad, taps=range(len(model.nodes)))
         assert [g.tobytes() for g in record.grads] == want
         for (i, k), v in sentinel.items():
             assert model.nodes[i].grads[k].tobytes() == v.tobytes(), f"node {i} {k}"
 
+    @pytest.mark.parametrize("estimator,first", [("taylorfo", 5), ("molchanov_bn", 6)])
+    def test_residual_stem_runs_no_backward(self, monkeypatch, estimator, first):
+        # cnn_residual's sites are conv2 (node 4) and conv4 (11); their batch norms are nodes 5 and 12
+        model = build_cnn_residual(seed=4)
+        taps = [imp._ESTIMATOR_ROWS[estimator][0](model, s) for s in model.sites]
+        logits, record = model.forward(np.random.default_rng(5).normal(size=(3, 1, 16, 16)), "eval")
+        ran = _ran_backward(monkeypatch, model)
+        model.backward(record, np.ones_like(logits), taps=taps)
+        assert sorted(ran) == list(range(first, len(model.nodes)))
+        assert [i for i, g in enumerate(record.grads) if g is None] == list(range(min(taps)))
+        for i in taps:
+            assert record.grads[i].shape == record.values[i].shape
+
+    def test_small_cnn_site_taps_run_every_node_with_work_left(self, monkeypatch):
+        # conv1 (node 0) is the first site and reads only the model input: with no parameter
+        # gradient its backward has nothing to compute, so taps skip it and run every other node
+        model = build_cnn_small(seed=4)
+        logits, record = model.forward(np.random.default_rng(5).normal(size=(3, 1, 16, 16)), "eval")
+        ran = _ran_backward(monkeypatch, model)
+        model.backward(record, np.ones_like(logits))
+        assert sorted(ran) == list(range(len(model.nodes)))
+        ran.clear()
+        model.backward(record, np.ones_like(logits), taps=[s.node_index for s in model.sites])
+        assert sorted(ran) == list(range(1, len(model.nodes)))
+        assert all(g is not None for g in record.grads)
+
+    def test_residual_add_hands_no_gradient_to_an_untapped_ref(self):
+        model = build_cnn_residual(seed=4)
+        logits, record = model.forward(np.random.default_rng(5).normal(size=(2, 1, 16, 16)), "eval")
+        model.backward(record, np.ones_like(logits), taps={4: None}.keys())
+        assert record.grads[3] is None  # pool1, the add's skip ref
+        assert record.grads[8] is not None  # bn3, the add's tapped ref
+
+    def test_a_tap_no_gradient_reaches_gets_zeros(self):
+        # node 0 feeds nothing: the full backward gives it zeros, and so do taps on it
+        nodes = [Linear("dead", [INPUT], 2, 3), Linear("out", [INPUT], 2, 2)]
+        model = Model(nodes, (2,), 2, [Site("dead", 0, 3)])
+        logits, record = model.forward(np.ones((2, 2)), "eval")
+        model.backward(record, np.ones_like(logits), taps=[0])
+        assert record.grads[0].tobytes() == np.zeros((2, 3), np.float32).tobytes()
+        table = imp.estimate(model, (np.ones((2, 2)), None), 2, "taylorfo", imp.GradientSource("random"))
+        assert not table.scores().any()
+
+    def test_taps_may_be_any_iterable_of_node_indices(self):
+        model = build_cnn_small(seed=4)
+        logits, record = model.forward(np.random.default_rng(5).normal(size=(2, 1, 16, 16)), "eval")
+        model.backward(record, np.ones_like(logits))
+        want = record.grads[4].tobytes()
+        for taps in ([4], (4, 4), {4}, {"conv2": 4}.values(), np.array([4]), iter([np.int64(4)])):
+            model.backward(record, np.ones_like(logits), taps=taps)
+            assert record.grads[4].tobytes() == want, taps
+
+    @settings(max_examples=200, deadline=None, derandomize=True)
+    @given(taps=_BAD_TAPS | st.sampled_from([[], 4, 4.0, "4", True]))
+    def test_taps_must_be_node_indices(self, taps):
+        model = build_cnn_small(seed=4)
+        logits, record = model.forward(np.zeros((1, 1, 16, 16)), "eval")
+        with pytest.raises(InputError, match="taps must be a non-empty list, each item an integer in \\[0, 13\\]"):
+            model.backward(record, np.ones_like(logits), taps=taps)
