@@ -7,19 +7,15 @@ sites, channel masks), then the raw little-endian float32 parameter blobs in
 node order.  Within a node, blobs follow the node's param_order(): trainable
 parameters first, then state such as batch-norm running statistics.
 
-Checkpoints always hold float32; loading returns a float32 model.  Round
-trips are bit-exact: save(load(p)) writes the identical byte sequence.
+Checkpoints always hold float32; loading returns a float32 model.
 
-Loading fails closed: a header with a missing key, a value that fails its
-key's rule (the *_RULES tables, written in the data module's rule
-vocabulary), an unknown node kind or hyperparameter, or a graph that
-nn.Model rejects (a node with the wrong number of refs, a site outside the
-graph or of another width than its node, or a mask that does not fit its
-site node), or masks other than save_model writes for the loaded model (one
-key per gate node of each masked site, nn.Model.gates, all holding the site
-node's mask, which load_model reads) raises FormatError before any model is
-returned.  save_model runs nn.Model.check_masks before it opens the file,
-so it never writes a checkpoint that load_model rejects for its masks.
+load_model is save_model's inverse and fails closed: a file loads only if
+save_model would write its header, byte for byte, for the model the header
+describes; else FormatError.  The *_RULES tables (in the data module's rule
+vocabulary) and nn.Model's checks only make building that model safe.  So
+save(load(p)) writes p's bytes for every p load_model accepts, and
+save_model, which runs nn.Model.check_masks before it opens the file,
+writes no checkpoint that load_model rejects.
 """
 
 import json
@@ -38,7 +34,7 @@ VERSION = 1
 
 _LIST = data.instance(list, "a JSON list")
 _OBJECT = data.instance(dict, "a JSON object")
-# key -> rule, for the header and the node, parameter and site objects in it
+# key -> rule, for the values of the header and its node and site objects that the model is built from
 HEADER_RULES = {
     "nodes": _LIST,
     "sites": _LIST,
@@ -47,9 +43,7 @@ HEADER_RULES = {
     "num_classes": data.SIZE,
     "non_prunable": _OBJECT,
 }
-NODE_RULES = {"kind": data.TEXT, "name": data.TEXT, "refs": data.list_of(data.integer(-1)),
-              "hyper": _OBJECT, "params": _LIST}
-PARAM_RULES = {"name": data.TEXT, "shape": data.list_of(data.COUNT)}
+NODE_RULES = {"kind": data.TEXT, "name": data.TEXT, "refs": data.list_of(data.integer(-1)), "hyper": _OBJECT}
 SITE_RULES = {"site_id": data.TEXT, "node_index": data.COUNT, "channels": data.SIZE}
 # hyperparameters whose product is the size of a node's weight or gamma
 SIZE_HYPERS = ("in_channels", "out_channels", "kernel", "kernel", "in_features", "out_features", "channels")
@@ -61,18 +55,9 @@ MASK_RULE = data.list_of(data.integer(0, 1))
 
 
 def _header_dict(model):
-    nodes = []
-    for node in model.nodes:
-        entry = {
-            "kind": node.kind,
-            "name": node.name,
-            "refs": node.refs,
-            "hyper": node.hyper(),
-            "params": [
-                {"name": name, "shape": list(_blob(node, name).shape)} for name in node.param_order()
-            ],
-        }
-        nodes.append(entry)
+    nodes = [{"kind": node.kind, "name": node.name, "refs": node.refs, "hyper": node.hyper(),
+              "params": [{"name": name, "shape": list(_blob(node, name).shape)} for name in node.param_order()]}
+             for node in model.nodes]
     return {
         "input_shape": list(model.input_shape),
         "num_classes": model.num_classes,
@@ -85,14 +70,19 @@ def _header_dict(model):
     }
 
 
+def _header_bytes(model):
+    return json.dumps(_header_dict(model), sort_keys=True).encode("utf-8")
+
+
 def _blob(node, name):
     return node.params[name] if name in node.params else node.state[name]
 
 
 def save_model(path, model):
     """Write the model to path as float32, returning the byte count."""
+    data.check(model, data.instance(Model, "a Model"), "model")
     model.check_masks()
-    header = json.dumps(_header_dict(model), sort_keys=True).encode("utf-8")
+    header = _header_bytes(model)
     with open(path, "wb") as fh:
         fh.write(MAGIC)
         fh.write(struct.pack("<I", VERSION))
@@ -120,7 +110,7 @@ def _check_fields(obj, rules, what):
 
 
 def _check_header(header, blob_floats):
-    """Keys, value types and node sizes of the whole header, before anything is built."""
+    """Keys, value types and node sizes of what the model is built from, before anything is built."""
     _check_fields(header, HEADER_RULES, "checkpoint header")
     for i, entry in enumerate(header["nodes"]):
         what = f"checkpoint node {i}"
@@ -130,17 +120,27 @@ def _check_header(header, blob_floats):
             data.check(value, HYPER_RULES[name], f"{what} hyperparameter {name!r}", FormatError)
         if math.prod(entry["hyper"].get(name, 1) for name in SIZE_HYPERS) > blob_floats:
             raise FormatError(f"{what}: hyperparameters describe a node larger than the {blob_floats} floats the file holds")
-        for spec in entry["params"]:
-            _check_fields(spec, PARAM_RULES, f"{what} parameter")
     for site in header["sites"]:
         _check_fields(site, SITE_RULES, "checkpoint site")
-    node_key = data.one_of(tuple(map(str, range(len(header["nodes"])))))  # the keys _header_dict writes
     for key, mask in header["masks"].items():
-        data.check(key, node_key, "checkpoint mask key", FormatError)
         data.check(mask, MASK_RULE, f"checkpoint mask {key!r}", FormatError)
+    node_key = data.one_of(tuple(map(str, range(len(header["nodes"])))))  # the keys _header_dict writes
     for key, reason in header["non_prunable"].items():
         data.check(key, node_key, "checkpoint non_prunable key", FormatError)
         data.check(reason, data.TEXT, f"checkpoint non_prunable {key!r}", FormatError)
+
+
+def _difference(got, want, where=""):
+    """Where decoded JSON got first differs from want, in sorted key order; None if only their text differs."""
+    if isinstance(got, dict) and isinstance(want, dict):
+        if got.keys() != want.keys():
+            return f"the keys of {where or 'the header'}"
+        pairs = [(f"{where}.{k}" if where else k, got[k], want[k]) for k in sorted(want)]
+    elif isinstance(got, list) and isinstance(want, list) and len(got) == len(want):
+        pairs = [(f"{where}[{i}]", g, w) for i, (g, w) in enumerate(zip(got, want))]
+    else:
+        return None if type(got) is type(want) and got == want else where
+    return next(filter(None, (_difference(g, w, at) for at, g, w in pairs)), None)
 
 
 def load_model(path):
@@ -163,50 +163,35 @@ def load_model(path):
         raise FormatError(f"unreadable checkpoint header: {e}") from e
 
     _check_header(header, (len(buf) - offset) // 4)
-
-    nodes = []
+    nodes, end = [], offset  # end: where the blobs of the nodes built so far end
     for i, entry in enumerate(header["nodes"]):
         try:
-            node = make_node(entry["kind"], entry["name"], entry["refs"], entry["hyper"])
+            nodes.append(make_node(entry["kind"], entry["name"], entry["refs"], entry["hyper"]))
         except (InputError, TypeError) as e:
             raise FormatError(f"node {i}: {e}") from None
-        names = [spec["name"] for spec in entry["params"]]
-        if names != node.param_order():
-            raise FormatError(f"node {i}: parameters {names} != {node.param_order()} for kind {entry['kind']!r}")
-        for spec in entry["params"]:
-            name, shape = spec["name"], tuple(spec["shape"])
-            expected = _blob(node, name).shape
-            if shape != expected:
-                raise FormatError(f"node {i}: parameter {name!r} shape {shape} != expected {expected}")
-            count = int(np.prod(shape, dtype=np.int64))
-            raw, offset = _take(buf, offset, 4 * count, f"node {i} parameter {name!r}")
-            arr = np.frombuffer(raw, dtype="<f4").reshape(shape).copy()
-            if name in node.params:
-                node.params[name] = arr
-            else:
-                node.state[name] = arr
-        node.zero_grads()
-        nodes.append(node)
-    if offset != len(buf):
-        raise FormatError(f"trailing bytes: file has {len(buf)}, checkpoint ends at {offset}")
-
+        end += 4 * sum(_blob(nodes[-1], name).size for name in nodes[-1].param_order())
+        if end > len(buf):  # before the next node is built: a short file cannot make many nodes allocate its size
+            raise FormatError(f"truncated checkpoint: node {i} parameters end at byte {end}, file has {len(buf)}")
     sites = [Site(s["site_id"], s["node_index"], s["channels"]) for s in header["sites"]]
     try:
-        model = Model(
-            nodes,
-            tuple(header["input_shape"]),
-            header["num_classes"],
-            sites,
-            non_prunable={int(k): v for k, v in header["non_prunable"].items()},
-            dtype=np.float32,
-        )
+        model = Model(nodes, tuple(header["input_shape"]), header["num_classes"], sites,
+                      non_prunable={int(k): v for k, v in header["non_prunable"].items()}, dtype=np.float32)
         model.masks = {s.node_index: np.asarray(header["masks"][str(s.node_index)], dtype=np.float32)
                        for s in sites if str(s.node_index) in header["masks"]}
         model.check_masks()
     except InputError as e:
         raise FormatError(f"inconsistent checkpoint: {e}") from None
-    masks = _header_dict(model)["masks"]
-    if header["masks"] != masks:
-        wrong = sorted(int(k) for k in header["masks"].keys() | masks.keys() if header["masks"].get(k) != masks.get(k))
-        raise FormatError(f"inconsistent checkpoint: masks at nodes {wrong} break one mask per site, on each gate of it")
+    expected = _header_bytes(model)
+    if raw != expected:
+        at = next((i for i, (a, b) in enumerate(zip(raw, expected)) if a != b), min(len(raw), len(expected)))
+        where = _difference(header, _header_dict(model)) or f"byte {at} of its JSON text"
+        raise FormatError(f"checkpoint header differs from the one save_model writes for its model, first at {where}")
+
+    for i, node in enumerate(model.nodes):
+        for name in node.param_order():
+            shape = _blob(node, name).shape
+            raw, offset = _take(buf, offset, 4 * math.prod(shape), f"node {i} parameter {name!r}")
+            (node.params if name in node.params else node.state)[name] = np.frombuffer(raw, "<f4").reshape(shape).copy()
+    if offset != len(buf):
+        raise FormatError(f"trailing bytes: file has {len(buf)}, checkpoint ends at {offset}")
     return model

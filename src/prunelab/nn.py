@@ -503,6 +503,15 @@ class Model:
         """The mask node i's output is multiplied by: its site's, where node i gates a masked site; else None."""
         return self.masks.get(self._site_of.get(i))
 
+    def _array(self, x, what):
+        """x as an array of the model's dtype, if it is real and numeric; else InputError."""
+        if np.iscomplexobj(x):
+            raise InputError(f"{what} must be real, got complex values")
+        try:
+            return np.asarray(x, dtype=self.dtype)
+        except (TypeError, ValueError) as e:
+            raise InputError(f"{what} must be numeric: {e}") from None
+
     def forward(self, x, mode="train", record=True):
         """Run the graph; returns (logits, record).
 
@@ -514,12 +523,7 @@ class Model:
         """
         if mode not in ("train", "eval"):
             raise InputError(f"mode must be 'train' or 'eval', got {mode!r}")
-        if np.iscomplexobj(x):
-            raise InputError("input must be real, got complex values")
-        try:
-            x = np.asarray(x, dtype=self.dtype)
-        except (TypeError, ValueError) as e:
-            raise InputError(f"input must be numeric: {e}") from None
+        x = self._array(x, "input")
         if x.shape[1:] != self.input_shape:
             raise ShapeError(f"input shape {x.shape[1:]} != model input {self.input_shape}")
         if len(x) == 0:
@@ -574,7 +578,7 @@ class Model:
             raise StateError("backward needs a record of this model's recorded forward")
         if record.serial != self._serial:
             raise StateError("record is stale: backward must follow the forward that produced it")
-        output_grad = np.asarray(output_grad, dtype=self.dtype)
+        output_grad = self._array(output_grad, "output_grad")
         logits = record.values[-1]
         if output_grad.shape != logits.shape:
             raise ShapeError(f"output_grad shape {output_grad.shape} != logits shape {logits.shape}")

@@ -35,7 +35,7 @@ import numpy as np
 
 from . import data
 from .errors import CapabilityError, FormatError, InputError
-from .importance import ENTRY_COLUMNS
+from .importance import ENTRY_COLUMNS, ImportanceTable
 from .nn import INPUT, Model, Site
 
 
@@ -46,6 +46,7 @@ class PruneMask:
     """Per-site keep vectors of bools or integers 0 and 1 (else InputError); False marks a pruned channel."""
 
     def __init__(self, keep):
+        data.check(keep, data.instance(dict, "a dict of site id to keep vector"), "keep")
         self.keep = {}
         for site_id, k in keep.items():
             k = data.check(np.asarray(k), _KEEP, f"site {site_id!r} keep vector").astype(bool)
@@ -131,6 +132,7 @@ def rank_global(table, p, per_layer_normalize=False):
     layers with different scale; sites whose scores are all zero are left
     as is.
     """
+    data.check(table, data.instance(ImportanceTable, "an ImportanceTable"), "table")
     data.check(per_layer_normalize, data.FLAG, "per_layer_normalize")
     entries = list(table.entries)
     n = len(entries)

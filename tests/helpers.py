@@ -285,10 +285,10 @@ def mutate(raw, edit_list):
 def rewrite_header(path, mutate):
     """Apply mutate to the decoded JSON header of a checkpoint and write it
     back in place, with sorted keys as save_model writes it, keeping the
-    parameter blobs."""
+    parameter blobs.  Where mutate returns a string, that is the new header."""
     raw = path.read_bytes()
     (length,) = struct.unpack("<I", raw[8:12])
     header = json.loads(raw[12 : 12 + length])
-    mutate(header)
-    new = json.dumps(header, sort_keys=True).encode("utf-8")
+    text = mutate(header)
+    new = (json.dumps(header, sort_keys=True) if text is None else text).encode("utf-8")
     path.write_bytes(raw[:8] + struct.pack("<I", len(new)) + new + raw[12 + length :])

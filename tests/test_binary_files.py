@@ -3,7 +3,8 @@ checkpoint save_model writes loads back.
 
 Generated-input properties mutate valid files (flipped bytes, truncation,
 a spliced checkpoint header or IDX header word) and check that load_model
-and the IDX loaders either return or raise FormatError, and that `prunelab
+and the IDX loaders either return or raise FormatError, that a checkpoint
+load_model returns saves back to the file's bytes, and that `prunelab
 eval`/`prune` on the mutated file exits with a documented code and no
 traceback.  Models and images are tiny, and spliced integers stay small, so
 every forward a mutated model runs stays cheap.
@@ -133,12 +134,23 @@ def loads_or_is_format_error(load, *args):
         pass
 
 
+def loads_to_its_bytes_or_is_format_error(path):
+    """load_model returns or raises FormatError, and the model it returns saves to the file's bytes."""
+    try:
+        model = load_model(path)
+    except FormatError:
+        return
+    again = path.with_name("again.npkt")
+    save_model(again, model)
+    assert again.read_bytes() == path.read_bytes()
+
+
 @PROPERTY
 @given(edit_list=edits)
 def test_mutated_checkpoint_loads_or_is_format_error(workdir, edit_list):
     path = workdir / "mutated.npkt"
     path.write_bytes(mutate((workdir / "model.npkt").read_bytes(), edit_list))
-    loads_or_is_format_error(load_model, path)
+    loads_to_its_bytes_or_is_format_error(path)
 
 
 @PROPERTY
@@ -146,7 +158,7 @@ def test_mutated_checkpoint_loads_or_is_format_error(workdir, edit_list):
 def test_spliced_header_loads_or_is_format_error(workdir, splice_list):
     path = workdir / "spliced.npkt"
     path.write_bytes(splice((workdir / "model.npkt").read_bytes(), splice_list))
-    loads_or_is_format_error(load_model, path)
+    loads_to_its_bytes_or_is_format_error(path)
 
 
 @PROPERTY

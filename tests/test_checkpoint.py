@@ -1,6 +1,7 @@
 """Checkpoint format tests: bit-exact round trips and corruption handling."""
 
 import json
+import re
 import struct
 
 import numpy as np
@@ -9,11 +10,12 @@ import pytest
 from prunelab import checkpoint, pruning
 from prunelab.cli import main
 from prunelab.errors import FormatError, InputError
+from prunelab.nn import Linear, Model, make_node
 
 from helpers import all_keep, build_reference_models, rewrite_header
 
-# the message of a header whose masks are not each site's one mask on every gate of the site
-GATE_MASKS = r"masks at nodes \[{}\] break one mask per site, on each gate of it"
+# the message of a header other than save_model writes for the model it describes, and where it first differs
+NOT_SAVED = "checkpoint header differs from the one save_model writes for its model, first at {}"
 
 
 @pytest.fixture(params=["mlp_small", "cnn_small", "cnn_residual"])
@@ -134,6 +136,18 @@ class TestFormatErrors:
         with pytest.raises(FormatError, match="trailing"):
             checkpoint.load_model(path)
 
+    def test_short_file_builds_no_node_past_its_blobs(self, tmp_path, monkeypatch):
+        # the header is save_model's, so only the blobs can stop it: 20 nodes of 40 KB would be built for a 40 KB file
+        model = Model([Linear(f"fc{i}", [i - 1], 100, 100) for i in range(20)], (100,), 100)
+        path = tmp_path / "m.npkt"
+        checkpoint.save_model(path, model)
+        path.write_bytes(path.read_bytes()[: -19 * 4 * (100 * 100 + 100)])  # the blobs of fc0 only
+        built = []
+        monkeypatch.setattr(checkpoint, "make_node", lambda *args: built.append(args) or make_node(*args))
+        with pytest.raises(FormatError, match="truncated checkpoint: node 1"):
+            checkpoint.load_model(path)
+        assert len(built) == 2
+
     def test_empty_file(self, tmp_path):
         path = tmp_path / "empty.npkt"
         path.write_bytes(b"")
@@ -162,6 +176,13 @@ def deleter(*keys):
         for k in keys[:-1]:
             obj = obj[k]
         del obj[keys[-1]]
+    return mutate
+
+
+def duplicate(key):
+    """The header text with key written twice, its value both times: json.loads keeps one of them."""
+    def mutate(header):
+        return f"{{{json.dumps(key)}: {json.dumps(header[key])}, {json.dumps(header, sort_keys=True)[1:]}"
     return mutate
 
 
@@ -235,6 +256,21 @@ HEADER_MUTATIONS = {
     "mask_conv1_alone": deleter("masks", "1"),
     "mask_copies_unequal": setter("masks", "1", value=[1] * 16),
     "mask_beside_site_on_relu": setter("masks", "2", value=[1] * 16),
+    # headers save_model never writes, which the node constructors would still accept
+    "extra_key": setter("comment", value="pruned"),
+    "site_extra_key": setter("sites", 0, "pruned", value=0),
+    "params_entry_extra_key": setter("nodes", 0, "params", 0, "dtype", value="float32"),
+    "hyper_missing_padding": deleter("nodes", 0, "hyper", "padding"),
+    "hyper_missing_stride": deleter("nodes", 0, "hyper", "stride"),
+    "hyper_missing_momentum": deleter("nodes", 1, "hyper", "momentum"),
+    "num_classes_twice": duplicate("num_classes"),
+}
+# where some of them first differ from the header save_model writes
+DIFFERS_AT = {
+    "extra_key": "the keys of the header", "site_extra_key": "the keys of sites[0]",
+    "params_entry_extra_key": "the keys of nodes[0].params[0]", "params_missing": "nodes[1].params",
+    "params_shape_negative": "nodes[0].params[0].shape[0]", "hyper_missing_padding": "the keys of nodes[0].hyper",
+    "mask_copies_unequal": "masks.1[3]", "num_classes_twice": "byte 2 of its JSON text",
 }
 
 
@@ -259,9 +295,15 @@ class TestHeaderValidation:
         with pytest.raises(FormatError):
             checkpoint.load_model(saved)
 
+    @pytest.mark.parametrize("name", sorted(DIFFERS_AT))
+    def test_header_save_model_would_not_write_names_where_it_differs(self, saved, name):
+        rewrite_header(saved, HEADER_MUTATIONS[name])
+        with pytest.raises(FormatError, match=re.escape(NOT_SAVED.format(DIFFERS_AT[name]))):
+            checkpoint.load_model(saved)
+
     @pytest.mark.parametrize("name", ["no_sites", "nodes_int", "hyper_missing_kernel", "node_refs_forward",
                                       "mask_bn1_alone", "mask_conv1_alone", "mask_copies_unequal", "mask_on_relu",
-                                      "site_duplicate_node"])
+                                      "site_duplicate_node", "hyper_missing_padding", "num_classes_twice"])
     def test_cli_exits_3_without_traceback(self, saved, name, capsys):
         rewrite_header(saved, HEADER_MUTATIONS[name])
         assert main(["eval", "--checkpoint", str(saved)]) == 3
@@ -328,19 +370,19 @@ class TestLoadConsistency:
         checkpoint.save_model(again, loaded)
         assert again.read_bytes() == path.read_bytes()
 
-    @pytest.mark.parametrize("name,masks,wrong", [
-        ("cnn_small", {"1": [1] * 15 + [0]}, "1"),
-        ("cnn_small", {"0": [1] * 15 + [0]}, "1"),
-        ("cnn_small", {"0": [1] * 15 + [0], "1": [0] + [1] * 15}, "1"),
-        ("cnn_small", {"2": [1] * 16}, "2"),
-        ("cnn_small", {"13": [1, 0, 1, 1]}, "13"),
-        ("cnn_residual", {"0": [1] * 15 + [0]}, "0"),
+    @pytest.mark.parametrize("name,masks,where", [
+        ("cnn_small", {"1": [1] * 15 + [0]}, "the keys of masks"),
+        ("cnn_small", {"0": [1] * 15 + [0]}, "the keys of masks"),
+        ("cnn_small", {"0": [1] * 15 + [0], "1": [0] + [1] * 15}, "masks.1[0]"),
+        ("cnn_small", {"2": [1] * 16}, "the keys of masks"),
+        ("cnn_small", {"13": [1, 0, 1, 1]}, "the keys of masks"),
+        ("cnn_residual", {"0": [1] * 15 + [0]}, "the keys of masks"),
     ], ids=["bn1_alone", "conv1_alone", "unequal_copies", "relu", "classifier", "residual_stem"])
-    def test_header_gate_masks_must_be_one_site_mask_on_every_gate(self, tmp_path, capsys, name, masks, wrong):
+    def test_header_gate_masks_must_be_one_site_mask_on_every_gate(self, tmp_path, capsys, name, masks, where):
         path = tmp_path / "m.npkt"
         checkpoint.save_model(path, build_reference_models(seed=7)[name])
         rewrite_header(path, setter("masks", value=masks))
-        with pytest.raises(FormatError, match=GATE_MASKS.format(wrong)):
+        with pytest.raises(FormatError, match=re.escape(NOT_SAVED.format(where))):
             checkpoint.load_model(path)
         assert main(["eval", "--checkpoint", str(path)]) == 3
         err = capsys.readouterr().err

@@ -873,6 +873,16 @@ class TestValidation:
         with pytest.raises(ShapeError, match="output_grad"):
             model.backward(record, np.zeros((3, 4)))
 
+    @pytest.mark.parametrize("output_grad,match", [("a", "output_grad must be numeric"),
+                                                   (np.ones((2, 4), complex), "output_grad must be real")],
+                             ids=["string", "complex"])
+    def test_output_grad_meets_the_input_rule(self, output_grad, match):
+        # forward's rule: a string raised a bare ValueError, and complex values lost their imaginary part
+        model = build_mlp_small()
+        _, record = model.forward(np.zeros((2, 1, 16, 16)), "eval")
+        with pytest.raises(InputError, match=match):
+            model.backward(record, output_grad)
+
     @pytest.mark.parametrize("name", ["mlp_small", "cnn_small", "cnn_residual"])
     @pytest.mark.parametrize("mode", ["train", "eval"])
     def test_zero_example_batch_is_input_error(self, name, mode):

@@ -1,6 +1,8 @@
 """Pruning tests: ranking arithmetic by hand, mask semantics, and the
 masked-vs-compacted equivalence oracle."""
 
+import os
+
 import numpy as np
 import pytest
 
@@ -243,11 +245,19 @@ class TestPruneMask:
     def test_bool_and_0_1_entries_build(self, keep):
         assert pruning.PruneMask({"s": keep}).keep["s"].tolist() == [True, False]
 
-    @pytest.mark.parametrize("call", [pruning.apply_mask, pruning.compact, pruning.validate_equivalence],
-                             ids=["apply_mask", "compact", "validate_equivalence"])
-    def test_mask_must_be_a_prune_mask(self, call):
+    @pytest.mark.parametrize("call,match", [
+        (pruning.apply_mask, "mask must be a PruneMask"),
+        (pruning.compact, "mask must be a PruneMask"),
+        (pruning.validate_equivalence, "mask must be a PruneMask"),
+        (lambda model, keep: pruning.rank_global(table_for([("a", 0, 0, 1.0), ("a", 0, 1, 2.0)]).entries, 1),
+         "table must be an ImportanceTable"),
+        (lambda model, keep: pruning.PruneMask(list(keep.items())), "keep must be a dict"),
+        (lambda model, keep: save_model(os.devnull, keep), "model must be a Model"),
+    ], ids=["apply_mask", "compact", "validate_equivalence", "rank_global_list", "prune_mask_list", "save_model_dict"])
+    def test_argument_of_another_type_is_input_error(self, call, match):
+        # rank_global, PruneMask and save_model raised AttributeError on these
         model = build_mlp_small(image_size=8, seed=0)
-        with pytest.raises(InputError, match="mask must be a PruneMask"):
+        with pytest.raises(InputError, match=match):
             call(model, {s.site_id: np.ones(s.channels, bool) for s in model.sites})
 
     def test_all_keep_helper(self):

@@ -20,6 +20,9 @@ The set, on the default 4-class glyph data with seed 0 and 3-epoch training:
   cnn_residual, then importance, prune --plan and eval at P = 5, 11, 17, 23
   on an images-only IDX file.
 
+Every checkpoint is loaded and saved again before it is hashed, and the
+script stops with an error unless that writes the same bytes.
+
 ``--small`` runs the same set on 8 training and 4 test examples per class,
 1 epoch and D=16: a few seconds, for a smoke test.
 
@@ -70,6 +73,15 @@ def _read(path):
         return fh.read()
 
 
+def _checkpoint(path):
+    """The bytes of a checkpoint, if saving what load_model returns writes them again; else SystemExit."""
+    raw = _read(path)
+    checkpoint.save_model(path + ".again", checkpoint.load_model(path))
+    if _read(path + ".again") != raw:
+        raise SystemExit(f"{path}: save_model(load_model(p)) does not write p's bytes")
+    return raw
+
+
 def _trained(key, model, log, work_dir):
     """A trained model's parameters, batch-norm state, epoch log and checkpoint."""
     yield f"{key}/params", b"".join(p.tobytes() for _, _, _, p in model.parameters())
@@ -77,7 +89,7 @@ def _trained(key, model, log, work_dir):
     yield f"{key}/log", repr(log).encode()
     path = os.path.join(work_dir, "model.npkt")
     checkpoint.save_model(path, model)
-    yield f"{key}/checkpoint", _read(path)
+    yield f"{key}/checkpoint", _checkpoint(path)
 
 
 def _tables(model, name, train_set, d, work_dir):
@@ -99,7 +111,7 @@ def _masked(model, name, work_dir):
     mask = pruning.PruneMask({s.site_id: np.arange(s.channels) % 3 != 1 for s in model.sites})
     path = os.path.join(work_dir, "masked.npkt")
     checkpoint.save_model(path, pruning.apply_mask(model, mask))
-    yield f"masked/{name}/checkpoint", _read(path)
+    yield f"masked/{name}/checkpoint", _checkpoint(path)
 
 
 def _sweep(model, config, d, work_dir):
@@ -136,7 +148,7 @@ def _cli(config, d, work_dir):
         run("eval", *common, "--checkpoint", p(f"small{count}.npkt"), "--out", p(f"accuracy{count}.txt"))
         files += [f"scores{count}.csv", f"plan{count}.csv", f"small{count}.npkt", f"accuracy{count}.txt"]
     for name in files:
-        yield f"cli/{name}", _read(p(name))
+        yield f"cli/{name}", (_checkpoint if name.endswith(".npkt") else _read)(p(name))
 
 
 def outputs(size, work_dir):
