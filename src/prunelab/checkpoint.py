@@ -45,11 +45,12 @@ HEADER_RULES = {
 }
 NODE_RULES = {"kind": data.TEXT, "name": data.TEXT, "refs": data.list_of(data.integer(-1)), "hyper": _OBJECT}
 SITE_RULES = {"site_id": data.TEXT, "node_index": data.COUNT, "channels": data.SIZE}
-# hyperparameters whose product is the size of a node's weight or gamma
-SIZE_HYPERS = ("in_channels", "out_channels", "kernel", "kernel", "in_features", "out_features", "channels")
+# node kind -> the hyperparameters whose product is the size of its weight or gamma
+SIZE_HYPERS = {"conv2d": ("in_channels", "out_channels", "kernel", "kernel"),
+               "linear": ("in_features", "out_features"), "batch_norm": ("channels",)}
 _F32 = np.finfo(np.float32)  # a batch norm adds eps to float32 variances: it must stay positive and finite there
 _EPS = data.number(numbers.Real, lambda v: float(_F32.smallest_subnormal) <= v <= float(_F32.max), "a float32 > 0")
-HYPER_RULES = {**dict.fromkeys(SIZE_HYPERS + ("stride",), data.SIZE), "padding": data.COUNT,
+HYPER_RULES = {**dict.fromkeys(sum(SIZE_HYPERS.values(), ()) + ("stride",), data.SIZE), "padding": data.COUNT,
                "bias": data.FLAG, "eps": _EPS, "momentum": data.FRACTION}
 MASK_RULE = data.list_of(data.integer(0, 1))
 
@@ -118,7 +119,7 @@ def _check_header(header, blob_floats):
         for name, value in entry["hyper"].items():
             data.check(name, data.one_of(tuple(HYPER_RULES)), f"{what} hyperparameter name", FormatError)
             data.check(value, HYPER_RULES[name], f"{what} hyperparameter {name!r}", FormatError)
-        if math.prod(entry["hyper"].get(name, 1) for name in SIZE_HYPERS) > blob_floats:
+        if math.prod(entry["hyper"].get(name, 1) for name in SIZE_HYPERS.get(entry["kind"], ())) > blob_floats:
             raise FormatError(f"{what}: hyperparameters describe a node larger than the {blob_floats} floats the file holds")
     for site in header["sites"]:
         _check_fields(site, SITE_RULES, "checkpoint site")

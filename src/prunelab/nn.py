@@ -20,7 +20,8 @@ and before the nonlinearity.  Channel masks attached to the model (see
 node computes, so masked channels contribute exactly zero downstream and, by
 the chain rule, their parameters receive zero gradient.
 
-A Model checks its structure when built, raising InputError unless each node
+A node's arrays are the only record of its sizes.  A Model checks its
+arguments and structure when built, raising InputError unless each node
 reads ``arity`` refs, each to an earlier node or the input, site ids and
 site nodes are unique, and each site names a node in range whose
 ``channels`` it matches.
@@ -31,6 +32,7 @@ InputError.  The model applies it at every gate node of the site (:meth:`Model.g
 """
 
 import copy
+import numbers
 from collections.abc import Iterable
 
 import numpy as np
@@ -49,7 +51,8 @@ def _row(param, x):
 
 
 class Node:
-    """Base graph node. Subclasses define kind, params, forward and backward.
+    """Base graph node. Subclasses define kind, params, forward and backward. The
+    arrays, output channel on axis 0, are its only record of sizes: channels and hyper() read them.
 
     forward(xs, mode, cache) may write over xs[0] where a record-free run sets cache["inplace"].
     backward(grad, cache) accumulates parameter gradients and returns one input
@@ -58,7 +61,6 @@ class Node:
 
     kind = "base"
     arity = 1  # the number of refs the node reads
-    channels = None  # output channel count; None where the node keeps its input's width
     view = False  # whether forward may return a view of its input
 
     def __init__(self, name, refs):
@@ -67,6 +69,11 @@ class Node:
         self.params = {}
         self.grads = {}
         self.state = {}
+
+    @property
+    def channels(self):
+        """Output channel count, the length of the first parameter; None for a node without parameters."""
+        return len(next(iter(self.params.values()))) if self.params else None
 
     def param_order(self):
         """Parameter names in checkpoint blob order (trainable, then state)."""
@@ -93,31 +100,22 @@ class Conv2d(Node):
 
     def __init__(self, name, refs, in_channels, out_channels, kernel, stride=1, padding=0, bias=True):
         super().__init__(name, refs)
-        self.in_channels = in_channels
-        self.channels = out_channels
-        self.kernel = kernel
         self.stride = stride
         self.padding = padding
-        self.has_bias = bias
         self.params["weight"] = np.zeros((out_channels, in_channels, kernel, kernel), np.float32)
         if bias:
             self.params["bias"] = np.zeros(out_channels, np.float32)
         self.zero_grads()
 
     def hyper(self):
-        return {
-            "in_channels": self.in_channels,
-            "out_channels": self.channels,
-            "kernel": self.kernel,
-            "stride": self.stride,
-            "padding": self.padding,
-            "bias": self.has_bias,
-        }
+        out_channels, in_channels, kernel, _ = self.params["weight"].shape
+        return {"in_channels": in_channels, "out_channels": out_channels, "kernel": kernel,
+                "stride": self.stride, "padding": self.padding, "bias": "bias" in self.params}
 
     def forward(self, xs, mode, cache):
         x = xs[0]
         out = T.conv2d(x, self.params["weight"], self.stride, self.padding)
-        if self.has_bias:
+        if "bias" in self.params:
             out = out + self.params["bias"].reshape(1, -1, 1, 1)
         cache["x"] = x
         return out
@@ -126,7 +124,7 @@ class Conv2d(Node):
         x, w = cache["x"], self.params["weight"]
         if cache.get("params", True):
             self.grads["weight"] += T.conv2d_grad_weight(x, w, grad, self.stride, self.padding)
-            if self.has_bias:
+            if "bias" in self.params:
                 self.grads["bias"] += grad.sum(axis=(0, 2, 3))
         return [T.conv2d_grad_input(x, w, grad, self.stride, self.padding) if cache.get("inputs", True) else None]
 
@@ -136,31 +134,29 @@ class Linear(Node):
 
     def __init__(self, name, refs, in_features, out_features, bias=True):
         super().__init__(name, refs)
-        self.in_features = in_features
-        self.channels = out_features
-        self.has_bias = bias
         self.params["weight"] = np.zeros((out_features, in_features), np.float32)
         if bias:
             self.params["bias"] = np.zeros(out_features, np.float32)
         self.zero_grads()
 
     def hyper(self):
-        return {"in_features": self.in_features, "out_features": self.channels, "bias": self.has_bias}
+        out_features, in_features = self.params["weight"].shape
+        return {"in_features": in_features, "out_features": out_features, "bias": "bias" in self.params}
 
     def forward(self, xs, mode, cache):
-        x = xs[0]
-        if x.ndim != 2 or x.shape[1] != self.in_features:
-            raise ShapeError(f"linear expects [N, {self.in_features}], got {x.shape}")
+        x, w = xs[0], self.params["weight"]
+        if x.ndim != 2 or x.shape[1] != w.shape[1]:
+            raise ShapeError(f"linear expects [N, {w.shape[1]}], got {x.shape}")
         cache["x"] = x
-        out = x @ self.params["weight"].T
-        if self.has_bias:
+        out = x @ w.T
+        if "bias" in self.params:
             out = out + self.params["bias"]
         return out
 
     def backward(self, grad, cache):
         if cache.get("params", True):
             self.grads["weight"] += grad.T @ cache["x"]
-            if self.has_bias:
+            if "bias" in self.params:
                 self.grads["bias"] += grad.sum(axis=0)
         return [grad @ self.params["weight"] if cache.get("inputs", True) else None]
 
@@ -182,7 +178,6 @@ class BatchNorm(Node):
 
     def __init__(self, name, refs, channels, eps=1e-5, momentum=0.9):
         super().__init__(name, refs)
-        self.channels = channels
         self.eps = eps
         self.momentum = momentum
         self.params["gamma"] = np.ones(channels, np.float32)
@@ -408,10 +403,10 @@ class Model:
     keep vector}, each applied at every gate node of its site (see gates)."""
 
     def __init__(self, nodes, input_shape, num_classes, sites=None, non_prunable=None, dtype=np.float32):
-        self.nodes = list(nodes)
-        self.input_shape = tuple(input_shape)
-        self.num_classes = num_classes
-        self.sites = list(sites or [])
+        self.nodes = list(data.check(nodes, data.list_of(data.instance(Node, "a Node")), "nodes"))
+        self.input_shape = tuple(data.check(input_shape, data.list_of(data.SIZE), "input_shape"))
+        self.num_classes = data.check(num_classes, data.SIZE, "num_classes")
+        self.sites = list(data.check(sites, data.list_of(data.instance(Site, "a Site"), unset_ok=True), "sites") or [])
         self.non_prunable = dict(non_prunable or {})
         self.dtype = np.dtype(dtype).type
         self.masks = {}
@@ -523,6 +518,7 @@ class Model:
         """
         if mode not in ("train", "eval"):
             raise InputError(f"mode must be 'train' or 'eval', got {mode!r}")
+        data.check(record, data.FLAG, "record")
         x = self._array(x, "input")
         if x.shape[1:] != self.input_shape:
             raise ShapeError(f"input shape {x.shape[1:]} != model input {self.input_shape}")
@@ -615,10 +611,12 @@ def softmax(logits):
 
 
 def softmax_cross_entropy(logits, labels):
-    """Mean cross entropy over the batch; returns (loss, grad_logits).
+    """Mean cross entropy over a batch of [N, K] logits (else ShapeError); returns (loss, grad_logits).
 
     grad_logits = (softmax - onehot) / N, the gradient of the mean loss.
     """
+    if np.ndim(logits) != 2:
+        raise ShapeError(f"logits must be [N, K], got {np.shape(logits)}")
     n, k = logits.shape
     labels = data.check_labels(labels, n, k)
     shifted = logits - logits.max(axis=1, keepdims=True)
@@ -654,6 +652,7 @@ class GradCheckReport:
 
 
 DENOM_FLOOR = 1e-4
+_POSITIVE = data.number(numbers.Real, lambda v: v > 0, "a finite number > 0")
 
 
 def gradient_check(model, x, output_grad=None, tolerance=1e-6, eps=1e-5, mode="eval"):
@@ -668,10 +667,15 @@ def gradient_check(model, x, output_grad=None, tolerance=1e-6, eps=1e-5, mode="e
     differences far more likely to step across a ReLU kink.  Batch norm
     running statistics are restored afterwards, so the check is side-effect
     free in either mode.  A parameter of node k re-runs only nodes k onward.
+    x and output_grad follow forward's input rule, and tolerance and eps must be
+    finite numbers > 0; else InputError.
     """
     if model.dtype != np.float64:
         raise InputError("gradient_check requires a float64 model")
-    x = np.asarray(x, dtype=np.float64)
+    x = model._array(x, "x")
+    output_grad = None if output_grad is None else model._array(output_grad, "output_grad")
+    data.check(tolerance, _POSITIVE, "tolerance")
+    data.check(eps, _POSITIVE, "eps")
     saved_state = [{k: v.copy() for k, v in node.state.items()} for node in model.nodes]
 
     model.zero_grads()
@@ -715,16 +719,12 @@ def _init_params(model, seed):
     identity for batch norm; deterministic in node order for a fixed seed."""
     rng = np.random.default_rng(seed)
     for node in model.nodes:
-        if node.kind == "conv2d":
-            fan_in = node.in_channels * node.kernel * node.kernel
-        elif node.kind == "linear":
-            fan_in = node.in_features
-        else:
+        if node.kind not in ("conv2d", "linear"):
             continue
-        bound = np.sqrt(6.0 / fan_in)
-        w = rng.uniform(-bound, bound, size=node.params["weight"].shape)
-        node.params["weight"] = w.astype(model.dtype)
-        if node.has_bias:
+        w = node.params["weight"]
+        bound = np.sqrt(6.0 / w[0].size)  # the fan-in: one output channel's weights
+        node.params["weight"] = rng.uniform(-bound, bound, size=w.shape).astype(model.dtype)
+        if "bias" in node.params:
             node.params["bias"] = np.zeros(node.params["bias"].shape, model.dtype)
     return model
 

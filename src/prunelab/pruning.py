@@ -197,28 +197,14 @@ def apply_mask(model, mask):
 
 
 def _shrink_output(node, keep):
-    if node.kind == "batch_norm":
-        node.params["gamma"] = node.params["gamma"][keep]
-        node.params["beta"] = node.params["beta"][keep]
-        node.state["running_mean"] = node.state["running_mean"][keep]
-        node.state["running_var"] = node.state["running_var"][keep]
-    else:
-        node.params["weight"] = node.params["weight"][keep]
-        if node.has_bias:
-            node.params["bias"] = node.params["bias"][keep]
-    node.channels = int(keep.sum())
+    node.params = {k: v[keep] for k, v in node.params.items()}
+    node.state = {k: v[keep] for k, v in node.state.items()}
     node.zero_grads()
 
 
 def _shrink_input(node, keep):
-    if node.kind == "conv2d":
-        node.params["weight"] = node.params["weight"][:, keep]
-        node.in_channels = int(keep.sum())
-    else:
-        # a flatten lays each channel out as one block of in_features // C columns
-        cols = np.repeat(keep, node.in_features // keep.size)
-        node.params["weight"] = node.params["weight"][:, cols]
-        node.in_features = int(cols.sum())
+    w = node.params["weight"]  # an input channel owns weight.shape[1] // C columns: a flatten's block of them
+    node.params["weight"] = w[:, np.repeat(keep, w.shape[1] // keep.size)]
     node.zero_grads()
 
 
@@ -227,14 +213,13 @@ def compact(model, mask):
 
     The channels kept are those ``apply_mask`` keeps: the mask composed with
     the masks already on the model.  One pass over the nodes in graph order
-    carries each node's kept output channels forward.  A site node keeps
-    what its mask keeps; batch norm, ReLU, pooling and flatten pass their
-    input's channels on, and batch norm drops the pruned entries of its
-    parameters and statistics; a conv or linear node drops the matching
-    input slices (after a flatten, each channel's block of columns).
-    Reaching a residual addition or the network output with pruned channels
-    is not supported and raises CapabilityError.  The compacted model
-    carries no masks.
+    carries each node's kept output channels forward: a site node keeps
+    what its mask keeps, and the others pass their input's on.  It only
+    slices arrays: axis 0 of every parameter and statistic, and the weight
+    columns of a conv or linear node's kept inputs (after a flatten, each
+    channel's block of columns).  Reaching a residual addition or the
+    network output with pruned channels is not supported and raises
+    CapabilityError.  The compacted model carries no masks.
     """
     out = apply_mask(model, mask)
     pruned = {s.node_index: out.masks[s.node_index] != 0 for s in out.sites if not out.masks[s.node_index].all()}
@@ -250,8 +235,8 @@ def compact(model, mask):
             keep = pruned.get(i)
         elif i in pruned:
             raise CapabilityError(f"node {i} ({node.name}): cannot shrink output of {node.kind} node")
-        if keep is not None and node.kind in ("conv2d", "linear", "batch_norm"):
-            _shrink_output(node, keep)
+        if keep is not None:
+            _shrink_output(node, keep)  # a node without arrays has none to slice
         keeps.append(keep)
     if keeps[-1] is not None:
         raise CapabilityError(f"node {len(keeps) - 1} ({out.nodes[-1].name}): pruning would shrink the network output")

@@ -10,7 +10,7 @@ import pytest
 from prunelab import checkpoint, pruning
 from prunelab.cli import main
 from prunelab.errors import FormatError, InputError
-from prunelab.nn import Linear, Model, make_node
+from prunelab.nn import INPUT, AvgPool, Flatten, Linear, Model, make_node
 
 from helpers import all_keep, build_reference_models, rewrite_header
 
@@ -432,3 +432,30 @@ class TestLoadConsistency:
         rewrite_header(saved, setter("nodes", node, "hyper", name, value=value))
         with pytest.raises(FormatError, match="larger than the .* floats the file holds"):
             checkpoint.load_model(saved)
+
+
+def conv_5x5():
+    model = build_reference_models(seed=0)["cnn_small"]
+    model.nodes[0].params["weight"] = np.zeros((16, 1, 5, 5), np.float32)
+    model.nodes[0].padding = 2
+    return model
+
+
+def pooled_linear():
+    return Model([AvgPool("pool", [INPUT], kernel=4), Flatten("flat", [0]), Linear("fc", [1], 2, 2)], (2, 4, 4), 2)
+
+
+class TestSizesAreArrayShapes:
+    @pytest.mark.parametrize("build", [conv_5x5, pooled_linear], ids=["conv_5x5_weight", "pool_kernel_4"])
+    def test_saved_model_loads_and_resaves_byte_for_byte(self, tmp_path, build):
+        # the conv's stored kernel size disagreed with its swapped weight, and the
+        # size bound counted a pool's kernel as a weight size: load_model refused both
+        model = build()
+        a, b = tmp_path / "a.npkt", tmp_path / "b.npkt"
+        checkpoint.save_model(a, model)
+        loaded = checkpoint.load_model(a)
+        checkpoint.save_model(b, loaded)
+        assert a.read_bytes() == b.read_bytes()
+        assert [n.hyper() for n in loaded.nodes] == [n.hyper() for n in model.nodes]
+        x = np.random.default_rng(3).random((2,) + model.input_shape, np.float32)
+        assert np.array_equal(model.forward(x, "eval")[0], loaded.forward(x, "eval")[0])

@@ -302,7 +302,6 @@ class TestMolchanovScores:
     def test_group_fixture(self):
         node = Linear("fc", [INPUT], 1, 1, bias=False)
         node.params["weight"] = np.array([[1.0, 2.0]]).reshape(1, 2)
-        node.in_features = 2
         score = molchanov_group_score(node, [{"weight": np.array([[3.0, -1.0]])}])
         # (1*3 + 2*(-1))^2 = 1
         assert abs(score[0] - 1.0) < 1e-12

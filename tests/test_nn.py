@@ -511,6 +511,26 @@ class TestGradientCheck:
         with pytest.raises(InputError, match="float64"):
             gradient_check(model, np.zeros((1, 1, 8, 8)))
 
+    @pytest.mark.parametrize("arguments,match", [
+        (dict(x="a"), "x must be numeric"),
+        (dict(x=np.zeros((2, 1, 8, 8), complex)), "x must be real"),
+        (dict(output_grad="a"), "output_grad must be numeric"),
+        (dict(output_grad=np.zeros((2, 4), complex)), "output_grad must be real"),
+        (dict(tolerance="a"), "tolerance must be a finite number > 0, got 'a'"),
+        (dict(tolerance=0), "tolerance must be a finite number > 0, got 0"),
+        (dict(tolerance=float("nan")), "tolerance must be a finite number > 0, got nan"),
+        (dict(eps=-1e-5), "eps must be a finite number > 0, got -1e-05"),
+        (dict(eps=float("inf")), "eps must be a finite number > 0, got inf"),
+        (dict(eps=True), "eps must be a finite number > 0, got True"),
+    ], ids=["string_x", "complex_x", "string_output_grad", "complex_output_grad", "string_tolerance",
+            "zero_tolerance", "nan_tolerance", "negative_eps", "infinite_eps", "bool_eps"])
+    def test_bad_argument_is_input_error(self, arguments, match):
+        # a string x raised a bare ValueError, a complex one lost its imaginary part,
+        # and tolerance="a" raised numpy's UFuncTypeError
+        model = build_mlp_small(image_size=8).astype(np.float64)
+        with pytest.raises(InputError, match=match):
+            gradient_check(model, **{"x": np.zeros((2, 1, 8, 8)), **arguments})
+
 
 def _masked(model, seed):
     """apply_mask with a random keep vector per site, each keeping at least one channel."""
@@ -666,6 +686,35 @@ class TestSoftmaxCrossEntropy:
     def test_float_labels_rejected(self):
         with pytest.raises(InputError, match="integer"):
             softmax_cross_entropy(np.zeros((1, 3)), np.array([0.0]))
+
+    @pytest.mark.parametrize("logits,shape", [(np.zeros(3), r"\(3,\)"), (np.zeros((1, 1, 3)), r"\(1, 1, 3\)"),
+                                              (0.0, r"\(\)")], ids=["1d", "3d", "scalar"])
+    def test_logits_must_be_2d(self, logits, shape):
+        # a 1-D array raised a bare ValueError ("not enough values to unpack")
+        with pytest.raises(ShapeError, match=r"logits must be \[N, K\], got " + shape):
+            softmax_cross_entropy(logits, np.array([0]))
+
+
+class TestSizesAreArrayShapes:
+    @pytest.mark.parametrize("node,arrays,hyper", [
+        (Conv2d("c", [INPUT], 1, 16, 3), {"weight": np.zeros((8, 2, 5, 5))},
+         {"in_channels": 2, "out_channels": 8, "kernel": 5, "stride": 1, "padding": 0, "bias": False}),
+        (Linear("fc", [INPUT], 2, 3, bias=False), {"weight": np.zeros((5, 4)), "bias": np.zeros(5)},
+         {"in_features": 4, "out_features": 5, "bias": True}),
+        (BatchNorm("bn", [INPUT], 3), {"gamma": np.ones(6), "beta": np.zeros(6)},
+         {"channels": 6, "eps": 1e-5, "momentum": 0.9}),
+    ], ids=["conv", "linear", "batch_norm"])
+    def test_channels_and_hyper_read_the_arrays(self, node, arrays, hyper):
+        node.params = arrays
+        assert node.channels == len(next(iter(arrays.values())))
+        assert node.hyper() == hyper
+
+    def test_linear_checks_its_input_against_the_weight(self):
+        node = Linear("fc", [INPUT], 2, 3)
+        node.params["weight"] = np.zeros((3, 5))
+        assert node.forward([np.zeros((1, 5))], "eval", {}).shape == (1, 3)
+        with pytest.raises(ShapeError, match=r"linear expects \[N, 5\], got \(1, 2\)"):
+            node.forward([np.zeros((1, 2))], "eval", {})
 
 
 class TestReferenceModels:
@@ -917,6 +966,30 @@ class TestValidation:
     def test_malformed_structure_rejected(self, nodes, sites, match):
         with pytest.raises(InputError, match=match):
             Model(nodes, (2,), 2, sites)
+
+    @pytest.mark.parametrize("arguments,match", [
+        (dict(nodes=[1, 2]), "nodes must be a non-empty list, each item a Node, got"),
+        (dict(nodes=[]), "nodes must be a non-empty list"),
+        (dict(sites=[1]), "sites must be unset or a list, each item a Site, got"),
+        (dict(sites=Site("fc", 0, 2)), "sites must be unset or a list"),
+        (dict(input_shape=16), "input_shape must be a non-empty list, each item an integer >= 1, got 16"),
+        (dict(input_shape=(2, 0)), "input_shape must be a non-empty list"),
+        (dict(num_classes=2.0), "num_classes must be an integer >= 1, got 2.0"),
+        (dict(num_classes=0), "num_classes must be an integer >= 1, got 0"),
+    ], ids=["int_nodes", "no_nodes", "int_site", "bare_site", "int_input_shape", "zero_input_size",
+            "float_num_classes", "zero_num_classes"])
+    def test_arguments_meet_the_data_rules(self, arguments, match):
+        # an int node or site raised AttributeError, and input_shape=16 TypeError
+        defaults = dict(nodes=[Linear("fc", [INPUT], 2, 2)], input_shape=(2,), num_classes=2)
+        with pytest.raises(InputError, match=match):
+            Model(**{**defaults, **arguments})
+
+    @pytest.mark.parametrize("record", ["no", 1, None])
+    def test_record_must_be_a_flag(self, record):
+        # any truthy value recorded: record="no" returned a record
+        model = build_mlp_small()
+        with pytest.raises(InputError, match="record must be true or false"):
+            model.forward(np.zeros((1, 1, 16, 16)), "eval", record=record)
 
     def test_duplicate_site_ids_rejected(self):
         nodes = [Linear("a", [INPUT], 2, 2), Linear("b", [0], 2, 2)]

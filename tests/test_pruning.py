@@ -22,6 +22,7 @@ from prunelab.nn import (
     build_cnn_residual,
     build_cnn_small,
     build_mlp_small,
+    make_node,
 )
 
 from helpers import all_keep, build_reference_models, pruned_channels, pruned_count
@@ -380,6 +381,17 @@ class TestCompact:
             keep[s.site_id][s.channels // 2] = True
         deviation = pruning.validate_equivalence(model, pruning.PruneMask(keep), trials=10)
         assert deviation < 1e-10
+
+    @pytest.mark.parametrize("build", [build_mlp_small, build_cnn_small, build_cnn_residual])
+    def test_hyper_rebuilds_the_compacted_shapes(self, build):
+        # compact only slices arrays: each node's hyperparameters follow from them
+        model = build(image_size=8, seed=6)
+        mask = random_mask(model, np.random.default_rng(9))
+        assert pruned_count(mask) > 0
+        for node in pruning.compact(model, mask).nodes:
+            twin = make_node(node.kind, node.name, node.refs, node.hyper())
+            assert [(k, v.shape) for k, v in {**twin.params, **twin.state}.items()] == [
+                (k, v.shape) for k, v in {**node.params, **node.state}.items()], node.name
 
     def test_compacted_model_round_trips_checkpoint(self, tmp_path):
         model = dirty_stats(build_cnn_residual(image_size=8, seed=12))
