@@ -11,47 +11,36 @@ Checkpoints always hold float32; loading returns a float32 model.
 
 load_model is save_model's inverse and fails closed: a file loads only if
 save_model would write its header, byte for byte, for the model the header
-describes; else FormatError.  The *_RULES tables (in the data module's rule
-vocabulary) and nn.Model's checks only make building that model safe.  So
+describes; else FormatError.  The nn constructors check the values a model
+is built from, and load_model raises their InputError as FormatError; here
+are only the rules of the file: framing, JSON container types, MASK_RULE,
+non_prunable key spelling and SIZE_HYPERS, a bound on node sizes.  So
 save(load(p)) writes p's bytes for every p load_model accepts, and
-save_model, which runs nn.Model.check_masks before it opens the file,
-writes no checkpoint that load_model rejects.
+save_model, which runs nn.Model.check_masks and hyper() before it opens the
+file, writes no checkpoint that load_model rejects.
 """
 
 import json
 import math
-import numbers
 import struct
 
 import numpy as np
 
 from . import data
 from .errors import FormatError, InputError
-from .nn import Model, Site, make_node
+from .nn import MODEL, Model, Site, make_node
 
 MAGIC = b"NPKT"
 VERSION = 1
 
 _LIST = data.instance(list, "a JSON list")
 _OBJECT = data.instance(dict, "a JSON object")
-# key -> rule, for the values of the header and its node and site objects that the model is built from
-HEADER_RULES = {
-    "nodes": _LIST,
-    "sites": _LIST,
-    "masks": _OBJECT,
-    "input_shape": data.list_of(data.SIZE),
-    "num_classes": data.SIZE,
-    "non_prunable": _OBJECT,
-}
-NODE_RULES = {"kind": data.TEXT, "name": data.TEXT, "refs": data.list_of(data.integer(-1)), "hyper": _OBJECT}
-SITE_RULES = {"site_id": data.TEXT, "node_index": data.COUNT, "channels": data.SIZE}
+# key -> rule, for the JSON containers of the header and its nodes; the nn constructors check what they hold
+HEADER_RULES = {"nodes": _LIST, "sites": _LIST, "masks": _OBJECT, "non_prunable": _OBJECT}
+NODE_RULES = {"hyper": _OBJECT}
 # node kind -> the hyperparameters whose product is the size of its weight or gamma
 SIZE_HYPERS = {"conv2d": ("in_channels", "out_channels", "kernel", "kernel"),
                "linear": ("in_features", "out_features"), "batch_norm": ("channels",)}
-_F32 = np.finfo(np.float32)  # a batch norm adds eps to float32 variances: it must stay positive and finite there
-_EPS = data.number(numbers.Real, lambda v: float(_F32.smallest_subnormal) <= v <= float(_F32.max), "a float32 > 0")
-HYPER_RULES = {**dict.fromkeys(sum(SIZE_HYPERS.values(), ()) + ("stride",), data.SIZE), "padding": data.COUNT,
-               "bias": data.FLAG, "eps": _EPS, "momentum": data.FRACTION}
 MASK_RULE = data.list_of(data.integer(0, 1))
 
 
@@ -81,7 +70,7 @@ def _blob(node, name):
 
 def save_model(path, model):
     """Write the model to path as float32, returning the byte count."""
-    data.check(model, data.instance(Model, "a Model"), "model")
+    data.check(model, MODEL, "model")
     model.check_masks()
     header = _header_bytes(model)
     with open(path, "wb") as fh:
@@ -111,24 +100,22 @@ def _check_fields(obj, rules, what):
 
 
 def _check_header(header, blob_floats):
-    """Keys, value types and node sizes of what the model is built from, before anything is built."""
+    """The JSON containers, masks, non_prunable keys and node sizes of the header, before anything is built."""
     _check_fields(header, HEADER_RULES, "checkpoint header")
     for i, entry in enumerate(header["nodes"]):
         what = f"checkpoint node {i}"
         _check_fields(entry, NODE_RULES, what)
-        for name, value in entry["hyper"].items():
-            data.check(name, data.one_of(tuple(HYPER_RULES)), f"{what} hyperparameter name", FormatError)
-            data.check(value, HYPER_RULES[name], f"{what} hyperparameter {name!r}", FormatError)
-        if math.prod(entry["hyper"].get(name, 1) for name in SIZE_HYPERS.get(entry["kind"], ())) > blob_floats:
+        # make_node refuses a kind or size of another type before it allocates
+        sizes = [entry["hyper"].get(name, 1) for name in SIZE_HYPERS.get(str(entry.get("kind")), ())]
+        if all(map(data.SIZE[0], sizes)) and math.prod(sizes) > blob_floats:
             raise FormatError(f"{what}: hyperparameters describe a node larger than the {blob_floats} floats the file holds")
     for site in header["sites"]:
-        _check_fields(site, SITE_RULES, "checkpoint site")
+        data.check(site, _OBJECT, "checkpoint site", FormatError)
     for key, mask in header["masks"].items():
         data.check(mask, MASK_RULE, f"checkpoint mask {key!r}", FormatError)
     node_key = data.one_of(tuple(map(str, range(len(header["nodes"])))))  # the keys _header_dict writes
-    for key, reason in header["non_prunable"].items():
+    for key in header["non_prunable"]:
         data.check(key, node_key, "checkpoint non_prunable key", FormatError)
-        data.check(reason, data.TEXT, f"checkpoint non_prunable {key!r}", FormatError)
 
 
 def _difference(got, want, where=""):
@@ -167,15 +154,15 @@ def load_model(path):
     nodes, end = [], offset  # end: where the blobs of the nodes built so far end
     for i, entry in enumerate(header["nodes"]):
         try:
-            nodes.append(make_node(entry["kind"], entry["name"], entry["refs"], entry["hyper"]))
+            nodes.append(make_node(entry.get("kind"), entry.get("name"), entry.get("refs"), entry["hyper"]))
         except (InputError, TypeError) as e:
             raise FormatError(f"node {i}: {e}") from None
         end += 4 * sum(_blob(nodes[-1], name).size for name in nodes[-1].param_order())
         if end > len(buf):  # before the next node is built: a short file cannot make many nodes allocate its size
             raise FormatError(f"truncated checkpoint: node {i} parameters end at byte {end}, file has {len(buf)}")
-    sites = [Site(s["site_id"], s["node_index"], s["channels"]) for s in header["sites"]]
     try:
-        model = Model(nodes, tuple(header["input_shape"]), header["num_classes"], sites,
+        sites = [Site(s.get("site_id"), s.get("node_index"), s.get("channels")) for s in header["sites"]]
+        model = Model(nodes, header.get("input_shape"), header.get("num_classes"), sites,
                       non_prunable={int(k): v for k, v in header["non_prunable"].items()}, dtype=np.float32)
         model.masks = {s.node_index: np.asarray(header["masks"][str(s.node_index)], dtype=np.float32)
                        for s in sites if str(s.node_index) in header["masks"]}

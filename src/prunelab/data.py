@@ -310,6 +310,15 @@ def list_of(item, unset_ok=False):
             and all(map(item[0], v))), f"{'unset or a list' if unset_ok else 'a non-empty list'}, each item {item[1]}"
 
 
+def dict_of(key, value):
+    return (lambda v: isinstance(v, dict) and all(key[0](k) and value[0](x) for k, x in v.items()),
+            f"a dict, each key {key[1]} and each value {value[1]}")
+
+
+def multiple(k):
+    return number(numbers.Integral, lambda v: v > 0 and v % k == 0, f"a positive multiple of {k}")
+
+
 TEXT = instance(str, "a string")
 FLAG = instance(bool, "true or false")
 COUNT = integer(0)

@@ -25,7 +25,7 @@ import numpy as np
 from . import data, importance
 from .errors import ConfigError, InputError, TrainingError
 from .importance import ESTIMATOR, NO_SOURCE, RANDOM_RANK, SOURCE, GradientSource, ImportanceTable, estimate
-from .nn import MODEL_BUILDERS, softmax_cross_entropy
+from .nn import MODEL, MODEL_BUILDERS, softmax_cross_entropy
 from .pruning import apply_mask, rank_global
 
 EpochStats = namedtuple("EpochStats", ("epoch", "loss", "accuracy"))
@@ -124,6 +124,9 @@ class ExperimentConfig:
         return cls(**values)
 
 
+_CONFIG = data.instance(ExperimentConfig, "an ExperimentConfig")
+
+
 def build_model(config):
     return MODEL_BUILDERS[config.model](
         num_classes=config.num_classes, image_size=config.image_size, seed=config.seed)
@@ -147,6 +150,8 @@ def train(model, dataset, config):
     The log holds one EpochStats per epoch with the running train loss and
     accuracy over that epoch's batches.  A non-finite loss aborts immediately.
     """
+    data.check(model, MODEL, "model")
+    data.check(config, _CONFIG, "config")
     out = model.clone()
     velocity = {(i, name): np.zeros_like(p) for i, _, name, p in out.parameters()}
     log = []
@@ -178,6 +183,7 @@ def train(model, dataset, config):
 def evaluate(model, dataset, batch_size=256):
     """Argmax accuracy in eval mode; ties go to the lowest class index.  Each
     batch's labels must lie in [0, model.num_classes), checked before its forward."""
+    data.check(model, MODEL, "model")
     hits = 0
     for images, labels in data.batches(dataset, batch_size):
         data.check_labels(labels, len(images), model.num_classes)
@@ -192,6 +198,7 @@ def random_importance_table(model, seed=0):
     Pruning by this table removes channels blind to any signal, which is the
     baseline every real estimator has to beat.
     """
+    data.check(model, MODEL, "model")
     rng = np.random.default_rng([data.check(seed, data.SEED, "seed"), 1])
     entries = []
     for site in model.sites:
@@ -252,6 +259,8 @@ def prune_sweep(model, train_set, test_set, config):
     labels outside the model's classes raise it at the baseline evaluation,
     before any estimation.
     """
+    data.check(model, MODEL, "model")
+    data.check(config, _CONFIG, "config")
     if not model.sites:
         raise InputError("model has no prunable sites")
     total = sum(site.channels for site in model.sites)

@@ -59,7 +59,7 @@ import numpy as np
 
 from . import data, tensor
 from .errors import FormatError, InputError, ShapeError, StateError
-from .nn import softmax
+from .nn import MODEL, softmax
 
 LOSS = "loss"
 RANDOM = "random"
@@ -338,6 +338,7 @@ def estimate(model, dataset, d, estimator, source, batch_size=32):
     batch of batch_size examples with one accumulate call.  Never reads
     labels when the source is random.
     """
+    data.check(model, MODEL, "model")
     data.check(estimator, ESTIMATOR, "estimator")
     data.check(source, data.instance(GradientSource, "a GradientSource"), "source")
     images, labels = _dataset_arrays(dataset)

@@ -20,11 +20,12 @@ and before the nonlinearity.  Channel masks attached to the model (see
 node computes, so masked channels contribute exactly zero downstream and, by
 the chain rule, their parameters receive zero gradient.
 
-A node's arrays are the only record of its sizes.  A Model checks its
-arguments and structure when built, raising InputError unless each node
-reads ``arity`` refs, each to an earlier node or the input, site ids and
-site nodes are unique, and each site names a node in range whose
-``channels`` it matches.
+A node's arrays are the only record of its sizes.  Each value rule lives
+with the constructor that takes the value, which raises InputError before
+it allocates: a node checks its name, refs and hyperparameters (HYPER_RULES),
+a Site its fields, and a Model its arguments and structure (each node reads
+``arity`` refs, each to an earlier node or the input, site ids and site nodes
+are unique, and each site names a node in range whose ``channels`` it matches).
 :meth:`Model.check_masks`, run by every forward and before masks are
 applied, compacted or saved, is the one mask rule: a mask is keyed by a site
 node, has one entry per channel of it and holds only 0s and 1s; else
@@ -42,6 +43,11 @@ from . import tensor as T
 from .errors import InputError, ShapeError, StateError
 
 INPUT = -1
+_F32 = np.finfo(np.float32)  # a batch norm adds eps to float32 variances: it must stay positive and finite there
+_EPS = data.number(numbers.Real, lambda v: float(_F32.smallest_subnormal) <= v <= float(_F32.max), "a float32 > 0")
+HYPER_RULES = {"padding": data.COUNT, "bias": data.FLAG, "eps": _EPS, "momentum": data.FRACTION, **dict.fromkeys(
+    ("in_channels", "out_channels", "kernel", "stride", "in_features", "out_features", "channels"), data.SIZE)}
+_DTYPE = (lambda v: isinstance(v, (type, np.dtype)) and v in (np.float32, np.float64)), "numpy float32 or float64"
 
 
 def _row(param, x):
@@ -53,6 +59,7 @@ def _row(param, x):
 class Node:
     """Base graph node. Subclasses define kind, params, forward and backward. The
     arrays, output channel on axis 0, are its only record of sizes: channels and hyper() read them.
+    A subclass passes its constructor's locals() as args: each hyperparameter among them must pass its rule.
 
     forward(xs, mode, cache) may write over xs[0] where a record-free run sets cache["inplace"].
     backward(grad, cache) accumulates parameter gradients and returns one input
@@ -63,9 +70,11 @@ class Node:
     arity = 1  # the number of refs the node reads
     view = False  # whether forward may return a view of its input
 
-    def __init__(self, name, refs):
-        self.name = name
-        self.refs = list(refs)
+    def __init__(self, name, refs, args=None, /):
+        self.name = data.check(name, data.TEXT, "name")
+        self.refs = list(data.check(refs, data.list_of(data.integer(INPUT)), "refs"))
+        for key in filter(HYPER_RULES.__contains__, args or ()):
+            data.check(args[key], HYPER_RULES[key], f"hyperparameter {key!r}")
         self.params = {}
         self.grads = {}
         self.state = {}
@@ -99,7 +108,7 @@ class Conv2d(Node):
     kind = "conv2d"
 
     def __init__(self, name, refs, in_channels, out_channels, kernel, stride=1, padding=0, bias=True):
-        super().__init__(name, refs)
+        super().__init__(name, refs, locals())
         self.stride = stride
         self.padding = padding
         self.params["weight"] = np.zeros((out_channels, in_channels, kernel, kernel), np.float32)
@@ -108,7 +117,9 @@ class Conv2d(Node):
         self.zero_grads()
 
     def hyper(self):
-        out_channels, in_channels, kernel, _ = self.params["weight"].shape
+        out_channels, in_channels, kernel, width = self.params["weight"].shape
+        if width != kernel:
+            raise InputError(f"conv {self.name!r} has a {kernel}x{width} kernel; hyper() describes only square ones")
         return {"in_channels": in_channels, "out_channels": out_channels, "kernel": kernel,
                 "stride": self.stride, "padding": self.padding, "bias": "bias" in self.params}
 
@@ -133,7 +144,7 @@ class Linear(Node):
     kind = "linear"
 
     def __init__(self, name, refs, in_features, out_features, bias=True):
-        super().__init__(name, refs)
+        super().__init__(name, refs, locals())
         self.params["weight"] = np.zeros((out_features, in_features), np.float32)
         if bias:
             self.params["bias"] = np.zeros(out_features, np.float32)
@@ -177,7 +188,7 @@ class BatchNorm(Node):
     kind = "batch_norm"
 
     def __init__(self, name, refs, channels, eps=1e-5, momentum=0.9):
-        super().__init__(name, refs)
+        super().__init__(name, refs, locals())
         self.eps = eps
         self.momentum = momentum
         self.params["gamma"] = np.ones(channels, np.float32)
@@ -257,7 +268,7 @@ class ReLU(Node):
 
 class _Pool(Node):
     def __init__(self, name, refs, kernel=2):
-        super().__init__(name, refs)
+        super().__init__(name, refs, locals())
         self.kernel = kernel
 
     def hyper(self):
@@ -372,18 +383,16 @@ NODE_KINDS = {
 
 def make_node(kind, name, refs, hyper):
     """Construct a node from its checkpoint descriptor."""
-    if kind not in NODE_KINDS:
-        raise InputError(f"unknown node kind {kind!r}")
-    return NODE_KINDS[kind](name, refs, **hyper)
+    return NODE_KINDS[data.check(kind, data.one_of(tuple(NODE_KINDS)), "node kind")](name, refs, **hyper)
 
 
 class Site:
     """A prunable channel-bearing location: the output of one node."""
 
     def __init__(self, site_id, node_index, channels):
-        self.site_id = site_id
-        self.node_index = node_index
-        self.channels = channels
+        self.site_id = data.check(site_id, data.TEXT, "site_id")
+        self.node_index = data.check(node_index, data.COUNT, f"site {site_id!r} node_index")
+        self.channels = data.check(channels, data.SIZE, f"site {site_id!r} channels")
 
     def __repr__(self):
         return f"Site({self.site_id!r}, node={self.node_index}, channels={self.channels})"
@@ -407,8 +416,9 @@ class Model:
         self.input_shape = tuple(data.check(input_shape, data.list_of(data.SIZE), "input_shape"))
         self.num_classes = data.check(num_classes, data.SIZE, "num_classes")
         self.sites = list(data.check(sites, data.list_of(data.instance(Site, "a Site"), unset_ok=True), "sites") or [])
-        self.non_prunable = dict(non_prunable or {})
-        self.dtype = np.dtype(dtype).type
+        reasons = data.dict_of(data.integer(0, len(self.nodes) - 1), data.TEXT)
+        self.non_prunable = dict(data.check({} if non_prunable is None else non_prunable, reasons, "non_prunable"))
+        self.dtype = np.dtype(data.check(dtype, _DTYPE, "dtype")).type
         self.masks = {}
         self._serial = 0
         for i, node in enumerate(self.nodes):
@@ -459,7 +469,7 @@ class Model:
     def astype(self, dtype):
         """Return a copy with parameters, state and masks cast to dtype."""
         out = self.clone()
-        out.dtype = np.dtype(dtype).type
+        out.dtype = np.dtype(data.check(dtype, _DTYPE, "dtype")).type
         for node in out.nodes:
             for k in node.params:
                 node.params[k] = node.params[k].astype(dtype)
@@ -602,6 +612,9 @@ class Model:
                     buffers[r] = gr if buffers[r] is None else buffers[r] + gr
         record.grads = [np.zeros_like(v) if g is None and (params or i in taps) else g
                         for i, (g, v) in enumerate(zip(buffers, record.values))]
+
+
+MODEL = data.instance(Model, "a Model")
 
 
 def softmax(logits):
@@ -752,8 +765,8 @@ def build_mlp_small(num_classes=4, image_size=16, in_channels=1, seed=0):
 
 
 def build_cnn_small(num_classes=4, image_size=16, in_channels=1, seed=0):
-    """VGG-style stack: three conv+BN+ReLU blocks with max pooling."""
-    s = image_size // 8
+    """VGG-style stack: three conv+BN+ReLU blocks with max pooling; image_size a multiple of 8."""
+    s = data.check(image_size, data.multiple(8), "image_size") // 8
     nodes = [
         Conv2d("conv1", [INPUT], in_channels, 16, 3, padding=1, bias=False),
         BatchNorm("bn1", [0], 16),
@@ -786,9 +799,9 @@ def build_cnn_residual(num_classes=4, image_size=16, in_channels=1, seed=0):
 
     Channels feeding the residual add (the stem via the skip path and the
     block's last conv) are non-prunable; the block interior and the tail
-    conv are prunable sites.
+    conv are prunable sites.  image_size must be a multiple of 4.
     """
-    s = image_size // 4
+    s = data.check(image_size, data.multiple(4), "image_size") // 4
     nodes = [
         Conv2d("conv1", [INPUT], in_channels, 16, 3, padding=1, bias=False),
         BatchNorm("bn1", [0], 16),

@@ -36,7 +36,7 @@ import numpy as np
 from . import data
 from .errors import CapabilityError, FormatError, InputError
 from .importance import ENTRY_COLUMNS, ImportanceTable
-from .nn import INPUT, Model, Site
+from .nn import INPUT, MODEL, Model, Site
 
 
 _KEEP = (lambda k: k.dtype == bool or k.dtype.kind in "iu" and np.all((k == 0) | (k == 1)), "bools or integers 0 and 1")
@@ -177,8 +177,9 @@ def apply_mask(model, mask):
     that reads it.  Zeroing only the producer would let the batch norm
     re-bias the channel away from zero, and the batch-norm parameters of a
     pruned channel must stop receiving gradient too.  Masks compose: what the
-    model's mask prunes stays pruned.  Anything but a PruneMask is InputError.
+    model's mask prunes stays pruned.  Anything but a Model and a PruneMask is InputError.
     """
+    data.check(model, MODEL, "model")
     data.check(mask, data.instance(PruneMask, "a PruneMask"), "mask")
     model.check_masks()
     model_sites = {s.site_id: s.channels for s in model.sites}

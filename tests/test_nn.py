@@ -121,7 +121,8 @@ class TestBatchNorm:
         assert np.allclose(node.state["running_var"], [0.9 + 0.1 * 1.0, 0.9 + 0.1 * 4.0], atol=1e-7)
 
     def test_eval_mode_uses_running_stats(self):
-        node = BatchNorm("bn", [INPUT], 2, eps=0.0)
+        # the smallest eps a batch norm takes: added to a float32 variance of 4.0 or 0.25 it rounds away
+        node = BatchNorm("bn", [INPUT], 2, eps=float(np.finfo(np.float32).smallest_subnormal))
         node.state["running_mean"] = np.array([1.0, 2.0], np.float32)
         node.state["running_var"] = np.array([4.0, 0.25], np.float32)
         node.params["gamma"] = np.array([2.0, 1.0], np.float32)
