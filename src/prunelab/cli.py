@@ -108,11 +108,10 @@ def _cmd_prune(args, config):
 
 
 def _cmd_sweep(args, config):
+    model = load_model(args.checkpoint) if args.checkpoint else harness.build_model(config)
     train_set, test_set = (_dataset(args, config, split) for split in data.SPLITS)
-    if args.checkpoint:
-        model = load_model(args.checkpoint)
-    else:
-        model, _ = harness.train(harness.build_model(config), train_set, config)
+    if not args.checkpoint:
+        model, _ = harness.train(model, train_set, config)
     result = harness.prune_sweep(model, train_set, test_set, config)
     result.to_csv(args.out)
     print(f"wrote {len(result)} rows to {args.out}")

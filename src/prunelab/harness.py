@@ -277,7 +277,7 @@ def prune_sweep(model, train_set, test_set, config):
     for seed, estimator, source_kind, normalize, d in itertools.product(
             config.sweep_seeds, config.estimators, config.sources, config.normalize, config.data_sizes):
         source = GradientSource(source_kind, normalize=normalize, seed=seed)
-        table = estimate(model, train_set, d, estimator, source, batch_size=config.eval_batch_size)
+        table = estimate(model, train_set, d, estimator, source)
         for p in p_values:
             if p == 0:
                 accuracy = baseline

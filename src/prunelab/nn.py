@@ -6,8 +6,8 @@ producer node indices; the constant :data:`INPUT` (-1) refers to the model
 input.  A recorded forward returns the logits plus a :class:`ForwardRecord`
 holding each node's output values[i] and layer cache caches[i]; a prunable
 site's pre-activation is values[site.node_index].  A record-free forward
-(``record=False``) keeps neither, drops each value after its last reader and
-lets batch norm and ReLU overwrite a dead input: the same logits bytes.  Backward accepts an
+(``record=False``) keeps neither: every value is its own buffer, freed after its
+last reader, which may overwrite it if a batch norm or ReLU: the same logits bytes.  Backward accepts an
 arbitrary output gradient (it does not have to come from a loss), stores
 each node's output gradient as grads[i] on the record and returns nothing.
 Without taps it also accumulates parameter gradients on the nodes.  Given
@@ -61,14 +61,14 @@ class Node:
     arrays, output channel on axis 0, are its only record of sizes: channels and hyper() read them.
     A subclass passes its constructor's locals() as args: each hyperparameter among them must pass its rule.
 
-    forward(xs, mode, cache) may write over xs[0] where a record-free run sets cache["inplace"].
+    forward(xs, mode, cache) returns an array no other value shares: each value is its own buffer.
+    Where a record-free run sets cache["inplace"], that array may be xs[0], written over.
     backward(grad, cache) accumulates parameter gradients and returns one input
     gradient per ref, unless Model.backward's switches in the cache say no:
     cache["params"] false skips the former, cache["inputs"] false lets it return None."""
 
     kind = "base"
     arity = 1  # the number of refs the node reads
-    view = False  # whether forward may return a view of its input
 
     def __init__(self, name, refs, args=None, /):
         self.name = data.check(name, data.TEXT, "name")
@@ -275,6 +275,8 @@ class _Pool(Node):
         return {"kernel": self.kernel}
 
     def _windows(self, x):
+        if x.ndim != 4:
+            raise ShapeError(f"pool expects 4-d input, got {x.shape}")
         n, c, h, w = x.shape
         k = self.kernel
         if h % k or w % k:
@@ -364,13 +366,14 @@ class ResidualAdd(Node):
 
 
 class Flatten(Node):
+    """Returns a copy of its input as [N, -1] rows, not a view: its output is its own buffer."""
+
     kind = "flatten"
-    view = True
 
     def forward(self, xs, mode, cache):
         x = xs[0]
         cache["in_shape"] = x.shape
-        return x.reshape(x.shape[0], -1)
+        return x.reshape(x.shape[0], -1).copy()
 
     def backward(self, grad, cache):
         return [grad.reshape(cache["in_shape"])]
@@ -441,15 +444,9 @@ class Model:
             raise InputError("two sites on one node: masks are keyed by a site's node")
         self._site_of = {g: s.node_index for s in self.sites for g in self.gates(s)}  # gate -> site node of its mask
         self._site_of.update((s.node_index, s.node_index) for s in self.sites)  # a site node gates with its own mask
-        # for record-free runs (_run): the values dropped after each node, and the
-        # buffer each node may overwrite, where it is the buffer's last reader
-        base, last = {INPUT: INPUT}, {}  # value -> its buffer (a view is on its input's) -> last reader
-        for i, node in enumerate(self.nodes):
-            base[i] = base[node.refs[0]] if node.view else i
-            last.update((base[r], i) for r in node.refs)
-        self._frees = [[v for v in range(len(self.nodes) - 1) if last.get(base[v], v) == i] for i in range(len(self.nodes))]
-        self._dead_input = [base[n.refs[0]] if n.arity == 1 and last[base[n.refs[0]]] == i else INPUT
-                            for i, n in enumerate(self.nodes)]
+        # for record-free runs (_run): the values node i is the last to read (an unread value its own node's)
+        last = {r: i for i, node in enumerate(self.nodes) for r in node.refs}  # value -> its last reader
+        self._frees = [[v for v in range(len(self.nodes) - 1) if last.get(v, v) == i] for i in range(len(self.nodes))]
 
     # -- parameter access ---------------------------------------------------
 
@@ -545,14 +542,15 @@ class Model:
     def _run(self, values, caches, x, mode):
         """Run the nodes from len(values) on, appending their outputs and caches; returns the last output.
 
-        With caches None it is record-free: it keeps no caches, drops each value after its
-        buffer's last reader, and lets that reader overwrite the buffer (cache["inplace"])
-        if this run made it: never the model input or a value the caller passed in."""
+        With caches None it is record-free: it keeps no caches and drops each value, its own buffer,
+        after its last reader, which may overwrite it (cache["inplace"]) if it is the reader's first
+        ref and this run made it: never the model input or a value the caller passed in."""
         start = len(values)
         for i in range(start, len(self.nodes)):
             node = self.nodes[i]
             xs = [x if r == INPUT else values[r] for r in node.refs]
-            cache = {"inplace": True} if caches is None and self._dead_input[i] >= start else {}
+            r = node.refs[0]
+            cache = {"inplace": True} if caches is None and start <= r and r in self._frees[i] else {}
             try:
                 out = node.forward(xs, mode, cache)
             except ShapeError as e:

@@ -16,7 +16,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from prunelab import data, harness
+from prunelab import data, harness, nn
 from prunelab.checkpoint import load_model, save_model
 from prunelab.cli import main
 from prunelab.harness import SweepResult
@@ -299,6 +299,15 @@ class TestEval:
         assert run(workspace, "eval", "--checkpoint", "@/nowhere.npkt") == 3
         assert "error:" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("pool", [nn.MaxPool, nn.AvgPool])
+    def test_pool_after_flatten_is_runtime_error(self, workspace, tmp_path, capsys, pool):
+        path = tmp_path / "flat_pool.npkt"
+        save_model(str(path), nn.Model([nn.Flatten("f", [nn.INPUT]), pool("p", [0]), nn.Linear("fc", [1], 128, 4)],
+                                       (1, 16, 16), 4))
+        assert run(workspace, "eval", "--config", "@/tiny.cfg", "--checkpoint", str(path)) == 3
+        err = capsys.readouterr().err
+        assert "error: node 1 (p): pool expects 4-d input" in err and "Traceback" not in err
+
     def test_idx_test_set(self, workspace):
         assert run(workspace, "eval", "--config", "@/tiny.cfg", "--checkpoint", "@/model.npkt",
                    "--images", "@/imgs.idx", "--labels", "@/labs.idx") == 0
@@ -445,6 +454,16 @@ class TestSweep:
         result = SweepResult.from_csv(str(out))
         assert [row.pruned_count for row in result.rows] == [0, 5]
         assert all(np.isfinite(row.test_accuracy) for row in result.rows)
+
+    @pytest.mark.parametrize("flags", [["--config", "@/twelve.cfg"], ["--checkpoint", "@/nowhere.npkt"]])
+    def test_a_model_that_fails_stops_it_before_any_split_is_rendered(self, tmp_path, monkeypatch, capsys, flags):
+        (tmp_path / "twelve.cfg").write_text("model = cnn_small\nimage_size = 12\nper_class_train = 400\n")
+        rendered = []
+        real = data.generate_shapes
+        monkeypatch.setattr(data, "generate_shapes", lambda *args: rendered.append(args[-1]) or real(*args))
+        assert run(tmp_path, "sweep", *flags, "--out", str(tmp_path / "never.csv")) == 3
+        assert "error: " in capsys.readouterr().err
+        assert rendered == [] and not (tmp_path / "never.csv").exists()
 
     def test_repeat_run_is_byte_identical(self, workspace, tmp_path):
         paths = [tmp_path / "s1.csv", tmp_path / "s2.csv"]

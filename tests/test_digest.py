@@ -24,7 +24,7 @@ def test_small_manifest_repeats_byte_for_byte(tmp_path):
                                             "machine", "nproc", "malloc_pinned"}
     names = manifest["sha256"]
     # 3 models x 2 dtypes x 2 batches x 4 outputs; (3 models x 5 estimators - 1) x 2 sources
-    # x 2 normalize x 2 batches; one masked checkpoint per CNN; one sweep CSV; 3 set-up files
-    # and 4 per CLI prune count
-    assert [sum(n.startswith(part) for n in names) for part in ("train/", "table/", "masked/", "sweep/", "cli/")] == [
-        48, 112, 2, 1, 19]
+    # x 2 normalize x 2 batches; one masked checkpoint per CNN; unmasked logits per model and
+    # masked logits per CNN; one sweep CSV; 3 set-up files and 4 per CLI prune count
+    parts = ("train/", "table/", "masked/", "logits/", "sweep/", "cli/")
+    assert [sum(n.startswith(part) for n in names) for part in parts] == [48, 112, 2, 5, 1, 19]

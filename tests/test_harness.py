@@ -457,6 +457,26 @@ class TestPruneSweep:
         with pytest.raises(InputError, match=r"labels out of range \[0, 4\): 0\.\.5"):
             harness.prune_sweep(model, train_set, test_set, config)
 
+    def test_eval_batch_size_sets_only_evaluation_batches(self, sweep_setup, monkeypatch):
+        """Estimation keeps estimate's default batch, so the tables do not depend on eval_batch_size."""
+        model, train_set, test_set = sweep_setup
+        calls, real = [], harness.estimate
+
+        def spy(*args, **kwargs):
+            calls.append((kwargs, real(*args, **kwargs)))
+            return calls[-1][1]
+
+        monkeypatch.setattr(harness, "estimate", spy)
+        tables = []
+        for eval_batch_size in (7, 256):
+            config = harness.ExperimentConfig(estimators=("taylorfo", "taylorfo_sq"), data_sizes=(32,),
+                                              prune_counts=(5,), eval_batch_size=eval_batch_size)
+            harness.prune_sweep(model, train_set, test_set, config)
+            tables.append([repr(table.entries) for _, table in calls])
+            assert [kwargs for kwargs, _ in calls] == [{}, {}]
+            calls.clear()
+        assert tables[0] == tables[1]
+
     def test_sweep_seed_feeds_random_source(self, sweep_setup):
         model, train_set, test_set = sweep_setup
         config = harness.ExperimentConfig(

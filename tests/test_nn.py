@@ -544,6 +544,67 @@ def _masked(model, seed):
     return pruning.apply_mask(model, pruning.PruneMask(keep))
 
 
+@st.composite
+def fan_out_graphs(draw):
+    """A float64 model on (2, 4, 4) inputs and a batch for it: 1-5 image nodes (conv, batch norm,
+    ReLU, residual add, k=2 pool) with a Flatten among or after them, 0-2 flat nodes, a Linear head.
+    Every node reads earlier values of the shape it takes, so values fan out to several readers."""
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    shapes, nodes = {INPUT: (2, 4, 4)}, []
+
+    def add(node, shape):
+        shapes[len(nodes)] = shape
+        nodes.append(node)
+
+    def ref(ndim):
+        return draw(st.sampled_from([v for v, s in shapes.items() if len(s) == ndim]))
+
+    def batch_norm(name, r, c):
+        node = BatchNorm(name, [r], c)
+        node.params.update(gamma=rng.uniform(0.5, 2.0, c), beta=rng.normal(size=c))
+        node.state.update(running_mean=rng.normal(size=c), running_var=rng.uniform(0.5, 2.0, c))
+        return node
+
+    images = draw(st.integers(1, 5))
+    flatten_at = draw(st.integers(0, images))
+    for i in range(images + 1):
+        if i == flatten_at:
+            r = ref(3)
+            add(Flatten(f"flat{i}", [r]), (int(np.prod(shapes[r])),))
+            continue
+        kind = draw(st.sampled_from(["conv", "batch_norm", "relu", "add", "max_pool", "avg_pool"]))
+        r = ref(3)
+        c, h, w = shapes[r]
+        if kind == "conv":
+            out = draw(st.integers(1, 3))
+            node = Conv2d(f"conv{i}", [r], c, out, 3, padding=1)
+            node.params.update(weight=rng.normal(size=(out, c, 3, 3)), bias=rng.normal(size=out))
+            add(node, (out, h, w))
+        elif kind == "batch_norm":
+            add(batch_norm(f"bn{i}", r, c), (c, h, w))
+        elif kind == "add":
+            other = draw(st.sampled_from([v for v, s in shapes.items() if s == (c, h, w)]))
+            add(ResidualAdd(f"add{i}", [r, other]), (c, h, w))
+        elif kind.endswith("pool") and h % 2 == 0:
+            add((MaxPool if kind == "max_pool" else AvgPool)(f"pool{i}", [r]), (c, h // 2, w // 2))
+        else:
+            add(ReLU(f"relu{i}", [r]), (c, h, w))
+    for i in range(draw(st.integers(0, 2))):
+        kind, r = draw(st.sampled_from(["batch_norm", "relu", "add"])), ref(1)
+        if kind == "batch_norm":
+            add(batch_norm(f"flat_bn{i}", r, shapes[r][0]), shapes[r])
+        elif kind == "add":
+            add(ResidualAdd(f"flat_add{i}", [r, ref(1)]), shapes[r])
+        else:
+            add(ReLU(f"flat_relu{i}", [r]), shapes[r])
+    last = max(v for v, s in shapes.items() if len(s) == 1)
+    width = shapes[last][0]
+    head = Linear("fc", [last], width, 3)
+    head.params.update(weight=rng.normal(size=(3, width)), bias=rng.normal(size=3))
+    nodes.append(head)
+    return Model(nodes, (2, 4, 4), 3, dtype=np.float64), rng.normal(size=(draw(st.integers(1, 3)), 2, 4, 4))
+
+
 class TestRecordFreeForward:
     """forward(x, "eval", record=False): no record, no caches, values dropped
     after their last reader, batch norm and ReLU writing over a dead input."""
@@ -566,6 +627,17 @@ class TestRecordFreeForward:
         got, record = model.forward(x, "eval", record=False)
         assert record is None
         assert got.dtype == want.dtype and got.tobytes() == want.tobytes()
+
+    @settings(max_examples=60, deadline=None, derandomize=True)
+    @given(case=fan_out_graphs())
+    def test_any_graph_gives_the_recorded_logits_and_keeps_the_callers_images(self, case):
+        """Each value is its own buffer: an in-place write by a value's last reader reaches no other value."""
+        model, x = case
+        before = x.copy()
+        want, _ = model.forward(x, "eval")
+        got, _ = model.forward(x, "eval", record=False)
+        assert x.tobytes() == before.tobytes()
+        assert got.tobytes() == want.tobytes()
 
     @pytest.mark.parametrize("first", [BatchNorm("bn", [INPUT], 2), ReLU("relu", [INPUT]), Flatten("flat", [INPUT])])
     def test_the_callers_images_are_never_written(self, first):
@@ -608,7 +680,7 @@ class TestRecordFreeForward:
         for i, node in enumerate(model.nodes):
             def spy(xs, mode, cache, i=i, f=node.forward):
                 out = f(xs, mode, cache)
-                written[i] = np.shares_memory(out, xs[0]) and not model.nodes[i].view
+                written[i] = np.shares_memory(out, xs[0])
                 return out
             monkeypatch.setattr(node, "forward", spy)
         model.forward(np.random.default_rng(2).normal(size=(3, 1, 16, 16)), "eval", record=False)
@@ -909,6 +981,13 @@ class TestValidation:
         model = Model(nodes, (1, 2, 2), 2)
         with pytest.raises(ShapeError, match=r"node 1 \(fc\)"):
             model.forward(np.zeros((1, 1, 2, 2)), "eval")
+
+    @pytest.mark.parametrize("pool", [MaxPool, AvgPool])
+    @pytest.mark.parametrize("record", [True, False])
+    def test_a_pool_on_flat_input_raises_shape_error_naming_it(self, pool, record):
+        model = Model([Flatten("f", [INPUT]), pool("p", [0]), Linear("fc", [1], 16, 2)], (1, 4, 4), 2)
+        with pytest.raises(ShapeError, match=r"node 1 \(p\): pool expects 4-d input, got \(3, 16\)"):
+            model.forward(np.zeros((3, 1, 4, 4)), "eval", record=record)
 
     def test_stale_record_rejected(self):
         model = build_mlp_small()

@@ -15,6 +15,9 @@ The set, on the default 4-class glyph data with seed 0 and 3-epoch training:
 - on each float32, batch-32 CNN (cnn_small, cnn_residual), the checkpoint of
   a fixed mask through ``apply_mask``: every third channel of each site
   pruned, starting at channel 1;
+- the logits bytes of the record-free forward, ``forward(images, "eval",
+  record=False)``, on the whole test split: of each float32, batch-32 model,
+  and of each CNN under that fixed mask;
 - the sweep CSV of the ``sweep_grid`` benchmark's config on cnn_small;
 - every file of one ``cli_pipeline`` round trip: ``prunelab train`` of a
   cnn_residual, then importance, prune --plan and eval at P = 5, 11, 17, 23
@@ -106,12 +109,18 @@ def _tables(model, name, train_set, d, work_dir):
                     yield f"table/{name}/{estimator}/{source}/normalize{int(normalize)}/batch{batch}", _read(path)
 
 
-def _masked(model, name, work_dir):
-    """The checkpoint of a fixed mask on the model: its mask bytes on disk."""
+def _logits(model, images):
+    return model.forward(images, "eval", record=False)[0].tobytes()
+
+
+def _masked(model, name, test_images, work_dir):
+    """A fixed mask on the model: the checkpoint, with its mask bytes on disk, and the logits."""
     mask = pruning.PruneMask({s.site_id: np.arange(s.channels) % 3 != 1 for s in model.sites})
+    masked = pruning.apply_mask(model, mask)
     path = os.path.join(work_dir, "masked.npkt")
-    checkpoint.save_model(path, pruning.apply_mask(model, mask))
+    checkpoint.save_model(path, masked)
     yield f"masked/{name}/checkpoint", _checkpoint(path)
+    yield f"logits/{name}/masked", _logits(masked, test_images)
 
 
 def _sweep(model, config, d, work_dir):
@@ -157,7 +166,7 @@ def outputs(size, work_dir):
     base = harness.ExperimentConfig(per_class_train=per_class_train, per_class_test=per_class_test, epochs=epochs)
     for name in MODELS:
         config = base.replace(model=name)
-        train_set = harness.build_split(config, "train")
+        train_set, test_set = harness.build_datasets(config)
         for dtype in DTYPES:
             for batch in TRAIN_BATCHES:
                 model, log = harness.train(harness.build_model(config).astype(dtype), train_set,
@@ -166,8 +175,9 @@ def outputs(size, work_dir):
                 if (dtype, batch) == (np.float32, 32):
                     scored = model
         yield from _tables(scored, name, train_set, d, work_dir)
+        yield f"logits/{name}/unmasked", _logits(scored, test_set.images)
         if name in MASKED_MODELS:
-            yield from _masked(scored, name, work_dir)
+            yield from _masked(scored, name, test_set.images, work_dir)
         if name == "cnn_small":
             yield from _sweep(scored, base, d, work_dir)
     yield from _cli(base, d, work_dir)
