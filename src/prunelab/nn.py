@@ -179,10 +179,13 @@ class BatchNorm(Node):
     the running estimates with momentum; eval mode normalizes with the running
     estimates.  The train-mode backward is the full batch-statistics adjoint,
     so dgamma/dbeta are exact in both modes.  Each elementwise pass runs on x
-    viewed as (N, C*H*W) rows, 32 examples at a time (``tensor.blocks``), into x
-    itself where cache["inplace"] allows and the dtypes agree.  The
-    cache holds x, not xhat: backward recomputes xhat with the same passes
-    when it needs it, in train mode or to accumulate dgamma.
+    viewed as (N, C*H*W) rows, 32 examples at a time (``tensor.blocks``).  In
+    train mode the first, x - mean, runs once over the batch: it is np.var's
+    own first pass, so the variance keeps its bytes, and the centred array
+    becomes the output.  In eval mode the passes write into x itself where
+    cache["inplace"] allows and the dtypes agree.  The cache holds x, not
+    xhat: backward recomputes xhat with the same passes when it needs it, in
+    train mode or to accumulate dgamma.
     """
 
     kind = "batch_norm"
@@ -207,9 +210,11 @@ class BatchNorm(Node):
             raise ShapeError(f"batch norm expects 2-d or 4-d input, got {x.shape}")
         if x.shape[1] != self.channels:
             raise ShapeError(f"batch norm has {self.channels} channels, input {x.shape}")
-        if mode == "train":
+        train = mode == "train"
+        if train:
             mean = x.mean(axis=axes)
-            var = x.var(axis=axes)
+            centred = np.subtract(x, _row(mean, x), out=np.empty_like(x))  # np.var's own first pass, in x's layout
+            var = (centred * centred).sum(axis=axes) / (x.size // x.shape[1])
             m = self.momentum
             self.state["running_mean"] = (m * self.state["running_mean"] + (1 - m) * mean).astype(x.dtype)
             self.state["running_var"] = (m * self.state["running_var"] + (1 - m) * var).astype(x.dtype)
@@ -220,9 +225,12 @@ class BatchNorm(Node):
         cache.update(x=x, mean=mean, inv_std=inv_std, axes=axes, mode=mode)
         mean_r, inv_r, gamma_r, beta_r = (_row(v, x) for v in (mean, inv_std, self.params["gamma"], self.params["beta"]))
         dtype = np.result_type(x, mean_r, inv_r, gamma_r, beta_r)
-        out = x if cache.get("inplace") and x.dtype == dtype else np.empty(x.shape, dtype)
+        if train:
+            out = centred.astype(dtype, order="C", copy=False)
+        else:
+            out = x if cache.get("inplace") and x.dtype == dtype else np.empty(x.shape, dtype)
         for blk in T.blocks(len(x)):
-            o = np.subtract(x[blk], mean_r, out=out[blk])
+            o = out[blk] if train else np.subtract(x[blk], mean_r, out=out[blk])
             o *= inv_r
             o *= gamma_r
             o += beta_r
@@ -315,36 +323,38 @@ class AvgPool(_Pool):
 
 
 class MaxPool(_Pool):
-    """Running maximum over the k^2 strided corners x[:, :, i::k, j::k] of the
-    k x k windows.  The first maximum in row-major order wins a tie, in value
-    and in gradient; a window holding a NaN outputs NaN and passes no gradient."""
+    """Running maximum over each k x k window in row-major order, by runs:
+    over the k columns of every window row, as the flat runs x[j::k], then
+    over the k rows of those maxima.  np.maximum takes the later run first,
+    and equal operands (0.0, -0.0) give the second: the first maximum in
+    row-major order wins a tie, in value and in gradient.  A window holding a
+    NaN outputs its last NaN and passes no gradient."""
 
     kind = "max_pool"
 
-    def _corners(self, x):
-        k = self._windows(x)[-1]
-        return [(i, j, x[:, :, i::k, j::k]) for i in range(k) for j in range(k)]
-
     def forward(self, xs, mode, cache):
         x = xs[0]
-        corners = [corner for _, _, corner in self._corners(x)]
-        out = np.maximum(corners[1], corners[0]) if len(corners) > 1 else corners[0].copy()
-        for corner in corners[2:]:
-            np.maximum(corner, out, out=out)  # equal operands (0.0, -0.0) give the second: the earlier corner
-        cache["x"], cache["out"] = x, out
-        return out
+        n, c, ho, wo, k = self._windows(x)
+        maxima = x.reshape(-1)
+        for run in (1, wo):  # runs of 1, then wo (w % k == 0): column i of every window row, then row i of every window
+            runs = maxima.reshape(-1, k, run)
+            maxima = np.maximum(runs[:, 1], runs[:, 0]) if k > 1 else runs[:, 0].copy()
+            for i in range(2, k):
+                np.maximum(runs[:, i], maxima, out=maxima)
+        cache["x"], cache["out"] = x, maxima.reshape(n, c, ho, wo)
+        return cache["out"]
 
     def backward(self, grad, cache):
-        out = cache["out"]
+        x, out = cache["x"], cache["out"]
         k = self.kernel
         # in the unsigned-integer view, bits * hit copies a gradient exactly and
         # writes +0.0 elsewhere; a float product would write -0.0 or NaN there
         bits = grad.view(f"u{grad.itemsize}")
-        gx_bits = np.empty(cache["x"].shape, bits.dtype)
+        gx_bits = np.empty(x.shape, bits.dtype)
         free = np.ones(out.shape, bool)
         hit = np.empty(out.shape, bool)
-        for i, j, corner in self._corners(cache["x"]):
-            np.equal(corner, out, out=hit)
+        for i, j in np.ndindex(k, k):  # the window's positions in row-major order
+            np.equal(x[:, :, i::k, j::k], out, out=hit)
             hit &= free
             free ^= hit
             np.multiply(bits, hit, out=gx_bits[:, :, i::k, j::k])

@@ -19,8 +19,11 @@ back by ``col2im``, the adjoint of ``im2col``) or ``conv2d_grad_weight``;
 ``conv2d_backward`` returns both.  Each adjoint is one plain matmul over the
 whole batch, the GEMM that numpy 2.x's ``einsum(..., optimize=True)``
 decomposes it into: [N*Ho*Wo, F] . [F, C*kh*kw] for the input columns,
-[C*kh*kw, N*Ho*Wo] . [N*Ho*Wo, F] for the weight.  The tests compare both
-with that einsum byte for byte, so a numpy whose einsum picks another
+[C*kh*kw, N*Ho*Wo] . [N*Ho*Wo, F] for the weight.  ``im2col`` builds the
+weight's columns straight in that layout: its ``order`` permutes the strided
+view's axes before the one copy, and the wrapped columns are zeroed through a
+view of the copy in the default order.  The tests compare both adjoints with
+that einsum byte for byte, so a numpy whose einsum picks another
 decomposition fails them instead of drifting silently.
 
 Importing the module fixes the C allocator's thresholds for the process (see
@@ -115,8 +118,9 @@ def _check_conv_args(x, w):
         )
 
 
-def im2col(x, kh, kw, stride, padding):
-    """Unfold [N,C,H,W] into patch columns [N, C*kh*kw, Ho*Wo] by one strided copy (module docstring)."""
+def im2col(x, kh, kw, stride, padding, order=(0, 1, 2)):
+    """Unfold [N,C,H,W] into patch columns by one strided copy (module docstring):
+    the axes (N, C*kh*kw, Ho*Wo) in ``order``, [N, C*kh*kw, Ho*Wo] by default."""
     n, c, h, w = x.shape
     ho = conv_output_size(h, kh, stride, padding)
     wo = conv_output_size(w, kw, stride, padding)
@@ -124,13 +128,15 @@ def im2col(x, kh, kw, stride, padding):
     flat = np.zeros((n, c, m + h * w + m), x.dtype)
     flat[:, :, m : m + h * w].reshape(n, c, h, w)[...] = x
     e = flat.itemsize  # tap (i, j) of output (y, x) reads flat[..., (y*stride + i)*W + x*stride + j]
+    axes = [a for g in order for a in ((0,), (1, 2, 3), (4, 5))[g]]  # of (N, C, kh, kw, Ho, Wo)
     cols = np.ndarray((n, c, kh, kw, ho, wo), x.dtype, flat,
-                      strides=flat.strides[:2] + (w * e, e, stride * w * e, stride * e)).copy()
+                      strides=flat.strides[:2] + (w * e, e, stride * w * e, stride * e)).transpose(axes).copy()
+    taps = cols.transpose([axes.index(a) for a in range(6)])  # the copy seen as (N, C, kh, kw, Ho, Wo)
     for j in range(kw):
         inside = _inside(j, wo, w, stride, padding)[0]
-        cols[:, :, :, j, :, : inside.start] = 0
-        cols[:, :, :, j, :, max(inside.stop, inside.start) :] = 0
-    return cols.reshape(n, c * kh * kw, ho * wo)
+        taps[:, :, :, j, :, : inside.start] = 0
+        taps[:, :, :, j, :, max(inside.stop, inside.start) :] = 0
+    return cols.reshape([(n, c * kh * kw, ho * wo)[g] for g in order])
 
 
 def _inside(tap, out_extent, extent, stride, padding):
@@ -213,9 +219,9 @@ def conv2d_grad_weight(x, w, grad_output, stride=1, padding=0):
     go = _grad_columns(x, w, grad_output, stride, padding)
     n, f, p = go.shape
     kh, kw = w.shape[2:]
-    cols = im2col(x, kh, kw, stride, padding)
-    # dW[f, :] = sum_n go[n, f] . cols[n].T, with the columns as [C*kh*kw, N*P]
-    gw = np.matmul(cols.transpose(1, 0, 2).reshape(-1, n * p), go.transpose(0, 2, 1).reshape(n * p, f))
+    cols = im2col(x, kh, kw, stride, padding, (1, 0, 2)).reshape(-1, n * p)
+    # dW[f, :] = sum_n go[n, f] . cols[n].T, with the columns built as [C*kh*kw, N*P]
+    gw = np.matmul(cols, go.transpose(0, 2, 1).reshape(n * p, f))
     return gw.T.reshape(w.shape)
 
 

@@ -143,7 +143,7 @@ class TestBatchNormRows:
     """Batch norm's passes run on (N, C*H*W) rows, per block of 32 examples;
     forward and backward bytes equal the broadcast formulas."""
 
-    @pytest.mark.parametrize("shape", [(70, 3, 4, 4), (33, 5, 1, 1), (31, 6), (1, 2, 3, 3)])
+    @pytest.mark.parametrize("shape", [(70, 3, 4, 4), (33, 5, 1, 1), (31, 6), (1, 2, 3, 3), (32, 16, 16, 16)])
     @pytest.mark.parametrize("dtype", [np.float32, np.float64])
     @pytest.mark.parametrize("mode,params", [("train", True), ("eval", True), ("eval", False)])
     def test_forward_and_backward_equal_the_broadcast_formulas(self, shape, dtype, mode, params):
@@ -170,6 +170,22 @@ class TestBatchNormRows:
             assert node.grads["beta"].tobytes() == (np.zeros(c, dtype) + want_dbeta).tobytes()
         else:
             assert not node.grads["gamma"].any() and not node.grads["beta"].any()
+
+    @pytest.mark.parametrize("shape", [(32, 16, 16, 16), (7, 3, 5, 9)])
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    @pytest.mark.parametrize("axes", [(0, 1, 3, 2), (3, 2, 1, 0)])
+    def test_train_forward_keeps_np_var_bytes_on_a_strided_input(self, shape, dtype, axes):
+        # np.var sums the squares in x's memory order, so the centred array must keep that
+        # layout; the output is contiguous, as for a contiguous x
+        x = np.random.default_rng(len(shape)).normal(1.0, 3.0, size=shape).astype(dtype)
+        x = np.ascontiguousarray(x.transpose(axes)).transpose(np.argsort(axes))
+        node = BatchNorm("bn", [INPUT], shape[1])
+        out = node.forward([x], "train", {})
+        want_out, _ = batch_norm_oracle(x, node.params["gamma"], node.params["beta"], None, None, node.eps, True)
+        assert out.flags.c_contiguous and out.tobytes() == want_out.tobytes()
+        m = node.momentum
+        running_var = (m * np.ones(shape[1], np.float32) + (1 - m) * x.var(axis=(0, 2, 3))).astype(dtype)
+        assert node.state["running_var"].tobytes() == running_var.tobytes()
 
 
 class TestEvalCaches:
@@ -1126,6 +1142,25 @@ def max_pool_cases(draw):
     return x, grad, k
 
 
+def _max_pool_specials(dtype):
+    """NaNs of both signs and two payloads, zeros of both signs, infinities and
+    two ordinary values, so which operand np.maximum returns shows in the bytes."""
+    bits = np.array([0, 1 << 63, 0x7FF8000000000001, 0xFFF8000000000000], np.uint64)
+    if dtype == np.float32:
+        bits = np.array([0, 1 << 31, 0x7FC00001, 0xFFC00000], np.uint32)
+    return np.concatenate([bits.view(dtype), np.array([np.inf, -np.inf, 1.5, -2.0], dtype)])
+
+
+def _corner_running_max(x, k):
+    """np.maximum(later, running) over the k^2 strided corners in row-major order, from a copy of corner 0."""
+    want = x[:, :, ::k, ::k].copy()
+    for i in range(k):
+        for j in range(k):
+            if i or j:
+                np.maximum(x[:, :, i::k, j::k], want, out=want)
+    return want
+
+
 class TestMaxPoolCorners:
     @settings(max_examples=300, deadline=None, derandomize=True)
     @given(case=max_pool_cases())
@@ -1143,21 +1178,21 @@ class TestMaxPoolCorners:
     @pytest.mark.parametrize("k", [1, 2, 3])
     @pytest.mark.parametrize("dtype", [np.float32, np.float64])
     def test_forward_equals_a_running_max_from_a_copy_of_corner_0(self, k, dtype):
-        # NaNs of both signs and two payloads, zeros of both signs and
-        # infinities, so which operand np.maximum returns shows in the bytes
-        bits = np.array([0, 1 << 63, 0x7FF8000000000001, 0xFFF8000000000000], np.uint64)
-        if dtype == np.float32:
-            bits = np.array([0, 1 << 31, 0x7FC00001, 0xFFC00000], np.uint32)
-        specials = np.concatenate([bits.view(dtype), np.array([np.inf, -np.inf, 1.5, -2.0], dtype)])
-        x = np.random.default_rng(k).choice(specials, size=(2, 3, 6 * k, 3 * k))
-        want = x[:, :, ::k, ::k].copy()
-        for i in range(k):
-            for j in range(k):
-                if i or j:
-                    np.maximum(x[:, :, i::k, j::k], want, out=want)
+        x = np.random.default_rng(k).choice(_max_pool_specials(dtype), size=(2, 3, 6 * k, 3 * k))
         out = MaxPool("p", [INPUT], kernel=k).forward([x], "eval", {})
+        want = _corner_running_max(x, k)
         assert out.dtype == want.dtype and out.tobytes() == want.tobytes()
         assert not np.shares_memory(out, x)
+
+    @pytest.mark.parametrize("k,shape", [(2, (2, 3, 4, 80)), (3, (2, 3, 6, 120)), (4, (1, 2, 8, 160)),
+                                         (2, (32, 16, 16, 16)), (2, (200, 16, 16, 16))])
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    def test_forward_equals_the_running_max_where_numpy_loops_are_contiguous(self, k, shape, dtype):
+        # W = 40k gives 40-element rows of window maxima, where numpy's contiguous
+        # (SIMD) loops run; (32, 16, 16, 16) is cnn_small's pool1 at batch 32
+        x = np.random.default_rng(shape[-1] + k).choice(_max_pool_specials(dtype), size=shape)
+        out = MaxPool("p", [INPUT], kernel=k).forward([x], "eval", {})
+        assert out.tobytes() == _corner_running_max(x, k).tobytes()
 
     def test_nan_window_outputs_nan_and_passes_no_gradient(self):
         node = MaxPool("p", [INPUT], kernel=2)

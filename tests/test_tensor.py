@@ -197,6 +197,22 @@ class TestIm2col:
         assert got.shape == want.shape and got.dtype == want.dtype
         assert got.tobytes() == want.tobytes()
 
+    @pytest.mark.parametrize("x_shape,kernel,stride,padding", _im2col_cases())
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    @pytest.mark.parametrize("layout", ["contiguous", "transposed"])
+    def test_the_weight_gradient_layout_equals_the_transposed_oracle(self, x_shape, kernel, stride, padding,
+                                                                     dtype, layout):
+        # order (1, 0, 2) builds conv2d_grad_weight's GEMM operand [C*kh*kw, N*P] with no second copy
+        n, c, h, w = x_shape
+        x = _special_values((n, c, w, h), dtype, stride * 10 + padding).transpose(0, 1, 3, 2)
+        if layout == "contiguous":
+            x = np.ascontiguousarray(x)
+        got = tensor.im2col(x, *kernel, stride, padding, (1, 0, 2))
+        want = im2col_padded(x, *kernel, stride, padding).transpose(1, 0, 2)
+        assert got.shape == want.shape and got.dtype == want.dtype and got.flags.c_contiguous
+        taps = c * kernel[0] * kernel[1]
+        assert got.reshape(taps, -1).tobytes() == want.reshape(taps, -1).tobytes()
+
     def test_a_tap_left_of_the_image_that_ends_before_column_zero(self):
         # kernel width 6, padding 3 over a 1-column image: tap 5 lands on
         # columns 2 and 3, right of the image, and _inside's stop is -1, so
