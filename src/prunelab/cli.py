@@ -16,7 +16,8 @@ flag replaces the key's list).  With `--source random` it needs no labels at
 all: an images-only IDX file is enough, and any labels that do exist are
 ignored.
 
-Exit codes: 0 success, 1 usage error, 2 config error, 3 runtime failure.
+Exit codes: 0 success, 1 usage error, 2 config error, 3 runtime failure (running
+out of memory too).
 Errors print to standard error.
 """
 
@@ -200,6 +201,9 @@ def main(argv=None):
     except (InputError, ShapeError, FormatError, StateError, CapabilityError,
             TrainingError, OSError) as e:
         print(f"error: {e}", file=sys.stderr)
+        return 3
+    except MemoryError as e:  # numpy's names the allocation it could not make
+        print(f"error: {str(e) or 'out of memory'}", file=sys.stderr)
         return 3
 
 

@@ -165,7 +165,6 @@ def train(model, dataset, config):
                 raise TrainingError(f"loss became non-finite at epoch {epoch}")
             out.zero_grads()
             out.backward(record, grad)
-            record.grads = None  # training reads parameter gradients only; free the node gradients now
             for i, node, name, param in out.parameters():
                 g = node.grads[name]
                 if config.weight_decay and name == "weight" and node.kind in ("conv2d", "linear"):

@@ -37,9 +37,9 @@ examples within a batch and break partition invariance (which holds to a
 relative 1e-12 in float64).  It backpropagates per-example rows (no 1/batch
 factor on the loss gradient) for the same reason; the 1/N mean-loss
 convention of training lives in nn.softmax_cross_entropy.  The backward
-runs only to the taps (Model.backward's taps), so it computes no parameter
-gradient and skips every node upstream of all of them: cnn_residual's stem
-and conv2, and cnn_small's bn1 under molchanov_bn.  Accumulators are
+runs only to the taps (Model.backward's taps) and returns their gradients: it
+computes no parameter gradient and skips every node upstream of all of them,
+cnn_residual's stem and conv2, and cnn_small's bn1 under molchanov_bn.  Accumulators are
 float64 regardless of model dtype.  The network runs 32 examples at a time (tensor.blocks) whatever
 batch_size is, so memory does not grow with it: batch_size only groups the
 float64 sums.  A CNN's signals do not depend on that blocking, unless a
@@ -326,8 +326,8 @@ def _block_signals(model, images, labels, source, taps, lo, hi):
     block's forward."""
     logits, record = model.forward(images[lo:hi], "eval")
     rows = _per_example_rows(source, logits, labels[lo:hi] if source.kind == LOSS else None, np.arange(lo, hi))
-    model.backward(record, rows, taps=taps.values())
-    return {site_id: channel_signal(record.values[i], record.grads[i]) for site_id, i in taps.items()}
+    grads = model.backward(record, rows, taps=taps.values())
+    return {site_id: channel_signal(record.values[i], grads[i]) for site_id, i in taps.items()}
 
 
 def estimate(model, dataset, d, estimator, source, batch_size=32):

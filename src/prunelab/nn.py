@@ -8,11 +8,11 @@ holding each node's output values[i] and layer cache caches[i]; a prunable
 site's pre-activation is values[site.node_index].  A record-free forward
 (``record=False``) keeps neither: every value is its own buffer, freed after its
 last reader, which may overwrite it if a batch norm or ReLU: the same logits bytes.  Backward accepts an
-arbitrary output gradient (it does not have to come from a loss), stores
-each node's output gradient as grads[i] on the record and returns nothing.
-Without taps it also accumulates parameter gradients on the nodes.  Given
-taps, the nodes whose gradients the caller reads, it computes no parameter
-gradient and runs back only to the taps: grads[i] is None upstream of them all.
+arbitrary output gradient (it does not have to come from a loss) and runs back
+only to the nodes the caller reads, dropping each node's output gradient once
+that node has run.  Given taps, node indices, it computes no parameter gradient
+and returns {tap: output gradient}; without, it reads every node with
+parameters, accumulates their gradients on the nodes and returns None.
 
 A prunable site is the output of a conv/linear node, taken before batch norm
 and before the nonlinearity.  Channel masks attached to the model (see
@@ -22,7 +22,8 @@ the chain rule, their parameters receive zero gradient.
 
 A node's arrays are the only record of its sizes.  Each value rule lives
 with the constructor that takes the value, which raises InputError before
-it allocates: a node checks its name, refs and hyperparameters (HYPER_RULES),
+it allocates: a node checks its name, refs and hyperparameters (HYPER_RULES;
+a conv's padding is less than its kernel, which hyper() checks again),
 a Site its fields, and a Model its arguments and structure (each node reads
 ``arity`` refs, each to an earlier node or the input, site ids and site nodes
 are unique, and each site names a node in range whose ``channels`` it matches).
@@ -102,6 +103,12 @@ class Node:
         raise NotImplementedError
 
 
+def _check_padding(name, padding, kernel):
+    """A conv's padding must be less than its kernel, or its border outputs read only padding."""
+    if padding >= kernel:
+        raise InputError(f"conv {name!r} pads by {padding}, not less than its kernel {kernel}")
+
+
 class Conv2d(Node):
     """2d convolution with optional bias (``tensor.conv2d``); the cache holds x."""
 
@@ -109,6 +116,7 @@ class Conv2d(Node):
 
     def __init__(self, name, refs, in_channels, out_channels, kernel, stride=1, padding=0, bias=True):
         super().__init__(name, refs, locals())
+        _check_padding(name, padding, kernel)
         self.stride = stride
         self.padding = padding
         self.params["weight"] = np.zeros((out_channels, in_channels, kernel, kernel), np.float32)
@@ -120,6 +128,7 @@ class Conv2d(Node):
         out_channels, in_channels, kernel, width = self.params["weight"].shape
         if width != kernel:
             raise InputError(f"conv {self.name!r} has a {kernel}x{width} kernel; hyper() describes only square ones")
+        _check_padding(self.name, self.padding, kernel)
         return {"in_channels": in_channels, "out_channels": out_channels, "kernel": kernel,
                 "stride": self.stride, "padding": self.padding, "bias": "bias" in self.params}
 
@@ -412,12 +421,13 @@ class Site:
 
 
 class ForwardRecord:
+    """A recorded forward: each node's output values[i] and layer cache caches[i], which backward reads."""
+
     def __init__(self, model, serial):
         self.model = model
         self.serial = serial
         self.values = []
         self.caches = []
-        self.grads = []
 
 
 class Model:
@@ -578,15 +588,14 @@ class Model:
 
     def backward(self, record, output_grad, taps=None):
         """Back-propagate an arbitrary output gradient (any array of the
-        logits shape) through this model's latest record; returns nothing.
-
-        Without taps it accumulates parameter gradients on the nodes (caller
-        zeroes between steps) and keeps the gradient with respect to every
-        node's output, taken before that node's mask, as record.grads[i].
-        With taps, the node indices whose gradients the caller reads, it
-        leaves node.grads untouched and runs a node only where a ref is a
-        tap or lies downstream of one: record.grads[i] is None upstream of
-        every tap, and zeros at a tap no gradient reaches.
+        logits shape) through this model's latest record.  It reads the taps,
+        node indices, or without taps every node with parameters, whose
+        gradients it then accumulates on the nodes (caller zeroes between
+        steps).  A node runs only if it owes a parameter gradient or a ref of
+        it reaches a read node, and its output gradient is dropped once it has
+        run.  With taps it leaves node.grads untouched and returns {tap: the
+        gradient with respect to its output, taken before its mask}, zeros at a
+        tap no gradient reaches; without, it returns None.
         """
         if not isinstance(record, ForwardRecord) or record.model is not self:
             raise StateError("backward needs a record of this model's recorded forward")
@@ -596,20 +605,22 @@ class Model:
         logits = record.values[-1]
         if output_grad.shape != logits.shape:
             raise ShapeError(f"output_grad shape {output_grad.shape} != logits shape {logits.shape}")
-        params = taps is None
+        params, tapped = taps is None, {}
         if not params:
             taps = list(taps) if isinstance(taps, Iterable) else taps
-            taps = set(data.check(taps, data.list_of(data.integer(0, len(self.nodes) - 1)), "taps"))
-            reach = []  # whether node i's output gradient flows to a tap: it is one, or reads one that does
-            for i, node in enumerate(self.nodes):
-                reach.append(i in taps or any(r != INPUT and reach[r] for r in node.refs))
+            tapped = dict.fromkeys(data.check(taps, data.list_of(data.integer(0, len(self.nodes) - 1)), "taps"))
+        reach = []  # whether node i's output gradient flows to a read node: it is one, or reads one that does
+        for i, node in enumerate(self.nodes):
+            reach.append((i in tapped if tapped else bool(node.params)) or any(r != INPUT and reach[r] for r in node.refs))
         buffers = [None] * len(self.nodes)
         buffers[-1] = output_grad
         for i in range(len(self.nodes) - 1, -1, -1):
-            g = buffers[i]
+            g, buffers[i] = buffers[i], None
             node = self.nodes[i]
-            takes = [r != INPUT and (params or reach[r]) for r in node.refs]  # never the model input's gradient
-            if g is None or not (params or any(takes)):
+            if i in tapped:
+                tapped[i] = np.zeros_like(record.values[i]) if g is None else g
+            takes = [r != INPUT and reach[r] for r in node.refs]  # never the model input's gradient
+            if g is None or not (params and node.params or any(takes)):
                 continue
             m = self.gate_mask(i)
             if m is not None:
@@ -618,8 +629,7 @@ class Model:
             for r, gr, take in zip(node.refs, gins, takes):
                 if take:
                     buffers[r] = gr if buffers[r] is None else buffers[r] + gr
-        record.grads = [np.zeros_like(v) if g is None and (params or i in taps) else g
-                        for i, (g, v) in enumerate(zip(buffers, record.values))]
+        return tapped or None
 
 
 MODEL = data.instance(Model, "a Model")

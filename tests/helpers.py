@@ -201,8 +201,8 @@ def estimate_whole_batch(model, dataset, d, estimator, source, batch_size=32):
         logits, record = model.forward(images[start:stop], "eval")
         batch_labels = labels[start:stop] if source.kind == imp.LOSS else None
         rows = imp._per_example_rows(source, logits, batch_labels, np.arange(start, stop))
-        model.backward(record, rows, taps=range(len(model.nodes)))  # every node: the full backward's gradients
-        signals = {site_id: imp.channel_signal(record.values[i], record.grads[i]) for site_id, i in taps.items()}
+        grads = model.backward(record, rows, taps=range(len(model.nodes)))  # a tap at every node
+        signals = {site_id: imp.channel_signal(record.values[i], grads[i]) for site_id, i in taps.items()}
         imp.accumulate(sites, signals, estimator)
     return imp.finalize(sites, estimator, source, d)
 

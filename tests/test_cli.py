@@ -93,6 +93,18 @@ class TestTrain:
         assert code == 1
         assert "labels" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("error,message", [(MemoryError("Unable to allocate 74.5 GiB"), "Unable to allocate 74.5 GiB"),
+                                               (MemoryError(), "out of memory")], ids=["numpy", "bare"])
+    def test_out_of_memory_is_runtime_error(self, workspace, monkeypatch, capsys, error, message):
+        # raised, not provoked: under memory overcommit a real allocation that size may succeed and get the run killed
+        def build_model(config):
+            raise error
+        monkeypatch.setattr(harness, "build_model", build_model)
+        assert run(workspace, "train", "--config", "@/tiny.cfg", "--out", "@/never.npkt") == 3
+        err = capsys.readouterr().err
+        assert err == f"error: {message}\n"
+        assert not (workspace / "never.npkt").exists()
+
     def test_trains_from_idx_files(self, workspace, tmp_path):
         out = tmp_path / "idx.npkt"
         code = run(workspace, "train", "--config", "@/tiny.cfg",

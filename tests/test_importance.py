@@ -156,8 +156,8 @@ class TestSignalContraction:
         taps = [i for site in model.sites for i in model.gates(site)]
 
         def signals(rows):
-            model.backward(record, rows, taps=taps)
-            return {i: imp.channel_signal(record.values[i], record.grads[i]) for i in taps}
+            grads = model.backward(record, rows, taps=taps)
+            return {i: imp.channel_signal(record.values[i], grads[i]) for i in taps}
 
         one_hot = [signals(np.repeat(np.eye(model.num_classes)[k : k + 1], 5, axis=0))
                    for k in range(model.num_classes)]
@@ -179,8 +179,8 @@ class TestSignalContraction:
         _, record = model.forward(x, "eval")
         one_hot = []
         for row in np.eye(k):
-            model.backward(record, np.repeat(row[None], 6, axis=0), taps=[s.node_index for s in model.sites])
-            one_hot.append(np.concatenate([imp.channel_signal(record.values[s.node_index], record.grads[s.node_index])
+            grads = model.backward(record, np.repeat(row[None], 6, axis=0), taps=[s.node_index for s in model.sites])
+            one_hot.append(np.concatenate([imp.channel_signal(record.values[s.node_index], grads[s.node_index])
                                            for s in model.sites], axis=1))
         expected = (np.stack(one_hot) ** 2).sum(axis=0).mean(axis=0) / (k if normalize else 1)
         total, errors = 0.0, {}
@@ -338,7 +338,7 @@ class TestMolchanovScores:
         model.zero_grads()
         model.backward(record, g)
         group = molchanov_group_score(node, [{"weight": node.grads["weight"]}])
-        taylor_sq = imp.channel_signal(record.values[0], record.grads[0])[0] ** 2
+        taylor_sq = imp.channel_signal(record.values[0], model.backward(record, g, taps=[0])[0])[0] ** 2
         assert np.abs(group - taylor_sq).max() < 1e-12
 
 
@@ -597,11 +597,12 @@ class TestEstimatorTable:
         source = loss_source(normalize=True)
         d = 6
         logits, record = model.forward(images[:d], "eval")
-        model.backward(record, imp._per_example_rows(source, logits, labels[:d], np.arange(d)))
         taps = {s.site_id: imp.bn_node_for_site(model, s) if estimator == "molchanov_bn" else s.node_index
                 for s in model.sites}
+        grads = model.backward(record, imp._per_example_rows(source, logits, labels[:d], np.arange(d)),
+                               taps=range(len(model.nodes)))
         sites = [imp.PrunableSite(s.site_id, s.node_index, s.channels, (estimator,)) for s in model.sites]
-        imp.accumulate(sites, {k: imp.channel_signal(record.values[i], record.grads[i]) for k, i in taps.items()},
+        imp.accumulate(sites, {k: imp.channel_signal(record.values[i], grads[i]) for k, i in taps.items()},
                        estimator)
         expected = imp.finalize(sites, estimator, source, d)
         table = imp.estimate(model, (images, labels), d, estimator, source, batch_size=d)

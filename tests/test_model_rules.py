@@ -42,6 +42,7 @@ REFUSED = {
     "momentum_1.5": (lambda: batch_norm(momentum=1.5), r"hyperparameter 'momentum' must be a number in \[0, 1\]"),
     "stride_0": (lambda: conv(stride=0), "hyperparameter 'stride' must be an integer >= 1"),
     "padding_-1": (lambda: conv(padding=-1), "hyperparameter 'padding' must be an integer >= 0"),
+    "padding_3": (lambda: conv(padding=3), "conv 'c' pads by 3, not less than its kernel 3"),
     "pool_kernel_0": (lambda: Model([AvgPool("pool", [INPUT], kernel=0), Flatten("flat", [0]),
                                      Linear("fc", [1], 2, 2)], (2, 4, 4), 2),
                       "hyperparameter 'kernel' must be an integer >= 1"),

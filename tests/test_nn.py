@@ -1,6 +1,8 @@
 """Layer graph tests: frozen forward examples, adjoint identities, and
 finite-difference verification of every parameter gradient."""
 
+import weakref
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -200,17 +202,20 @@ class TestEvalCaches:
     @pytest.mark.parametrize("name", ["cnn_small", "cnn_residual"])
     def test_conv_cache_holds_only_x_and_the_weight_gradient_rebuilds_columns(self, name):
         """Train and eval conv caches hold only x, and a train backward's conv
-        weight gradients are conv2d_grad_weight's on that x and gradient."""
+        weight gradients are conv2d_grad_weight's on that x and the gradient
+        a taps backward returns there."""
         model = nn.MODEL_BUILDERS[name](seed=1)
         x = np.random.default_rng(2).normal(size=(40, 1, 16, 16))  # two blocks of a blocked forward
         convs = [i for i, node in enumerate(model.nodes) if node.kind == "conv2d"]
         for mode in ("eval", "train"):
             logits, record = model.forward(x, mode)
             assert all(list(record.caches[i]) == ["x"] for i in convs), mode
-        model.backward(record, np.random.default_rng(3).normal(size=logits.shape))
+        output_grad = np.random.default_rng(3).normal(size=logits.shape)
+        grads = model.backward(record, output_grad, taps=convs)
+        model.backward(record, output_grad)
         for i in convs:
             node, w = model.nodes[i], model.nodes[i].params["weight"]
-            gw = tensor.conv2d_grad_weight(record.caches[i]["x"], w, record.grads[i], node.stride, node.padding)
+            gw = tensor.conv2d_grad_weight(record.caches[i]["x"], w, grads[i], node.stride, node.padding)
             assert node.grads["weight"].tobytes() == (np.zeros_like(w) + gw).tobytes(), f"node {i}"
 
     def test_relu_backward_is_grad_times_the_positive_mask(self):
@@ -258,11 +263,12 @@ class TestBackward:
         x = np.random.default_rng(5).normal(size=(2, 1, 8, 8))
         logits, record = model.forward(x, "train")
         model.zero_grads()
-        model.backward(record, np.zeros_like(logits))
+        assert model.backward(record, np.zeros_like(logits)) is None
         for _, node, name, _ in model.parameters():
             assert not node.grads[name].any(), f"{node.name}.{name} nonzero"
+        grads = model.backward(record, np.zeros_like(logits), taps=[s.node_index for s in model.sites])
         for s in model.sites:
-            assert not record.grads[s.node_index].any()
+            assert not grads[s.node_index].any()
 
     def test_linear_input_grad_is_g_times_w(self):
         w = np.random.default_rng(7).normal(size=(3, 4))
@@ -291,17 +297,19 @@ class TestBackward:
         logits, record = model.forward(x, "eval")
         assert np.array_equal(logits, [[2.0, 4.0]])
         g = np.array([[1.0, 1.0]])
+        assert np.array_equal(model.backward(record, g, taps=[0])[0], [[2.0, 2.0]])
+        model.zero_grads()
         model.backward(record, g)
-        assert np.array_equal(record.grads[0], [[2.0, 2.0]])
+        assert np.array_equal(nodes[0].grads["weight"], [[2.0, 4.0], [2.0, 4.0]])
 
     def test_site_grads_cover_all_sites(self):
         model = build_cnn_residual(image_size=8, seed=0).astype(np.float64)
         x = np.random.default_rng(0).normal(size=(2, 1, 8, 8))
         logits, record = model.forward(x, "eval")
-        model.backward(record, np.ones_like(logits))
-        assert len(record.grads) == len(model.nodes)
+        grads = model.backward(record, np.ones_like(logits), taps=[s.node_index for s in model.sites])
+        assert list(grads) == [s.node_index for s in model.sites]
         for s in model.sites:
-            assert record.grads[s.node_index].shape == record.values[s.node_index].shape
+            assert grads[s.node_index].shape == record.values[s.node_index].shape
 
 
 def micro_cnn(seed=0):
@@ -451,8 +459,8 @@ class TestFiniteDifference:
         x = rng.normal(size=(4, 1, 8, 8))
         g = rng.normal(size=(4, 4))
         _, record = model.forward(x, "eval")
-        model.backward(record, g)
         node_index = site_by_id(model, "fc2").node_index
+        grads = model.backward(record, g, taps=[node_index])
         node = model.nodes[node_index]
 
         def objective(b):
@@ -463,7 +471,7 @@ class TestFiniteDifference:
             return np.sum(out * g)
 
         numeric = central_diff(objective, node.params["bias"])
-        analytic = record.grads[node_index].sum(axis=0)
+        analytic = grads[node_index].sum(axis=0)
         assert rel_err(analytic, numeric).max() < 1e-6
 
 
@@ -1222,6 +1230,27 @@ _BAD_TAPS = st.tuples(st.lists(st.integers(0, 13), max_size=4), _BAD_TAP, st.int
     lambda t: t[0][:t[2]] + [t[1]] + t[0][t[2]:])
 
 
+def _received_grads(monkeypatch, output_grad):
+    """Weak references to every gradient array a node's backward receives, and for each call the number
+    of arrays received before that are still alive, other than output_grad, the one handed in and the
+    array it views (a flatten hands back a reshaped view), collected into the returned lists."""
+    received, alive = [], []
+    for cls in nn.NODE_KINDS.values():
+        def spy(node, grad, cache, _backward=cls.backward):
+            live = {id(a) for ref in received if (a := ref()) is not None}
+            alive.append(len(live - {id(output_grad), id(grad), id(grad.base)}))
+            received.append(weakref.ref(grad))
+            return _backward(node, grad, cache)
+        monkeypatch.setattr(cls, "backward", spy)
+    return received, alive
+
+
+def _every_third_pruned(model):
+    """model with every third channel of each site masked, from channel 1."""
+    model.masks = {s.node_index: (np.arange(s.channels) % 3 != 1).astype(model.dtype) for s in model.sites}
+    return model
+
+
 class TestBackwardToTaps:
     """Model.backward(taps=...) computes the node gradients that importance
     reads at its taps and nothing it does not: no parameter gradient, and no
@@ -1229,22 +1258,78 @@ class TestBackwardToTaps:
 
     @pytest.mark.parametrize("name", ["mlp_small", "cnn_small", "cnn_residual"])
     @pytest.mark.parametrize("mode", ["train", "eval"])
-    def test_all_taps_match_the_full_backward_and_leave_node_grads(self, name, mode):
-        model = nn.MODEL_BUILDERS[name](seed=4)
+    def test_all_taps_give_the_training_weight_gradients_and_leave_node_grads(self, name, mode):
+        # a training backward's weight gradient at a conv or linear node is the weight
+        # adjoint of the gradient a taps backward returns there, times the node's mask
+        model = _every_third_pruned(nn.MODEL_BUILDERS[name](seed=4))
         x = np.random.default_rng(5).normal(size=(3, 1, 16, 16)).astype(np.float32)
         output_grad = np.random.default_rng(6).normal(size=(3, 4))
         _, record = model.forward(x, mode)
-        model.zero_grads()
-        model.backward(record, output_grad)
-        want = [g.tobytes() for g in record.grads]
         sentinel = {(i, k): np.full_like(v, 7.25)
                     for i, node in enumerate(model.nodes) for k, v in node.grads.items()}
         for (i, k), v in sentinel.items():
             model.nodes[i].grads[k] = v.copy()
-        model.backward(record, output_grad, taps=range(len(model.nodes)))
-        assert [g.tobytes() for g in record.grads] == want
+        grads = model.backward(record, output_grad, taps=range(len(model.nodes)))
+        assert list(grads) == list(range(len(model.nodes)))
         for (i, k), v in sentinel.items():
             assert model.nodes[i].grads[k].tobytes() == v.tobytes(), f"node {i} {k}"
+        model.zero_grads()
+        assert model.backward(record, output_grad) is None
+        for i, node in enumerate(model.nodes):
+            node_input, w, g = record.caches[i].get("x"), node.params.get("weight"), grads[i]
+            if model.gate_mask(i) is not None:
+                g = g * nn._row(model.gate_mask(i), g)
+            if node.kind == "conv2d":
+                gw = tensor.conv2d_grad_weight(node_input, w, g, node.stride, node.padding)
+            elif node.kind == "linear":
+                gw = g.T @ node_input
+            else:
+                continue
+            assert node.grads["weight"].tobytes() == (np.zeros_like(w) + gw).tobytes(), f"node {i}"
+
+    @pytest.mark.parametrize("name", ["mlp_small", "cnn_small", "cnn_residual"])
+    def test_a_training_backward_drops_each_node_gradient_once_used(self, monkeypatch, name):
+        # on the chains mlp_small and cnn_small no gradient outlives the node it was handed to; cnn_residual's
+        # add hands its own to both refs, so it stays alive until the skip ref has run.  After the call none is.
+        model = _every_third_pruned(nn.MODEL_BUILDERS[name](seed=4))
+        logits, record = model.forward(np.random.default_rng(5).normal(size=(3, 1, 16, 16)), "train")
+        output_grad = np.random.default_rng(6).normal(size=logits.shape).astype(np.float32)
+        received, alive = _received_grads(monkeypatch, output_grad)
+        model.backward(record, output_grad)
+        assert len(received) > 1
+        assert max(alive) == (1 if name == "cnn_residual" else 0)
+        assert all(ref() is None or ref() is output_grad for ref in received)
+
+    @pytest.mark.parametrize("name", ["mlp_small", "cnn_small", "cnn_residual"])
+    @pytest.mark.parametrize("masked", [False, True], ids=["unmasked", "masked"])
+    def test_a_taps_backward_keeps_only_the_gradients_it_returns(self, monkeypatch, name, masked):
+        model = nn.MODEL_BUILDERS[name](seed=4)
+        model = _every_third_pruned(model) if masked else model
+        taps = [i for s in model.sites for i in model.gates(s)]
+        logits, record = model.forward(np.random.default_rng(5).normal(size=(3, 1, 16, 16)), "eval")
+        output_grad = np.random.default_rng(6).normal(size=logits.shape).astype(np.float32)
+        received, _ = _received_grads(monkeypatch, output_grad)
+        grads = model.backward(record, output_grad, taps=taps)
+        alive = [ref() for ref in received if ref() is not None]
+        assert len(alive) < len(received)
+        assert all(a is output_grad or any(a is g for g in grads.values()) for a in alive)
+
+    def test_mlp_training_computes_no_gradient_below_fc1(self, monkeypatch):
+        # fc1 reads the flatten of the model input: neither has a gradient anything reads
+        model = build_mlp_small(seed=4)
+        logits, record = model.forward(np.random.default_rng(5).normal(size=(3, 1, 16, 16)), "train")
+        asked = {}
+        linear_backward = Linear.backward
+
+        def spy(node, grad, cache):
+            asked[node.name] = cache["inputs"]
+            return linear_backward(node, grad, cache)
+        ran = _ran_backward(monkeypatch, model)
+        monkeypatch.setattr(Linear, "backward", spy)
+        model.backward(record, np.ones_like(logits))
+        assert asked == {"fc_out": True, "fc2": True, "fc1": False}
+        assert 0 not in ran  # the flatten
+        assert model.nodes[1].grads["weight"].any()
 
     @pytest.mark.parametrize("estimator,first", [("taylorfo", 5), ("molchanov_bn", 6)])
     def test_residual_stem_runs_no_backward(self, monkeypatch, estimator, first):
@@ -1253,11 +1338,11 @@ class TestBackwardToTaps:
         taps = [imp._ESTIMATOR_ROWS[estimator][0](model, s) for s in model.sites]
         logits, record = model.forward(np.random.default_rng(5).normal(size=(3, 1, 16, 16)), "eval")
         ran = _ran_backward(monkeypatch, model)
-        model.backward(record, np.ones_like(logits), taps=taps)
+        grads = model.backward(record, np.ones_like(logits), taps=taps)
         assert sorted(ran) == list(range(first, len(model.nodes)))
-        assert [i for i, g in enumerate(record.grads) if g is None] == list(range(min(taps)))
+        assert list(grads) == taps
         for i in taps:
-            assert record.grads[i].shape == record.values[i].shape
+            assert grads[i].shape == record.values[i].shape
 
     def test_small_cnn_site_taps_run_every_node_with_work_left(self, monkeypatch):
         # conv1 (node 0) is the first site and reads only the model input: with no parameter
@@ -1268,35 +1353,38 @@ class TestBackwardToTaps:
         model.backward(record, np.ones_like(logits))
         assert sorted(ran) == list(range(len(model.nodes)))
         ran.clear()
-        model.backward(record, np.ones_like(logits), taps=[s.node_index for s in model.sites])
+        grads = model.backward(record, np.ones_like(logits), taps=[s.node_index for s in model.sites])
         assert sorted(ran) == list(range(1, len(model.nodes)))
-        assert all(g is not None for g in record.grads)
+        assert all(grads[s.node_index].shape == record.values[s.node_index].shape for s in model.sites)
 
-    def test_residual_add_hands_no_gradient_to_an_untapped_ref(self):
+    def test_residual_add_hands_no_gradient_to_an_untapped_ref(self, monkeypatch):
+        # the add hands its own gradient to the refs it gives one: had pool1 (node 3), its skip ref,
+        # got it, it would outlive bn3's backward, the add's tapped ref
         model = build_cnn_residual(seed=4)
         logits, record = model.forward(np.random.default_rng(5).normal(size=(2, 1, 16, 16)), "eval")
-        model.backward(record, np.ones_like(logits), taps={4: None}.keys())
-        assert record.grads[3] is None  # pool1, the add's skip ref
-        assert record.grads[8] is not None  # bn3, the add's tapped ref
+        output_grad = np.ones_like(logits)
+        received, alive = _received_grads(monkeypatch, output_grad)
+        grads = model.backward(record, output_grad, taps={4: None}.keys())
+        assert list(grads) == [4]
+        assert len(received) == len(model.nodes) - 5 and max(alive) == 0  # nodes 5 onward ran
 
     def test_a_tap_no_gradient_reaches_gets_zeros(self):
-        # node 0 feeds nothing: the full backward gives it zeros, and so do taps on it
+        # node 0 feeds nothing: a taps backward returns zeros for it
         nodes = [Linear("dead", [INPUT], 2, 3), Linear("out", [INPUT], 2, 2)]
         model = Model(nodes, (2,), 2, [Site("dead", 0, 3)])
         logits, record = model.forward(np.ones((2, 2)), "eval")
-        model.backward(record, np.ones_like(logits), taps=[0])
-        assert record.grads[0].tobytes() == np.zeros((2, 3), np.float32).tobytes()
+        grads = model.backward(record, np.ones_like(logits), taps=[0])
+        assert grads[0].tobytes() == np.zeros((2, 3), np.float32).tobytes()
         table = imp.estimate(model, (np.ones((2, 2)), None), 2, "taylorfo", imp.GradientSource("random"))
         assert not table.scores().any()
 
     def test_taps_may_be_any_iterable_of_node_indices(self):
         model = build_cnn_small(seed=4)
         logits, record = model.forward(np.random.default_rng(5).normal(size=(2, 1, 16, 16)), "eval")
-        model.backward(record, np.ones_like(logits))
-        want = record.grads[4].tobytes()
+        want = model.backward(record, np.ones_like(logits), taps=range(len(model.nodes)))[4].tobytes()
         for taps in ([4], (4, 4), {4}, {"conv2": 4}.values(), np.array([4]), iter([np.int64(4)])):
-            model.backward(record, np.ones_like(logits), taps=taps)
-            assert record.grads[4].tobytes() == want, taps
+            grads = model.backward(record, np.ones_like(logits), taps=taps)
+            assert list(grads) == [4] and grads[4].tobytes() == want, taps
 
     @settings(max_examples=200, deadline=None, derandomize=True)
     @given(taps=_BAD_TAPS | st.sampled_from([[], 4, 4.0, "4", True]))

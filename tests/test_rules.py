@@ -113,6 +113,29 @@ def test_eps_a_batch_norm_cannot_use_fails_at_load(saved, capsys, eps):
     assert err.startswith("error: ") and "Traceback" not in err
 
 
+@pytest.mark.parametrize("padding", [3, 4, 10**12])
+def test_padding_no_conv_can_use_fails_at_save_and_load(saved, tmp_path, capsys, padding):
+    # cnn_small's node 4 is conv2, a 3x3 conv: a padding of 3 or more leaves border outputs that read
+    # only padding, and 10**12 made the forward die allocating the padded image
+    model = build_reference_models(seed=7)["cnn_small"]
+    model.nodes[4].padding = padding
+    message = f"conv 'conv2' pads by {padding}, not less than its kernel 3"
+    with pytest.raises(InputError, match=message):
+        checkpoint.save_model(tmp_path / "p.npkt", model)
+    assert not (tmp_path / "p.npkt").exists()
+    splice(saved, 4, "padding", padding)
+    with pytest.raises(FormatError, match=f"node 4: {message}"):
+        checkpoint.load_model(saved)
+    assert main(["eval", "--checkpoint", str(saved)]) == 3
+    err = capsys.readouterr().err
+    assert err.startswith("error: node 4: conv 'conv2' pads by") and "Traceback" not in err
+
+
+def test_padding_one_below_the_kernel_loads(saved):
+    splice(saved, 4, "padding", 2)
+    assert checkpoint.load_model(saved).nodes[4].hyper()["padding"] == 2
+
+
 LABELS = np.arange(8) % 4
 BAD_LABELS = {"float": (LABELS.astype(np.float64), "labels must be integers, got dtype float64"),
               "short": (LABELS[:-1], r"labels must have shape \(8,\), got \(7,\)"),
