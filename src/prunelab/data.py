@@ -16,7 +16,10 @@ Two ordering guarantees matter downstream:
   prefixes, which makes the D1 < D2 subsets properly nested.
 - Generation consumes a single seeded random stream in example order, so a
   dataset is a pure function of (num_classes, per_class, image_size, noise,
-  seed, split).
+  seed, split).  The order of the draws is that of one example at a time
+  (its placement, then its pixel noise); the loop only draws: each glyph
+  mask is drawn once per (class, size) per call, and the noise is added once
+  per block of 32 examples.
 
 Datasets are immutable: the arrays are frozen after construction.
 
@@ -43,6 +46,7 @@ import struct
 
 import numpy as np
 
+from . import tensor
 from .errors import FormatError, InputError
 
 IMAGES_MAGIC = 0x00000803
@@ -89,8 +93,8 @@ class Dataset:
 
 
 # -- glyph rendering ----------------------------------------------------------
-# each renderer draws into a square box view of the canvas; t is the stroke
-# thickness, already >= 1
+# each renderer sets its glyph's pixels of a square box to value (generate_shapes
+# passes a boolean mask and True); t is the stroke thickness, already >= 1
 
 def _hbar(box, t, value):
     s = box.shape[0]
@@ -168,12 +172,20 @@ GLYPHS = (
 
 
 def generate_shapes(num_classes, per_class, image_size=16, noise=0.1, seed=0, split="train"):
-    """Render a glyph classification dataset, one stream draw per example.
+    """Render a glyph classification dataset from one random stream.
 
     Example i gets class i mod num_classes.  Each glyph lands at a random
     position and scale with a random stroke intensity; Gaussian noise of the
     given sigma is added per pixel and the result clipped back to [0, 1].
     The train and test splits of the same seed use disjoint random streams.
+
+    The stream order is fixed: per example, three integers (size, row and
+    column jitter), one uniform (intensity), then, if noise > 0, one standard
+    normal per pixel.  The normals of a block of 32 examples (tensor.blocks)
+    land in one float64 buffer, and one pass per block adds
+    (0.0 + noise * z) as float32, the bytes of rng.normal(0.0, noise).  Each
+    glyph mask is drawn once per (class, size) per call and assigned the
+    example's intensity.
     """
     check(num_classes, NUM_CLASSES, "num_classes")
     check(per_class, SIZE, "per_class")
@@ -185,21 +197,29 @@ def generate_shapes(num_classes, per_class, image_size=16, noise=0.1, seed=0, sp
     m = num_classes * per_class
     images = np.zeros((m, 1, image_size, image_size), dtype=np.float32)
     labels = np.arange(m, dtype=np.int64) % num_classes
-    for i in range(m):
-        s = int(rng.integers(image_size // 2, image_size - 1))
-        # roughly centered with one pixel of jitter: enough variation to
-        # exercise convolutions, small enough that class pixel means stay
-        # separable for a linear probe
-        center = (image_size - s) // 2
-        jitter = min(1, (image_size - s) // 2)
-        r0 = center + int(rng.integers(-jitter, jitter + 1))
-        c0 = center + int(rng.integers(-jitter, jitter + 1))
-        value = rng.uniform(0.65, 1.0)
-        t = max(2, s // 4)
-        canvas = images[i, 0]
-        GLYPHS[labels[i]][1](canvas[r0 : r0 + s, c0 : c0 + s], t, np.float32(value))
-        if noise > 0:
-            canvas += rng.normal(0.0, noise, canvas.shape).astype(np.float32)
+    masks = {}  # (class, size) -> the glyph's pixels
+    for blk in tensor.blocks(m):
+        canvases = images[blk, 0]
+        z = np.empty(canvases.shape) if noise > 0 else None
+        for j, canvas in enumerate(canvases):
+            s = int(rng.integers(image_size // 2, image_size - 1))
+            # roughly centered with one pixel of jitter: enough variation to
+            # exercise convolutions, small enough that class pixel means stay
+            # separable for a linear probe
+            center = (image_size - s) // 2
+            jitter = min(1, (image_size - s) // 2)
+            r0 = center + int(rng.integers(-jitter, jitter + 1))
+            c0 = center + int(rng.integers(-jitter, jitter + 1))
+            value = rng.uniform(0.65, 1.0)
+            key = ((blk.start + j) % num_classes, s)  # (the example's label, the glyph's size)
+            if key not in masks:
+                masks[key] = np.zeros((s, s), bool)
+                GLYPHS[key[0]][1](masks[key], max(2, s // 4), True)
+            canvas[r0 : r0 + s, c0 : c0 + s][masks[key]] = np.float32(value)
+            if z is not None:
+                rng.standard_normal(out=z[j])
+        if z is not None:
+            canvases += (0.0 + noise * z).astype(np.float32)
     np.clip(images, 0.0, 1.0, out=images)
     return Dataset(images, labels, split, seed, num_classes)
 

@@ -22,8 +22,9 @@ the chain rule, their parameters receive zero gradient.
 
 A node's arrays are the only record of its sizes.  Each value rule lives
 with the constructor that takes the value, which raises InputError before
-it allocates: a node checks its name, refs and hyperparameters (HYPER_RULES;
-a conv's padding is less than its kernel, which hyper() checks again),
+it allocates: a node checks its name, refs and hyperparameters (check_hyper:
+HYPER_RULES, and a conv's padding is less than its kernel; hyper() returns
+only what that check passes, so a value set after construction fails at save),
 a Site its fields, and a Model its arguments and structure (each node reads
 ``arity`` refs, each to an earlier node or the input, site ids and site nodes
 are unique, and each site names a node in range whose ``channels`` it matches).
@@ -60,7 +61,8 @@ def _row(param, x):
 class Node:
     """Base graph node. Subclasses define kind, params, forward and backward. The
     arrays, output channel on axis 0, are its only record of sizes: channels and hyper() read them.
-    A subclass passes its constructor's locals() as args: each hyperparameter among them must pass its rule.
+    A subclass passes its constructor's locals() as args, and its hyper() returns what it describes:
+    both pass check_hyper.
 
     forward(xs, mode, cache) returns an array no other value shares: each value is its own buffer.
     Where a record-free run sets cache["inplace"], that array may be xs[0], written over.
@@ -74,8 +76,7 @@ class Node:
     def __init__(self, name, refs, args=None, /):
         self.name = data.check(name, data.TEXT, "name")
         self.refs = list(data.check(refs, data.list_of(data.integer(INPUT)), "refs"))
-        for key in filter(HYPER_RULES.__contains__, args or ()):
-            data.check(args[key], HYPER_RULES[key], f"hyperparameter {key!r}")
+        check_hyper(self.name, args or {})
         self.params = {}
         self.grads = {}
         self.state = {}
@@ -103,10 +104,14 @@ class Node:
         raise NotImplementedError
 
 
-def _check_padding(name, padding, kernel):
-    """A conv's padding must be less than its kernel, or its border outputs read only padding."""
-    if padding >= kernel:
-        raise InputError(f"conv {name!r} pads by {padding}, not less than its kernel {kernel}")
+def check_hyper(name, hyper):
+    """The hyperparameters of node name, if each in HYPER_RULES passes its rule and a padding is less
+    than the kernel (else a conv's border outputs read only padding); else InputError."""
+    for key in filter(HYPER_RULES.__contains__, hyper):
+        data.check(hyper[key], HYPER_RULES[key], f"hyperparameter {key!r}")
+    if hyper.get("padding", 0) >= hyper.get("kernel", 1):
+        raise InputError(f"conv {name!r} pads by {hyper['padding']}, not less than its kernel {hyper['kernel']}")
+    return hyper
 
 
 class Conv2d(Node):
@@ -116,7 +121,6 @@ class Conv2d(Node):
 
     def __init__(self, name, refs, in_channels, out_channels, kernel, stride=1, padding=0, bias=True):
         super().__init__(name, refs, locals())
-        _check_padding(name, padding, kernel)
         self.stride = stride
         self.padding = padding
         self.params["weight"] = np.zeros((out_channels, in_channels, kernel, kernel), np.float32)
@@ -126,11 +130,9 @@ class Conv2d(Node):
 
     def hyper(self):
         out_channels, in_channels, kernel, width = self.params["weight"].shape
-        if width != kernel:
-            raise InputError(f"conv {self.name!r} has a {kernel}x{width} kernel; hyper() describes only square ones")
-        _check_padding(self.name, self.padding, kernel)
-        return {"in_channels": in_channels, "out_channels": out_channels, "kernel": kernel,
-                "stride": self.stride, "padding": self.padding, "bias": "bias" in self.params}
+        kernel = kernel if width == kernel else (kernel, width)  # a pair, which the kernel rule refuses
+        return check_hyper(self.name, {"in_channels": in_channels, "out_channels": out_channels, "kernel": kernel,
+                                       "stride": self.stride, "padding": self.padding, "bias": "bias" in self.params})
 
     def forward(self, xs, mode, cache):
         x = xs[0]
@@ -161,7 +163,8 @@ class Linear(Node):
 
     def hyper(self):
         out_features, in_features = self.params["weight"].shape
-        return {"in_features": in_features, "out_features": out_features, "bias": "bias" in self.params}
+        return check_hyper(self.name, {"in_features": in_features, "out_features": out_features,
+                                       "bias": "bias" in self.params})
 
     def forward(self, xs, mode, cache):
         x, w = xs[0], self.params["weight"]
@@ -210,7 +213,7 @@ class BatchNorm(Node):
         self.zero_grads()
 
     def hyper(self):
-        return {"channels": self.channels, "eps": self.eps, "momentum": self.momentum}
+        return check_hyper(self.name, {"channels": self.channels, "eps": self.eps, "momentum": self.momentum})
 
     def forward(self, xs, mode, cache):
         x = xs[0]
@@ -289,7 +292,7 @@ class _Pool(Node):
         self.kernel = kernel
 
     def hyper(self):
-        return {"kernel": self.kernel}
+        return check_hyper(self.name, {"kernel": self.kernel})
 
     def _windows(self, x):
         if x.ndim != 4:
@@ -312,7 +315,6 @@ class AvgPool(_Pool):
     def forward(self, xs, mode, cache):
         x = xs[0]
         n, c, ho, wo, k = self._windows(x)
-        cache["in_shape"] = x.shape
         if wo == 1:
             return x.reshape(n, c, ho, k, wo, k).mean(axis=(3, 5))
         for i in range(k):
@@ -324,11 +326,9 @@ class AvgPool(_Pool):
         return out
 
     def backward(self, grad, cache):
-        n, c, h, w = cache["in_shape"]
         k = self.kernel
         g = grad / grad.dtype.type(k * k)
-        g = np.broadcast_to(g[:, :, :, None, :, None], (n, c, h // k, k, w // k, k))
-        return [g.reshape(n, c, h, w)]
+        return [np.repeat(np.repeat(g, k, axis=3), k, axis=2)]  # each column k times, then each row
 
 
 class MaxPool(_Pool):

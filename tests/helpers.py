@@ -1,5 +1,5 @@
 """Shared test utilities: the reference models, finite differences, relative
-error, file mutation, reference kernels and scores, and mask and plan queries."""
+error, file mutation, reference kernels, scores and data, and mask and plan queries."""
 
 import json
 import struct
@@ -8,6 +8,7 @@ import numpy as np
 
 from prunelab import importance as imp
 from prunelab import tensor
+from prunelab.data import GLYPHS, SPLITS
 from prunelab.errors import InputError, StateError
 from prunelab.nn import MODEL_BUILDERS
 from prunelab.pruning import PruneMask
@@ -144,6 +145,14 @@ def avg_pool_oracle(x, k):
     return x.reshape(n, c, h // k, k, w // k, k).mean(axis=(3, 5))
 
 
+def avg_pool_backward_oracle(grad, k):
+    """Average-pool backward as grad / k^2 broadcast over each window through
+    a 6-d view, reshaped (one copy) to the input's shape."""
+    n, c, ho, wo = grad.shape
+    g = grad / grad.dtype.type(k * k)
+    return np.broadcast_to(g[:, :, :, None, :, None], (n, c, ho, k, wo, k)).reshape(n, c, ho * k, wo * k)
+
+
 def batch_norm_oracle(x, gamma, beta, mean, var, eps, train):
     """Batch norm by per-channel operands broadcast as (1, C) or (1, C, 1, 1),
     the whole batch at once; returns (output, backward(grad) -> (dx, dgamma,
@@ -186,6 +195,30 @@ def random_rows_oracle(seed, example_indices, width):
         key = np.array([seed, int(idx)], dtype=np.uint64)
         rows[j] = np.random.Generator(np.random.Philox(key=key)).standard_normal(width)
     return rows
+
+
+def generate_shapes_oracle(num_classes, per_class, image_size, noise, seed, split):
+    """Reference glyph images and labels: each example's glyph drawn by its
+    renderer and its noise drawn by rng.normal and added, one example at a
+    time.  The byte oracle for ``data.generate_shapes``; nothing is checked."""
+    rng = np.random.default_rng([seed, SPLITS.index(split)])
+    m = num_classes * per_class
+    images = np.zeros((m, 1, image_size, image_size), dtype=np.float32)
+    labels = np.arange(m, dtype=np.int64) % num_classes
+    for i in range(m):
+        s = int(rng.integers(image_size // 2, image_size - 1))
+        center = (image_size - s) // 2
+        jitter = min(1, (image_size - s) // 2)
+        r0 = center + int(rng.integers(-jitter, jitter + 1))
+        c0 = center + int(rng.integers(-jitter, jitter + 1))
+        value = rng.uniform(0.65, 1.0)
+        t = max(2, s // 4)
+        canvas = images[i, 0]
+        GLYPHS[labels[i]][1](canvas[r0 : r0 + s, c0 : c0 + s], t, np.float32(value))
+        if noise > 0:
+            canvas += rng.normal(0.0, noise, canvas.shape).astype(np.float32)
+    np.clip(images, 0.0, 1.0, out=images)
+    return images, labels
 
 
 def estimate_whole_batch(model, dataset, d, estimator, source, batch_size=32):

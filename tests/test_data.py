@@ -1,14 +1,27 @@
-"""Dataset tests: generator determinism, glyph separability, the IDX codec
-against hand-built bytes, and batching order."""
+"""Dataset tests: generator determinism and bytes against a per-example
+oracle, glyph separability, the IDX codec against hand-built bytes, and
+batching order."""
 
 import re
 import struct
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from prunelab import data
 from prunelab.errors import FormatError, InputError
+
+from helpers import generate_shapes_oracle
+
+
+def assert_oracle_bytes(num_classes, per_class, image_size, noise, seed, split):
+    ds = data.generate_shapes(num_classes, per_class, image_size, noise, seed, split)
+    images, labels = generate_shapes_oracle(num_classes, per_class, image_size, noise, seed, split)
+    assert ds.images.dtype == images.dtype and ds.images.shape == images.shape
+    assert ds.images.tobytes() == images.tobytes()
+    assert ds.labels.dtype == labels.dtype and ds.labels.tobytes() == labels.tobytes()
 
 
 class TestGenerate:
@@ -58,6 +71,19 @@ class TestGenerate:
         for a in range(10):
             for b in range(a + 1, 10):
                 assert np.abs(means[a] - means[b]).max() > 0.05, (a, b)
+
+    @settings(max_examples=150, deadline=None, derandomize=True)
+    @given(num_classes=st.integers(2, 10), per_class=st.integers(1, 12), image_size=st.integers(12, 32),
+           noise=st.just(0.0) | st.floats(0.0, 0.5, exclude_min=True), seed=st.integers(0, 2**64 - 1),
+           split=st.sampled_from(data.SPLITS))
+    def test_images_and_labels_match_the_per_example_oracle(self, num_classes, per_class, image_size, noise,
+                                                           seed, split):
+        assert_oracle_bytes(num_classes, per_class, image_size, noise, seed, split)
+
+    @pytest.mark.parametrize("split", data.SPLITS)
+    def test_noise_blocks_with_a_partial_last_one_match_the_oracle(self, split):
+        # 70 examples: two whole blocks of 32 and one of 6, each block's normals in one buffer
+        assert_oracle_bytes(10, 7, 16, 0.1, 11, split)
 
     def test_parameter_validation(self):
         with pytest.raises(InputError, match="num_classes"):

@@ -32,8 +32,8 @@ from prunelab.nn import (
     softmax_cross_entropy,
 )
 
-from helpers import (avg_pool_oracle, batch_norm_oracle, build_reference_models, central_diff, max_pool_oracle,
-                     rel_err, site_by_id)
+from helpers import (avg_pool_backward_oracle, avg_pool_oracle, batch_norm_oracle, build_reference_models,
+                     central_diff, max_pool_oracle, rel_err, site_by_id)
 
 
 def linear_model(weight, bias=None, dtype=np.float64):
@@ -233,6 +233,7 @@ class TestEvalCaches:
 _TINY = float(np.float32(1e-3))
 _AVG_POOL_VALUES = (st.sampled_from([0.0, -0.0]) | st.floats(_TINY, 1e3, width=32)
                     | st.floats(-1e3, -_TINY, width=32))
+_AVG_POOL_GRADS = _AVG_POOL_VALUES | st.sampled_from([np.inf, -np.inf])
 
 
 @st.composite
@@ -255,6 +256,30 @@ class TestAvgPoolCorners:
     def test_window_of_negative_zeros_averages_to_positive_zero(self):
         out = AvgPool("p", [INPUT], kernel=2).forward([np.full((1, 1, 2, 2), -0.0)], "eval", {})
         assert out.tobytes() == np.zeros((1, 1, 1, 1)).tobytes()
+
+    @settings(max_examples=300, deadline=None, derandomize=True)
+    @given(case=avg_pool_cases(), draw=st.data())
+    def test_backward_matches_the_broadcast_oracle_byte_for_byte(self, case, draw):
+        x, k = case
+        n, c, h, w = x.shape
+        grad = draw.draw(hnp.arrays(x.dtype, (n, c, h // k, w // k), elements=_AVG_POOL_GRADS))
+        node, cache = AvgPool("p", [INPUT], kernel=k), {}
+        node.forward([x], "train", cache)
+        (gx,) = node.backward(grad, cache)
+        want = avg_pool_backward_oracle(grad, k)
+        assert gx.dtype == want.dtype and gx.shape == x.shape and gx.tobytes() == want.tobytes()
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    @pytest.mark.parametrize("k", [2, 3, 4])
+    @pytest.mark.parametrize("windows", [1, 3], ids=["one_window_wide", "three_windows_wide"])
+    def test_backward_of_signed_zeros_and_infinities_matches_the_oracle(self, dtype, k, windows):
+        values = np.array([0.0, -0.0, np.inf, -np.inf, 1.5, -2.25e-3], dtype)
+        grad = values[np.arange(2 * 3 * 2 * windows) % len(values)].reshape(2, 3, 2, windows)
+        node, cache = AvgPool("p", [INPUT], kernel=k), {}
+        node.forward([np.ones((2, 3, 2 * k, windows * k), dtype)], "train", cache)
+        (gx,) = node.backward(grad, cache)
+        want = avg_pool_backward_oracle(grad, k)
+        assert gx.dtype == dtype and gx.shape == (2, 3, 2 * k, windows * k) and gx.tobytes() == want.tobytes()
 
 
 class TestBackward:

@@ -19,7 +19,7 @@ from prunelab.cli import main
 from prunelab.errors import FormatError, InputError
 from prunelab.harness import SweepResult
 from prunelab.importance import LOSS, RANDOM, GradientSource, ImportanceTable, estimate
-from prunelab.nn import build_mlp_small, softmax_cross_entropy
+from prunelab.nn import build_cnn_small, build_mlp_small, softmax_cross_entropy
 
 from helpers import build_reference_models
 
@@ -134,6 +134,23 @@ def test_padding_no_conv_can_use_fails_at_save_and_load(saved, tmp_path, capsys,
 def test_padding_one_below_the_kernel_loads(saved):
     splice(saved, 4, "padding", 2)
     assert checkpoint.load_model(saved).nodes[4].hyper()["padding"] == 2
+
+
+@pytest.mark.parametrize("node,name,value,message", [
+    (4, "stride", 0, "hyperparameter 'stride' must be an integer >= 1, got 0"),
+    (1, "eps", 0.0, "hyperparameter 'eps' must be a float32 > 0, got 0.0"),
+    (4, "padding", -1, "hyperparameter 'padding' must be an integer >= 0, got -1"),
+    (5, "momentum", 1.5, r"hyperparameter 'momentum' must be a number in \[0, 1\], got 1.5"),
+    (3, "kernel", 0, "hyperparameter 'kernel' must be an integer >= 1, got 0"),
+], ids=["stride_0", "eps_0.0", "padding_-1", "momentum_1.5", "pool_kernel_0"])
+def test_hyperparameter_set_after_construction_fails_at_save(tmp_path, node, name, value, message):
+    # cnn_small: node 1 is bn1, 3 pool1, 4 conv2, 5 bn2; save_model wrote stride 0 and eps 0.0
+    # (47,788 and 47,786 bytes), which load_model refused
+    model = build_cnn_small(seed=0)
+    setattr(model.nodes[node], name, value)
+    with pytest.raises(InputError, match=f"^{message}$"):
+        checkpoint.save_model(tmp_path / "m.npkt", model)
+    assert not (tmp_path / "m.npkt").exists()
 
 
 LABELS = np.arange(8) % 4

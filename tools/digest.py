@@ -27,7 +27,10 @@ Every checkpoint is loaded and saved again before it is hashed, and the
 script stops with an error unless that writes the same bytes.
 
 ``--small`` runs the same set on 8 training and 4 test examples per class,
-1 epoch and D=16: a few seconds, for a smoke test.
+1 epoch and D=16: a few seconds, for a smoke test.  Its manifest is
+committed as ``tools/digest_small.json``; ``tests/test_digest.py`` writes it
+again and compares the two output by output wherever the environment record
+matches.  A change meant to change output bytes writes the file again.
 
 Two manifests compare with ``diff``, one output a line.  The bytes depend on
 numpy's einsum decomposition and on the BLAS, so the manifest records the
