@@ -12,12 +12,12 @@ Checkpoints always hold float32; loading returns a float32 model.
 load_model is save_model's inverse and fails closed: a file loads only if
 save_model would write its header, byte for byte, for the model the header
 describes; else FormatError.  The nn constructors check the values a model
-is built from, and load_model raises their InputError as FormatError; here
-are only the rules of the file: framing, JSON container types, MASK_RULE,
-non_prunable key spelling and SIZE_HYPERS, a bound on node sizes.  So
-save(load(p)) writes p's bytes for every p load_model accepts, and
-save_model, which runs nn.Model.check_masks and hyper() before it opens the
-file, writes no checkpoint that load_model rejects.
+is built from and Model walks its shapes; load_model raises their InputError as
+FormatError.  Here are only the rules of the file: framing, JSON container
+types, MASK_RULE, non_prunable key spelling and SIZE_HYPERS, a bound on node
+sizes.  So save(load(p)) writes p's bytes for every p load_model accepts, and
+save_model, which runs nn.Model.check_masks, hyper() and the shape walk before
+it opens the file, writes no checkpoint that load_model rejects.
 """
 
 import json
@@ -73,6 +73,7 @@ def save_model(path, model):
     data.check(model, MODEL, "model")
     model.check_masks()
     header = _header_bytes(model)
+    model._walk()
     with open(path, "wb") as fh:
         fh.write(MAGIC)
         fh.write(struct.pack("<I", VERSION))

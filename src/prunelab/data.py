@@ -65,7 +65,7 @@ class Dataset:
         if images.ndim != 4:
             raise InputError(f"images must be [M, C, H, W], got shape {images.shape}")
         check_labels(labels, images.shape[0], num_classes)
-        if images.size and (not np.isfinite(images).all() or images.min() < 0 or images.max() > 1):
+        if images.size and not (images.min() >= 0 and images.max() <= 1):  # nan and inf fail too
             raise InputError("image values must lie in [0, 1]")
         if labels.size == 0:
             raise InputError("dataset must hold at least one example")
@@ -333,10 +333,6 @@ def list_of(item, unset_ok=False):
 def dict_of(key, value):
     return (lambda v: isinstance(v, dict) and all(key[0](k) and value[0](x) for k, x in v.items()),
             f"a dict, each key {key[1]} and each value {value[1]}")
-
-
-def multiple(k):
-    return number(numbers.Integral, lambda v: v > 0 and v % k == 0, f"a positive multiple of {k}")
 
 
 TEXT = instance(str, "a string")

@@ -25,9 +25,9 @@ with the constructor that takes the value, which raises InputError before
 it allocates: a node checks its name, refs and hyperparameters (check_hyper:
 HYPER_RULES, and a conv's padding is less than its kernel; hyper() returns
 only what that check passes, so a value set after construction fails at save),
-a Site its fields, and a Model its arguments and structure (each node reads
-``arity`` refs, each to an earlier node or the input, site ids and site nodes
-are unique, and each site names a node in range whose ``channels`` it matches).
+a Site its fields, and a Model its arguments and structure (site ids and site nodes are unique, each site's
+node is in range and of its ``channels``); then _walk, run again at save and forward as nodes stay mutable,
+takes input_shape through each node's ``arity`` earlier refs and out_shape rule to (num_classes,).
 :meth:`Model.check_masks`, run by every forward and before masks are
 applied, compacted or saved, is the one mask rule: a mask is keyed by a site
 node, has one entry per channel of it and holds only 0s and 1s; else
@@ -35,6 +35,7 @@ InputError.  The model applies it at every gate node of the site (:meth:`Model.g
 """
 
 import copy
+import math
 import numbers
 from collections.abc import Iterable
 
@@ -62,7 +63,7 @@ class Node:
     """Base graph node. Subclasses define kind, params, forward and backward. The
     arrays, output channel on axis 0, are its only record of sizes: channels and hyper() read them.
     A subclass passes its constructor's locals() as args, and its hyper() returns what it describes:
-    both pass check_hyper.
+    both pass check_hyper.  out_shape is the kind's one shape rule, and forward meets only inputs it took.
 
     forward(xs, mode, cache) returns an array no other value shares: each value is its own buffer.
     Where a record-free run sets cache["inplace"], that array may be xs[0], written over.
@@ -97,6 +98,10 @@ class Node:
     def hyper(self):
         return {}
 
+    def out_shape(self, shapes):
+        """The per-example output shape from the refs', by arithmetic alone; ShapeError if they do not fit."""
+        return shapes[0]
+
     def forward(self, xs, mode, cache):
         raise NotImplementedError
 
@@ -105,13 +110,13 @@ class Node:
 
 
 def check_hyper(name, hyper):
-    """The hyperparameters of node name, if each in HYPER_RULES passes its rule and a padding is less
-    than the kernel (else a conv's border outputs read only padding); else InputError."""
+    """The hyperparameters of node name as Python scalars (JSON takes no numpy ones), if each in HYPER_RULES
+    passes its rule and a padding is less than the kernel (or border outputs read only padding); else InputError."""
     for key in filter(HYPER_RULES.__contains__, hyper):
         data.check(hyper[key], HYPER_RULES[key], f"hyperparameter {key!r}")
     if hyper.get("padding", 0) >= hyper.get("kernel", 1):
         raise InputError(f"conv {name!r} pads by {hyper['padding']}, not less than its kernel {hyper['kernel']}")
-    return hyper
+    return {k: v.item() if isinstance(v, np.generic) else v for k, v in hyper.items()}
 
 
 class Conv2d(Node):
@@ -134,12 +139,17 @@ class Conv2d(Node):
         return check_hyper(self.name, {"in_channels": in_channels, "out_channels": out_channels, "kernel": kernel,
                                        "stride": self.stride, "padding": self.padding, "bias": "bias" in self.params})
 
+    def out_shape(self, shapes):
+        (out_channels, in_channels, *kernel), (c, *hw) = self.params["weight"].shape, shapes[0]
+        if c != in_channels or len(hw) != 2:
+            raise ShapeError(f"conv2d expects ({in_channels}, H, W) input, got {shapes[0]}")
+        return (out_channels, *(T.conv_output_size(e, k, self.stride, self.padding) for e, k in zip(hw, kernel)))
+
     def forward(self, xs, mode, cache):
-        x = xs[0]
+        x = cache["x"] = xs[0]
         out = T.conv2d(x, self.params["weight"], self.stride, self.padding)
         if "bias" in self.params:
             out = out + self.params["bias"].reshape(1, -1, 1, 1)
-        cache["x"] = x
         return out
 
     def backward(self, grad, cache):
@@ -166,12 +176,15 @@ class Linear(Node):
         return check_hyper(self.name, {"in_features": in_features, "out_features": out_features,
                                        "bias": "bias" in self.params})
 
+    def out_shape(self, shapes):
+        out_features, in_features = self.params["weight"].shape
+        if shapes[0] != (in_features,):
+            raise ShapeError(f"linear expects ({in_features},) input, got {shapes[0]}")
+        return (out_features,)
+
     def forward(self, xs, mode, cache):
-        x, w = xs[0], self.params["weight"]
-        if x.ndim != 2 or x.shape[1] != w.shape[1]:
-            raise ShapeError(f"linear expects [N, {w.shape[1]}], got {x.shape}")
-        cache["x"] = x
-        out = x @ w.T
+        x = cache["x"] = xs[0]
+        out = x @ self.params["weight"].T
         if "bias" in self.params:
             out = out + self.params["bias"]
         return out
@@ -215,13 +228,14 @@ class BatchNorm(Node):
     def hyper(self):
         return check_hyper(self.name, {"channels": self.channels, "eps": self.eps, "momentum": self.momentum})
 
+    def out_shape(self, shapes):
+        if len(shapes[0]) not in (1, 3) or shapes[0][0] != self.channels:
+            raise ShapeError(f"batch norm expects ({self.channels},) or ({self.channels}, H, W) input, got {shapes[0]}")
+        return shapes[0]
+
     def forward(self, xs, mode, cache):
         x = xs[0]
-        axes = {2: (0,), 4: (0, 2, 3)}.get(x.ndim)
-        if axes is None:
-            raise ShapeError(f"batch norm expects 2-d or 4-d input, got {x.shape}")
-        if x.shape[1] != self.channels:
-            raise ShapeError(f"batch norm has {self.channels} channels, input {x.shape}")
+        axes = (0,) if x.ndim == 2 else (0, 2, 3)
         train = mode == "train"
         if train:
             mean = x.mean(axis=axes)
@@ -278,8 +292,7 @@ class ReLU(Node):
     kind = "relu"
 
     def forward(self, xs, mode, cache):
-        x = xs[0]
-        cache["x"] = x
+        x = cache["x"] = xs[0]
         return np.maximum(x, 0, out=x if cache.get("inplace") else None)
 
     def backward(self, grad, cache):
@@ -294,14 +307,11 @@ class _Pool(Node):
     def hyper(self):
         return check_hyper(self.name, {"kernel": self.kernel})
 
-    def _windows(self, x):
-        if x.ndim != 4:
-            raise ShapeError(f"pool expects 4-d input, got {x.shape}")
-        n, c, h, w = x.shape
-        k = self.kernel
-        if h % k or w % k:
-            raise ShapeError(f"pool kernel {k} does not divide spatial extents of {x.shape}")
-        return n, c, h // k, w // k, k
+    def out_shape(self, shapes):
+        (c, *hw), k = shapes[0], self.kernel
+        if k < 1 or len(hw) != 2 or hw[0] % k or hw[1] % k:
+            raise ShapeError(f"pool kernel {k} expects (C, H, W) input whose H and W it divides, got {shapes[0]}")
+        return (c, hw[0] // k, hw[1] // k)
 
 
 class AvgPool(_Pool):
@@ -314,9 +324,9 @@ class AvgPool(_Pool):
 
     def forward(self, xs, mode, cache):
         x = xs[0]
-        n, c, ho, wo, k = self._windows(x)
-        if wo == 1:
-            return x.reshape(n, c, ho, k, wo, k).mean(axis=(3, 5))
+        (n, c, h, w), k = x.shape, self.kernel
+        if w == k:
+            return x.reshape(n, c, h // k, k, 1, k).mean(axis=(3, 5))
         for i in range(k):
             row = x[:, :, i::k, ::k] + 0.0  # numpy's sum starts at +0.0: a window of -0.0 averages to +0.0
             for j in range(1, k):
@@ -343,14 +353,14 @@ class MaxPool(_Pool):
 
     def forward(self, xs, mode, cache):
         x = xs[0]
-        n, c, ho, wo, k = self._windows(x)
+        (n, c, h, w), k = x.shape, self.kernel
         maxima = x.reshape(-1)
-        for run in (1, wo):  # runs of 1, then wo (w % k == 0): column i of every window row, then row i of every window
+        for run in (1, w // k):  # runs of 1, then w/k: column i of every window row, then row i of every window
             runs = maxima.reshape(-1, k, run)
             maxima = np.maximum(runs[:, 1], runs[:, 0]) if k > 1 else runs[:, 0].copy()
             for i in range(2, k):
                 np.maximum(runs[:, i], maxima, out=maxima)
-        cache["x"], cache["out"] = x, maxima.reshape(n, c, ho, wo)
+        cache["x"], cache["out"] = x, maxima.reshape(n, c, h // k, w // k)
         return cache["out"]
 
     def backward(self, grad, cache):
@@ -374,11 +384,13 @@ class ResidualAdd(Node):
     kind = "residual_add"
     arity = 2
 
+    def out_shape(self, shapes):
+        if shapes[0] != shapes[1]:
+            raise ShapeError(f"residual add inputs differ: {shapes[0]} vs {shapes[1]}")
+        return shapes[0]
+
     def forward(self, xs, mode, cache):
-        a, b = xs
-        if a.shape != b.shape:
-            raise ShapeError(f"residual add inputs differ: {a.shape} vs {b.shape}")
-        return a + b
+        return xs[0] + xs[1]
 
     def backward(self, grad, cache):
         return [grad, grad]
@@ -388,6 +400,9 @@ class Flatten(Node):
     """Returns a copy of its input as [N, -1] rows, not a view: its output is its own buffer."""
 
     kind = "flatten"
+
+    def out_shape(self, shapes):
+        return (math.prod(shapes[0]),)
 
     def forward(self, xs, mode, cache):
         x = xs[0]
@@ -444,12 +459,7 @@ class Model:
         self.dtype = np.dtype(data.check(dtype, _DTYPE, "dtype")).type
         self.masks = {}
         self._serial = 0
-        for i, node in enumerate(self.nodes):
-            if len(node.refs) != node.arity:
-                raise InputError(f"node {i} ({node.name}): {node.kind} takes {node.arity} refs, got {node.refs}")
-            for r in node.refs:
-                if r != INPUT and not 0 <= r < i:
-                    raise InputError(f"node {i} ({node.name}) refs node {r}, which does not precede it")
+        self._walk()
         for s in self.sites:
             if s.node_index not in range(len(self.nodes)):
                 raise InputError(f"site {s.site_id!r}: node index {s.node_index} not in [0, {len(self.nodes)})")
@@ -525,6 +535,23 @@ class Model:
         """The mask node i's output is multiplied by: its site's, where node i gates a masked site; else None."""
         return self.masks.get(self._site_of.get(i))
 
+    def _walk(self):
+        """{INPUT or node index: per-example shape} by the refs and out_shape rules; InputError at the first misfit."""
+        shapes = {INPUT: self.input_shape}
+        for i, node in enumerate(self.nodes):
+            if len(node.refs) != node.arity:
+                raise InputError(f"node {i} ({node.name}): {node.kind} takes {node.arity} refs, got {node.refs}")
+            for r in node.refs:
+                if r not in shapes:
+                    raise InputError(f"node {i} ({node.name}) refs node {r}, which does not precede it")
+            try:
+                shapes[i] = node.out_shape([shapes[r] for r in node.refs])
+            except (InputError, ShapeError) as e:
+                raise InputError(f"node {i} ({node.name}): {e}") from None
+        if shapes[i] != (self.num_classes,):
+            raise InputError(f"node {i} ({node.name}): outputs {shapes[i]}, not the logits' ({self.num_classes},)")
+        return shapes
+
     def _array(self, x, what):
         """x as an array of the model's dtype, if it is real and numeric; else InputError."""
         if np.iscomplexobj(x):
@@ -542,6 +569,7 @@ class Model:
         the (post-mask) output of every node as record.values[i]; a prunable
         site's pre-activation is record.values[site.node_index].  With
         record=False it returns (logits, None) from a record-free run (_run).
+        It walks the shapes first (_walk): a node changed to misfit is InputError.
         """
         if mode not in ("train", "eval"):
             raise InputError(f"mode must be 'train' or 'eval', got {mode!r}")
@@ -552,12 +580,10 @@ class Model:
         if len(x) == 0:
             raise InputError("forward needs at least one example")
         self.check_masks()
+        self._walk()
         self._serial += 1
         record = ForwardRecord(self, self._serial) if record else None
-        logits = self._run([] if record is None else record.values, record and record.caches, x, mode)
-        if logits.ndim != 2 or logits.shape[1] != self.num_classes:
-            raise ShapeError(f"final node produced {logits.shape}, expected [N, {self.num_classes}]")
-        return logits, record
+        return self._run([] if record is None else record.values, record and record.caches, x, mode), record
 
     def _run(self, values, caches, x, mode):
         """Run the nodes from len(values) on, appending their outputs and caches; returns the last output.
@@ -762,29 +788,22 @@ def _init_params(model, seed):
 
 def build_mlp_small(num_classes=4, image_size=16, in_channels=1, seed=0):
     """Two hidden layers (32, 16) on flattened pixels."""
-    d = in_channels * image_size * image_size
     nodes = [
         Flatten("flatten", [INPUT]),
-        Linear("fc1", [0], d, 32),
+        Linear("fc1", [0], in_channels * image_size * image_size, 32),
         ReLU("relu1", [1]),
         Linear("fc2", [2], 32, 16),
         ReLU("relu2", [3]),
         Linear("fc_out", [4], 16, num_classes),
     ]
     sites = [Site("fc1", 1, 32), Site("fc2", 3, 16)]
-    model = Model(
-        nodes,
-        (in_channels, image_size, image_size),
-        num_classes,
-        sites,
-        non_prunable={5: "classifier output"},
-    )
+    model = Model(nodes, (in_channels, image_size, image_size), num_classes, sites, {5: "classifier output"})
     return _init_params(model, seed)
 
 
 def build_cnn_small(num_classes=4, image_size=16, in_channels=1, seed=0):
-    """VGG-style stack: three conv+BN+ReLU blocks with max pooling; image_size a multiple of 8."""
-    s = data.check(image_size, data.multiple(8), "image_size") // 8
+    """VGG-style stack: three conv+BN+ReLU blocks with max pooling; the walk refuses image sizes not divisible by 8."""
+    s = data.check(image_size, data.SIZE, "image_size") // 8
     nodes = [
         Conv2d("conv1", [INPUT], in_channels, 16, 3, padding=1, bias=False),
         BatchNorm("bn1", [0], 16),
@@ -802,13 +821,7 @@ def build_cnn_small(num_classes=4, image_size=16, in_channels=1, seed=0):
         Linear("fc_out", [12], 32 * s * s, num_classes),
     ]
     sites = [Site("conv1", 0, 16), Site("conv2", 4, 24), Site("conv3", 8, 32)]
-    model = Model(
-        nodes,
-        (in_channels, image_size, image_size),
-        num_classes,
-        sites,
-        non_prunable={13: "classifier output"},
-    )
+    model = Model(nodes, (in_channels, image_size, image_size), num_classes, sites, {13: "classifier output"})
     return _init_params(model, seed)
 
 
@@ -817,9 +830,9 @@ def build_cnn_residual(num_classes=4, image_size=16, in_channels=1, seed=0):
 
     Channels feeding the residual add (the stem via the skip path and the
     block's last conv) are non-prunable; the block interior and the tail
-    conv are prunable sites.  image_size must be a multiple of 4.
+    conv are prunable sites.  The walk refuses an image_size not a multiple of 4.
     """
-    s = data.check(image_size, data.multiple(4), "image_size") // 4
+    s = data.check(image_size, data.SIZE, "image_size") // 4
     nodes = [
         Conv2d("conv1", [INPUT], in_channels, 16, 3, padding=1, bias=False),
         BatchNorm("bn1", [0], 16),
@@ -840,18 +853,8 @@ def build_cnn_residual(num_classes=4, image_size=16, in_channels=1, seed=0):
         Linear("fc_out", [15], 24 * s * s, num_classes),
     ]
     sites = [Site("conv2", 4, 16), Site("conv4", 11, 24)]
-    model = Model(
-        nodes,
-        (in_channels, image_size, image_size),
-        num_classes,
-        sites,
-        non_prunable={
-            0: "feeds the residual add via the skip path",
-            7: "feeds the residual add",
-            16: "classifier output",
-        },
-    )
-    return _init_params(model, seed)
+    non_prunable = {0: "feeds the residual add via the skip path", 7: "feeds the residual add", 16: "classifier output"}
+    return _init_params(Model(nodes, (in_channels, image_size, image_size), num_classes, sites, non_prunable), seed)
 
 
 MODEL_BUILDERS = {

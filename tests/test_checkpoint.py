@@ -3,6 +3,7 @@
 import json
 import re
 import struct
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -264,12 +265,17 @@ HEADER_MUTATIONS = {
     "hyper_missing_stride": deleter("nodes", 0, "hyper", "stride"),
     "hyper_missing_momentum": deleter("nodes", 1, "hyper", "momentum"),
     "num_classes_twice": duplicate("num_classes"),
+    # headers of models that build node by node, but whose shapes the walk finds misfit
+    "pool1_kernel_3": setter("nodes", 3, "hyper", "kernel", value=3),
+    "input_shape_24": setter("input_shape", value=[1, 24, 24]),
+    "input_shape_2**40": setter("input_shape", value=[1, 2**40, 2**40]),
+    "num_classes_5": setter("num_classes", value=5),
 }
 # where some of them first differ from the header save_model writes
 DIFFERS_AT = {
     "extra_key": "the keys of the header", "site_extra_key": "the keys of sites[0]",
     "params_entry_extra_key": "the keys of nodes[0].params[0]", "params_missing": "nodes[1].params",
-    "params_shape_negative": "nodes[0].params[0].shape[0]", "hyper_missing_padding": "the keys of nodes[0].hyper",
+    "params_shape_negative": "nodes[0].params[0].shape[0]", "hyper_missing_stride": "the keys of nodes[0].hyper",
     "mask_copies_unequal": "masks.1[3]", "num_classes_twice": "byte 2 of its JSON text",
 }
 
@@ -303,13 +309,37 @@ class TestHeaderValidation:
 
     @pytest.mark.parametrize("name", ["no_sites", "nodes_int", "hyper_missing_kernel", "node_refs_forward",
                                       "mask_bn1_alone", "mask_conv1_alone", "mask_copies_unequal", "mask_on_relu",
-                                      "site_duplicate_node", "hyper_missing_padding", "num_classes_twice"])
+                                      "site_duplicate_node", "hyper_missing_padding", "num_classes_twice",
+                                      "pool1_kernel_3", "input_shape_24", "input_shape_2**40", "num_classes_5"])
     def test_cli_exits_3_without_traceback(self, saved, name, capsys):
         rewrite_header(saved, HEADER_MUTATIONS[name])
         assert main(["eval", "--checkpoint", str(saved)]) == 3
         err = capsys.readouterr().err
-        assert err.startswith("error: ")
+        assert err.startswith("error: ") and err.count("\n") == 1
         assert "Traceback" not in err
+
+    @pytest.mark.parametrize("name,node,misfit", [
+        ("pool1_kernel_3", "3 (pool1)", "pool kernel 3 expects (C, H, W) input whose H and W it divides, got (16, 16, 16)"),
+        ("input_shape_24", "13 (fc_out)", "linear expects (128,) input, got (288,)"),
+        ("input_shape_2**40", "13 (fc_out)", f"linear expects (128,) input, got ({32 * 2**37 * 2**37},)"),
+        ("num_classes_5", "13 (fc_out)", "outputs (4,), not the logits' (5,)"),
+    ])
+    def test_shapes_the_walk_refuses_are_named(self, saved, name, node, misfit):
+        rewrite_header(saved, HEADER_MUTATIONS[name])
+        with pytest.raises(FormatError, match=f"^{re.escape(f'inconsistent checkpoint: node {node}: {misfit}')}$"):
+            checkpoint.load_model(saved)
+
+    def test_a_huge_input_shape_is_refused_without_allocating_it(self, saved):
+        # the walk is arithmetic: it refuses a 2**40 x 2**40 input within the memory of the file's 48 kB of nodes
+        rewrite_header(saved, HEADER_MUTATIONS["input_shape_2**40"])
+        tracemalloc.start()
+        try:
+            with pytest.raises(FormatError, match="inconsistent checkpoint: node 13"):
+                checkpoint.load_model(saved)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 2**20
 
     def test_header_not_an_object(self, saved):
         raw = saved.read_bytes()

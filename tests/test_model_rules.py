@@ -8,6 +8,8 @@ to the constructors.  The public entry points refuse a model that is no
 Model, and the drift guard ties checkpoint's size bound to nn's rule table.
 """
 
+import re
+
 import numpy as np
 import pytest
 
@@ -31,8 +33,9 @@ def conv(**hyper):
 
 
 def non_square_conv():
-    model = Model([Conv2d("c", [INPUT], 1, 2, 3), Flatten("flat", [0]), Linear("fc", [1], 16, 2)], (1, 4, 4), 2)
-    model.nodes[0].params["weight"] = np.zeros((2, 1, 3, 1), np.float32)  # it runs: 2 channels of 2x4
+    model = conv()
+    model.nodes[0].params["weight"] = np.zeros((2, 1, 3, 1), np.float32)
+    model.nodes[2].params["weight"] = np.zeros((2, 16), np.float32)  # it runs: 2 channels of 2x4
     return model
 
 
@@ -87,20 +90,25 @@ def test_every_node_rebuilds_from_its_hyperparameters(name, compacted):
         assert {k: v.shape for k, v in again.params.items()} == {k: v.shape for k, v in node.params.items()}
 
 
-@pytest.mark.parametrize("builder,image_size,multiple", [(nn.build_cnn_small, 12, 8), (nn.build_cnn_small, 20, 8),
-                                                         (nn.build_cnn_residual, 10, 4)])
-def test_builder_refuses_an_image_size_its_pools_do_not_divide(builder, image_size, multiple):
-    with pytest.raises(InputError, match=f"image_size must be a positive multiple of {multiple}, got {image_size}"):
+POOL_MISFIT = "node {}: pool kernel 2 expects (C, H, W) input whose H and W it divides, got {}"
+
+
+@pytest.mark.parametrize("builder,image_size,pool,shape", [(nn.build_cnn_small, 12, "11 (pool3)", (32, 3, 3)),
+                                                          (nn.build_cnn_small, 20, "11 (pool3)", (32, 5, 5)),
+                                                          (nn.build_cnn_residual, 10, "14 (pool2)", (24, 5, 5))])
+def test_builder_refuses_an_image_size_its_pools_do_not_divide(builder, image_size, pool, shape):
+    # the shape walk refuses it, naming the first pool that does not divide its input
+    with pytest.raises(InputError, match=f"^{re.escape(POOL_MISFIT.format(pool, shape))}$"):
         builder(image_size=image_size)
 
 
 def test_cli_train_refuses_the_image_size_before_it_renders_data(tmp_path, monkeypatch, capsys):
-    # the first forward refused it, after the glyphs were rendered: pool3 does not divide (32, 32, 3, 3)
+    # the shape walk refuses it when the model is built, before the glyphs are rendered
     monkeypatch.setattr(harness, "build_split", lambda config, split: pytest.fail("rendered the data"))
     config = tmp_path / "c.cfg"
     config.write_text("model = cnn_small\nimage_size = 12\n")
     assert cli.main(["train", "--config", str(config), "--out", str(tmp_path / "m.npkt")]) == 3
-    assert capsys.readouterr().err == "error: image_size must be a positive multiple of 8, got 12\n"
+    assert capsys.readouterr().err == f"error: {POOL_MISFIT.format('11 (pool3)', (32, 3, 3))}\n"
 
 
 MASK = pruning.PruneMask({"a": [1]})

@@ -100,8 +100,11 @@ class TestForwardExamples:
 
     def test_residual_add_shape_mismatch(self):
         node = ResidualAdd("a", [0, 1])
-        with pytest.raises(ShapeError, match="residual"):
-            node.forward([np.ones((1, 2, 2, 2)), np.ones((1, 3, 2, 2))], "eval", {})
+        with pytest.raises(ShapeError, match=r"residual add inputs differ: \(2, 2, 2\) vs \(3, 2, 2\)"):
+            node.out_shape([(2, 2, 2), (3, 2, 2)])
+        with pytest.raises(InputError, match=r"^node 2 \(a\): residual add inputs differ"):
+            Model([Conv2d("c", [INPUT], 1, 2, 1), Conv2d("d", [INPUT], 1, 3, 1), node, Flatten("f", [2]),
+                   Linear("fc", [3], 8, 2)], (1, 2, 2), 2)
 
 
 class TestBatchNorm:
@@ -833,10 +836,10 @@ class TestSizesAreArrayShapes:
 
     def test_linear_checks_its_input_against_the_weight(self):
         node = Linear("fc", [INPUT], 2, 3)
-        node.params["weight"] = np.zeros((3, 5))
-        assert node.forward([np.zeros((1, 5))], "eval", {}).shape == (1, 3)
-        with pytest.raises(ShapeError, match=r"linear expects \[N, 5\], got \(1, 2\)"):
-            node.forward([np.zeros((1, 2))], "eval", {})
+        node.params["weight"] = np.zeros((4, 5))
+        assert node.out_shape([(5,)]) == (4,)
+        with pytest.raises(ShapeError, match=r"linear expects \(5,\) input, got \(2,\)"):
+            node.out_shape([(2,)])
 
 
 class TestReferenceModels:
@@ -1027,16 +1030,24 @@ class TestValidation:
 
     def test_shape_error_names_node_index(self):
         nodes = [Flatten("f", [INPUT]), Linear("fc", [0], 10, 2)]
-        model = Model(nodes, (1, 2, 2), 2)
-        with pytest.raises(ShapeError, match=r"node 1 \(fc\)"):
-            model.forward(np.zeros((1, 1, 2, 2)), "eval")
+        with pytest.raises(InputError, match=r"^node 1 \(fc\): linear expects \(10,\) input, got \(4,\)$"):
+            Model(nodes, (1, 2, 2), 2)
 
     @pytest.mark.parametrize("pool", [MaxPool, AvgPool])
+    def test_a_pool_on_flat_input_is_refused_at_build_naming_it(self, pool):
+        with pytest.raises(InputError, match=r"^node 1 \(p\): pool kernel 2 expects \(C, H, W\) input whose H and W "
+                                             r"it divides, got \(16,\)$"):
+            Model([Flatten("f", [INPUT]), pool("p", [0]), Linear("fc", [1], 16, 2)], (1, 4, 4), 2)
+
+    @pytest.mark.parametrize("kernel", [3, 0])  # 0 raised ZeroDivisionError
     @pytest.mark.parametrize("record", [True, False])
-    def test_a_pool_on_flat_input_raises_shape_error_naming_it(self, pool, record):
-        model = Model([Flatten("f", [INPUT]), pool("p", [0]), Linear("fc", [1], 16, 2)], (1, 4, 4), 2)
-        with pytest.raises(ShapeError, match=r"node 1 \(p\): pool expects 4-d input, got \(3, 16\)"):
-            model.forward(np.zeros((3, 1, 4, 4)), "eval", record=record)
+    def test_a_node_changed_to_misfit_after_build_is_refused_before_any_node_runs(self, record, kernel):
+        model = build_cnn_small(seed=0)
+        model.nodes[3].kernel = kernel  # pool1
+        before = model.nodes[1].state["running_mean"].copy()
+        with pytest.raises(InputError, match=rf"^node 3 \(pool1\): pool kernel {kernel} expects"):
+            model.forward(np.ones((2, 1, 16, 16)), "train", record=record)
+        assert model.nodes[1].state["running_mean"].tobytes() == before.tobytes()  # bn1 did not run
 
     def test_stale_record_rejected(self):
         model = build_mlp_small()
@@ -1155,6 +1166,79 @@ class TestValidation:
         assert none is None
         with pytest.raises(StateError, match="record of this model"):
             model.backward(record, np.zeros_like(logits))
+
+
+@st.composite
+def shape_chains(draw):
+    """A float64 model on a random (C, H, W) input: up to 8 drawn nodes, convs (kernel 1-3, stride 1-2,
+    padding below the kernel), batch norms, ReLUs, max and avg pools (kernel 2-3) and residual adds
+    (of the last value and an earlier one of its shape), then a Flatten and a Linear head.  A pool
+    draws a kernel that divides its input where one does; a drawn node whose rule refuses its input
+    is left out, so every chain builds."""
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    input_shape = (draw(st.integers(1, 3)), draw(st.integers(1, 9)), draw(st.integers(1, 9)))
+    nodes, shapes = [], {INPUT: input_shape}
+
+    def add(node):
+        try:
+            shapes[len(nodes)] = node.out_shape([shapes[r] for r in node.refs])
+            nodes.append(node)
+        except ShapeError:
+            pass
+
+    for i in range(draw(st.integers(1, 8))):
+        last = len(nodes) - 1
+        c, *hw = shapes[last]
+        kind = draw(st.sampled_from(["conv", "max_pool", "conv", "avg_pool", "batch_norm", "relu", "add"]))
+        if kind == "conv":
+            k = draw(st.integers(1, 3))
+            add(Conv2d(f"conv{i}", [last], c, draw(st.integers(1, 3)), k, stride=draw(st.sampled_from([2, 1])),
+                       padding=draw(st.integers(0, k - 1))))
+        elif kind == "batch_norm":
+            add(BatchNorm(f"bn{i}", [last], c))
+        elif kind == "relu":
+            add(ReLU(f"relu{i}", [last]))
+        elif kind == "add":
+            add(ResidualAdd(f"add{i}", [last, draw(st.sampled_from([v for v in shapes if shapes[v] == shapes[last]]))]))
+        else:
+            kernel = draw(st.sampled_from([k for k in (2, 3) if not hw[0] % k and not hw[1] % k] or [2]))
+            add((MaxPool if kind == "max_pool" else AvgPool)(f"pool{i}", [last], kernel=kernel))
+    add(Flatten("flat", [len(nodes) - 1]))
+    add(Linear("fc", [len(nodes) - 1], shapes[len(nodes) - 1][0], 3))
+    model = Model(nodes, input_shape, 3, dtype=np.float64)
+    for _, node, name, p in model.parameters():
+        node.params[name] = rng.normal(size=p.shape)
+    return model
+
+
+class TestShapeWalk:
+    """Model._walk gives the per-example shape of the input and of each node's output, by arithmetic."""
+
+    @settings(max_examples=100, deadline=None, derandomize=True)
+    @given(model=shape_chains(), n=st.integers(1, 3))
+    def test_every_value_of_a_model_that_builds_has_its_walked_shape(self, model, n):
+        x = np.random.default_rng(n).random((n,) + model.input_shape)
+        logits, record = model.forward(x, "train")
+        shapes = model._walk()
+        assert [v.shape for v in record.values] == [(n,) + shapes[i] for i in range(len(model.nodes))]
+        model.zero_grads()
+        model.backward(record, np.ones_like(logits))
+        assert all(node.grads[k].shape == p.shape for _, node, k, p in model.parameters())
+
+    @settings(max_examples=100, deadline=None, derandomize=True)
+    @given(model=shape_chains())
+    def test_a_conv_or_pool_that_misfits_its_input_is_refused_at_build_naming_it(self, model):
+        shapes = model._walk()
+        for i, node in enumerate(model.nodes):
+            if node.kind == "conv2d":  # one input channel more than the value it reads
+                hyper = node.hyper()
+                misfit = Conv2d(node.name, node.refs, **{**hyper, "in_channels": hyper["in_channels"] + 1})
+            elif node.kind in ("max_pool", "avg_pool"):  # a kernel one above the input's height
+                misfit = type(node)(node.name, node.refs, kernel=shapes[node.refs[0]][1] + 1)
+            else:
+                continue
+            with pytest.raises(InputError, match=rf"^node {i} \({node.name}\): "):
+                Model(model.nodes[:i] + [misfit] + model.nodes[i + 1 :], model.input_shape, model.num_classes)
 
 
 # values that tie inside a window: ReLU zeros of both signs, repeats, and

@@ -19,7 +19,7 @@ from prunelab.cli import main
 from prunelab.errors import FormatError, InputError
 from prunelab.harness import SweepResult
 from prunelab.importance import LOSS, RANDOM, GradientSource, ImportanceTable, estimate
-from prunelab.nn import build_cnn_small, build_mlp_small, softmax_cross_entropy
+from prunelab.nn import INPUT, Conv2d, Flatten, Linear, Model, build_cnn_small, build_mlp_small, softmax_cross_entropy
 
 from helpers import build_reference_models
 
@@ -131,9 +131,11 @@ def test_padding_no_conv_can_use_fails_at_save_and_load(saved, tmp_path, capsys,
     assert err.startswith("error: node 4: conv 'conv2' pads by") and "Traceback" not in err
 
 
-def test_padding_one_below_the_kernel_loads(saved):
-    splice(saved, 4, "padding", 2)
-    assert checkpoint.load_model(saved).nodes[4].hyper()["padding"] == 2
+def test_padding_one_below_the_kernel_loads(tmp_path):
+    path = tmp_path / "p.npkt"
+    checkpoint.save_model(path, Model([Conv2d("c", [INPUT], 1, 2, 3, padding=2), Flatten("flat", [0]),
+                                       Linear("fc", [1], 2 * 6 * 6, 2)], (1, 4, 4), 2))
+    assert checkpoint.load_model(path).nodes[0].hyper()["padding"] == 2
 
 
 @pytest.mark.parametrize("node,name,value,message", [
@@ -151,6 +153,28 @@ def test_hyperparameter_set_after_construction_fails_at_save(tmp_path, node, nam
     with pytest.raises(InputError, match=f"^{message}$"):
         checkpoint.save_model(tmp_path / "m.npkt", model)
     assert not (tmp_path / "m.npkt").exists()
+
+
+def conv_with_stride(stride):
+    return Model([Conv2d("c", [INPUT], 1, 2, 3, stride=stride, padding=1), Flatten("f", [0]),
+                  Linear("fc", [1], 32, 2)], (1, 4, 4), 2)
+
+
+def cnn_small_with_stride(stride):
+    model = build_cnn_small(seed=0)
+    model.nodes[4].stride = stride  # conv2
+    return model
+
+
+@pytest.mark.parametrize("build", [conv_with_stride, cnn_small_with_stride], ids=["built", "set_after_build"])
+def test_a_numpy_hyperparameter_saves_as_its_python_value(tmp_path, build):
+    # json.dumps raised a bare TypeError on the int64 stride
+    path, numpy_path = tmp_path / "int.npkt", tmp_path / "int64.npkt"
+    checkpoint.save_model(path, build(1))
+    checkpoint.save_model(numpy_path, build(np.int64(1)))
+    assert numpy_path.read_bytes() == path.read_bytes()
+    loaded = checkpoint.load_model(numpy_path)
+    assert [node.hyper() for node in loaded.nodes] == [node.hyper() for node in build(1).nodes]
 
 
 LABELS = np.arange(8) % 4
