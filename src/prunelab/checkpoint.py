@@ -12,12 +12,12 @@ Checkpoints always hold float32; loading returns a float32 model.
 load_model is save_model's inverse and fails closed: a file loads only if
 save_model would write its header, byte for byte, for the model the header
 describes; else FormatError.  The nn constructors check the values a model
-is built from and Model walks its shapes; load_model raises their InputError as
-FormatError.  Here are only the rules of the file: framing, JSON container
+is built from and nn.Model.check the model; load_model raises their InputError
+as FormatError.  Here are only the rules of the file: framing, JSON container
 types, MASK_RULE, non_prunable key spelling and SIZE_HYPERS, a bound on node
 sizes.  So save(load(p)) writes p's bytes for every p load_model accepts, and
-save_model, which runs nn.Model.check_masks, hyper() and the shape walk before
-it opens the file, writes no checkpoint that load_model rejects.
+save_model, which runs hyper() and then Model.check before it opens the file,
+writes no checkpoint that load_model rejects.
 """
 
 import json
@@ -56,7 +56,8 @@ def _header_dict(model):
             {"site_id": s.site_id, "node_index": s.node_index, "channels": s.channels} for s in model.sites
         ],
         "non_prunable": {str(k): v for k, v in model.non_prunable.items()},
-        "masks": {str(i): [int(v) for v in m] for i in range(len(model.nodes)) if (m := model.gate_mask(i)) is not None},
+        "masks": {str(i): np.equal(m, 1).astype(int).tolist() for i in range(len(model.nodes))
+                  if (m := model.gate_mask(i)) is not None},  # not int(v): a NaN mask must reach save's check
     }
 
 
@@ -71,9 +72,8 @@ def _blob(node, name):
 def save_model(path, model):
     """Write the model to path as float32, returning the byte count."""
     data.check(model, MODEL, "model")
-    model.check_masks()
-    header = _header_bytes(model)
-    model._walk()
+    header = _header_bytes(model)  # hyper() first: its messages come before the model rule's
+    model.check()
     with open(path, "wb") as fh:
         fh.write(MAGIC)
         fh.write(struct.pack("<I", VERSION))
@@ -167,7 +167,7 @@ def load_model(path):
                       non_prunable={int(k): v for k, v in header["non_prunable"].items()}, dtype=np.float32)
         model.masks = {s.node_index: np.asarray(header["masks"][str(s.node_index)], dtype=np.float32)
                        for s in sites if str(s.node_index) in header["masks"]}
-        model.check_masks()
+        model.check()
     except InputError as e:
         raise FormatError(f"inconsistent checkpoint: {e}") from None
     expected = _header_bytes(model)

@@ -133,8 +133,7 @@ def build_model(config):
 
 
 def build_datasets(config):
-    return data.make_splits(config.num_classes, config.per_class_train, config.per_class_test,
-                            config.image_size, config.noise, config.data_seed)
+    return tuple(build_split(config, split) for split in data.SPLITS)
 
 
 def build_split(config, split):
@@ -253,10 +252,10 @@ def prune_sweep(model, train_set, test_set, config):
     accuracy.  P=0 rows carry the unpruned accuracy and are always emitted
     first within a combination.  A P above the number of channels less the
     number of sites (each site keeps one), a D above the number of training
-    examples or, with finetune_epochs, a train_set that is no Dataset raises
-    InputError before any evaluation or estimation, and test
-    labels outside the model's classes raise it at the baseline evaluation,
-    before any estimation.
+    examples, an estimator with no tap on a site (importance.tap_nodes) or, with
+    finetune_epochs, a train_set that is no Dataset raises InputError before any
+    evaluation or estimation, and test labels outside the model's classes raise
+    it at the baseline evaluation, before any estimation.
     """
     data.check(model, MODEL, "model")
     data.check(config, _CONFIG, "config")
@@ -271,6 +270,8 @@ def prune_sweep(model, train_set, test_set, config):
         data.check(d, data.integer(1, examples), "data_size")
     if config.finetune_epochs:  # train's dataset rule, likewise
         data.check(train_set, data.instance(data.Dataset, "a Dataset when finetune_epochs > 0"), "train_set")
+    for estimator in config.estimators:  # a tap on every site, likewise
+        importance.tap_nodes(model, estimator)
     baseline = evaluate(model, test_set, config.eval_batch_size)
     rows = []
     for seed, estimator, source_kind, normalize, d in itertools.product(

@@ -189,6 +189,11 @@ ESTIMATORS = tuple(_ESTIMATOR_ROWS)
 ESTIMATOR = data.one_of(ESTIMATORS)
 
 
+def tap_nodes(model, estimator):
+    """{site_id: the node the estimator reads the site's signal at}; InputError for a site it cannot read."""
+    return {s.site_id: _ESTIMATOR_ROWS[estimator][0](model, s) for s in model.sites}
+
+
 def accumulate(sites, signals, estimator):
     """Fold one batch of per-example signals into the accumulators.
 
@@ -354,7 +359,7 @@ def estimate(model, dataset, d, estimator, source, batch_size=32):
     if not model.sites:
         raise InputError("model declares no prunable sites")
 
-    taps = {s.site_id: _ESTIMATOR_ROWS[estimator][0](model, s) for s in model.sites}
+    taps = tap_nodes(model, estimator)
     sites = [PrunableSite(s.site_id, s.node_index, s.channels, (estimator,)) for s in model.sites]
     for start in range(0, d, batch_size):
         stop = min(start + batch_size, d)

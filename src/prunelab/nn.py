@@ -25,13 +25,12 @@ with the constructor that takes the value, which raises InputError before
 it allocates: a node checks its name, refs and hyperparameters (check_hyper:
 HYPER_RULES, and a conv's padding is less than its kernel; hyper() returns
 only what that check passes, so a value set after construction fails at save),
-a Site its fields, and a Model its arguments and structure (site ids and site nodes are unique, each site's
-node is in range and of its ``channels``); then _walk, run again at save and forward as nodes stay mutable,
-takes input_shape through each node's ``arity`` earlier refs and out_shape rule to (num_classes,).
-:meth:`Model.check_masks`, run by every forward and before masks are
-applied, compacted or saved, is the one mask rule: a mask is keyed by a site
-node, has one entry per channel of it and holds only 0s and 1s; else
-InputError.  The model applies it at every gate node of the site (:meth:`Model.gate_mask`).
+a Site its fields, and a Model its arguments.  A Model keeps only that data, all of it mutable, so
+:meth:`Model.check`, the one model rule, runs at build, in every forward and before masks are applied,
+compacted, saved or loaded: input_shape goes through each node's ``arity`` earlier refs, arrays of the
+model's dtype and out_shape rule to (num_classes,); each site is on a node of its ``channels``, with unique
+ids and nodes; each mask is keyed by a site node, one entry per channel of it, only 0s and 1s; else
+InputError.  A mask's gates (:meth:`Model.gate_mask`) and a value's last reader are read off the nodes.
 """
 
 import copy
@@ -459,24 +458,7 @@ class Model:
         self.dtype = np.dtype(data.check(dtype, _DTYPE, "dtype")).type
         self.masks = {}
         self._serial = 0
-        self._walk()
-        for s in self.sites:
-            if s.node_index not in range(len(self.nodes)):
-                raise InputError(f"site {s.site_id!r}: node index {s.node_index} not in [0, {len(self.nodes)})")
-            width = self.nodes[s.node_index].channels
-            if s.channels != width:
-                raise InputError(f"site {s.site_id!r}: {s.channels} channels, node {s.node_index} has {width}")
-        names = [s.site_id for s in self.sites]
-        if len(set(names)) != len(names):
-            raise InputError("duplicate site ids")
-        nodes = [s.node_index for s in self.sites]
-        if len(set(nodes)) != len(nodes):
-            raise InputError("two sites on one node: masks are keyed by a site's node")
-        self._site_of = {g: s.node_index for s in self.sites for g in self.gates(s)}  # gate -> site node of its mask
-        self._site_of.update((s.node_index, s.node_index) for s in self.sites)  # a site node gates with its own mask
-        # for record-free runs (_run): the values node i is the last to read (an unread value its own node's)
-        last = {r: i for i, node in enumerate(self.nodes) for r in node.refs}  # value -> its last reader
-        self._frees = [[v for v in range(len(self.nodes) - 1) if last.get(v, v) == i] for i in range(len(self.nodes))]
+        self.check()
 
     # -- parameter access ---------------------------------------------------
 
@@ -509,18 +491,45 @@ class Model:
     def clone(self):
         return copy.deepcopy(self)
 
-    def check_masks(self):
-        """Raise InputError unless every mask is keyed by a site node, fits it, and holds only 0s and 1s."""
+    def check(self):
+        """{INPUT or node index: per-example shape} if the model keeps the nn module's rules; else InputError."""
+        shapes = {INPUT: self.input_shape}
+        for i, node in enumerate(self.nodes):
+            if len(node.refs) != node.arity:
+                raise InputError(f"node {i} ({node.name}): {node.kind} takes {node.arity} refs, got {node.refs}")
+            for r in node.refs:
+                if r not in shapes:
+                    raise InputError(f"node {i} ({node.name}) refs node {r}, which does not precede it")
+            for k, a in (*node.params.items(), *node.state.items()):
+                if not isinstance(a, np.ndarray) or a.dtype.type is not self.dtype:
+                    raise InputError(f"node {i} ({node.name}): {k} is not a {self.dtype.__name__} array")
+            try:
+                shapes[i] = node.out_shape([shapes[r] for r in node.refs])
+            except (InputError, ShapeError) as e:
+                raise InputError(f"node {i} ({node.name}): {e}") from None
+        if shapes[i] != (self.num_classes,):
+            raise InputError(f"node {i} ({node.name}): outputs {shapes[i]}, not the logits' ({self.num_classes},)")
+        for s in self.sites:
+            if s.node_index not in range(len(self.nodes)):
+                raise InputError(f"site {s.site_id!r}: node index {s.node_index} not in [0, {len(self.nodes)})")
+            if s.channels != (width := self.nodes[s.node_index].channels):
+                raise InputError(f"site {s.site_id!r}: {s.channels} channels, node {s.node_index} has {width}")
+        if len({s.site_id for s in self.sites}) != len(self.sites):
+            raise InputError("duplicate site ids")
+        site_nodes = {s.node_index for s in self.sites}
+        if len(site_nodes) != len(self.sites):
+            raise InputError("two sites on one node: masks are keyed by a site's node")
         for i, m in self.masks.items():
             if not data.integer(0, len(self.nodes) - 1)[0](i):  # True and 0.0 pass a range() test
                 raise InputError(f"mask on node {i!r}: no such node")
             node = self.nodes[i]
-            if self._site_of.get(i) != i:
+            if i not in site_nodes:
                 raise InputError(f"mask on node {i}: node {i} ({node.name}) is a {node.kind} node, not a site node")
             if np.shape(m) != (node.channels,):
                 raise InputError(f"mask on node {i}: shape {np.shape(m)}, node has {node.channels} channels")
             if not np.all((m == 0) | (m == 1)):
                 raise InputError(f"mask on node {i} holds values other than 0 and 1")
+        return shapes
 
     def gates(self, site):
         """Indices of the nodes whose masks gate a site's channels: the site
@@ -532,25 +541,11 @@ class Model:
     # -- execution ------------------------------------------------------------
 
     def gate_mask(self, i):
-        """The mask node i's output is multiplied by: its site's, where node i gates a masked site; else None."""
-        return self.masks.get(self._site_of.get(i))
-
-    def _walk(self):
-        """{INPUT or node index: per-example shape} by the refs and out_shape rules; InputError at the first misfit."""
-        shapes = {INPUT: self.input_shape}
-        for i, node in enumerate(self.nodes):
-            if len(node.refs) != node.arity:
-                raise InputError(f"node {i} ({node.name}): {node.kind} takes {node.arity} refs, got {node.refs}")
-            for r in node.refs:
-                if r not in shapes:
-                    raise InputError(f"node {i} ({node.name}) refs node {r}, which does not precede it")
-            try:
-                shapes[i] = node.out_shape([shapes[r] for r in node.refs])
-            except (InputError, ShapeError) as e:
-                raise InputError(f"node {i} ({node.name}): {e}") from None
-        if shapes[i] != (self.num_classes,):
-            raise InputError(f"node {i} ({node.name}): outputs {shapes[i]}, not the logits' ({self.num_classes},)")
-        return shapes
+        """The mask node i's output is multiplied by: its own if a site node, else a batch norm's site's (gates)."""
+        sites = [s.node_index for s in self.sites] if self.masks else []
+        if i not in sites and self.nodes[i].kind == "batch_norm":  # a batch norm gates the site it reads
+            i = next((r for r in self.nodes[i].refs if r in sites), None)
+        return self.masks.get(i)
 
     def _array(self, x, what):
         """x as an array of the model's dtype, if it is real and numeric; else InputError."""
@@ -569,7 +564,7 @@ class Model:
         the (post-mask) output of every node as record.values[i]; a prunable
         site's pre-activation is record.values[site.node_index].  With
         record=False it returns (logits, None) from a record-free run (_run).
-        It walks the shapes first (_walk): a node changed to misfit is InputError.
+        It runs check first: a node, site or mask changed to break a rule is InputError.
         """
         if mode not in ("train", "eval"):
             raise InputError(f"mode must be 'train' or 'eval', got {mode!r}")
@@ -579,8 +574,7 @@ class Model:
             raise ShapeError(f"input shape {x.shape[1:]} != model input {self.input_shape}")
         if len(x) == 0:
             raise InputError("forward needs at least one example")
-        self.check_masks()
-        self._walk()
+        self.check()
         self._serial += 1
         record = ForwardRecord(self, self._serial) if record else None
         return self._run([] if record is None else record.values, record and record.caches, x, mode), record
@@ -589,27 +583,25 @@ class Model:
         """Run the nodes from len(values) on, appending their outputs and caches; returns the last output.
 
         With caches None it is record-free: it keeps no caches and drops each value, its own buffer,
-        after its last reader, which may overwrite it (cache["inplace"]) if it is the reader's first
-        ref and this run made it: never the model input or a value the caller passed in."""
-        start = len(values)
-        for i in range(start, len(self.nodes)):
+        after its last reader (an unread value at once), which may overwrite it (cache["inplace"]) if it
+        is the reader's first ref and this run made it: never the model input or a value the caller passed in."""
+        start, end = len(values), len(self.nodes) - 1
+        last = {r: i for i, node in enumerate(self.nodes) for r in node.refs} if caches is None else {}
+        for i in range(start, end + 1):
             node = self.nodes[i]
             xs = [x if r == INPUT else values[r] for r in node.refs]
-            r = node.refs[0]
-            cache = {"inplace": True} if caches is None and start <= r and r in self._frees[i] else {}
-            try:
-                out = node.forward(xs, mode, cache)
-            except ShapeError as e:
-                raise ShapeError(f"node {i} ({node.name}): {e}") from e
+            cache = {"inplace": True} if caches is None and start <= node.refs[0] and last[node.refs[0]] == i else {}
+            out = node.forward(xs, mode, cache)
             m = self.gate_mask(i)
             if m is not None:
                 out *= _row(m.astype(out.dtype), out)  # in place: a gate's output is its own array or a dead input
             values.append(out)
-            if caches is None:
-                for r in self._frees[i]:
-                    values[r] = None
-            else:
+            if caches is not None:
                 caches.append(cache)
+                continue
+            for v in (*node.refs, i):
+                if 0 <= v < end and last.get(v, v) == i:
+                    values[v] = None
         return values[-1]
 
     def backward(self, record, output_grad, taps=None):

@@ -181,7 +181,7 @@ def apply_mask(model, mask):
     """
     data.check(model, MODEL, "model")
     data.check(mask, data.instance(PruneMask, "a PruneMask"), "mask")
-    model.check_masks()
+    model.check()
     model_sites = {s.site_id: s.channels for s in model.sites}
     if set(mask.keep) != set(model_sites):
         raise InputError(f"mask sites {sorted(mask.keep)} != model sites {sorted(model_sites)}")

@@ -427,14 +427,14 @@ class TestLoadConsistency:
         model.masks[index] = np.ones(length, np.float32)
         mask = all_keep(model)
         match = f"mask on node {index}: .* not a site node"
-        for call in (model.check_masks, lambda: model.forward(np.zeros((2,) + model.input_shape), "eval"),
+        for call in (model.check, lambda: model.forward(np.zeros((2,) + model.input_shape), "eval"),
                      lambda: checkpoint.save_model(tmp_path / "stray.npkt", model),
                      lambda: pruning.apply_mask(model, mask), lambda: pruning.compact(model, mask)):
             with pytest.raises(InputError, match=match):
                 call()
         assert not (tmp_path / "stray.npkt").exists()
 
-    @pytest.mark.parametrize("value", [0.5, 2.0])
+    @pytest.mark.parametrize("value", [0.5, 2.0, float("nan")])
     def test_mask_outside_0_and_1_is_not_saved(self, tmp_path, value):
         # int(0.5) would store 0: the reloaded model would prune a channel the saved one kept
         model = build_reference_models(seed=7)["cnn_small"]

@@ -448,6 +448,19 @@ class TestPruneSweep:
             harness.prune_sweep(model, (train_set.images, train_set.labels), test_set, config)
         assert calls == []
 
+    def test_an_estimator_without_a_tap_fails_before_any_work(self, sweep_setup, monkeypatch):
+        # taylorfo_sq ran a whole estimate, and its rows, before molchanov_bn found no batch norm at fc1
+        _, train_set, test_set = sweep_setup
+        model = build_mlp_small(num_classes=4, image_size=16, seed=2)
+        calls = []
+        monkeypatch.setattr(harness, "evaluate", lambda *args: calls.append("evaluate"))
+        monkeypatch.setattr(harness, "estimate", lambda *args, **kwargs: calls.append("estimate"))
+        config = harness.ExperimentConfig(estimators=("taylorfo_sq", "molchanov_bn"), data_sizes=(2,),
+                                          prune_counts=(5,))
+        with pytest.raises(InputError, match="site 'fc1' has no adjacent batch norm; molchanov_bn needs one"):
+            harness.prune_sweep(model, train_set, test_set, config)
+        assert calls == []
+
     def test_test_labels_beyond_the_model_fail_before_any_work(self, sweep_setup, monkeypatch):
         model, train_set, _ = sweep_setup
         _, test_set = tiny_sets(num_classes=6, per_class_train=8, per_class_test=4, image_size=16)

@@ -8,6 +8,7 @@ to the constructors.  The public entry points refuse a model that is no
 Model, and the drift guard ties checkpoint's size bound to nn's rule table.
 """
 
+import inspect
 import re
 
 import numpy as np
@@ -70,6 +71,36 @@ def test_model_load_model_would_refuse_is_neither_built_nor_saved(tmp_path, case
     with pytest.raises(InputError, match=match):
         checkpoint.save_model(path, build())
     assert not path.exists()
+
+
+@pytest.mark.parametrize("name,index", [("mlp_small", 1), ("cnn_small", 0)], ids=["fc1", "conv1"])
+def test_an_array_of_another_dtype_is_refused_at_forward_and_save(tmp_path, name, index):
+    # a float64 linear weight gave float64 logits, and save_model narrowed it to float32 without a word
+    model = nn.MODEL_BUILDERS[name](seed=0)
+    node = model.nodes[index]
+    node.params["weight"] = node.params["weight"].astype(np.float64)
+    match = f"^node {index} \\({node.name}\\): weight is not a float32 array$"
+    with pytest.raises(InputError, match=match):
+        model.forward(np.zeros((2,) + model.input_shape, np.float32), "eval")
+    path = tmp_path / "m.npkt"
+    with pytest.raises(InputError, match=match):
+        checkpoint.save_model(path, model)
+    assert not path.exists()
+
+
+@pytest.mark.parametrize("name", list(nn.MODEL_BUILDERS))
+def test_a_model_keeps_only_its_constructors_data_its_masks_and_serial(tmp_path, name):
+    # nothing derived from the nodes is cached: they stay mutable, and Model.check reads them at each call
+    model = nn.MODEL_BUILDERS[name](seed=0)
+    checkpoint.save_model(tmp_path / "m.npkt", model)
+    keep = pruning.PruneMask({s.site_id: np.arange(s.channels) % 2 == 0 for s in model.sites})
+    models = [model, model.astype(np.float64), pruning.apply_mask(model, keep),
+              checkpoint.load_model(tmp_path / "m.npkt")]
+    if name != "cnn_residual":
+        models.append(pruning.compact(model, keep))
+    for m in models:
+        m.forward(np.zeros((1,) + m.input_shape), "eval")
+        assert set(vars(m)) == set(inspect.signature(Model).parameters) | {"masks", "_serial"}
 
 
 def test_astype_takes_the_dtype_rule():

@@ -46,6 +46,15 @@ def linear_model(weight, bias=None, dtype=np.float64):
     return Model([node], (w.shape[1],), w.shape[0], [Site("fc", 0, w.shape[0])], dtype=dtype)
 
 
+def as_float64(nodes):
+    """The nodes, each array cast to float64: a float64 Model holds only float64 arrays."""
+    for node in nodes:
+        node.params = {k: v.astype(np.float64) for k, v in node.params.items()}
+        node.state = {k: v.astype(np.float64) for k, v in node.state.items()}
+        node.zero_grads()
+    return nodes
+
+
 class TestForwardExamples:
     def test_identity_linear_returns_input(self):
         model = linear_model(np.eye(3))
@@ -352,7 +361,7 @@ def micro_cnn(seed=0):
         Flatten("f", [5]),
         Linear("fc", [6], 16, 3),
     ]
-    model = Model(nodes, (1, 6, 6), 3, [Site("c1", 0, 3), Site("c2", 4, 4)], dtype=np.float64)
+    model = Model(as_float64(nodes), (1, 6, 6), 3, [Site("c1", 0, 3), Site("c2", 4, 4)], dtype=np.float64)
     return _jiggle(nn._init_params(model, seed), seed)
 
 
@@ -370,7 +379,7 @@ def micro_residual(seed=0):
         Flatten("f", [7]),
         Linear("fc", [8], 12, 2),
     ]
-    model = Model(nodes, (1, 4, 4), 2, [Site("c2", 4, 3)], dtype=np.float64)
+    model = Model(as_float64(nodes), (1, 4, 4), 2, [Site("c2", 4, 3)], dtype=np.float64)
     return _jiggle(nn._init_params(model, seed), seed)
 
 
@@ -548,7 +557,7 @@ class TestGradientCheck:
         nodes[2].params["weight"] = rng.normal(size=(3, 32))
         nodes[2].params["bias"] = np.zeros(3)
         nodes[2].zero_grads()
-        model = Model(nodes, (1, 4, 4), 3, dtype=np.float64)
+        model = Model(as_float64(nodes), (1, 4, 4), 3, dtype=np.float64)
         report = gradient_check(model, rng.normal(size=(2, 1, 4, 4)))
         assert not report.passed
         assert report.failing_node == "badconv"
@@ -681,10 +690,18 @@ class TestRecordFreeForward:
         assert got.dtype == want.dtype and got.tobytes() == want.tobytes()
 
     @settings(max_examples=60, deadline=None, derandomize=True)
-    @given(case=fan_out_graphs())
-    def test_any_graph_gives_the_recorded_logits_and_keeps_the_callers_images(self, case):
-        """Each value is its own buffer: an in-place write by a value's last reader reaches no other value."""
+    @given(case=fan_out_graphs(), draw=st.data())
+    def test_any_graph_gives_the_recorded_logits_and_keeps_the_callers_images(self, case, draw):
+        """Each value is its own buffer: an in-place write by a value's last reader reaches no other value.
+        One node is rewired after build to another earlier value of its ref's shape: the last readers
+        are the refs' as they are at the forward, not as built."""
         model, x = case
+        shapes = model.check()
+        rewires = [(i, j, v) for i, node in enumerate(model.nodes) for j, r in enumerate(node.refs)
+                   for v in range(INPUT, i) if v != r and shapes[v] == shapes[r]]
+        if rewires:
+            i, j, v = draw.draw(st.sampled_from(rewires))
+            model.nodes[i].refs[j] = v
         before = x.copy()
         want, _ = model.forward(x, "eval")
         got, _ = model.forward(x, "eval", record=False)
@@ -699,7 +716,7 @@ class TestRecordFreeForward:
         if first.kind == "batch_norm":
             first.state["running_mean"] = rng.normal(size=2)
         nodes[3].params["weight"] = rng.normal(size=(3, width))
-        model = Model(nodes, (2, 3, 3), 3, dtype=np.float64)
+        model = Model(as_float64(nodes), (2, 3, 3), 3, dtype=np.float64)
         x = rng.normal(size=(4, 2, 3, 3))
         before = x.copy()
         want, _ = model.forward(x, "eval")
@@ -719,7 +736,7 @@ class TestRecordFreeForward:
         fc = Linear("fc", [4], 2 * 16, 3)
         fc.params["weight"] = rng.normal(size=(3, 32))
         nodes = [conv, Flatten("f1", [0]), mid, Flatten("f2", [2]), ResidualAdd("add", [1, 3]), fc]
-        model = Model(nodes, (1, 4, 4), 3, dtype=np.float64)
+        model = Model(as_float64(nodes), (1, 4, 4), 3, dtype=np.float64)
         x = rng.normal(size=(3, 1, 4, 4))
         want, _ = model.forward(x, "eval")
         got, _ = model.forward(x, "eval", record=False)
@@ -995,6 +1012,19 @@ class TestMasks:
         for i in model.gates(site):
             assert not record.values[i][:, [0, 7]].any()
 
+    def test_a_batch_norm_rewired_to_a_site_after_build_gates_it(self):
+        # bn3 (node 8) rewired from conv3 to conv2: gates(conv2) lists it, and the forward must zero it there too
+        model = build_cnn_residual(seed=2)
+        site = site_by_id(model, "conv2")
+        model.masks[site.node_index] = (np.arange(site.channels) % 2).astype(np.float32)
+        model.nodes[8].params["beta"][:] = 0.5
+        model.nodes[8].refs = [4]
+        _, record = model.forward(np.random.default_rng(13).normal(size=(2, 1, 16, 16)), "eval")
+        assert model.gates(site) == [4, 5, 8]
+        for i in model.gates(site):
+            assert not record.values[i][:, ::2].any()
+            assert record.values[i][:, 1::2].any()
+
     def test_a_site_node_gates_with_its_own_mask(self):
         # bn is a site of its own and a gate of site fc: it applies its own mask, whatever the site order
         nodes = [nn.Linear("fc", [INPUT], 2, 2), nn.BatchNorm("bn", [0], 2)]
@@ -1010,7 +1040,7 @@ class TestMasks:
         monkeypatch.setattr(Model, "gates", lambda self, site: calls.append(site) or gates(self, site))
         masked = pruning.apply_mask(model, pruning.PruneMask({s.site_id: np.arange(s.channels) % 2 == 0
                                                               for s in model.sites}))
-        masked.check_masks()
+        masked.check()
         masked.forward(np.zeros((2, 1, 16, 16)), "eval")
         _, record = masked.forward(np.zeros((2, 1, 16, 16)), "train")
         masked.backward(record, np.ones((2, 4), np.float32))
@@ -1205,21 +1235,21 @@ def shape_chains(draw):
             add((MaxPool if kind == "max_pool" else AvgPool)(f"pool{i}", [last], kernel=kernel))
     add(Flatten("flat", [len(nodes) - 1]))
     add(Linear("fc", [len(nodes) - 1], shapes[len(nodes) - 1][0], 3))
-    model = Model(nodes, input_shape, 3, dtype=np.float64)
+    model = Model(as_float64(nodes), input_shape, 3, dtype=np.float64)
     for _, node, name, p in model.parameters():
         node.params[name] = rng.normal(size=p.shape)
     return model
 
 
 class TestShapeWalk:
-    """Model._walk gives the per-example shape of the input and of each node's output, by arithmetic."""
+    """Model.check gives the per-example shape of the input and of each node's output, by arithmetic."""
 
     @settings(max_examples=100, deadline=None, derandomize=True)
     @given(model=shape_chains(), n=st.integers(1, 3))
     def test_every_value_of_a_model_that_builds_has_its_walked_shape(self, model, n):
         x = np.random.default_rng(n).random((n,) + model.input_shape)
         logits, record = model.forward(x, "train")
-        shapes = model._walk()
+        shapes = model.check()
         assert [v.shape for v in record.values] == [(n,) + shapes[i] for i in range(len(model.nodes))]
         model.zero_grads()
         model.backward(record, np.ones_like(logits))
@@ -1228,7 +1258,7 @@ class TestShapeWalk:
     @settings(max_examples=100, deadline=None, derandomize=True)
     @given(model=shape_chains())
     def test_a_conv_or_pool_that_misfits_its_input_is_refused_at_build_naming_it(self, model):
-        shapes = model._walk()
+        shapes = model.check()
         for i, node in enumerate(model.nodes):
             if node.kind == "conv2d":  # one input channel more than the value it reads
                 hyper = node.hyper()
@@ -1238,7 +1268,8 @@ class TestShapeWalk:
             else:
                 continue
             with pytest.raises(InputError, match=rf"^node {i} \({node.name}\): "):
-                Model(model.nodes[:i] + [misfit] + model.nodes[i + 1 :], model.input_shape, model.num_classes)
+                Model(model.nodes[:i] + as_float64([misfit]) + model.nodes[i + 1 :], model.input_shape,
+                      model.num_classes, dtype=np.float64)
 
 
 # values that tie inside a window: ReLU zeros of both signs, repeats, and
