@@ -148,6 +148,9 @@ def train(model, dataset, config):
     Batches reshuffle every epoch from a stream derived from (seed, epoch).
     The log holds one EpochStats per epoch with the running train loss and
     accuracy over that epoch's batches.  A non-finite loss aborts immediately.
+    Each step drops its record, logits and loss gradient after its backward,
+    before the parameter update and the next step's forward, so a step peaks
+    at one record plus its backward.
     """
     data.check(model, MODEL, "model")
     data.check(config, _CONFIG, "config")
@@ -162,8 +165,11 @@ def train(model, dataset, config):
             loss, grad = softmax_cross_entropy(logits, labels)
             if not np.isfinite(loss):
                 raise TrainingError(f"loss became non-finite at epoch {epoch}")
+            total_loss += loss * len(labels)
+            hits += int((np.argmax(logits, axis=1) == labels).sum())
             out.zero_grads()
             out.backward(record, grad)
+            del logits, record, grad  # this step's activations go before the next step's forward
             for i, node, name, param in out.parameters():
                 g = node.grads[name]
                 if config.weight_decay and name == "weight" and node.kind in ("conv2d", "linear"):
@@ -172,21 +178,21 @@ def train(model, dataset, config):
                 v *= config.momentum
                 v -= config.learning_rate * g
                 param += v
-            total_loss += loss * len(labels)
-            hits += int((np.argmax(logits, axis=1) == labels).sum())
         log.append(EpochStats(epoch, total_loss / len(dataset), hits / len(dataset)))
     return out, log
 
 
 def evaluate(model, dataset, batch_size=256):
     """Argmax accuracy in eval mode; ties go to the lowest class index.  Each
-    batch's labels must lie in [0, model.num_classes), checked before its forward."""
+    batch's labels must lie in [0, model.num_classes), checked before its forward,
+    and its logits are dropped before the next batch is drawn."""
     data.check(model, MODEL, "model")
     hits = 0
     for images, labels in data.batches(dataset, batch_size):
         data.check_labels(labels, len(images), model.num_classes)
         logits, _ = model.forward(images, "eval", record=False)
         hits += int((np.argmax(logits, axis=1) == labels).sum())
+        del logits
     return hits / len(dataset)
 
 

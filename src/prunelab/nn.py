@@ -346,21 +346,24 @@ class MaxPool(_Pool):
     over the k rows of those maxima.  np.maximum takes the later run first,
     and equal operands (0.0, -0.0) give the second: the first maximum in
     row-major order wins a tie, in value and in gradient.  A window holding a
-    NaN outputs its last NaN and passes no gradient."""
+    NaN outputs its last NaN and passes no gradient.  It runs per block of at
+    most 32 examples (``tensor.blocks``) into one output: one block's row
+    maxima are its only temporary."""
 
     kind = "max_pool"
 
     def forward(self, xs, mode, cache):
-        x = xs[0]
+        x = cache["x"] = xs[0]
         (n, c, h, w), k = x.shape, self.kernel
-        maxima = x.reshape(-1)
-        for run in (1, w // k):  # runs of 1, then w/k: column i of every window row, then row i of every window
-            runs = maxima.reshape(-1, k, run)
-            maxima = np.maximum(runs[:, 1], runs[:, 0]) if k > 1 else runs[:, 0].copy()
-            for i in range(2, k):
-                np.maximum(runs[:, i], maxima, out=maxima)
-        cache["x"], cache["out"] = x, maxima.reshape(n, c, h // k, w // k)
-        return cache["out"]
+        out = cache["out"] = np.empty((n, c, h // k, w // k), x.dtype)
+        for blk in T.blocks(n):
+            maxima = x[blk].reshape(-1)
+            for run, dest in ((1, None), (w // k, out[blk].reshape(-1, w // k))):  # runs of 1, then of w/k:
+                runs = maxima.reshape(-1, k, run)  # column i of every window row, then row i of every window
+                maxima = np.maximum(runs[:, min(1, k - 1)], runs[:, 0], out=dest)  # k = 1: a copy of run 0
+                for i in range(2, k):
+                    np.maximum(runs[:, i], maxima, out=maxima)
+        return out
 
     def backward(self, grad, cache):
         x, out = cache["x"], cache["out"]

@@ -1,6 +1,8 @@
 """Harness tests: config parsing, the SGD loop, evaluation arithmetic, and
 prune-sweep row accounting."""
 
+import weakref
+
 import numpy as np
 import pytest
 
@@ -249,6 +251,23 @@ class TestTrain:
         assert trained.nodes[1].params["bias"][3] == masked.nodes[1].params["bias"][3]
         assert trained.nodes[3].params["weight"][:, 3].tobytes() == masked.nodes[3].params["weight"][:, 3].tobytes()
         assert trained.nodes[1].params["weight"][2].tobytes() != masked.nodes[1].params["weight"][2].tobytes()
+
+    def test_each_forward_starts_after_the_previous_steps_record_is_freed(self, monkeypatch):
+        # a step's activations and caches go before the next step's forward allocates its own
+        config = harness.ExperimentConfig(epochs=1, per_class_train=25)
+        train_set = harness.build_split(config, "train")
+        records, alive = [], []
+        forward = Model.forward
+
+        def spy(model, *args, **kwargs):
+            alive.append([ref() is not None for ref in records])
+            logits, record = forward(model, *args, **kwargs)
+            records.append(weakref.ref(record))
+            return logits, record
+
+        monkeypatch.setattr(Model, "forward", spy)
+        harness.train(harness.build_model(config), train_set, config)
+        assert alive == [[False] * i for i in range(4)]  # 100 examples: batches of 32, 32, 32 and 4
 
     @pytest.mark.parametrize("name", ["cnn_small", "cnn_residual"])
     @pytest.mark.parametrize("batch_size", [32, 80])

@@ -1,11 +1,12 @@
 """Layer graph tests: frozen forward examples, adjoint identities, and
 finite-difference verification of every parameter gradient."""
 
+import tracemalloc
 import weakref
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
@@ -1290,6 +1291,14 @@ def max_pool_cases(draw):
     return x, grad, k
 
 
+def _max_pool_case(shape, k, dtype=np.float32):
+    """A max_pool_cases draw of the given input shape, for an explicit example."""
+    rng = np.random.default_rng(shape[0] + k)
+    x = rng.choice(np.array([0.0, -0.0, 1.0, -1.0, 2.5], dtype), size=shape)
+    grad = rng.choice(np.array([0.0, -0.0, -1.5, 3.0], dtype), size=(*shape[:2], shape[2] // k, shape[3] // k))
+    return x, grad, k
+
+
 def _max_pool_specials(dtype):
     """NaNs of both signs and two payloads, zeros of both signs, infinities and
     two ordinary values, so which operand np.maximum returns shows in the bytes."""
@@ -1312,6 +1321,8 @@ def _corner_running_max(x, k):
 class TestMaxPoolCorners:
     @settings(max_examples=300, deadline=None, derandomize=True)
     @given(case=max_pool_cases())
+    @example(case=_max_pool_case((70, 2, 6, 9), 3))  # three blocks, the last of 6 examples
+    @example(case=_max_pool_case((40, 2, 4, 2), 2, np.float64))  # one window wide, over two blocks
     def test_forward_and_backward_match_the_argmax_oracle_byte_for_byte(self, case):
         x, grad, k = case
         node = MaxPool("p", [INPUT], kernel=k)
@@ -1333,14 +1344,30 @@ class TestMaxPoolCorners:
         assert not np.shares_memory(out, x)
 
     @pytest.mark.parametrize("k,shape", [(2, (2, 3, 4, 80)), (3, (2, 3, 6, 120)), (4, (1, 2, 8, 160)),
-                                         (2, (32, 16, 16, 16)), (2, (200, 16, 16, 16))])
+                                         (2, (32, 16, 16, 16)), (2, (200, 16, 16, 16)), (3, (70, 2, 6, 9)),
+                                         (2, (40, 2, 4, 2)), (3, (70, 2, 3, 3)), (1, (40, 2, 3, 2))])
     @pytest.mark.parametrize("dtype", [np.float32, np.float64])
     def test_forward_equals_the_running_max_where_numpy_loops_are_contiguous(self, k, shape, dtype):
         # W = 40k gives 40-element rows of window maxima, where numpy's contiguous
-        # (SIMD) loops run; (32, 16, 16, 16) is cnn_small's pool1 at batch 32
+        # (SIMD) loops run; (32, 16, 16, 16) is cnn_small's pool1 at batch 32; N = 40,
+        # 70 and 200 cross the 32-example blocks, and W = k is an input one window wide
         x = np.random.default_rng(shape[-1] + k).choice(_max_pool_specials(dtype), size=shape)
         out = MaxPool("p", [INPUT], kernel=k).forward([x], "eval", {})
         assert out.tobytes() == _corner_running_max(x, k).tobytes()
+
+    def test_forward_allocates_its_output_and_one_block_of_row_maxima(self):
+        # the maxima over each window row's columns are half the input: for the whole batch they took
+        # the peak to 2.41 MiB here; besides them, a strided np.maximum may buffer each of its three
+        # operands, np.getbufsize() elements each
+        x = np.maximum(np.random.default_rng(0).normal(size=(200, 16, 16, 16)), 0).astype(np.float32)
+        block = x[tensor.blocks(len(x))[0]]
+        tracemalloc.start()
+        try:
+            out = MaxPool("p", [INPUT], kernel=2).forward([x], "eval", {})
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= out.nbytes + block.nbytes // 2 + 3 * np.getbufsize() * x.itemsize
 
     def test_nan_window_outputs_nan_and_passes_no_gradient(self):
         node = MaxPool("p", [INPUT], kernel=2)
