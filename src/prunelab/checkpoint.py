@@ -152,15 +152,16 @@ def load_model(path):
         raise FormatError(f"unreadable checkpoint header: {e}") from e
 
     _check_header(header, (len(buf) - offset) // 4)
-    nodes, end = [], offset  # end: where the blobs of the nodes built so far end
+    nodes = []
     for i, entry in enumerate(header["nodes"]):
         try:
-            nodes.append(make_node(entry.get("kind"), entry.get("name"), entry.get("refs"), entry["hyper"]))
+            nodes.append(node := make_node(entry.get("kind"), entry.get("name"), entry.get("refs"), entry["hyper"]))
         except (InputError, TypeError) as e:
             raise FormatError(f"node {i}: {e}") from None
-        end += 4 * sum(_blob(nodes[-1], name).size for name in nodes[-1].param_order())
-        if end > len(buf):  # before the next node is built: a short file cannot make many nodes allocate its size
-            raise FormatError(f"truncated checkpoint: node {i} parameters end at byte {end}, file has {len(buf)}")
+        for name in node.param_order():  # before the next node: a short file cannot make many nodes allocate its size
+            shape = _blob(node, name).shape
+            blob, offset = _take(buf, offset, 4 * math.prod(shape), f"node {i} parameter {name!r}")
+            (node.params if name in node.params else node.state)[name] = np.frombuffer(blob, "<f4").reshape(shape).copy()
     try:
         sites = [Site(s.get("site_id"), s.get("node_index"), s.get("channels")) for s in header["sites"]]
         model = Model(nodes, header.get("input_shape"), header.get("num_classes"), sites,
@@ -175,12 +176,6 @@ def load_model(path):
         at = next((i for i, (a, b) in enumerate(zip(raw, expected)) if a != b), min(len(raw), len(expected)))
         where = _difference(header, _header_dict(model)) or f"byte {at} of its JSON text"
         raise FormatError(f"checkpoint header differs from the one save_model writes for its model, first at {where}")
-
-    for i, node in enumerate(model.nodes):
-        for name in node.param_order():
-            shape = _blob(node, name).shape
-            raw, offset = _take(buf, offset, 4 * math.prod(shape), f"node {i} parameter {name!r}")
-            (node.params if name in node.params else node.state)[name] = np.frombuffer(raw, "<f4").reshape(shape).copy()
     if offset != len(buf):
         raise FormatError(f"trailing bytes: file has {len(buf)}, checkpoint ends at {offset}")
     return model

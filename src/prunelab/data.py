@@ -190,7 +190,7 @@ def generate_shapes(num_classes, per_class, image_size=16, noise=0.1, seed=0, sp
     check(num_classes, NUM_CLASSES, "num_classes")
     check(per_class, SIZE, "per_class")
     check(image_size, IMAGE_SIZE, "image_size")
-    check(noise, NOISE, "noise")
+    check(noise, NON_NEGATIVE, "noise")
     check(seed, SEED, "seed")
     check(split, one_of(SPLITS), "split")
     rng = np.random.default_rng([seed, SPLITS.index(split)])
@@ -342,10 +342,11 @@ SIZE = integer(1)  # a batch size, example count or dimension
 SEED = integer(0, 2**64 - 1)  # the key range of the random-gradient generator
 FRACTION = number(numbers.Real, lambda v: 0 <= v <= 1, "a number in [0, 1]")
 FINITE = number(numbers.Real, lambda v: True, "a finite number")
+POSITIVE = number(numbers.Real, lambda v: v > 0, "a finite number > 0")
+NON_NEGATIVE = number(numbers.Real, lambda v: v >= 0, "a finite number >= 0")
 # the glyph generator's ranges
 NUM_CLASSES = integer(2, len(GLYPHS))
 IMAGE_SIZE = integer(12)
-NOISE = number(numbers.Real, lambda v: v >= 0, "a finite number >= 0")
 
 
 def check(value, rule, field, error=InputError):

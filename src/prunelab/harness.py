@@ -46,13 +46,13 @@ _FIELDS = {
     "image_size": (int, 16, data.IMAGE_SIZE),
     "per_class_train": (int, 150, data.SIZE),
     "per_class_test": (int, 50, data.SIZE),
-    "noise": (float, 0.15, data.NOISE),
+    "noise": (float, 0.15, data.NON_NEGATIVE),
     "data_seed": (int, 0, data.SEED),
     "epochs": (int, 15, data.COUNT),
     "batch_size": (int, 32, data.SIZE),
-    "learning_rate": (float, 0.1, data.number(numbers.Real, lambda v: v > 0, "a finite number > 0")),
+    "learning_rate": (float, 0.1, data.POSITIVE),
     "momentum": (float, 0.9, _PROPER_FRACTION),
-    "weight_decay": (float, 5e-4, data.number(numbers.Real, lambda v: v >= 0, "a finite number >= 0")),
+    "weight_decay": (float, 5e-4, data.NON_NEGATIVE),
     "seed": (int, 0, data.SEED),
     "finetune_epochs": (int, 0, data.COUNT),
     "estimators": (_comma_list(str), ("taylorfo_sq",), data.list_of(ESTIMATOR)),

@@ -29,8 +29,9 @@ a Site its fields, and a Model its arguments.  A Model keeps only that data, all
 :meth:`Model.check`, the one model rule, runs at build, in every forward and before masks are applied,
 compacted, saved or loaded: input_shape goes through each node's ``arity`` earlier refs, arrays of the
 model's dtype and out_shape rule to (num_classes,); each site is on a node of its ``channels``, with unique
-ids and nodes; each mask is keyed by a site node, one entry per channel of it, only 0s and 1s; else
-InputError.  A mask's gates (:meth:`Model.gate_mask`) and a value's last reader are read off the nodes.
+ids and nodes; each mask is keyed by a site node, an array of the model's dtype with one entry per channel
+of it, only 0s and 1s; else InputError.  So every array a forward meets has the model's dtype, and no node
+or gate converts one.  A mask's gates (:meth:`Model.gate_mask`) and a value's last reader are read off the nodes.
 """
 
 import copy
@@ -202,14 +203,15 @@ class BatchNorm(Node):
     Train mode normalizes with batch statistics (biased variance) and updates
     the running estimates with momentum; eval mode normalizes with the running
     estimates.  The train-mode backward is the full batch-statistics adjoint,
-    so dgamma/dbeta are exact in both modes.  Each elementwise pass runs on x
-    viewed as (N, C*H*W) rows, 32 examples at a time (``tensor.blocks``).  In
-    train mode the first, x - mean, runs once over the batch: it is np.var's
-    own first pass, so the variance keeps its bytes, and the centred array
-    becomes the output.  In eval mode the passes write into x itself where
-    cache["inplace"] allows and the dtypes agree.  The cache holds x, not
-    xhat: backward recomputes xhat with the same passes when it needs it, in
-    train mode or to accumulate dgamma.
+    so dgamma/dbeta are exact in both modes.  The forward is four elementwise
+    passes over the batch (x - mean, * inv_std, * gamma, + beta), each against
+    a per-channel row (x viewed as (N, C*H*W) rows).  In train mode the first
+    is np.var's own first pass, so the variance keeps its bytes, and the
+    centred array becomes the output.  In eval mode the passes write into x
+    itself where cache["inplace"] allows.  x, the parameters and the
+    statistics all have the model's dtype (Model.check), so nothing converts.
+    The cache holds x, not xhat: backward recomputes xhat with the same passes
+    when it needs it, in train mode or to accumulate dgamma.
     """
 
     kind = "batch_norm"
@@ -240,25 +242,21 @@ class BatchNorm(Node):
             mean = x.mean(axis=axes)
             centred = np.subtract(x, _row(mean, x), out=np.empty_like(x))  # np.var's own first pass, in x's layout
             var = (centred * centred).sum(axis=axes) / (x.size // x.shape[1])
-            m = self.momentum
-            self.state["running_mean"] = (m * self.state["running_mean"] + (1 - m) * mean).astype(x.dtype)
-            self.state["running_var"] = (m * self.state["running_var"] + (1 - m) * var).astype(x.dtype)
+            m = float(self.momentum)  # a Python scalar takes the statistics' dtype, a numpy float64 promotes them
+            self.state["running_mean"] = m * self.state["running_mean"] + (1 - m) * mean
+            self.state["running_var"] = m * self.state["running_var"] + (1 - m) * var
         else:
             mean = self.state["running_mean"]
             var = self.state["running_var"]
         inv_std = 1.0 / np.sqrt(var + x.dtype.type(self.eps))
         cache.update(x=x, mean=mean, inv_std=inv_std, axes=axes, mode=mode)
-        mean_r, inv_r, gamma_r, beta_r = (_row(v, x) for v in (mean, inv_std, self.params["gamma"], self.params["beta"]))
-        dtype = np.result_type(x, mean_r, inv_r, gamma_r, beta_r)
         if train:
-            out = centred.astype(dtype, order="C", copy=False)
+            out = np.ascontiguousarray(centred)
         else:
-            out = x if cache.get("inplace") and x.dtype == dtype else np.empty(x.shape, dtype)
-        for blk in T.blocks(len(x)):
-            o = out[blk] if train else np.subtract(x[blk], mean_r, out=out[blk])
-            o *= inv_r
-            o *= gamma_r
-            o += beta_r
+            out = np.subtract(x, _row(mean, x), out=x if cache.get("inplace") else np.empty(x.shape, x.dtype))
+        out *= _row(inv_std, x)
+        out *= _row(self.params["gamma"], x)
+        out += _row(self.params["beta"], x)
         return out
 
     def backward(self, grad, cache):
@@ -495,7 +493,8 @@ class Model:
         return copy.deepcopy(self)
 
     def check(self):
-        """{INPUT or node index: per-example shape} if the model keeps the nn module's rules; else InputError."""
+        """{INPUT or node index: per-example shape} if the model keeps the nn module's rules (every array, masks
+        included, of the model's dtype); else InputError."""
         shapes = {INPUT: self.input_shape}
         for i, node in enumerate(self.nodes):
             if len(node.refs) != node.arity:
@@ -528,8 +527,10 @@ class Model:
             node = self.nodes[i]
             if i not in site_nodes:
                 raise InputError(f"mask on node {i}: node {i} ({node.name}) is a {node.kind} node, not a site node")
-            if np.shape(m) != (node.channels,):
-                raise InputError(f"mask on node {i}: shape {np.shape(m)}, node has {node.channels} channels")
+            if not isinstance(m, np.ndarray) or m.dtype.type is not self.dtype:
+                raise InputError(f"mask on node {i} is not a {self.dtype.__name__} array")
+            if m.shape != (node.channels,):
+                raise InputError(f"mask on node {i}: shape {m.shape}, node has {node.channels} channels")
             if not np.all((m == 0) | (m == 1)):
                 raise InputError(f"mask on node {i} holds values other than 0 and 1")
         return shapes
@@ -597,7 +598,7 @@ class Model:
             out = node.forward(xs, mode, cache)
             m = self.gate_mask(i)
             if m is not None:
-                out *= _row(m.astype(out.dtype), out)  # in place: a gate's output is its own array or a dead input
+                out *= _row(m, out)  # in place: a gate's output is its own array or a dead input
             values.append(out)
             if caches is not None:
                 caches.append(cache)
@@ -645,7 +646,7 @@ class Model:
                 continue
             m = self.gate_mask(i)
             if m is not None:
-                g = g * _row(m.astype(g.dtype), g)  # not in place: a residual add hands one gradient to both refs
+                g = g * _row(m, g)  # not in place: a residual add hands one gradient to both refs
             gins = node.backward(g, {**record.caches[i], "params": params, "inputs": any(takes)})
             for r, gr, take in zip(node.refs, gins, takes):
                 if take:
@@ -704,7 +705,6 @@ class GradCheckReport:
 
 
 DENOM_FLOOR = 1e-4
-_POSITIVE = data.number(numbers.Real, lambda v: v > 0, "a finite number > 0")
 
 
 def gradient_check(model, x, output_grad=None, tolerance=1e-6, eps=1e-5, mode="eval"):
@@ -726,8 +726,8 @@ def gradient_check(model, x, output_grad=None, tolerance=1e-6, eps=1e-5, mode="e
         raise InputError("gradient_check requires a float64 model")
     x = model._array(x, "x")
     output_grad = None if output_grad is None else model._array(output_grad, "output_grad")
-    data.check(tolerance, _POSITIVE, "tolerance")
-    data.check(eps, _POSITIVE, "eps")
+    data.check(tolerance, data.POSITIVE, "tolerance")
+    data.check(eps, data.POSITIVE, "eps")
     saved_state = [{k: v.copy() for k, v in node.state.items()} for node in model.nodes]
 
     model.zero_grads()

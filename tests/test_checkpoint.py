@@ -149,6 +149,26 @@ class TestFormatErrors:
             checkpoint.load_model(path)
         assert len(built) == 2
 
+    @pytest.mark.parametrize("index,name", [(8, "weight"), (9, "running_var"), (13, "weight"), (13, "bias")])
+    def test_a_file_cut_inside_a_nodes_blobs_names_the_node_and_parameter(self, tmp_path, monkeypatch, index, name):
+        # cnn_small's conv3 (node 8), bn3 and fc_out, each cut one float short: the header's size bound passes,
+        # since no node is larger than the floats left, so only reading the blob can stop the load
+        model = build_reference_models(seed=7)["cnn_small"]
+        path = tmp_path / "m.npkt"
+        checkpoint.save_model(path, model)
+        raw = path.read_bytes()
+        blobs = [((i, blob), a.size) for i, node in enumerate(model.nodes)
+                 for blob, a in (*node.params.items(), *node.state.items())]  # file order
+        at = [key for key, _ in blobs].index((index, name))
+        end = len(raw) - 4 * sum(size for _, size in blobs[at + 1 :])
+        path.write_bytes(raw[: end - 4])
+        built = []
+        monkeypatch.setattr(checkpoint, "make_node", lambda *args: built.append(args) or make_node(*args))
+        with pytest.raises(FormatError, match=f"^truncated checkpoint: node {index} parameter {name!r} needs bytes "
+                                              f"\\[{end - 4 * blobs[at][1]}, {end}\\), file has {end - 4}$"):
+            checkpoint.load_model(path)
+        assert len(built) == index + 1
+
     def test_empty_file(self, tmp_path):
         path = tmp_path / "empty.npkt"
         path.write_bytes(b"")

@@ -88,6 +88,22 @@ def test_an_array_of_another_dtype_is_refused_at_forward_and_save(tmp_path, name
     assert not path.exists()
 
 
+@pytest.mark.parametrize("keep", [np.ones(24), [1.0] * 24, np.ones(24, bool)], ids=["float64", "list", "bool"])
+def test_a_mask_of_another_dtype_is_refused_at_forward_apply_mask_and_save(tmp_path, keep):
+    # the gates multiply by a mask as it is stored, so one of another dtype would run their products in that dtype
+    model = nn.build_cnn_small(seed=0)
+    model.masks[4] = keep  # site conv2
+    match = "^mask on node 4 is not a float32 array$"
+    with pytest.raises(InputError, match=match):
+        model.forward(np.zeros((2,) + model.input_shape, np.float32), "eval")
+    with pytest.raises(InputError, match=match):
+        pruning.apply_mask(model, pruning.PruneMask({s.site_id: np.ones(s.channels, bool) for s in model.sites}))
+    path = tmp_path / "m.npkt"
+    with pytest.raises(InputError, match=match):
+        checkpoint.save_model(path, model)
+    assert not path.exists()
+
+
 @pytest.mark.parametrize("name", list(nn.MODEL_BUILDERS))
 def test_a_model_keeps_only_its_constructors_data_its_masks_and_serial(tmp_path, name):
     # nothing derived from the nodes is cached: they stay mutable, and Model.check reads them at each call

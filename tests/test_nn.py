@@ -135,6 +135,21 @@ class TestBatchNorm:
         # biased variance of [2,4] is 1, of [-4,-8] is 4
         assert np.allclose(node.state["running_var"], [0.9 + 0.1 * 1.0, 0.9 + 0.1 * 4.0], atol=1e-7)
 
+    @pytest.mark.parametrize("momentum", [np.float64(0.9), np.float32(0.9), np.int64(1)],
+                             ids=["float64", "float32", "int64"])
+    def test_a_numpy_momentum_keeps_the_statistics_in_the_models_dtype(self, momentum):
+        # a numpy float64 or int64 would promote float32 statistics to float64, which the dtype rule refuses; as
+        # a Python float, momentum updates them as after a checkpoint round trip, which stores it as JSON
+        x = np.random.default_rng(0).normal(size=(4, 2))
+        models = [Model([Linear("fc", [INPUT], 2, 2), BatchNorm("bn", [0], 2, momentum=m)], (2,), 2)
+                  for m in (momentum, float(momentum))]
+        for model in models:
+            model.forward(x, "train")
+            model.forward(x, "train")
+        for name in ("running_mean", "running_var"):
+            got, want = (m.nodes[1].state[name] for m in models)
+            assert got.dtype == np.float32 and got.tobytes() == want.tobytes()
+
     def test_eval_mode_uses_running_stats(self):
         # the smallest eps a batch norm takes: added to a float32 variance of 4.0 or 0.25 it rounds away
         node = BatchNorm("bn", [INPUT], 2, eps=float(np.finfo(np.float32).smallest_subnormal))
@@ -155,13 +170,16 @@ class TestBatchNorm:
 
 
 class TestBatchNormRows:
-    """Batch norm's passes run on (N, C*H*W) rows, per block of 32 examples;
-    forward and backward bytes equal the broadcast formulas."""
+    """Batch norm's passes run once over the batch on (N, C*H*W) rows; forward
+    and backward bytes equal the broadcast formulas, at N below, at and well
+    above 32."""
 
-    @pytest.mark.parametrize("shape", [(70, 3, 4, 4), (33, 5, 1, 1), (31, 6), (1, 2, 3, 3), (32, 16, 16, 16)])
+    @pytest.mark.parametrize("shape", [(70, 3, 4, 4), (70, 6), (33, 5, 1, 1), (31, 6), (1, 2, 3, 3), (32, 16, 16, 16)])
     @pytest.mark.parametrize("dtype", [np.float32, np.float64])
-    @pytest.mark.parametrize("mode,params", [("train", True), ("eval", True), ("eval", False)])
-    def test_forward_and_backward_equal_the_broadcast_formulas(self, shape, dtype, mode, params):
+    @pytest.mark.parametrize("mode,params,inplace", [("train", True, False), ("eval", True, False),
+                                                     ("eval", False, False), ("eval", False, True)],
+                             ids=["train", "eval", "eval_no_params", "eval_in_place"])
+    def test_forward_and_backward_equal_the_broadcast_formulas(self, shape, dtype, mode, params, inplace):
         rng = np.random.default_rng(sum(shape))
         c = shape[1]
         node = BatchNorm("bn", [INPUT], c)
@@ -174,11 +192,14 @@ class TestBatchNormRows:
         grad = rng.normal(size=shape).astype(dtype)
         want_out, want_backward = batch_norm_oracle(x, node.params["gamma"], node.params["beta"], *stats,
                                                     node.eps, mode == "train")
-        cache = {}
-        out = node.forward([x], mode, cache)
+        cache = {"inplace": True} if inplace else {}
+        out = node.forward([x.copy() if inplace else x], mode, cache)
+        assert out.dtype == want_out.dtype and out.tobytes() == want_out.tobytes()
+        if inplace:
+            assert out is cache["x"]  # written over its input, as in a record-free run, which runs no backward
+            return
         (dx,) = node.backward(grad, {**cache, "params": params})
         want_dx, want_dgamma, want_dbeta = want_backward(grad)
-        assert out.dtype == want_out.dtype and out.tobytes() == want_out.tobytes()
         assert dx.dtype == want_dx.dtype and dx.tobytes() == want_dx.tobytes()
         if params:
             assert node.grads["gamma"].tobytes() == (np.zeros(c, dtype) + want_dgamma).tobytes()

@@ -471,7 +471,7 @@ class TestMaskComposition:
     def test_site_mask_is_kept(self):
         # site conv2's one mask sits on conv2 (node 4); on its batch norm (node 5) it is refused
         model = build_cnn_small(image_size=8, seed=3)
-        keep = np.ones(24)
+        keep = np.ones(24, np.float32)
         keep[[4, 9]] = 0.0
         model.masks[5] = keep
         for call in (pruning.apply_mask, pruning.compact):
