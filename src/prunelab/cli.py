@@ -65,11 +65,11 @@ def _dataset(args, config, split, labels=True):
     labels, or without --images (sweep has no such flag) the config's glyph split."""
     if not getattr(args, "images", None):
         return harness.build_split(config, split)
-    if args.labels:
-        return data.load_idx(args.images, args.labels, split=split)
-    if labels:
+    if not labels:
+        return data.load_idx_images(args.images), None
+    if not args.labels:
         raise UsageError("--images needs --labels here; only importance with --source random is label-free")
-    return data.load_idx_images(args.images), None
+    return data.load_idx(args.images, args.labels, split=split)
 
 
 def _cmd_train(args, config):

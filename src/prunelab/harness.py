@@ -133,7 +133,8 @@ def build_model(config):
 
 
 def build_datasets(config):
-    return tuple(build_split(config, split) for split in data.SPLITS)
+    return data.make_splits(config.num_classes, config.per_class_train, config.per_class_test,
+                            config.image_size, config.noise, config.data_seed)
 
 
 def build_split(config, split):

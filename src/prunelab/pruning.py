@@ -7,8 +7,8 @@ Pruning proceeds in three stages that are kept deliberately separate:
    importance score (ascending) and marks the P cheapest for removal.  The
    sort is global: channels from different layers compete directly, with no
    per-layer quota.  A candidate whose removal would leave its site empty is
-   skipped and the skip recorded, so every site always keeps at least one
-   channel.
+   skipped, so every site always keeps at least one channel; the plan reads
+   P and its skips off its rows.
 2. ``apply_mask`` turns a plan into a runtime mask on the model: pruned
    channels are forced to zero in the forward pass and their parameters stop
    receiving gradient.  Shapes do not change, which makes masked models
@@ -71,25 +71,27 @@ class PrunePlan:
     entries holds one row per channel in rank order:
     (rank, site_id, node_index, channel, score, pruned).  The score column is
     the value the ranking actually used, so with per-layer normalization it
-    holds the normalized score.  skipped lists (site_id, channel) pairs that
-    fell inside the cheapest P but were spared to keep their site non-empty.
-    An entry that breaks its column's rule is InputError, as in from_csv.
+    holds the normalized score.  p counts the pruned rows, and skipped lists
+    the (site_id, channel) of each unpruned row ranked before the last pruned
+    one: spared to keep its site non-empty.  Rows that break a column's rule
+    or miss or repeat a site's channel are InputError, as in from_csv.
     """
 
     COLUMNS = tuple(_PLAN_COLUMNS)
 
-    def __init__(self, entries, p, skipped=()):
+    def __init__(self, entries):
         self.entries = [data.check_row(entry, _PLAN_COLUMNS) for entry in entries]
-        self.p = p
-        self.skipped = list(skipped)
+        self._counts = _site_counts((site_id, channel) for _, site_id, _, channel, _, _ in self.entries)
+        pruned = [k for k, entry in enumerate(self.entries) if entry[5]]
+        self.p = len(pruned)
+        self.skipped = [(e[1], e[3]) for e in self.entries[: pruned[-1] if pruned else 0] if not e[5]]
 
     def __len__(self):
         return len(self.entries)
 
     def mask(self):
         """Build the PruneMask realizing this plan's decisions."""
-        counts = _site_counts((site_id, channel) for _, site_id, _, channel, _, _ in self.entries)
-        keep = {site_id: np.ones(n, dtype=bool) for site_id, n in counts.items()}
+        keep = {site_id: np.ones(n, dtype=bool) for site_id, n in self._counts.items()}
         for _, site_id, _, channel, _, pruned in self.entries:
             if pruned:
                 keep[site_id][channel] = False
@@ -104,7 +106,10 @@ class PrunePlan:
         for lineno, entry in enumerate(entries, start=2):
             if entry[0] != lineno - 2:
                 raise FormatError(f"{path} row {lineno}: ranks must run 0..N-1 in order, got {entry[0]}")
-        return cls(entries, sum(1 for e in entries if e[5]))
+        try:
+            return cls(entries)
+        except InputError as e:  # the rows break the coverage rule
+            raise FormatError(f"{path}: {e}") from None
 
 
 def _site_counts(channels):
@@ -123,9 +128,9 @@ def rank_global(table, p, per_layer_normalize=False):
 
     Ties break on (node index, channel index) ascending, so identical tables
     always give identical plans.  Each site keeps at least one channel: a
-    candidate that would empty its site is skipped and recorded, and the next
-    cheapest channel takes its place.  P may range from 0 to N minus the
-    number of sites.
+    candidate that would empty its site is skipped (the plan reads the skips
+    off its rows), and the next cheapest channel takes its place.  P may
+    range from 0 to N minus the number of sites.
 
     per_layer_normalize divides each site's scores by the site's maximum
     absolute score before the global sort, the standard correction for
@@ -149,24 +154,21 @@ def rank_global(table, p, per_layer_normalize=False):
 
     order = sorted(range(n), key=lambda k: (scores[k], entries[k][1], entries[k][2]))
     pruned = [False] * n
-    skipped = []
     taken = 0
     for k in order:
         if taken == p:
             break
         site_id = entries[k][0]
-        if survivors[site_id] == 1:
-            skipped.append((site_id, entries[k][2]))
-            continue
-        pruned[k] = True
-        survivors[site_id] -= 1
-        taken += 1
+        if survivors[site_id] > 1:
+            pruned[k] = True
+            survivors[site_id] -= 1
+            taken += 1
 
     plan_entries = [
         (rank, entries[k][0], entries[k][1], entries[k][2], scores[k], pruned[k])
         for rank, k in enumerate(order)
     ]
-    return PrunePlan(plan_entries, p, skipped)
+    return PrunePlan(plan_entries)
 
 
 def apply_mask(model, mask):

@@ -280,6 +280,32 @@ def pruned_channels(plan):
     return [(sid, ch) for _, sid, _, ch, _, pruned in plan.entries if pruned]
 
 
+def rank_walk_oracle(table, p, per_layer_normalize=False):
+    """(pruned, skipped) of a ranking walk that records each skip as it meets
+    it: both lists of (site_id, channel) in rank order."""
+    entries = list(table.entries)
+    scores = [float(score) for _, _, _, score in entries]
+    if per_layer_normalize:
+        peak = {}
+        for (site_id, _, _, _), score in zip(entries, scores):
+            peak[site_id] = max(peak.get(site_id, 0.0), abs(score))
+        scores = [s / peak[sid] if peak[sid] > 0 else s for (sid, _, _, _), s in zip(entries, scores)]
+    survivors = {}
+    for site_id, _, _, _ in entries:
+        survivors[site_id] = survivors.get(site_id, 0) + 1
+    pruned, skipped = [], []
+    for k in sorted(range(len(entries)), key=lambda k: (scores[k], entries[k][1], entries[k][2])):
+        if len(pruned) == p:
+            break
+        site_id, _, channel, _ = entries[k]
+        if survivors[site_id] == 1:
+            skipped.append((site_id, channel))
+            continue
+        pruned.append((site_id, channel))
+        survivors[site_id] -= 1
+    return pruned, skipped
+
+
 def site_by_id(model, site_id):
     for s in model.sites:
         if s.site_id == site_id:

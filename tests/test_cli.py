@@ -146,6 +146,17 @@ class TestImportance:
             assert run(workspace, *argv) == 0
         assert paths[0].read_bytes() == paths[1].read_bytes()
 
+    @pytest.mark.parametrize("labels", ["short", "absent"])
+    def test_random_source_ignores_the_labels_flag(self, workspace, tmp_path, labels):
+        # a labels file of another count, or none at all, is not read
+        data.save_idx(data.generate_shapes(4, 2, 16, 0.1, seed=3, split="train"),
+                      str(tmp_path / "few_imgs.idx"), str(tmp_path / "short.idx"))
+        argv = ["importance", "--config", "@/tiny.cfg", "--checkpoint", "@/model.npkt",
+                "--images", "@/imgs.idx", "--source", "random", "--data-size", "6", "--out"]
+        assert run(workspace, *argv, str(tmp_path / "bare.csv")) == 0
+        assert run(workspace, *argv, str(tmp_path / "flagged.csv"), "--labels", str(tmp_path / f"{labels}.idx")) == 0
+        assert (tmp_path / "flagged.csv").read_bytes() == (tmp_path / "bare.csv").read_bytes()
+
     def test_loss_source_without_labels_is_usage_error(self, workspace, tmp_path, capsys):
         code = run(workspace, "importance", "--config", "@/tiny.cfg",
                    "--checkpoint", "@/model.npkt", "--images", "@/imgs.idx",

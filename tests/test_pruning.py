@@ -2,9 +2,12 @@
 masked-vs-compacted equivalence oracle."""
 
 import os
+import re
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from prunelab import pruning
 from prunelab.checkpoint import load_model, save_model
@@ -25,7 +28,7 @@ from prunelab.nn import (
     make_node,
 )
 
-from helpers import all_keep, build_reference_models, pruned_channels, pruned_count
+from helpers import all_keep, build_reference_models, pruned_channels, pruned_count, rank_walk_oracle
 
 
 def table_for(rows):
@@ -204,10 +207,24 @@ class TestPlanCsv:
         ([(0, "a", 0, 0, float("nan"), True), (1, "a", 0, 1, 1.0, False)], "score must be a finite number"),
         ([(0, "a", 0, 0, 1.0, True), (1, "a", 0, -1, 1.0, False)], "channel must be"),
         ([(0, "a", 0)], "3 fields, expected 6"),
-    ], ids=["nan_score", "negative_channel", "short_entry"])
+        ([(0, "a", 0, 0, 1.0, True), (1, "a", 0, 0, 1.0, False)], "does not cover channels 0..1"),
+    ], ids=["nan_score", "negative_channel", "short_entry", "repeated_channel"])
     def test_constructor_rejects_what_from_csv_rejects(self, entries, match):
         with pytest.raises(InputError, match=match):
-            pruning.PrunePlan(entries, 1)
+            pruning.PrunePlan(entries)
+
+    @pytest.mark.parametrize("rows", ["0,a,0,0,1.0,true\n1,a,0,2,2.0,false\n", "0,a,0,0,1.0,true\n1,a,0,0,2.0,false\n"],
+                             ids=["missing_channel", "repeated_channel"])
+    def test_channel_coverage_is_checked_at_load(self, tmp_path, rows):
+        path = tmp_path / "cover.csv"
+        path.write_text(",".join(pruning.PrunePlan.COLUMNS) + "\n" + rows)
+        with pytest.raises(FormatError, match=f"^{re.escape(str(path))}: site 'a': ranking does not cover channels 0..1$"):
+            pruning.PrunePlan.from_csv(path)
+
+    def test_mask_reuses_the_counts_checked_at_build(self, monkeypatch):
+        plan = self.plan()
+        monkeypatch.setattr(pruning, "_site_counts", lambda channels: pytest.fail("counted the channels again"))
+        assert plan.mask().keep["a"].sum() == 2
 
     def test_rank_gap(self, tmp_path):
         path = tmp_path / "gap.csv"
@@ -223,6 +240,33 @@ class TestPlanCsv:
         path.write_text(",".join(pruning.PrunePlan.COLUMNS) + "\n0,a,0,0,1.0\n")
         with pytest.raises(FormatError, match="fields"):
             pruning.PrunePlan.from_csv(path)
+
+
+@st.composite
+def ranked_tables(draw):
+    """(table, p, per_layer_normalize): 1-3 sites of 1-4 channels, scores tied at 0 often, any valid P."""
+    sizes = draw(st.lists(st.integers(1, 4), min_size=1, max_size=3))
+    nodes = draw(st.permutations(range(len(sizes))))
+    scores = st.sampled_from([0.0, 0.0, -1.5, 0.25, 2.0]) | st.floats(-4, 4, allow_nan=False, allow_subnormal=False)
+    rows = [(f"s{i}", nodes[i], c, draw(scores)) for i, n in enumerate(sizes) for c in range(n)]
+    return table_for(rows), draw(st.integers(0, len(rows) - len(sizes))), draw(st.booleans())
+
+
+@pytest.fixture(scope="module")
+def plan_dir(tmp_path_factory):
+    return tmp_path_factory.mktemp("plans")
+
+
+@settings(max_examples=400, deadline=None, derandomize=True)
+@given(case=ranked_tables())
+def test_plan_round_trip_keeps_p_and_the_skips_the_walk_records(plan_dir, case):
+    table, p, normalize = case
+    plan = pruning.rank_global(table, p, per_layer_normalize=normalize)
+    pruned, skipped = rank_walk_oracle(table, p, normalize)
+    assert (pruned_channels(plan), plan.p, plan.skipped) == (pruned, p, skipped)
+    plan.to_csv(plan_dir / "plan.csv")
+    loaded = pruning.PrunePlan.from_csv(plan_dir / "plan.csv")
+    assert (loaded.entries, loaded.p, loaded.skipped) == (plan.entries, plan.p, plan.skipped)
 
 
 class TestPruneMask:

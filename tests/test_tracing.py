@@ -4,7 +4,8 @@
 reports.  A function renamed or deleted in the package is only reported as
 "not traced" under ``--trace 1``, and a node kind renamed or added drops out
 of the per-layer metrics, so these tests turn that drift into a failure.  The
-first installs the wrappers and removes them; nothing runs in between.
+first installs the wrappers and removes them; nothing runs in between.  The
+last checks that the workloads' data set-up runs through a traced function.
 """
 
 import importlib.util
@@ -33,3 +34,11 @@ def test_every_traced_function_exists(tracing):
 
 def test_every_node_kind_is_traced(tracing):
     assert tracing.NODE_KIND_NAMES == tuple(prunelab.nn.NODE_KINDS)
+
+
+def test_build_datasets_is_one_traced_make_splits_call(tracing):
+    # the per-layer data.make_splits.setup_s reads 0 unless the set-up calls it
+    tracer = tracing.Tracer()
+    with tracing.Instrumentation(prunelab, tracer):
+        prunelab.harness.build_datasets(prunelab.harness.ExperimentConfig(per_class_train=2, per_class_test=1))
+    assert tracer.calls["data.make_splits"] == 1
