@@ -36,6 +36,7 @@ table read back and written again is byte-identical.  read_csv fails closed:
 undecodable or unparsable text, a wrong header, no rows, a wrong field count,
 or a field that its column's parser or rule rejects raises FormatError naming
 the path, and the row (the header is row 1) and column where there is one.
+It then builds the table, whose constructor's InputError is a FormatError.
 """
 
 import csv
@@ -420,9 +421,9 @@ def _parse(parse, text):
         return text  # text its column's parser rejects fails the column's rule too
 
 
-def read_csv(path, columns):
-    """Read a write_csv table: one tuple per row, each field parsed and
-    checked by its column's entry in a {column: (parser, rule)} table."""
+def read_csv(path, columns, build):
+    """build(rows) of a write_csv table: one tuple per row, each field parsed
+    and checked by its column's entry in a {column: (parser, rule)} table."""
     try:
         with open(path, newline="", encoding="utf-8") as fh:
             lines = list(csv.reader(fh))
@@ -437,7 +438,10 @@ def read_csv(path, columns):
         if len(fields) == len(columns):
             fields = [_parse(parse, text) for (parse, _), text in zip(columns.values(), fields)]
         rows.append(check_row(fields, columns, f"{path} row {lineno}: ", FormatError))
-    return rows
+    try:
+        return build(rows)
+    except InputError as e:
+        raise FormatError(f"{path}: {e}") from None
 
 
 # -- batching -----------------------------------------------------------------

@@ -213,7 +213,7 @@ def random_importance_table(model, seed=0):
 
 
 class SweepResult:
-    """Rows of the prune-vs-accuracy grid, one per (combo, P, seed)."""
+    """Rows of the prune-vs-accuracy grid, one per (combo, P, seed), at least one."""
 
     COLUMNS = SweepRow._fields
 
@@ -223,6 +223,8 @@ class SweepResult:
             estimator, source, normalized, d, p, fraction, accuracy, seed = data.check_row(row, _SWEEP_COLUMNS)
             self.rows.append(SweepRow(estimator, source, normalized, int(d), int(p), float(fraction),
                                       float(accuracy), int(seed)))
+        if not self.rows:
+            raise InputError("no entries")
 
     def __len__(self):
         return len(self.rows)
@@ -238,7 +240,7 @@ class SweepResult:
 
     @classmethod
     def from_csv(cls, path):
-        return cls(data.read_csv(path, _SWEEP_COLUMNS))
+        return data.read_csv(path, _SWEEP_COLUMNS, cls)
 
 
 def prune_counts(config, total):

@@ -49,8 +49,9 @@ under ten examples).  A Linear's x @ W.T may round a row differently for
 another number of rows, so mlp_small's tables do depend on it, by round-off.
 
 GradientSource, estimate and ImportanceTable check their arguments with the
-rules of the data module; a table's metadata must be what estimate or
-harness.random_importance_table writes.
+rules of the data module, a table once, when it is built: its metadata must be
+what estimate or harness.random_importance_table writes, and its rows pass the
+coverage rule plans share (_site_counts).
 """
 
 import math
@@ -58,7 +59,7 @@ import math
 import numpy as np
 
 from . import data, tensor
-from .errors import FormatError, InputError, ShapeError, StateError
+from .errors import InputError, ShapeError, StateError
 from .nn import MODEL, softmax
 
 LOSS = "loss"
@@ -241,14 +242,14 @@ _CONTROL = {"estimator": (str, data.one_of((RANDOM_RANK,))), "source": (str, dat
 class ImportanceTable:
     """One score per (site, channel), plus the metadata that produced it.
 
-    entries are (site_id, node_index, channel, score) tuples in site order,
-    channels ascending.  Every value must pass its column's rule.  A nan or
-    infinite score is a StateError, the mark of a diverged model.
+    entries are (site_id, node_index, channel, score) rows passing their
+    columns' rules and _site_counts, else InputError (where prefixes a metadata
+    one); a nan or infinite score is a StateError, the mark of a diverged model.
     """
 
     COLUMNS = tuple(_COLUMNS)
 
-    def __init__(self, entries, estimator, source, normalized, data_size, seed):
+    def __init__(self, entries, estimator, source, normalized, data_size, seed, *, where=""):
         self.entries = []
         for entry in entries:
             score = entry[3] if len(entry) == len(ENTRY_COLUMNS) else None
@@ -256,25 +257,21 @@ class ImportanceTable:
                 raise StateError(f"non-finite score {score} at site {entry[0]!r} channel {entry[2]}")
             site_id, node_index, channel, score = data.check_row(entry, ENTRY_COLUMNS)
             self.entries.append((site_id, int(node_index), int(channel), float(score)))
-        data.check_row((estimator, source, normalized, data_size, seed),
-                       _CONTROL if estimator == RANDOM_RANK else _ESTIMATED)
-        self.estimator = estimator
-        self.source = source
-        self.normalized = normalized
-        self.data_size = int(data_size)
-        self.seed = int(seed)
+        self._counts = _site_counts(entry[:3] for entry in self.entries)
+        self.estimator, self.source, self.normalized, data_size, seed = data.check_row(
+            (estimator, source, normalized, data_size, seed), _CONTROL if estimator == RANDOM_RANK else _ESTIMATED, where)
+        self.data_size, self.seed = int(data_size), int(seed)
 
     def __len__(self):
         return len(self.entries)
 
     def scores(self, site_id=None):
-        """Score vector for one site, or all scores in entry order."""
+        """One site's score vector, channels ascending, or all scores in entry order."""
         if site_id is None:
             return np.array([e[3] for e in self.entries])
-        picked = [e[3] for e in self.entries if e[0] == site_id]
-        if not picked:
+        if site_id not in self._counts:
             raise InputError(f"no entries for site {site_id!r}")
-        return np.array(picked)
+        return np.array([score for _, score in sorted((c, s) for sid, _, c, s in self.entries if sid == site_id)])
 
     def to_csv(self, path):
         meta = (self.estimator, self.source, self.normalized, self.data_size, self.seed)
@@ -282,14 +279,30 @@ class ImportanceTable:
 
     @classmethod
     def from_csv(cls, path):
-        rows = data.read_csv(path, _COLUMNS)
-        for lineno, row in enumerate(rows, start=2):
-            if row[4:] != rows[0][4:]:
-                raise FormatError(f"{path} row {lineno}: metadata differs from the first row")
-        try:  # every row repeats the first row's metadata, so row 2 names it
-            return cls([row[:4] for row in rows], *rows[0][4:])
-        except InputError as e:
-            raise FormatError(f"{path} row 2: {e}") from None
+        return data.read_csv(path, _COLUMNS, _table_of_rows)
+
+
+def _table_of_rows(rows):
+    for lineno, row in enumerate(rows, start=2):
+        if row[4:] != rows[0][4:]:
+            raise InputError(f"row {lineno}: metadata differs from the first row")
+    return ImportanceTable([row[:4] for row in rows], *rows[0][4:], where="row 2: ")  # the first to carry it
+
+
+def _site_counts(rows):
+    """{site_id: channel count} of (site_id, node_index, channel) rows, if there are any, sites
+    and nodes pair one to one, and each site's rows number its channels 0..n-1 once."""
+    channels = {}
+    for site_id, node_index, channel in rows:
+        channels.setdefault((site_id, node_index), []).append(channel)
+    if not channels:
+        raise InputError("no entries")
+    if len({s for s, _ in channels}) < len(channels) or len({n for _, n in channels}) < len(channels):
+        raise InputError(f"sites and nodes must pair one to one, got {sorted(channels)}")
+    for (site_id, _), chans in channels.items():
+        if sorted(chans) != list(range(len(chans))):
+            raise InputError(f"site {site_id!r}: ranking does not cover channels 0..{len(chans) - 1}")
+    return {site_id: len(chans) for (site_id, _), chans in channels.items()}
 
 
 def molchanov_bn_score(bn_node, per_example_grads):

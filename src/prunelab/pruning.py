@@ -8,7 +8,7 @@ Pruning proceeds in three stages that are kept deliberately separate:
    sort is global: channels from different layers compete directly, with no
    per-layer quota.  A candidate whose removal would leave its site empty is
    skipped, so every site always keeps at least one channel; the plan reads
-   P and its skips off its rows.
+   P and its skips off its rows, and refuses rows that could not be masked.
 2. ``apply_mask`` turns a plan into a runtime mask on the model: pruned
    channels are forced to zero in the forward pass and their parameters stop
    receiving gradient.  Shapes do not change, which makes masked models
@@ -34,8 +34,8 @@ evaluate-right-after-pruning protocol; nothing is recomputed.
 import numpy as np
 
 from . import data
-from .errors import CapabilityError, FormatError, InputError
-from .importance import ENTRY_COLUMNS, ImportanceTable
+from .errors import CapabilityError, InputError
+from .importance import ENTRY_COLUMNS, ImportanceTable, _site_counts
 from .nn import INPUT, MODEL, Model, Site
 
 
@@ -73,15 +73,21 @@ class PrunePlan:
     the value the ranking actually used, so with per-layer normalization it
     holds the normalized score.  p counts the pruned rows, and skipped lists
     the (site_id, channel) of each unpruned row ranked before the last pruned
-    one: spared to keep its site non-empty.  Rows that break a column's rule
-    or miss or repeat a site's channel are InputError, as in from_csv.
+    one: spared to keep its site non-empty.  Rows that break a column's rule,
+    rank out of order, break the coverage rule (importance._site_counts) or
+    leave a site no channel are InputError, so mask() cannot fail.
     """
 
     COLUMNS = tuple(_PLAN_COLUMNS)
 
     def __init__(self, entries):
         self.entries = [data.check_row(entry, _PLAN_COLUMNS) for entry in entries]
-        self._counts = _site_counts((site_id, channel) for _, site_id, _, channel, _, _ in self.entries)
+        keep = {site_id: np.ones(n, dtype=bool) for site_id, n in _site_counts(e[1:4] for e in self.entries).items()}
+        for k, (rank, site_id, _, channel, _, pruned) in enumerate(self.entries):
+            if rank != k:
+                raise InputError(f"ranks must run 0..N-1 in order, got {rank} at position {k}")
+            keep[site_id][channel] = not pruned
+        self._keep = PruneMask(keep).keep  # which refuses a site left with no channel
         pruned = [k for k, entry in enumerate(self.entries) if entry[5]]
         self.p = len(pruned)
         self.skipped = [(e[1], e[3]) for e in self.entries[: pruned[-1] if pruned else 0] if not e[5]]
@@ -91,36 +97,14 @@ class PrunePlan:
 
     def mask(self):
         """Build the PruneMask realizing this plan's decisions."""
-        keep = {site_id: np.ones(n, dtype=bool) for site_id, n in self._counts.items()}
-        for _, site_id, _, channel, _, pruned in self.entries:
-            if pruned:
-                keep[site_id][channel] = False
-        return PruneMask(keep)
+        return PruneMask(self._keep)
 
     def to_csv(self, path):
         data.write_csv(path, self.COLUMNS, self.entries)
 
     @classmethod
     def from_csv(cls, path):
-        entries = data.read_csv(path, _PLAN_COLUMNS)
-        for lineno, entry in enumerate(entries, start=2):
-            if entry[0] != lineno - 2:
-                raise FormatError(f"{path} row {lineno}: ranks must run 0..N-1 in order, got {entry[0]}")
-        try:
-            return cls(entries)
-        except InputError as e:  # the rows break the coverage rule
-            raise FormatError(f"{path}: {e}") from None
-
-
-def _site_counts(channels):
-    """{site_id: channel count} of (site_id, channel) pairs that number each site's channels 0..n-1 once."""
-    by_site = {}
-    for site_id, channel in channels:
-        by_site.setdefault(site_id, []).append(channel)
-    for site_id, chans in by_site.items():
-        if sorted(chans) != list(range(len(chans))):
-            raise InputError(f"site {site_id!r}: ranking does not cover channels 0..{len(chans) - 1}")
-    return {site_id: len(chans) for site_id, chans in by_site.items()}
+        return data.read_csv(path, _PLAN_COLUMNS, cls)
 
 
 def rank_global(table, p, per_layer_normalize=False):
@@ -141,16 +125,13 @@ def rank_global(table, p, per_layer_normalize=False):
     data.check(per_layer_normalize, data.FLAG, "per_layer_normalize")
     entries = list(table.entries)
     n = len(entries)
-    survivors = _site_counts((site_id, channel) for site_id, _, channel, _ in entries)
+    survivors = dict(table._counts)
     data.check(p, data.integer(0, n - len(survivors)), "p")
 
     scores = [float(score) for _, _, _, score in entries]
     if per_layer_normalize:
-        peak = {}
-        for (site_id, _, _, _), score in zip(entries, scores):
-            peak[site_id] = max(peak.get(site_id, 0.0), abs(score))
-        scores = [s / peak[sid] if peak[sid] > 0 else s
-                  for (sid, _, _, _), s in zip(entries, scores)]
+        peak = {site_id: float(np.abs(table.scores(site_id)).max()) for site_id in survivors}
+        scores = [s / peak[sid] if peak[sid] > 0 else s for (sid, _, _, _), s in zip(entries, scores)]
 
     order = sorted(range(n), key=lambda k: (scores[k], entries[k][1], entries[k][2]))
     pruned = [False] * n

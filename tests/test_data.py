@@ -308,7 +308,7 @@ class TestCsvCodec:
         rows = [("a,b", True, 0.1, 3), ("é", False, -2.5e-300, -1)]
         path = tmp_path / "t.csv"
         data.write_csv(path, self.COLUMNS, rows)
-        assert data.read_csv(path, self.COLUMNS) == rows
+        assert data.read_csv(path, self.COLUMNS, list) == rows
 
     @pytest.mark.parametrize("text,match", [
         ("", "header"),
@@ -323,7 +323,7 @@ class TestCsvCodec:
         path = tmp_path / "bad.csv"
         path.write_text(text, encoding="utf-8")
         with pytest.raises(FormatError, match=match):
-            data.read_csv(path, self.COLUMNS)
+            data.read_csv(path, self.COLUMNS, list)
 
     def test_parsers(self):
         assert data.parse_bool("true") is True and data.parse_bool("false") is False

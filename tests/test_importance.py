@@ -679,6 +679,13 @@ class TestTableCsv:
         with pytest.raises(Exception, match="metadata"):
             imp.ImportanceTable.from_csv(path)
 
+    def test_site_scores_are_in_channel_order(self, tmp_path):
+        table = imp.ImportanceTable([("a", 0, 1, 5.0), ("a", 0, 0, 1.0)], "taylorfo", "loss", False, 4, 0)
+        table.to_csv(tmp_path / "t.csv")
+        for t in (table, imp.ImportanceTable.from_csv(tmp_path / "t.csv")):
+            assert t.scores("a").tolist() == [1.0, 5.0]
+            assert t.scores().tolist() == [5.0, 1.0]
+
     def test_non_finite_scores_rejected(self):
         with pytest.raises(StateError, match="finite"):
             imp.ImportanceTable([("s", 0, 0, float("nan"))], "taylorfo", "loss", False, 1, 0)

@@ -145,9 +145,21 @@ class TestRankGlobal:
         assert pruned_channels(plan) == [("a", 0)]
 
     def test_incomplete_channel_coverage(self):
-        table = table_for([("s", 0, 0, 1.0), ("s", 0, 2, 2.0)])
         with pytest.raises(InputError, match="cover"):
-            pruning.rank_global(table, 1)
+            pruning.rank_global(table_for([("s", 0, 0, 1.0), ("s", 0, 2, 2.0)]), 1)
+
+    def test_ranking_reuses_the_counts_checked_at_build(self, monkeypatch):
+        table = table_for([("a", 0, 0, 3.0), ("a", 0, 1, 1.0), ("b", 1, 0, 2.0), ("b", 1, 1, 0.5)])
+        rule, table_channels = pruning._site_counts, [(site_id, c) for site_id, _, c, _ in table.entries]
+
+        def fails_on_the_table(rows):  # the plan's rows, in rank order, still pass
+            rows = list(rows)
+            if [(row[0], row[-1]) for row in rows] == table_channels:
+                pytest.fail("counted the table's channels again")
+            return rule(rows)
+
+        monkeypatch.setattr(pruning, "_site_counts", fails_on_the_table)
+        assert pruned_channels(pruning.rank_global(table, 2)) == [("b", 1), ("a", 1)]
 
     @pytest.mark.parametrize("flag", ["no", "", 1, None])
     def test_per_layer_normalize_must_be_a_flag(self, flag):
@@ -208,7 +220,11 @@ class TestPlanCsv:
         ([(0, "a", 0, 0, 1.0, True), (1, "a", 0, -1, 1.0, False)], "channel must be"),
         ([(0, "a", 0)], "3 fields, expected 6"),
         ([(0, "a", 0, 0, 1.0, True), (1, "a", 0, 0, 1.0, False)], "does not cover channels 0..1"),
-    ], ids=["nan_score", "negative_channel", "short_entry", "repeated_channel"])
+        ([(1, "a", 0, 0, 1.0, True), (0, "a", 0, 1, 2.0, False)], "ranks must run 0..N-1 in order, got 1"),
+        ([(0, "a", 0, 0, 1.0, True), (1, "a", 5, 1, 2.0, False)], r"pair one to one, got \[\('a', 0\), \('a', 5\)\]"),
+        ([(0, "a", 0, 0, 1.0, False), (1, "b", 0, 0, 2.0, False)], r"pair one to one, got \[\('a', 0\), \('b', 0\)\]"),
+    ], ids=["nan_score", "negative_channel", "short_entry", "repeated_channel", "rank_out_of_order",
+            "site_on_two_nodes", "two_sites_on_one_node"])
     def test_constructor_rejects_what_from_csv_rejects(self, entries, match):
         with pytest.raises(InputError, match=match):
             pruning.PrunePlan(entries)
@@ -219,6 +235,15 @@ class TestPlanCsv:
         path = tmp_path / "cover.csv"
         path.write_text(",".join(pruning.PrunePlan.COLUMNS) + "\n" + rows)
         with pytest.raises(FormatError, match=f"^{re.escape(str(path))}: site 'a': ranking does not cover channels 0..1$"):
+            pruning.PrunePlan.from_csv(path)
+
+    def test_plan_that_empties_a_site_is_refused(self, tmp_path):
+        entries = [(0, "a", 0, 0, 1.0, True), (1, "a", 0, 1, 2.0, True)]
+        with pytest.raises(InputError, match="^site 'a' would keep no channels$"):
+            pruning.PrunePlan(entries)
+        path = tmp_path / "emptied.csv"
+        path.write_text(",".join(pruning.PrunePlan.COLUMNS) + "\n0,a,0,0,1.0,true\n1,a,0,1,2.0,true\n")
+        with pytest.raises(FormatError, match=f"^{re.escape(str(path))}: site 'a' would keep no channels$"):
             pruning.PrunePlan.from_csv(path)
 
     def test_mask_reuses_the_counts_checked_at_build(self, monkeypatch):

@@ -3,7 +3,9 @@
 Generated-input properties mutate valid files (flipped bytes, truncation,
 duplicated or dropped fields and lines) and check that from_csv either loads
 the result or raises FormatError, and that `prunelab prune` given a mutated
-importance table exits with a documented code and no traceback.
+importance table exits with a documented code and no traceback.  Another
+builds tables from generated rows, some broken on purpose: a table that
+builds loads back from its file, and rows its constructor refuses write none.
 """
 
 import contextlib
@@ -16,9 +18,9 @@ from hypothesis import strategies as st
 
 from prunelab import cli
 from prunelab.checkpoint import save_model
-from prunelab.errors import FormatError
+from prunelab.errors import FormatError, InputError
 from prunelab.harness import SweepResult
-from prunelab.importance import ImportanceTable
+from prunelab.importance import ESTIMATORS, SOURCE_KINDS, ImportanceTable
 from prunelab.nn import INPUT, Flatten, Linear, Model, ReLU, Site
 from prunelab.pruning import PrunePlan, rank_global
 
@@ -117,3 +119,81 @@ def test_prune_on_mutated_table_exits_cleanly(workdir, edit_list):
                          "--out", str(workdir / "small.npkt")])
     assert code in (0, 1, 2, 3)
     assert "Traceback" not in err.getvalue()
+
+
+SITES = ("a", "b,c", 'd"\u00e9')
+METADATA = (("taylorfo", "loss", False, 4, 0), ("molchanov_group", "random", True, 1, 2**64 - 1),
+            ("random_rank", "none", False, 0, 3))
+BREAKS = {"importance": ("empty", "uncovered", "site_on_two_nodes", "two_sites_on_one_node"),
+          "plan": ("empty", "uncovered", "site_on_two_nodes", "two_sites_on_one_node", "rank", "emptied_site"),
+          "sweep": ("empty", "accuracy")}
+scores = st.floats(allow_nan=False, allow_infinity=False)
+
+
+@st.composite
+def table_cases(draw):
+    """(kind, constructor args, refused): rows of one table, intact or broken one way the constructor refuses."""
+    kind = draw(st.sampled_from(FORMATS))
+    broken = draw(st.sampled_from((None,) + BREAKS[kind]))
+    if kind == "sweep":
+        rows = draw(st.lists(st.tuples(st.sampled_from(ESTIMATORS), st.sampled_from(SOURCE_KINDS), st.booleans(),
+                                       st.integers(1, 10**6), st.integers(0, 10**6), st.floats(0, 1),
+                                       st.floats(0, 1), st.integers(0, 2**64 - 1)), min_size=1, max_size=4))
+        if broken == "accuracy":
+            rows[0] = rows[0][:6] + (1.5,) + rows[0][7:]
+        args = (rows,)
+    else:
+        sizes = draw(st.lists(st.integers(1, 3), min_size=1 + (broken == "two_sites_on_one_node"), max_size=3))
+        sizes[0] += broken == "site_on_two_nodes"
+        nodes = draw(st.permutations(range(len(sizes))))
+        rows = [[SITES[i], nodes[i], c, draw(scores)] for i, n in enumerate(sizes) for c in range(n)]
+        if broken == "uncovered":  # channel n of an n-channel site, so one of 0..n-1 goes missing
+            row = rows[draw(st.integers(0, len(rows) - 1))]
+            row[2] = sizes[SITES.index(row[0])]
+        if broken == "site_on_two_nodes":
+            rows[0][1] = len(sizes)
+        if broken == "two_sites_on_one_node":
+            for row in rows[sizes[0]:sizes[0] + sizes[1]]:
+                row[1] = nodes[0]
+        rows = [tuple(row) for row in draw(st.permutations(rows))]
+        if kind == "importance":
+            args = (rows, *draw(st.sampled_from(METADATA)))
+        else:
+            kept = set()  # each site keeps its first row in rank order, unless the break prunes site a's every row
+            entries = []
+            for rank, (site_id, node_index, channel, score) in enumerate(rows):
+                pruned = broken == "emptied_site" and site_id == SITES[0] or site_id in kept and draw(st.booleans())
+                kept.add(site_id)
+                entries.append((rank, site_id, node_index, channel, score, pruned))
+            if broken == "rank":
+                k = draw(st.integers(0, len(entries) - 1))
+                entries[k] = (len(entries),) + entries[k][1:]
+            args = (entries,)
+    if broken == "empty":
+        args = ([],) + args[1:]
+    return kind, args, broken is not None
+
+
+def kept_state(table):
+    """What a table's file must give back: its rows, and an importance table's metadata or a plan's P and skips."""
+    if isinstance(table, SweepResult):
+        return table.rows
+    if isinstance(table, PrunePlan):
+        return table.entries, table.p, table.skipped
+    return table.entries, table.estimator, table.source, table.normalized, table.data_size, table.seed
+
+
+@settings(max_examples=600, deadline=None, derandomize=True)
+@given(case=table_cases())
+def test_a_table_that_builds_loads_back_and_refused_rows_write_no_file(workdir, case):
+    kind, args, refused = case
+    path = workdir / "built.csv"
+    path.unlink(missing_ok=True)
+    if refused:
+        with pytest.raises(InputError):
+            CLASSES[kind](*args).to_csv(path)
+        assert not path.exists()
+    else:
+        table = CLASSES[kind](*args)
+        table.to_csv(path)
+        assert kept_state(CLASSES[kind].from_csv(path)) == kept_state(table)
