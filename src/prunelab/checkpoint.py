@@ -1,9 +1,10 @@
-"""Binary model checkpoints.
+"""Binary model checkpoints, format 2.
 
 Layout: 4 magic bytes "NPKT", format version (unsigned 32-bit little-endian),
 header length (unsigned 32-bit little-endian), a UTF-8 JSON header describing
 the topology (node kinds, refs, hyperparameters, parameter shapes, prunable
-sites, channel masks), then the raw little-endian float32 parameter blobs in
+sites, and the channel masks as Model.masks holds them: one per masked site,
+keyed by its node index), then the raw little-endian float32 parameter blobs in
 node order.  Within a node, blobs follow the node's param_order(): trainable
 parameters first, then state such as batch-norm running statistics.
 
@@ -14,10 +15,10 @@ save_model would write its header, byte for byte, for the model the header
 describes; else FormatError.  The nn constructors check the values a model
 is built from and nn.Model.check the model; load_model raises their InputError
 as FormatError.  Here are only the rules of the file: framing, JSON container
-types, MASK_RULE, non_prunable key spelling and SIZE_HYPERS, a bound on node
-sizes.  So save(load(p)) writes p's bytes for every p load_model accepts, and
-save_model, which runs hyper() and then Model.check before it opens the file,
-writes no checkpoint that load_model rejects.
+types, MASK_RULE and SIZE_HYPERS, a bound on node sizes.  So save(load(p))
+writes p's bytes for every p load_model accepts, and save_model, which runs
+hyper() and then Model.check before it opens the file, writes no checkpoint
+that load_model rejects.
 """
 
 import json
@@ -31,12 +32,12 @@ from .errors import FormatError, InputError
 from .nn import MODEL, Model, Site, make_node
 
 MAGIC = b"NPKT"
-VERSION = 1
+VERSION = 2
 
 _LIST = data.instance(list, "a JSON list")
 _OBJECT = data.instance(dict, "a JSON object")
 # key -> rule, for the JSON containers of the header and its nodes; the nn constructors check what they hold
-HEADER_RULES = {"nodes": _LIST, "sites": _LIST, "masks": _OBJECT, "non_prunable": _OBJECT}
+HEADER_RULES = {"nodes": _LIST, "sites": _LIST, "masks": _OBJECT}
 NODE_RULES = {"hyper": _OBJECT}
 # node kind -> the hyperparameters whose product is the size of its weight or gamma
 SIZE_HYPERS = {"conv2d": ("in_channels", "out_channels", "kernel", "kernel"),
@@ -55,9 +56,7 @@ def _header_dict(model):
         "sites": [
             {"site_id": s.site_id, "node_index": s.node_index, "channels": s.channels} for s in model.sites
         ],
-        "non_prunable": {str(k): v for k, v in model.non_prunable.items()},
-        "masks": {str(i): np.equal(m, 1).astype(int).tolist() for i in range(len(model.nodes))
-                  if (m := model.gate_mask(i)) is not None},  # not int(v): a NaN mask must reach save's check
+        "masks": {str(i): np.equal(m, 1).astype(int).tolist() for i, m in model.masks.items()},
     }
 
 
@@ -72,8 +71,10 @@ def _blob(node, name):
 def save_model(path, model):
     """Write the model to path as float32, returning the byte count."""
     data.check(model, MODEL, "model")
-    header = _header_bytes(model)  # hyper() first: its messages come before the model rule's
-    model.check()
+    for node in model.nodes:
+        node.hyper()  # before Model.check, whose shape walk trusts the hyperparameters
+    model.check()  # before the header, which converts the masks the check passes
+    header = _header_bytes(model)
     with open(path, "wb") as fh:
         fh.write(MAGIC)
         fh.write(struct.pack("<I", VERSION))
@@ -101,7 +102,7 @@ def _check_fields(obj, rules, what):
 
 
 def _check_header(header, blob_floats):
-    """The JSON containers, masks, non_prunable keys and node sizes of the header, before anything is built."""
+    """The JSON containers, masks and node sizes of the header, before anything is built."""
     _check_fields(header, HEADER_RULES, "checkpoint header")
     for i, entry in enumerate(header["nodes"]):
         what = f"checkpoint node {i}"
@@ -114,9 +115,6 @@ def _check_header(header, blob_floats):
         data.check(site, _OBJECT, "checkpoint site", FormatError)
     for key, mask in header["masks"].items():
         data.check(mask, MASK_RULE, f"checkpoint mask {key!r}", FormatError)
-    node_key = data.one_of(tuple(map(str, range(len(header["nodes"])))))  # the keys _header_dict writes
-    for key in header["non_prunable"]:
-        data.check(key, node_key, "checkpoint non_prunable key", FormatError)
 
 
 def _difference(got, want, where=""):
@@ -164,8 +162,7 @@ def load_model(path):
             (node.params if name in node.params else node.state)[name] = np.frombuffer(blob, "<f4").reshape(shape).copy()
     try:
         sites = [Site(s.get("site_id"), s.get("node_index"), s.get("channels")) for s in header["sites"]]
-        model = Model(nodes, header.get("input_shape"), header.get("num_classes"), sites,
-                      non_prunable={int(k): v for k, v in header["non_prunable"].items()}, dtype=np.float32)
+        model = Model(nodes, header.get("input_shape"), header.get("num_classes"), sites, dtype=np.float32)
         model.masks = {s.node_index: np.asarray(header["masks"][str(s.node_index)], dtype=np.float32)
                        for s in sites if str(s.node_index) in header["masks"]}
         model.check()

@@ -331,11 +331,6 @@ def list_of(item, unset_ok=False):
             and all(map(item[0], v))), f"{'unset or a list' if unset_ok else 'a non-empty list'}, each item {item[1]}"
 
 
-def dict_of(key, value):
-    return (lambda v: isinstance(v, dict) and all(key[0](k) and value[0](x) for k, x in v.items()),
-            f"a dict, each key {key[1]} and each value {value[1]}")
-
-
 TEXT = instance(str, "a string")
 FLAG = instance(bool, "true or false")
 COUNT = integer(0)

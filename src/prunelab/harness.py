@@ -173,7 +173,7 @@ def train(model, dataset, config):
             del logits, record, grad  # this step's activations go before the next step's forward
             for i, node, name, param in out.parameters():
                 g = node.grads[name]
-                if config.weight_decay and name == "weight" and node.kind in ("conv2d", "linear"):
+                if config.weight_decay and name == "weight":
                     g = g + config.weight_decay * param
                 v = velocity[(i, name)]
                 v *= config.momentum
@@ -218,11 +218,9 @@ class SweepResult:
     COLUMNS = SweepRow._fields
 
     def __init__(self, rows):
-        self.rows = []
-        for row in rows:
-            estimator, source, normalized, d, p, fraction, accuracy, seed = data.check_row(row, _SWEEP_COLUMNS)
-            self.rows.append(SweepRow(estimator, source, normalized, int(d), int(p), float(fraction),
-                                      float(accuracy), int(seed)))
+        rows = [data.check_row(row, _SWEEP_COLUMNS) for row in rows]
+        self.rows = tuple(SweepRow(kind, source, normalized, int(d), int(p), float(fraction), float(accuracy), int(seed))
+                          for kind, source, normalized, d, p, fraction, accuracy, seed in rows)
         if not self.rows:
             raise InputError("no entries")
 

@@ -31,7 +31,8 @@ compacted, saved or loaded: input_shape goes through each node's ``arity`` earli
 model's dtype and out_shape rule to (num_classes,); each site is on a node of its ``channels``, with unique
 ids and nodes; each mask is keyed by a site node, an array of the model's dtype with one entry per channel
 of it, only 0s and 1s; else InputError.  So every array a forward meets has the model's dtype, and no node
-or gate converts one.  A mask's gates (:meth:`Model.gate_mask`) and a value's last reader are read off the nodes.
+or gate converts one.  A node's gate mask (:meth:`Model.gate_mask`) and a value's last reader are read off the
+nodes and masks: a batch norm applies its own site mask times the mask of the site it reads, so masks compose.
 """
 
 import copy
@@ -449,13 +450,11 @@ class Model:
     """A node graph, its prunable sites, and channel masks {site node index:
     keep vector}, each applied at every gate node of its site (see gates)."""
 
-    def __init__(self, nodes, input_shape, num_classes, sites=None, non_prunable=None, dtype=np.float32):
+    def __init__(self, nodes, input_shape, num_classes, sites=None, dtype=np.float32):
         self.nodes = list(data.check(nodes, data.list_of(data.instance(Node, "a Node")), "nodes"))
         self.input_shape = tuple(data.check(input_shape, data.list_of(data.SIZE), "input_shape"))
         self.num_classes = data.check(num_classes, data.SIZE, "num_classes")
         self.sites = list(data.check(sites, data.list_of(data.instance(Site, "a Site"), unset_ok=True), "sites") or [])
-        reasons = data.dict_of(data.integer(0, len(self.nodes) - 1), data.TEXT)
-        self.non_prunable = dict(data.check({} if non_prunable is None else non_prunable, reasons, "non_prunable"))
         self.dtype = np.dtype(data.check(dtype, _DTYPE, "dtype")).type
         self.masks = {}
         self._serial = 0
@@ -545,11 +544,12 @@ class Model:
     # -- execution ------------------------------------------------------------
 
     def gate_mask(self, i):
-        """The mask node i's output is multiplied by: its own if a site node, else a batch norm's site's (gates)."""
-        sites = [s.node_index for s in self.sites] if self.masks else []
-        if i not in sites and self.nodes[i].kind == "batch_norm":  # a batch norm gates the site it reads
-            i = next((r for r in self.nodes[i].refs if r in sites), None)
-        return self.masks.get(i)
+        """The mask node i's output is multiplied by, or None: its own site mask times, for a batch norm,
+        the mask of the site it reads (gates), so masks compose where a batch norm is a site too."""
+        m = self.masks.get(i)
+        if self.nodes[i].kind == "batch_norm" and (read := self.masks.get(self.nodes[i].refs[0])) is not None:
+            m = read if m is None else m * read
+        return m
 
     def _array(self, x, what):
         """x as an array of the model's dtype, if it is real and numeric; else InputError."""
@@ -771,7 +771,7 @@ def _init_params(model, seed):
     identity for batch norm; deterministic in node order for a fixed seed."""
     rng = np.random.default_rng(seed)
     for node in model.nodes:
-        if node.kind not in ("conv2d", "linear"):
+        if "weight" not in node.params:
             continue
         w = node.params["weight"]
         bound = np.sqrt(6.0 / w[0].size)  # the fan-in: one output channel's weights
@@ -792,8 +792,7 @@ def build_mlp_small(num_classes=4, image_size=16, in_channels=1, seed=0):
         Linear("fc_out", [4], 16, num_classes),
     ]
     sites = [Site("fc1", 1, 32), Site("fc2", 3, 16)]
-    model = Model(nodes, (in_channels, image_size, image_size), num_classes, sites, {5: "classifier output"})
-    return _init_params(model, seed)
+    return _init_params(Model(nodes, (in_channels, image_size, image_size), num_classes, sites), seed)
 
 
 def build_cnn_small(num_classes=4, image_size=16, in_channels=1, seed=0):
@@ -816,8 +815,7 @@ def build_cnn_small(num_classes=4, image_size=16, in_channels=1, seed=0):
         Linear("fc_out", [12], 32 * s * s, num_classes),
     ]
     sites = [Site("conv1", 0, 16), Site("conv2", 4, 24), Site("conv3", 8, 32)]
-    model = Model(nodes, (in_channels, image_size, image_size), num_classes, sites, {13: "classifier output"})
-    return _init_params(model, seed)
+    return _init_params(Model(nodes, (in_channels, image_size, image_size), num_classes, sites), seed)
 
 
 def build_cnn_residual(num_classes=4, image_size=16, in_channels=1, seed=0):
@@ -848,8 +846,7 @@ def build_cnn_residual(num_classes=4, image_size=16, in_channels=1, seed=0):
         Linear("fc_out", [15], 24 * s * s, num_classes),
     ]
     sites = [Site("conv2", 4, 16), Site("conv4", 11, 24)]
-    non_prunable = {0: "feeds the residual add via the skip path", 7: "feeds the residual add", 16: "classifier output"}
-    return _init_params(Model(nodes, (in_channels, image_size, image_size), num_classes, sites, non_prunable), seed)
+    return _init_params(Model(nodes, (in_channels, image_size, image_size), num_classes, sites), seed)
 
 
 MODEL_BUILDERS = {

@@ -81,7 +81,7 @@ class PrunePlan:
     COLUMNS = tuple(_PLAN_COLUMNS)
 
     def __init__(self, entries):
-        self.entries = [data.check_row(entry, _PLAN_COLUMNS) for entry in entries]
+        self.entries = tuple(data.check_row(entry, _PLAN_COLUMNS) for entry in entries)  # p, skipped and mask() read it
         keep = {site_id: np.ones(n, dtype=bool) for site_id, n in _site_counts(e[1:4] for e in self.entries).items()}
         for k, (rank, site_id, _, channel, _, pruned) in enumerate(self.entries):
             if rank != k:
@@ -213,7 +213,7 @@ def compact(model, mask):
         keep = ins[0] if ins else None
         if node.kind == "residual_add" and any(k is not None for k in ins):
             raise CapabilityError(f"node {i} ({node.name}): residual_add consumes pruned channels")
-        if node.kind in ("conv2d", "linear"):
+        if "weight" in node.params:
             if keep is not None:
                 _shrink_input(node, keep)
             keep = pruned.get(i)
@@ -225,7 +225,7 @@ def compact(model, mask):
     if keeps[-1] is not None:
         raise CapabilityError(f"node {len(keeps) - 1} ({out.nodes[-1].name}): pruning would shrink the network output")
     sites = [Site(s.site_id, s.node_index, out.nodes[s.node_index].channels) for s in out.sites]
-    return Model(out.nodes, out.input_shape, out.num_classes, sites, out.non_prunable, dtype=out.dtype)
+    return Model(out.nodes, out.input_shape, out.num_classes, sites, dtype=out.dtype)
 
 
 def validate_equivalence(model, mask, trials=100, seed=0):

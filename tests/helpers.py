@@ -10,7 +10,7 @@ from prunelab import importance as imp
 from prunelab import tensor
 from prunelab.data import GLYPHS, SPLITS
 from prunelab.errors import InputError, StateError
-from prunelab.nn import MODEL_BUILDERS
+from prunelab.nn import INPUT, MODEL_BUILDERS, BatchNorm, Conv2d, Flatten, Linear, Model, Site
 from prunelab.pruning import PruneMask
 
 REL_FLOOR = 1e-8
@@ -19,6 +19,35 @@ REL_FLOOR = 1e-8
 def build_reference_models(num_classes=4, image_size=16, in_channels=1, seed=0):
     """The three fixed reference architectures used throughout the test suite."""
     return {name: build(num_classes, image_size, in_channels, seed) for name, build in MODEL_BUILDERS.items()}
+
+
+def conv_bn_probe_model(channels, seed, width=4):
+    """conv -> bn -> flatten -> linear with sites at BOTH the conv output and
+    the bn output; the bn site exists to observe the signal after the gate."""
+    rng = np.random.default_rng(seed)
+    nodes = [
+        Conv2d("conv", [INPUT], 1, channels, 3, padding=1, bias=False),
+        BatchNorm("bn", [0], channels),
+        Flatten("flat", [1]),
+        Linear("fc", [2], channels * width * width, 3),
+    ]
+    nodes[0].params["weight"] = rng.normal(size=(channels, 1, 3, 3), scale=0.5)
+    nodes[1].params["gamma"] = rng.uniform(0.5, 2.0, size=channels)
+    nodes[1].params["beta"] = np.zeros(channels)
+    nodes[1].state["running_mean"] = rng.normal(size=channels, scale=0.3)
+    nodes[1].state["running_var"] = rng.uniform(0.5, 2.0, size=channels)
+    nodes[3].params["weight"] = rng.normal(size=(3, channels * width * width), scale=0.3)
+    nodes[3].params["bias"] = np.zeros(3)
+    model = Model(
+        nodes,
+        (1, width, width),
+        3,
+        [Site("conv", 0, channels), Site("bn", 1, channels)],
+        dtype=np.float64,
+    )
+    for node in model.nodes:
+        node.zero_grads()
+    return model
 
 
 def rel_err(analytic, numeric, floor=REL_FLOOR):

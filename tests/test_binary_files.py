@@ -44,7 +44,7 @@ def tiny_model():
         Flatten("flat", [6]),
         Linear("out", [7], 4 * 2 * 2, 2),
     ]
-    model = Model(nodes, (1, 4, 4), 2, [Site("c1", 0, 3), Site("c2", 4, 4)], non_prunable={8: "output"})
+    model = Model(nodes, (1, 4, 4), 2, [Site("c1", 0, 3), Site("c2", 4, 4)])
     rng = np.random.default_rng(0)
     for _, _, _, param in model.parameters():
         param[...] = rng.normal(size=param.shape)

@@ -13,7 +13,7 @@ from prunelab.cli import main
 from prunelab.errors import FormatError, InputError
 from prunelab.nn import INPUT, AvgPool, Flatten, Linear, Model, make_node
 
-from helpers import all_keep, build_reference_models, rewrite_header
+from helpers import all_keep, build_reference_models, conv_bn_probe_model, rewrite_header
 
 # the message of a header other than save_model writes for the model it describes, and where it first differs
 NOT_SAVED = "checkpoint header differs from the one save_model writes for its model, first at {}"
@@ -55,7 +55,6 @@ class TestRoundTrip:
         assert [(s.site_id, s.node_index, s.channels) for s in loaded.sites] == [
             (s.site_id, s.node_index, s.channels) for s in model.sites
         ]
-        assert loaded.non_prunable == model.non_prunable
 
     def test_masks_survive(self, model, tmp_path):
         site = model.sites[0]
@@ -64,7 +63,7 @@ class TestRoundTrip:
         model.masks[site.node_index] = keep
         path = tmp_path / "m.npkt"
         checkpoint.save_model(path, model)
-        assert read_header(path)["masks"] == dict.fromkeys(map(str, model.gates(site)), keep.astype(int).tolist())
+        assert read_header(path)["masks"] == {str(site.node_index): keep.astype(int).tolist()}  # once, not per gate
         loaded = checkpoint.load_model(path)
         assert set(loaded.masks) == {site.node_index}
         assert np.array_equal(loaded.masks[site.node_index], keep)
@@ -214,7 +213,6 @@ HEADER_MUTATIONS = {
     "no_masks": deleter("masks"),
     "no_input_shape": deleter("input_shape"),
     "no_num_classes": deleter("num_classes"),
-    "no_non_prunable": deleter("non_prunable"),
     "nodes_int": setter("nodes", value=3),
     "sites_str": setter("sites", value="conv1"),
     "masks_list": setter("masks", value=[]),
@@ -225,10 +223,6 @@ HEADER_MUTATIONS = {
     "num_classes_str": setter("num_classes", value="4"),
     "num_classes_bool": setter("num_classes", value=True),
     "num_classes_zero": setter("num_classes", value=0),
-    "non_prunable_list": setter("non_prunable", value=[13]),
-    "non_prunable_bad_key": setter("non_prunable", value={"fc": "classifier"}),
-    "non_prunable_out_of_range": setter("non_prunable", value={"99": "classifier"}),
-    "non_prunable_bad_reason": setter("non_prunable", value={"13": 5}),
     "node_not_object": setter("nodes", 2, value="relu"),
     "node_no_kind": deleter("nodes", 0, "kind"),
     "node_no_name": deleter("nodes", 0, "name"),
@@ -272,10 +266,9 @@ HEADER_MUTATIONS = {
     "mask_on_relu": setter("masks", value={"2": [1] * 16}),
     "mask_value_two": setter("masks", "0", value=[1] * 15 + [2]),
     "mask_value_half": setter("masks", "0", value=[1] * 15 + [0.5]),
-    # the saved fixture masks site conv1 (nodes 0 and 1) with channel 3 off
-    "mask_bn1_alone": deleter("masks", "0"),
-    "mask_conv1_alone": deleter("masks", "1"),
-    "mask_copies_unequal": setter("masks", "1", value=[1] * 16),
+    # the saved fixture masks site conv1 with channel 3 off, stored once under its node 0
+    "mask_bn1_alone": setter("masks", value={"1": [1, 1, 1, 0] + [1] * 12}),
+    "mask_copy_on_bn1": setter("masks", "1", value=[1, 1, 1, 0] + [1] * 12),
     "mask_beside_site_on_relu": setter("masks", "2", value=[1] * 16),
     # headers save_model never writes, which the node constructors would still accept
     "extra_key": setter("comment", value="pruned"),
@@ -296,7 +289,8 @@ DIFFERS_AT = {
     "extra_key": "the keys of the header", "site_extra_key": "the keys of sites[0]",
     "params_entry_extra_key": "the keys of nodes[0].params[0]", "params_missing": "nodes[1].params",
     "params_shape_negative": "nodes[0].params[0].shape[0]", "hyper_missing_stride": "the keys of nodes[0].hyper",
-    "mask_copies_unequal": "masks.1[3]", "num_classes_twice": "byte 2 of its JSON text",
+    "mask_bn1_alone": "the keys of masks", "mask_copy_on_bn1": "the keys of masks",
+    "num_classes_twice": "byte 2 of its JSON text",
 }
 
 
@@ -306,14 +300,17 @@ class TestHeaderValidation:
         model = build_reference_models(seed=7)["cnn_small"]
         keep = np.ones(16, np.float32)
         keep[3] = 0.0
-        model.masks[0] = keep  # site conv1, stored under its gates conv1 and bn1
+        model.masks[0] = keep  # site conv1, stored once under its node, though bn1 gates it too
         path = tmp_path / "m.npkt"
         checkpoint.save_model(path, model)
         return path
 
     def test_unmutated_header_loads(self, saved):
         rewrite_header(saved, lambda header: None)
-        assert checkpoint.load_model(saved).sites[0].channels == 16
+        assert read_header(saved)["masks"] == {"0": [1, 1, 1, 0] + [1] * 12}
+        loaded = checkpoint.load_model(saved)
+        assert loaded.sites[0].channels == 16
+        assert list(loaded.masks) == [0] and loaded.masks[0].tolist() == [1, 1, 1, 0] + [1] * 12
 
     @pytest.mark.parametrize("name", sorted(HEADER_MUTATIONS))
     def test_malformed_header_is_format_error(self, saved, name):
@@ -328,7 +325,7 @@ class TestHeaderValidation:
             checkpoint.load_model(saved)
 
     @pytest.mark.parametrize("name", ["no_sites", "nodes_int", "hyper_missing_kernel", "node_refs_forward",
-                                      "mask_bn1_alone", "mask_conv1_alone", "mask_copies_unequal", "mask_on_relu",
+                                      "mask_bn1_alone", "mask_copy_on_bn1", "mask_on_relu",
                                       "site_duplicate_node", "hyper_missing_padding", "num_classes_twice",
                                       "pool1_kernel_3", "input_shape_24", "input_shape_2**40", "num_classes_5"])
     def test_cli_exits_3_without_traceback(self, saved, name, capsys):
@@ -404,39 +401,69 @@ class TestLoadConsistency:
 
     def test_mask_of_right_length_loads(self, saved):
         keep = [1] * 15 + [0]
-        rewrite_header(saved, setter("masks", value={"0": keep, "1": keep}))
+        rewrite_header(saved, setter("masks", value={"0": keep}))
         assert checkpoint.load_model(saved).masks[0][15] == 0.0
 
     @pytest.mark.parametrize("name", ["cnn_small", "cnn_residual"])
-    def test_gate_keys_load_to_site_keys_and_resave_byte_identical(self, tmp_path, name):
-        # one key per gate node, each holding its site's mask: the checkpoint older versions wrote
+    def test_a_format_1_file_is_refused_with_the_version_error(self, tmp_path, capsys, name):
+        # format 1 stored each site's mask under every gate node, beside a non_prunable map of node to reason
         model = build_reference_models(seed=7)[name]
-        path, again = tmp_path / "gates.npkt", tmp_path / "again.npkt"
+        path = tmp_path / "format1.npkt"
         checkpoint.save_model(path, model)
         masks = {str(g): [int(c % 3 != 1) for c in range(s.channels)] for s in model.sites for g in model.gates(s)}
+        non_prunable = {str(len(model.nodes) - 1): "classifier output"}
+        rewrite_header(path, lambda header: header.update(masks=masks, non_prunable=non_prunable))
+        raw = path.read_bytes()
+        path.write_bytes(raw[:4] + struct.pack("<I", 1) + raw[8:])
+        with pytest.raises(FormatError, match=r"^unsupported checkpoint version 1 \(expected 2\)$"):
+            checkpoint.load_model(path)
+        assert main(["eval", "--checkpoint", str(path)]) == 3
+        err = capsys.readouterr().err
+        assert err == "error: unsupported checkpoint version 1 (expected 2)\n"
+
+    @pytest.mark.parametrize("name,masks", [
+        ("cnn_small", {"0": [1] * 15 + [0]}),
+        ("cnn_small", {"0": [1] * 15 + [0], "4": [0] + [1] * 23}),
+        ("cnn_residual", {"11": [0, 1] * 12}),
+    ], ids=["conv1_alone", "conv1_and_conv2", "residual_conv4"])
+    def test_header_masks_one_per_site_node_load_and_resave_byte_identical(self, tmp_path, name, masks):
+        path, again = tmp_path / "m.npkt", tmp_path / "again.npkt"
+        checkpoint.save_model(path, build_reference_models(seed=7)[name])
         rewrite_header(path, setter("masks", value=masks))
         loaded = checkpoint.load_model(path)
-        assert sorted(loaded.masks) == [s.node_index for s in model.sites]
+        assert {str(i): m.astype(int).tolist() for i, m in loaded.masks.items()} == masks
         checkpoint.save_model(again, loaded)
         assert again.read_bytes() == path.read_bytes()
 
-    @pytest.mark.parametrize("name,masks,where", [
-        ("cnn_small", {"1": [1] * 15 + [0]}, "the keys of masks"),
-        ("cnn_small", {"0": [1] * 15 + [0]}, "the keys of masks"),
-        ("cnn_small", {"0": [1] * 15 + [0], "1": [0] + [1] * 15}, "masks.1[0]"),
-        ("cnn_small", {"2": [1] * 16}, "the keys of masks"),
-        ("cnn_small", {"13": [1, 0, 1, 1]}, "the keys of masks"),
-        ("cnn_residual", {"0": [1] * 15 + [0]}, "the keys of masks"),
-    ], ids=["bn1_alone", "conv1_alone", "unequal_copies", "relu", "classifier", "residual_stem"])
-    def test_header_gate_masks_must_be_one_site_mask_on_every_gate(self, tmp_path, capsys, name, masks, where):
+    @pytest.mark.parametrize("name,masks", [
+        ("cnn_small", {"1": [1] * 15 + [0]}),
+        ("cnn_small", {"0": [1] * 15 + [0], "1": [0] + [1] * 15}),
+        ("cnn_small", {"2": [1] * 16}),
+        ("cnn_small", {"13": [1, 0, 1, 1]}),
+        ("cnn_residual", {"0": [1] * 15 + [0]}),
+    ], ids=["bn1_alone", "unequal_copies", "relu", "classifier", "residual_stem"])
+    def test_header_masks_must_be_keyed_by_site_nodes(self, tmp_path, capsys, name, masks):
         path = tmp_path / "m.npkt"
         checkpoint.save_model(path, build_reference_models(seed=7)[name])
         rewrite_header(path, setter("masks", value=masks))
-        with pytest.raises(FormatError, match=re.escape(NOT_SAVED.format(where))):
+        with pytest.raises(FormatError, match=re.escape(NOT_SAVED.format("the keys of masks"))):
             checkpoint.load_model(path)
         assert main(["eval", "--checkpoint", str(path)]) == 3
         err = capsys.readouterr().err
         assert err.startswith("error: ") and "Traceback" not in err
+
+    def test_the_probe_models_two_site_masks_round_trip(self, tmp_path):
+        # conv site and the bn site that reads it: per-gate storage would have saved their product under the bn
+        model = conv_bn_probe_model(channels=5, seed=3)
+        model.masks = {0: np.array([1.0, 1.0, 1.0, 0.0, 1.0]), 1: np.array([0.0, 1.0, 1.0, 1.0, 1.0])}
+        path = tmp_path / "m.npkt"
+        checkpoint.save_model(path, model)
+        assert read_header(path)["masks"] == {"0": [1, 1, 1, 0, 1], "1": [0, 1, 1, 1, 1]}
+        loaded = checkpoint.load_model(path)
+        assert loaded.masks.keys() == model.masks.keys()
+        for i, m in model.masks.items():
+            assert np.array_equal(loaded.masks[i], m)
+        assert loaded.gate_mask(1).tolist() == [0.0, 1.0, 1.0, 0.0, 1.0]
 
     @pytest.mark.parametrize("name,index,length", [("cnn_residual", 0, 16), ("cnn_small", 13, 4), ("cnn_small", 1, 16),
                                                    ("cnn_small", 2, 16)],
@@ -462,6 +489,19 @@ class TestLoadConsistency:
         model.masks[4][3] = value
         path = tmp_path / "m.npkt"
         with pytest.raises(InputError, match="mask on node 4 holds values other than 0 and 1"):
+            checkpoint.save_model(path, model)
+        assert not path.exists()
+
+    @pytest.mark.parametrize("index,match", [(0, "mask on node 0 is not a float32 array"),
+                                             (2, r"mask on node 2: node 2 \(relu1\) is a relu node, not a site node")],
+                             ids=["site", "relu"])
+    @pytest.mark.parametrize("value", ["1111", None], ids=["str", "none"])
+    def test_a_mask_that_is_not_an_array_is_not_saved(self, tmp_path, index, match, value):
+        # the header converts a mask only once Model.check has passed it
+        model = build_reference_models(seed=7)["cnn_small"]
+        model.masks[index] = value
+        path = tmp_path / "m.npkt"
+        with pytest.raises(InputError, match=f"^{match}$"):
             checkpoint.save_model(path, model)
         assert not path.exists()
 

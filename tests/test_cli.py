@@ -284,11 +284,11 @@ class TestPrune:
         assert code == 3
         assert "error:" in err and "Traceback" not in err
 
-    @pytest.mark.parametrize("name,index", [("cnn_residual", 0), ("cnn_small", 13), ("cnn_small", 0), ("cnn_small", 1)],
-                             ids=["residual_stem", "classifier", "conv_without_batch_norm", "batch_norm_without_conv"])
+    @pytest.mark.parametrize("name,index", [("cnn_residual", 0), ("cnn_small", 13), ("cnn_small", 1)],
+                             ids=["residual_stem", "classifier", "batch_norm_without_conv"])
     def test_mask_outside_gate_nodes_exits_3(self, workspace, tmp_path, capsys, name, index):
-        # a mask on the residual stem conv or on the classifier gates no site, and one on
-        # cnn_small's conv1 or bn1 alone misses the copy its site's other gate must hold
+        # a mask on the residual stem conv or on the classifier gates no site, and bn1,
+        # though it gates site conv1, is not a site node: masks are keyed by site node
         model = build_reference_models()[name]
         keep = [1] * model.nodes[index].channels
         keep[1] = 0
@@ -303,6 +303,24 @@ class TestPrune:
             assert err.startswith("error: ") and "save_model writes for its model, first at the keys of masks" in err
             assert "Traceback" not in err
             assert not (tmp_path / "out").exists()
+
+
+    def test_a_mask_under_its_conv_site_alone_loads(self, workspace, tmp_path, capsys):
+        # conv1's mask, once under conv1's node: the layout save_model writes, which bn1 applies too
+        model = build_reference_models()["cnn_small"]
+        keep = [1] * model.nodes[0].channels
+        keep[1] = 0
+        save_model(tmp_path / "conv1.npkt", model)
+        rewrite_header(tmp_path / "conv1.npkt", lambda header: header["masks"].update({"0": keep}))
+        model.masks[0] = np.array(keep, np.float32)
+        save_model(tmp_path / "saved.npkt", model)
+        assert (tmp_path / "conv1.npkt").read_bytes() == (tmp_path / "saved.npkt").read_bytes()
+        harness.random_importance_table(model).to_csv(tmp_path / "scores.csv")
+        assert run(workspace, "prune", "--checkpoint", str(tmp_path / "conv1.npkt"), "--table",
+                   str(tmp_path / "scores.csv"), "--prune-count", "3", "--out", str(tmp_path / "small.npkt")) == 0
+        assert run(workspace, "eval", "--checkpoint", str(tmp_path / "conv1.npkt")) == 0
+        assert capsys.readouterr().err == ""
+        assert load_model(tmp_path / "small.npkt").sites[0].channels < 16
 
 
 class TestEval:
@@ -489,6 +507,23 @@ class TestSweep:
         assert run(tmp_path, "sweep", *flags, "--out", str(tmp_path / "never.csv")) == 3
         assert "error: " in capsys.readouterr().err
         assert rendered == [] and not (tmp_path / "never.csv").exists()
+
+    def test_without_a_checkpoint_it_trains_the_config_model_then_sweeps(self, tmp_path, capsys):
+        # the one command that trains before it sweeps: its CSV is harness.train, then prune_sweep, on the config;
+        # mlp_small in batches of 4 learns in one epoch, so the CSV of the untrained model differs
+        cfg = tmp_path / "train.cfg"
+        cfg.write_text("model = mlp_small\nbatch_size = 4\nper_class_train = 8\nper_class_test = 4\nepochs = 1\n"
+                       "data_sizes = 8\nprune_counts = 0,2\n")
+        assert main(["sweep", "--config", str(cfg), "--out", str(tmp_path / "cli.csv")]) == 0
+        assert capsys.readouterr().out == f"wrote 2 rows to {tmp_path / 'cli.csv'}\n"
+        config = harness.ExperimentConfig.from_file(cfg)
+        train_set, test_set = harness.build_datasets(config)
+        untrained = harness.build_model(config)
+        model, _ = harness.train(untrained, train_set, config)
+        harness.prune_sweep(model, train_set, test_set, config).to_csv(tmp_path / "api.csv")
+        harness.prune_sweep(untrained, train_set, test_set, config).to_csv(tmp_path / "untrained.csv")
+        assert (tmp_path / "cli.csv").read_bytes() == (tmp_path / "api.csv").read_bytes()
+        assert (tmp_path / "untrained.csv").read_bytes() != (tmp_path / "api.csv").read_bytes()
 
     def test_repeat_run_is_byte_identical(self, workspace, tmp_path):
         paths = [tmp_path / "s1.csv", tmp_path / "s2.csv"]

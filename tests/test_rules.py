@@ -5,23 +5,27 @@ are fed values that int(), float() or bool() would silently truncate,
 coerce or overflow on: fractional floats for integer fields, True for
 integers, strings for flags, 2**64, 10**400 and numpy scalars.  Each record
 either raises its documented error or stores a value equal to the input.
-Bad labels meet one rule, with one message, wherever they meet a model.
+Bad labels meet one rule, with one message, wherever they meet a model, and
+each refusal a public entry point documents raises its errors.py type.
 """
 
 import json
+import os
+import re
 import struct
 
 import numpy as np
 import pytest
 
-from prunelab import checkpoint, data, harness
+from prunelab import checkpoint, data, harness, importance, pruning, tensor
 from prunelab.cli import main
-from prunelab.errors import FormatError, InputError
+from prunelab.errors import CapabilityError, FormatError, InputError, ShapeError
 from prunelab.harness import SweepResult
 from prunelab.importance import LOSS, RANDOM, GradientSource, ImportanceTable, estimate
-from prunelab.nn import INPUT, Conv2d, Flatten, Linear, Model, build_cnn_small, build_mlp_small, softmax_cross_entropy
+from prunelab.nn import (INPUT, BatchNorm, Conv2d, Flatten, Linear, Model, build_cnn_small, build_mlp_small,
+                         softmax_cross_entropy)
 
-from helpers import build_reference_models
+from helpers import build_reference_models, conv_bn_probe_model
 
 VALUES = {"2.7": 2.7, "4.0": 4.0, "True": True, "'false'": "false", "'3'": "3", "2**64": 2**64,
           "10**400": 10**400, "int64(3)": np.int64(3), "uint64(2**64-1)": np.uint64(2**64 - 1),
@@ -207,3 +211,58 @@ def test_bad_labels_get_one_message_everywhere(user, case, monkeypatch):
     model = build_mlp_small(num_classes=4, image_size=12, seed=0)
     with pytest.raises(InputError, match=f"^{message}$"):
         LABEL_USERS[user](model, images, labels, monkeypatch)
+
+
+def _siteless():
+    return Model([Flatten("flat", [INPUT]), Linear("fc", [0], 16, 4)], (1, 4, 4), 4)
+
+
+CONV_X = np.zeros((1, 1, 4, 4))
+CONV_W = np.zeros((2, 1, 3, 3))
+# name -> (a call through the public API, the errors.py type it raises, a fragment of its message)
+REFUSALS = {
+    "dataset_3d_images": (lambda: data.Dataset(np.zeros((2, 4, 4)), [0, 1], "train", 0), InputError,
+                          "images must be [M, C, H, W], got shape (2, 4, 4)"),
+    "save_idx_257_classes": (lambda: data.save_idx(data.Dataset(np.zeros((257, 1, 1, 1)), np.arange(257), "train", 0),
+                                                   os.devnull, os.devnull), InputError,
+                             "more than 256 classes cannot export"),
+    "channel_signal_1d": (lambda: importance.channel_signal(np.zeros(3), np.zeros(3)), ShapeError,
+                          "site tensors need batch and channel axes, got (3,)"),
+    "molchanov_group_on_batch_norm_site": (
+        lambda: estimate(conv_bn_probe_model(5, 0), (np.zeros((4, 1, 4, 4)), np.arange(4) % 3), 4, "molchanov_group",
+                         GradientSource(LOSS)),
+        InputError, "site 'bn' node has no weights; molchanov_group needs them"),
+    "accumulate_wrong_width": (lambda: importance.accumulate([importance.PrunableSite("a", 0, 3, ["taylorfo"])],
+                                                             {"a": np.zeros((2, 4))}, "taylorfo"),
+                               ShapeError, "site a: signals (2, 4) != [N, 3]"),
+    "scores_of_no_site": (lambda: ImportanceTable([("a", 0, 0, 1.0)], "taylorfo", LOSS, False, 4, 0).scores("b"),
+                          InputError, "no entries for site 'b'"),
+    "estimate_without_sites": (lambda: estimate(_siteless(), (np.zeros((2, 1, 4, 4)), None), 2, "taylorfo",
+                                                GradientSource(RANDOM)),
+                               InputError, "model declares no prunable sites"),
+    "prune_sweep_without_sites": (lambda: harness.prune_sweep(_siteless(), None, None, harness.ExperimentConfig()),
+                                  InputError, "model has no prunable sites"),
+    "prune_mask_2d_keep": (lambda: pruning.PruneMask({"a": [[1, 0], [1, 1]]}), InputError,
+                           "site 'a': keep vector must be 1-D"),
+    "compact_a_batch_norm_site": (lambda: pruning.compact(conv_bn_probe_model(5, 0), pruning.PruneMask(
+        {"conv": np.ones(5, bool), "bn": np.arange(5) != 0})), CapabilityError,
+        "node 1 (bn): cannot shrink output of batch_norm node"),
+    "batch_norm_of_other_width": (lambda: Model([Linear("fc", [INPUT], 2, 3), BatchNorm("bn", [0], 2)], (2,), 2),
+                                  InputError, "node 1 (bn): batch norm expects (2,) or (2, H, W) input, got (3,)"),
+    "conv2d_integer_input": (lambda: tensor.conv2d(CONV_X.astype(int), CONV_W), InputError,
+                             "input must be float32 or float64, got int"),
+    "conv2d_mixed_dtypes": (lambda: tensor.conv2d(CONV_X.astype(np.float32), CONV_W), ShapeError,
+                            "dtype mismatch: float32 vs float64"),
+    "conv2d_stride_0": (lambda: tensor.conv2d(CONV_X, CONV_W, stride=0), InputError, "stride must be positive, got 0"),
+    "conv2d_padding_-1": (lambda: tensor.conv2d(CONV_X, CONV_W, padding=-1), InputError,
+                          "padding must be non-negative, got -1"),
+    "conv2d_3d_input": (lambda: tensor.conv2d(CONV_X[0], CONV_W), ShapeError,
+                        "conv2d expects 4-d input/weight, got (1, 4, 4) and (2, 1, 3, 3)"),
+}
+
+
+@pytest.mark.parametrize("case", REFUSALS)
+def test_a_public_entry_point_refuses_with_its_documented_error(case):
+    call, error, fragment = REFUSALS[case]
+    with pytest.raises(error, match=re.escape(fragment)):
+        call()

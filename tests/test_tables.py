@@ -197,3 +197,16 @@ def test_a_table_that_builds_loads_back_and_refused_rows_write_no_file(workdir, 
         table = CLASSES[kind](*args)
         table.to_csv(path)
         assert kept_state(CLASSES[kind].from_csv(path)) == kept_state(table)
+
+
+@pytest.mark.parametrize("kind", ["plan", "sweep"])
+def test_a_built_plan_or_sweep_cannot_change(workdir, kind):
+    # a plan's p, skipped and mask() are read off its rows when it is built: an edited row would leave them stale
+    table = CLASSES[kind].from_csv(workdir / f"{kind}.csv")
+    rows = table.entries if kind == "plan" else table.rows
+    before = kept_state(table)
+    with pytest.raises(TypeError, match="does not support item assignment"):
+        rows[1] = rows[0]
+    with pytest.raises(AttributeError):
+        rows.append(rows[0])
+    assert kept_state(table) == before
